@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-parallel-readiness lint-tools fuzz-smoke fault-smoke parallel-differential verify bench bench-json bench-check bench-parallel figures clean
+.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke verify bench figures clean
 
 build:
 	$(GO) build ./...
@@ -22,12 +22,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# The vault controller is the unit of sharding for the parallel event
-# engine; stress it uncached alongside the ./... sweep so a race there
-# cannot hide behind the test cache.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 ./internal/vault/...
 
 # The orchestration layer (scheduler, checkpoint store, context-threaded
 # public API) is the most concurrency-sensitive code in the repo; vet and
@@ -72,14 +68,6 @@ lint:
 		echo "govulncheck not installed; skipping (make lint-tools installs $(GOVULNCHECK_VERSION))"; \
 	fi
 
-# The whole-program parallel-readiness gate for the sharded event
-# engine (ROADMAP): shard isolation, init-only globals, and
-# interprocedural determinism, with per-stage wall time. Also runs as
-# part of `make lint` (the full suite); this target isolates the three
-# analyzers for fast iteration on vault/engine code.
-lint-parallel-readiness:
-	$(GO) run ./cmd/campslint -timing shardsafe,globalmut,detflow ./...
-
 lint-tools:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
@@ -101,38 +89,15 @@ fault-smoke:
 		-faults 'linkcrc=1e-3,stall=1e-4,poison=2e-3,bankfail=100us,bankfor=2us' \
 		-check -timeout 10s >/dev/null
 
-# The sharded-engine determinism contract: every (mix, fault, workers)
-# cell of the differential matrix must export byte-identical Results to
-# the serial engine. Uncached, and under -race, so a scheduling leak in
-# the window/barrier protocol cannot hide.
-parallel-differential:
-	$(GO) test -race -count=1 -run TestParallelMatchesSerial .
-
-verify: build vet race orchestration observability serve lint parallel-differential fault-smoke serve-smoke
+# lint-tools is CI's install step for the pinned linters that `make lint`
+# runs when present; every other CI step is one of these targets.
+verify: build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# Simulator-throughput baselines (see docs/PERFORMANCE.md). BENCH_BASELINE
-# is the newest committed BENCH_*.json; the date-stamped names sort
-# chronologically, so lexical max == latest. `make bench-json` records a
-# new baseline; `make bench-check` replays the same scenarios (best of 3)
-# and fails if any scenario's events/sec regressed more than 15%.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-
-bench-json:
-	$(GO) run ./cmd/campbench -bench -bench-count 3
-
-bench-check:
-	@test -n "$(BENCH_BASELINE)" || { echo "bench-check: no BENCH_*.json baseline found"; exit 1; }
-	$(GO) run ./cmd/campbench -bench -bench-count 3 -bench-out "" \
-		-bench-baseline $(BENCH_BASELINE)
-
-# Worker-count scaling rows only (parallel-w*), best of 3, against the
-# committed baseline when one exists. Wall-clock scaling needs real
-# cores: on a single-CPU host these rows only measure barrier overhead.
-bench-parallel:
-	$(GO) run ./cmd/campbench -bench -bench-count 3 -bench-out "" -bench-match 'parallel-'
+# The simulator's own speed is measured by the benchmark in perfbench/
+# (bash perfbench/run.sh; see docs/PERFORMANCE.md).
 
 figures:
 	$(GO) run ./cmd/campbench

@@ -9,11 +9,8 @@
 //	campbench -csv            # machine-readable output
 //	campbench -instr 200000   # faster, lower-fidelity run
 //
-// Benchmark mode measures the simulator itself instead of the simulated
-// system (see bench.go):
-//
-//	campbench -bench                               # measure, write BENCH_<date>.json
-//	campbench -bench -bench-baseline BENCH_x.json  # gate against a baseline
+// The simulator's own speed is measured by the benchmark in perfbench/
+// (bash perfbench/run.sh), not by this command.
 package main
 
 import (
@@ -22,7 +19,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"camps/internal/cliutil"
 	"camps/internal/harness"
@@ -31,17 +27,6 @@ import (
 	"camps/internal/report"
 	"camps/internal/stats"
 )
-
-// flagSet reports whether the named flag was given explicitly.
-func flagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
 
 func main() {
 	log.SetFlags(0)
@@ -61,26 +46,10 @@ func main() {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
 		serveAddr  = flag.String("serve-metrics", "", "stream one snapshot per finished grid cell as server-sent events on this address")
 		version    = flag.Bool("version", false, "print build information and exit")
-
-		bench         = flag.Bool("bench", false, "measure simulator throughput and emit a BENCH_<date>.json instead of figures")
-		benchOut      = flag.String("bench-out", "", "benchmark output file (default BENCH_<date>.json; empty in gate-only runs to skip writing: use -bench-out \"\" explicitly)")
-		benchCount    = flag.Int("bench-count", 3, "runs per benchmark scenario; the best is reported")
-		benchBaseline = flag.String("bench-baseline", "", "baseline BENCH_*.json to gate against (>15% events/sec loss fails)")
-		benchMatch    = flag.String("bench-match", "", "run only scenarios whose name contains this substring")
 	)
 	flag.Parse()
 	if *version {
 		cliutil.PrintVersion(os.Stdout, "campbench")
-		return
-	}
-	if *bench {
-		out := *benchOut
-		if out == "" && !flagSet("bench-out") {
-			out = "BENCH_" + time.Now().Format("2006-01-02") + ".json"
-		}
-		if !runBenchmarks(out, *benchBaseline, *benchMatch, *benchCount, *seed) {
-			os.Exit(1)
-		}
 		return
 	}
 	if *pprofAddr != "" {

@@ -57,7 +57,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none); the simulation halts within one epoch of expiry")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
 		faultSpec  = flag.String("faults", "", "deterministic fault-injection spec; "+camps.FaultGrammar())
-		workers    = flag.Int("workers", 1, "simulation worker goroutines (1 = serial engine; N>1 shards the vaults over N-1 workers, bit-identical results)")
 		check      = flag.Bool("check", false, "run the epoch invariant checker (abort with a typed error on violation)")
 		traceIn    = flag.String("trace", "", "comma-separated per-core trace files replayed instead of -mix (one path serves every core)")
 		version    = flag.Bool("version", false, "print build information and exit")
@@ -90,7 +89,6 @@ func main() {
 		WarmupRefs:      *warmup,
 		MeasureInstr:    *instr,
 		CheckInvariants: *check,
-		Workers:         *workers,
 	}
 	if *faultSpec != "" {
 		spec, err := camps.ParseFaultSpec(*faultSpec)

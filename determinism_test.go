@@ -28,7 +28,10 @@ func goldenRun() camps.RunConfig {
 
 // TestSameSeedExportByteIdentical asserts the determinism contract at the
 // export layer: two runs of the same seed must marshal to byte-identical
-// JSON, and that JSON must match the committed golden snapshot. The golden
+// JSON, and that JSON must match the committed golden snapshot. The
+// second run sets Workers: 2, which pins that the field is ignored (the
+// benchmark's fingerprint check compares a Workers=2 run against serial
+// ones). The golden
 // was captured after the sim.NewClock rational-period fix (the old
 // truncated 333 ps period ran the 3 GHz core at 3.003 GHz, so every
 // pre-fix timing number was slightly off); any future behaviour change —
@@ -41,7 +44,9 @@ func TestSameSeedExportByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := camps.RunContext(context.Background(), rc)
+	rc2 := rc
+	rc2.Workers = 2
+	b, err := camps.RunContext(context.Background(), rc2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,15 +55,7 @@ type Cube struct {
 	// request path (link, crossbar, injected stalls) and retires the span
 	// when the response reaches the processor side.
 	spans *obs.SpanSet
-
-	// Parallel shard runtime (nil on the serial path, see NewCubeSharded):
-	// when set, vault submissions and read completions cross shard
-	// boundaries through its mailboxes instead of local scheduling.
-	shard *ShardRuntime
 }
-
-// stats5ns returns the cube's read-latency histogram (5ns buckets to 2us).
-func stats5ns() *stats.Histogram { return stats.NewHistogram(400, 5000) }
 
 // NewCube builds the cube with one prefetch scheme across all vaults.
 func NewCube(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme) *Cube {
@@ -77,7 +69,7 @@ func NewCube(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme) *Cube {
 		headerB:   cfg.Links.HeaderBytes,
 		switchLat: cfg.Links.SwitchDelay,
 		ctrlLat:   cfg.Links.CtrlOverhead,
-		readHist:  stats5ns(),
+		readHist:  stats.NewHistogram(400, 5000), // 5ns buckets up to 2us
 	}
 	for i := range c.vaults {
 		c.vaults[i] = vault.New(eng, cfg, scheme, i)
@@ -217,18 +209,6 @@ func (c *Cube) Access(addr Address, write bool, done func(at sim.Time)) {
 		atVault += c.vsites[loc.Vault].StallDelay(atVault)
 	}
 
-	if write && c.shard != nil {
-		// Parallel posted write: nothing comes back, so no access record —
-		// the request value rides the mailbox to its shard and the
-		// acceptance callback stays on the coordinator, as in serial.
-		req := vault.Request{Bank: loc.Bank, Row: loc.Row, Line: loc.Line, Write: true}
-		c.shard.pushDown(loc.Vault, c.vaults[loc.Vault], req, atVault, now)
-		if done != nil {
-			c.eng.AtWhen(atVault, done)
-		}
-		return
-	}
-
 	a := c.allocAccess()
 	a.v = c.vaults[loc.Vault]
 	a.link = link
@@ -238,13 +218,6 @@ func (c *Cube) Access(addr Address, write bool, done func(at sim.Time)) {
 	if !write {
 		c.inflight++
 		a.req.Done = a.vdoneFn
-		if c.shard != nil {
-			// The vault invokes Done on its own engine; the push records
-			// the completion for barrier replay instead of running the
-			// response path on the wrong shard.
-			a.shard = c.shard.shardOf[loc.Vault]
-			a.req.Done = a.pushFn
-		}
 		// Claim the span the MSHR staged for this read and charge the
 		// request path: CRC retransmissions first (folded into the link
 		// delivery), then controller+link up to delivery at the cube,
@@ -258,15 +231,10 @@ func (c *Cube) Access(addr Address, write bool, done func(at sim.Time)) {
 			a.req.Span = ref
 		}
 	}
-	if c.shard != nil {
-		c.shard.pushDown(loc.Vault, a.v, a.req, atVault, now)
-		return
-	}
 	// The submit roots the request's stream inside the vault: tagging it
 	// here (rather than inheriting the core stream's tag) is what keys
 	// every downstream event — bank operations, the completion trampoline,
-	// the response path — to the vault, identically in serial and sharded
-	// runs (see vault.TagSubmit).
+	// the response path — to the vault (see vault.TagSubmit).
 	c.eng.AtTag(atVault, vault.TagSubmit(loc.Vault), a.submitFn)
 
 	if write && done != nil {
@@ -284,11 +252,9 @@ type access struct {
 	req   vault.Request
 	done  func(at sim.Time)
 	start sim.Time
-	shard int // owning vault shard (parallel mode only)
 
 	submitFn func()
 	vdoneFn  func(sim.Time)
-	pushFn   func(sim.Time) // parallel mode: Done callback recording the completion
 }
 
 func (c *Cube) allocAccess() *access {
@@ -301,16 +267,7 @@ func (c *Cube) allocAccess() *access {
 	a := &access{c: c}
 	a.submitFn = a.submit
 	a.vdoneFn = a.readDone
-	if c.shard != nil {
-		a.pushFn = a.pushUp
-	}
 	return a
-}
-
-// pushUp is the parallel-mode Done callback: it runs on the access's
-// vault shard and records the completion for barrier replay.
-func (a *access) pushUp(ready sim.Time) {
-	a.c.shard.pushUp(a.shard, a, ready)
 }
 
 func (c *Cube) releaseAccess(a *access) {

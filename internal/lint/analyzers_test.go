@@ -55,10 +55,6 @@ func TestPfRegister(t *testing.T) {
 	runWantTest(t, PfRegister, "pfregister")
 }
 
-func TestShardSafeProgram(t *testing.T) {
-	runProgramWantTest(t, ShardSafe, filepath.Join("testdata", "prog", "shardsafe", "src"))
-}
-
 func TestGlobalMutProgram(t *testing.T) {
 	runProgramWantTest(t, GlobalMut, filepath.Join("testdata", "prog", "globalmut", "src"))
 }

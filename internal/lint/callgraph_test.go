@@ -8,7 +8,7 @@ import (
 
 // TestCallGraphEngineDispatch pins the interface-dispatch resolution on
 // the real tree: a vault controller's call to Engine.OnDemandServed
-// must fan out to every registered engine implementation, or shardsafe
+// must fan out to every registered engine implementation, or globalmut
 // and detflow would silently skip the prefetcher zoo.
 func TestCallGraphEngineDispatch(t *testing.T) {
 	if testing.Short() {
@@ -18,7 +18,7 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := Summarize(prog, nil)
+	sums := Summarize(prog)
 	g := BuildCallGraph(prog, sums)
 
 	const method = "camps/internal/prefetch.(Engine).OnDemandServed"
@@ -37,7 +37,7 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	}
 
 	// And the vault package actually carries an interface call edge to
-	// that method, so the dispatch is reachable from shard entry points.
+	// that method, so the dispatch is reachable from vault entry points.
 	vault := sums.ByPkg["camps/internal/vault"]
 	if vault == nil {
 		t.Fatal("no summary for camps/internal/vault")
@@ -55,12 +55,12 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	}
 }
 
-// TestReachableStopPrunesButReaches pins the boundary semantics the
-// shardsafe analyzer depends on: a stopped symbol is reached (its own
-// facts count) but its callees are not followed.
+// TestReachableStopPrunesButReaches pins the boundary semantics of
+// Reachable: a stopped symbol is reached (its own facts count) but its
+// callees are not followed.
 func TestReachableStopPrunesButReaches(t *testing.T) {
-	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "shardsafe", "src"))
-	sums := Summarize(prog, nil)
+	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "callgraph", "src"))
+	sums := Summarize(prog)
 	g := BuildCallGraph(prog, sums)
 
 	reached := g.Reachable([]string{"camps/internal/vault.(Controller).Submit"}, func(sym string) bool {

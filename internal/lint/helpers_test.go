@@ -292,7 +292,7 @@ func runWantTest(t *testing.T, a *Analyzer, importPath string) {
 func runProgramWantTest(t *testing.T, a *Analyzer, root string) {
 	t.Helper()
 	prog := loadTestProgram(t, root)
-	sums := Summarize(prog, nil)
+	sums := Summarize(prog)
 	graph := BuildCallGraph(prog, sums)
 	checkWants(t, prog.Pkgs, RunProgramAnalyzer(a, prog, sums, graph))
 }

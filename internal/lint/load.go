@@ -38,8 +38,7 @@ type Package struct {
 	// identity), but diagnostics are only reported in target packages.
 	Target bool
 
-	// SrcHash is a content hash over the package's source files, the
-	// leaf input of the fact cache's content-addressed keys.
+	// SrcHash is a content hash over the package's source files.
 	SrcHash string
 }
 

@@ -16,7 +16,7 @@ import (
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxThread, DetFlow, GlobalMut, MapOrder, PfRegister,
-		ShardSafe, SimDeterminism, StatsReg, TickArith,
+		SimDeterminism, StatsReg, TickArith,
 	}
 }
 
@@ -38,7 +38,7 @@ const (
 // positional argument that is a comma-separated list of analyzer
 // names, e.g.
 //
-//	campslint shardsafe,globalmut,detflow ./...
+//	campslint globalmut,detflow ./...
 func Main(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("campslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -56,7 +56,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		timing      = fs.Bool("timing", false, "report load and per-analyzer wall time on stderr")
 		allowBudget = fs.Bool("allow-budget", false, "fail when //lint:allow-* use exceeds the committed baseline")
 		budgetFile  = fs.String("budget-file", ".campslint-budget", "allow-budget baseline `file` (relative to -C)")
-		factCache   = fs.String("fact-cache", DefaultFactCacheDir(), "facts cache `dir` for whole-program analyzers (\"off\" disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return ExitUsage
@@ -99,12 +98,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	var graph *CallGraph
 	var factsTime time.Duration
 	if needsProgram(analyzers) {
-		cacheDir := *factCache
-		if cacheDir == "off" {
-			cacheDir = ""
-		}
 		start = time.Now()
-		sums = Summarize(prog, OpenFactCache(cacheDir))
+		sums = Summarize(prog)
 		graph = BuildCallGraph(prog, sums)
 		factsTime = time.Since(start)
 	}
@@ -138,7 +133,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if *timing {
 		fmt.Fprintf(stderr, "campslint: load %v (%d packages, %d targets)\n", loadTime.Round(time.Millisecond), len(prog.Pkgs), len(pkgs))
 		if sums != nil {
-			fmt.Fprintf(stderr, "campslint: facts+callgraph %v (cache: %d hits, %d misses)\n", factsTime.Round(time.Millisecond), sums.Hits, sums.Misses)
+			fmt.Fprintf(stderr, "campslint: facts+callgraph %v (%d packages)\n", factsTime.Round(time.Millisecond), len(sums.ByPkg))
 		}
 		for _, l := range laps {
 			fmt.Fprintf(stderr, "campslint: %-16s %v\n", l.name, l.d.Round(time.Millisecond))

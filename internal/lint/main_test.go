@@ -150,11 +150,11 @@ func TestMainTiming(t *testing.T) {
 		"go.mod":   "module scratch\n\ngo 1.22\n",
 		"pkg/a.go": "package pkg\n\nfunc F() int { return 1 }\n",
 	})
-	code, _, stderr := runMain("-C", dir, "-timing", "-fact-cache", "off", "./...")
+	code, _, stderr := runMain("-C", dir, "-timing", "./...")
 	if code != ExitClean {
 		t.Fatalf("-timing run: exit = %d, stderr = %s", code, stderr)
 	}
-	for _, want := range []string{"campslint: load", "facts+callgraph", "shardsafe", "maporder"} {
+	for _, want := range []string{"campslint: load", "facts+callgraph", "globalmut", "maporder"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("-timing stderr missing %q:\n%s", want, stderr)
 		}

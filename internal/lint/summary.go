@@ -9,14 +9,11 @@ import (
 )
 
 // The facts layer: each package under analysis is distilled into one
-// serializable PackageSummary — per-function call edges, package-level
-// writes, goroutine launches, and nondeterminism sources, each with a
-// resolved source position. The whole-program analyzers (shardsafe,
-// globalmut, detflow) run entirely over these summaries joined by the
-// call graph, so a package whose sources (and dependency closure) are
-// unchanged can reuse its cached summary (see facts.go) without
-// re-walking its syntax trees, and diagnostics in dependency packages
-// can be reconstructed without their ASTs.
+// PackageSummary — per-function call edges, package-level writes,
+// goroutine launches, and nondeterminism sources, each with a resolved
+// source position. The whole-program analyzers (globalmut, detflow) run
+// entirely over these summaries joined by the call graph, so diagnostics
+// in dependency packages can be reconstructed without their ASTs.
 //
 // Symbols name functions and variables as stable strings:
 //

@@ -131,9 +131,8 @@ func (r SpanRef) Valid() bool { return r.id != 0 }
 // goroutine. A nil *SpanSet is valid everywhere and records nothing, so
 // attribution-off runs pay only a nil check.
 type SpanSet struct {
-	recs   []spanRec
-	free   []int32
-	pinned bool // Reserve called: the pool may no longer grow (shard safety)
+	recs []spanRec
+	free []int32
 
 	// staged carries a span across the synchronous MSHR -> cube handoff
 	// without widening the Backend interface: the MSHR stages the primary
@@ -223,11 +222,6 @@ func (s *SpanSet) Begin(atPs int64) SpanRef {
 		idx = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		if s.pinned {
-			// Growing would move the backing array out from under vault
-			// shards holding record pointers; see Reserve.
-			panic("obs: span pool exhausted after Reserve")
-		}
 		s.recs = append(s.recs, spanRec{})
 		idx = int32(len(s.recs) - 1)
 	}

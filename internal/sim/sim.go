@@ -226,41 +226,11 @@ type Engine struct {
 	halted    bool
 	nonDaemon int
 
-	// curSched/curTag are the sched and tag stamps of the event currently
-	// firing: the engine time at which that event was scheduled and the
-	// actor stream it belongs to. Together with now they name the event's
-	// position in the deterministic total order, which is what
-	// cross-shard mailboxes key replay on (see parallel.go). curTag also
-	// propagates: events scheduled while an event fires inherit its tag,
-	// so a whole causal stream carries its root's tag without the model
+	// curTag is the actor tag of the event currently firing. It
+	// propagates: events scheduled while an event fires inherit it, so a
+	// whole causal stream carries its root's tag without the model
 	// re-stating it at every hop.
-	curSched Time
-	curTag   int32
-
-	// haltWhen/haltSched/haltTag pin the exact position in the event
-	// order at which Halt was first called; the parallel runner's
-	// winddown fires exactly the events that precede it. haltPinned
-	// guards the pin so winddown (which temporarily clears halted to
-	// step) cannot move it.
-	haltWhen   Time
-	haltSched  Time
-	haltTag    int32
-	haltPinned bool
-
-	// Replay mode (parallel runner only): while a cross-shard completion
-	// recorded at virtual time vnow is being re-applied, Now() reports
-	// vnow and new events are stamped as if scheduled then, so callbacks
-	// behave byte-identically to the serial engine that would have run
-	// them in place.
-	replay bool
-	vnow   Time
-	vtag   int32
-
-	// Deferral (parallel runner only): while defer mode is on, ticker
-	// bodies that read cross-shard state run at the next window barrier
-	// instead of mid-window (the events themselves still fire in place).
-	deferOn   bool
-	deferredQ []func()
+	curTag int32
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -268,38 +238,13 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Now returns the current simulation time. During a cross-shard replay
-// (parallel runner) it reports the virtual time the replayed completion
-// originally executed at, so replayed callbacks observe the same clock
-// they would have seen on the serial engine.
-func (e *Engine) Now() Time {
-	if e.replay {
-		return e.vnow
-	}
-	return e.now
-}
-
-// CurSched returns the sched stamp of the event currently firing (the
-// engine time at which it was scheduled). Paired with Now() it names the
-// firing event's position in the deterministic event order.
-func (e *Engine) CurSched() Time {
-	if e.replay {
-		return e.vnow
-	}
-	return e.curSched
-}
+// Now returns the current simulation time.
+func (e *Engine) Now() Time { return e.now }
 
 // CurTag returns the actor tag of the event currently firing. Tags refine
 // the event order below (when, sched): two events with the same timestamp
-// and scheduling time but different tags order by tag, which gives
-// cross-shard messages a total order that does not depend on any single
-// engine's sequence counter (see nodeLess and parallel.go).
-func (e *Engine) CurTag() int32 {
-	if e.replay {
-		return e.vtag
-	}
-	return e.curTag
-}
+// and scheduling time but different tags order by tag (see nodeLess).
+func (e *Engine) CurTag() int32 { return e.curTag }
 
 // WithTag runs fn with the engine's scheduling tag set to tag: events
 // scheduled inside fn (and, transitively, their whole causal streams)
@@ -308,13 +253,6 @@ func (e *Engine) CurTag() int32 {
 // vault's stream — so that same-instant events of different actors order
 // by actor rather than by scheduling history.
 func (e *Engine) WithTag(tag int32, fn func()) {
-	if e.replay {
-		old := e.vtag
-		e.vtag = tag
-		fn()
-		e.vtag = old
-		return
-	}
 	old := e.curTag
 	e.curTag = tag
 	fn()
@@ -382,27 +320,16 @@ func (e *Engine) AtDaemon(t Time, fn func()) Event {
 }
 
 func (e *Engine) schedule(t Time, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) Event {
-	tag := e.curTag
-	if e.replay {
-		tag = e.vtag
-	}
-	return e.scheduleTagged(t, tag, fn, fnAt, fnArg, arg, daemon)
+	return e.scheduleTagged(t, e.curTag, fn, fnAt, fnArg, arg, daemon)
 }
 
 func (e *Engine) scheduleTagged(t Time, tag int32, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) Event {
-	sched := e.now
-	if e.replay {
-		// A replayed completion schedules as of its virtual time: the
-		// stamp (and the in-the-past check) must match what the serial
-		// engine would have done at that instant.
-		sched = e.vnow
-	}
-	if t < sched {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, sched))
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	nd := e.alloc()
 	nd.when = t
-	nd.sched = sched
+	nd.sched = e.now
 	nd.tag = tag
 	nd.seq = e.seq
 	nd.daemon = daemon
@@ -469,17 +396,7 @@ func (e *Engine) Cancel(ev Event) bool {
 }
 
 // Halt stops Run/RunUntil after the currently executing event returns.
-// The first call pins the engine's exact position in the event order
-// ((now, curSched, curTag)); the parallel runner's winddown uses it to
-// fire, on every shard, exactly the events a serial engine would have
-// fired before halting.
-func (e *Engine) Halt() {
-	if !e.haltPinned {
-		e.haltPinned = true
-		e.haltWhen, e.haltSched, e.haltTag = e.now, e.curSched, e.curTag
-	}
-	e.halted = true
-}
+func (e *Engine) Halt() { e.halted = true }
 
 // Halted reports whether Halt has been called.
 func (e *Engine) Halted() bool { return e.halted }
@@ -495,7 +412,6 @@ func (e *Engine) Step() bool {
 		e.nonDaemon--
 	}
 	e.now = nd.when
-	e.curSched = nd.sched
 	e.curTag = nd.tag
 	when := nd.when
 	fn, fnAt, fnArg, arg := nd.fn, nd.fnAt, nd.fnArg, nd.arg
@@ -556,15 +472,9 @@ func (e *Engine) RunFor(d Time) {
 // any-boxing) and shallower (log4 vs log2 levels), which is worth ~2x on
 // the schedule/step hot path.
 //
-// The first three components are portable across engines; only seq is
-// engine-local. sched survives the move between engines, so the parallel
-// runner can interleave same-instant events from different shards the way
-// one serial engine would have; tag disambiguates the common remaining
-// collision — two independent actors (vaults) scheduling at the same
-// engine time for the same target time — by actor stream rather than by
-// a sequence counter that no longer means anything across engines. seq
-// breaks the final tie, which by construction only arises between events
-// of one actor stream on one engine, where FIFO order is reproducible.
+// tag disambiguates the common same-instant collision — two independent
+// actors (vaults) scheduling at the same engine time for the same target
+// time — by actor stream; seq breaks the final tie in FIFO order.
 
 func nodeLess(a, b *eventNode) bool {
 	if a.when != b.when {
@@ -581,7 +491,7 @@ func nodeLess(a, b *eventNode) bool {
 
 func (e *Engine) heapPush(nd *eventNode) {
 	e.heap = append(e.heap, nd)
-	e.siftUp(len(e.heap) - 1, nd)
+	e.siftUp(len(e.heap)-1, nd)
 }
 
 // siftUp places nd at index i or above, shifting larger ancestors down.

@@ -145,10 +145,8 @@ type window struct{ start, end sim.Time }
 // vault's self-driven stream (the refresh daemon and what it causes)
 // carries TagInternal. The tags make same-instant scheduling collisions
 // between different vaults — routine, since vaults are deliberately
-// symmetric — order by vault rather than by an engine-local sequence
-// counter, which is what lets a sharded run reproduce the serial event
-// order exactly (see internal/sim/parallel.go). Tag 0 is everything
-// outside the vaults.
+// symmetric — order by vault rather than by the engine's sequence
+// counter. Tag 0 is everything outside the vaults.
 func TagSubmit(id int) int32   { return int32(2*id + 1) }
 func TagInternal(id int) int32 { return int32(2*id + 2) }
 
@@ -257,18 +255,9 @@ func (c *Controller) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.GaugeFunc("vault.read_queue", func() float64 { return float64(len(c.readQ)) })
 	reg.GaugeFunc("vault.write_queue", func() float64 { return float64(len(c.writeQ)) })
 	reg.GaugeFunc("vault.fetch_queue", func() float64 { return float64(len(c.fetchQ)) })
-	// Own instance rather than the shared per-name histogram: under the
-	// parallel engine each vault observes from its own shard, so the
-	// instances must not share memory. Snapshots merge all instances of
-	// the name, so the reported distribution is unchanged.
-	c.obsLat = reg.OwnHistogram("vault.service_latency_ps")
+	c.obsLat = reg.Histogram("vault.service_latency_ps")
 	c.buffer.Instrument(reg)
 }
-
-// SetTracer redirects the controller's structured-event emissions.
-// The parallel runner points each vault at its shard's private ring;
-// the rings merge canonically when the run ends (obs.MergeShardTracers).
-func (c *Controller) SetTracer(tr *obs.Tracer) { c.tr = tr }
 
 // emit publishes one trace event stamped with this vault's id.
 func (c *Controller) emit(t obs.EventType, at sim.Time, bank int, row, arg int64) {
@@ -279,7 +268,7 @@ func (c *Controller) emit(t obs.EventType, at sim.Time, bank int, row, arg int64
 // Call before the simulation starts.
 func (c *Controller) SetFaults(site *fault.VaultSite) { c.faults = site }
 
-/// AttachAttribution connects the vault to the attribution layer: demand
+// AttachAttribution connects the vault to the attribution layer: demand
 // spans accrue cause segments here, and every prefetch's fate is
 // classified into the ledger (the buffer records eviction outcomes; the
 // controller records queue-overflow and poison casualties directly).

@@ -1,23 +1,21 @@
 package vault_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"sync"
 	"testing"
 
 	"camps"
 )
 
-// TestParallelSoak exercises the vault controllers under the sharded
-// parallel engine at the highest worker count, with every fault class
-// active, for long enough that window barriers, mailbox recycling, and
-// the halt winddown all cycle thousands of times. It lives in the vault
-// package's (external) test suite because the vault controller is the
-// unit of sharding: `make race` runs this file uncached under -race, so
-// any unsynchronized access between a vault shard and the coordinator —
-// in the controller, its observability hooks, or its fault site — is
-// caught here rather than in production runs. Correctness of the results
-// is asserted by the differential suite at the repo root; this test only
-// demands that the run completes and did real work.
+// TestParallelSoak runs two identical simulations at once on separate
+// goroutines, with every fault class active, long enough that the vault
+// controllers, their fault sites and their refresh daemons cycle many
+// thousands of times. Independent simulations must share no mutable
+// state, so under -race any package-level write reachable from a vault
+// shows up here, and the two runs must export identical results.
 func TestParallelSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipped in -short mode")
@@ -32,19 +30,40 @@ func TestParallelSoak(t *testing.T) {
 		WarmupRefs:   5_000,
 		MeasureInstr: 60_000,
 		Seed:         7,
-		Workers:      8,
 		Faults:       spec,
 	}
 	rc.Mix, err = camps.MixByID("HM1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := camps.RunContext(context.Background(), rc)
-	if err != nil {
-		t.Fatal(err)
+
+	var (
+		wg      sync.WaitGroup
+		results [2]camps.Results
+		errs    [2]error
+	)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = camps.RunContext(context.Background(), rc)
+		}(i)
 	}
-	if res.EventsFired == 0 || res.Instructions == 0 {
-		t.Fatalf("soak run did no work: %d events, %d instructions",
-			res.EventsFired, res.Instructions)
+	wg.Wait()
+	var exports [2][]byte
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if res.EventsFired == 0 || res.Instructions == 0 {
+			t.Fatalf("soak run did no work: %d events, %d instructions",
+				res.EventsFired, res.Instructions)
+		}
+		if exports[i], err = json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(exports[0], exports[1]) {
+		t.Error("concurrent runs of one configuration exported different results")
 	}
 }

@@ -5,18 +5,21 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"camps"
 	"camps/internal/obs"
 )
 
-// TestParallelMatchesSerial is the determinism contract for the sharded
-// engine (DESIGN.md §10): the exported Results of a parallel run — every
-// metric, the attribution tables, the fault counters, and EventsFired —
-// must be byte-identical to the serial engine's, for every worker count,
-// across workload classes and fault environments. Any scheduling leak in
-// the window/barrier protocol shows up here as a diff.
+// TestParallelMatchesSerial checks that simulations running in parallel
+// reproduce a serial run byte for byte. For each mix and fault
+// environment it runs one simulation alone, then three more at once on
+// separate goroutines — the way an exp campaign runs cells — with
+// RunConfig.Workers set to 2, 4 and 8. Workers is ignored, so every
+// export (metrics, attribution tables, fault counters) and EventsFired
+// must match the serial run; under -race, any state shared between
+// simulations shows up here as a race or a diff.
 func TestParallelMatchesSerial(t *testing.T) {
 	faults := map[string]string{
 		"clean":    "",
@@ -46,10 +49,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 
 				// Each run gets its own obs suite with attribution on, so
-				// the export also covers the per-shard ledger/span merge
-				// paths (a run reusing a suite would accumulate across
-				// runs and poison the comparison).
-				run := func(workers int) (camps.Results, []byte) {
+				// the export also covers the span and ledger paths (a run
+				// reusing a suite would accumulate across runs and poison
+				// the comparison).
+				run := func(workers int) (camps.Results, []byte, error) {
 					prc := rc
 					prc.Workers = workers
 					suite := obs.NewSuite(1024)
@@ -57,25 +60,40 @@ func TestParallelMatchesSerial(t *testing.T) {
 					prc.Obs = suite
 					res, err := camps.RunContext(context.Background(), prc)
 					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
+						return res, nil, fmt.Errorf("workers=%d: %w", workers, err)
 					}
 					buf, err := json.MarshalIndent(res, "", "  ")
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, buf
+					return res, buf, err
 				}
 
-				serial, want := run(1)
-				for _, workers := range []int{2, 4, 8} {
-					par, got := run(workers)
-					if !bytes.Equal(want, got) {
-						t.Errorf("workers=%d diverges from serial:\n%s",
-							workers, firstDiff(want, got))
+				serial, want, err := run(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				workerCounts := []int{2, 4, 8}
+				results := make([]camps.Results, len(workerCounts))
+				exports := make([][]byte, len(workerCounts))
+				errs := make([]error, len(workerCounts))
+				var wg sync.WaitGroup
+				for i, workers := range workerCounts {
+					wg.Add(1)
+					go func(i, workers int) {
+						defer wg.Done()
+						results[i], exports[i], errs[i] = run(workers)
+					}(i, workers)
+				}
+				wg.Wait()
+				for i, workers := range workerCounts {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
 					}
-					if par.EventsFired != serial.EventsFired {
+					if !bytes.Equal(want, exports[i]) {
+						t.Errorf("workers=%d diverges from serial:\n%s",
+							workers, firstDiff(want, exports[i]))
+					}
+					if results[i].EventsFired != serial.EventsFired {
 						t.Errorf("workers=%d: EventsFired %d, serial %d",
-							workers, par.EventsFired, serial.EventsFired)
+							workers, results[i].EventsFired, serial.EventsFired)
 					}
 				}
 			})
