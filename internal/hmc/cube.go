@@ -231,11 +231,7 @@ func (c *Cube) Access(addr Address, write bool, done func(at sim.Time)) {
 			a.req.Span = ref
 		}
 	}
-	// The submit roots the request's stream inside the vault: tagging it
-	// here (rather than inheriting the core stream's tag) is what keys
-	// every downstream event — bank operations, the completion trampoline,
-	// the response path — to the vault (see vault.TagSubmit).
-	c.eng.AtTag(atVault, vault.TagSubmit(loc.Vault), a.submitFn)
+	c.eng.At(atVault, a.submitFn)
 
 	if write && done != nil {
 		c.eng.AtWhen(atVault, done)

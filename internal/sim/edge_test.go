@@ -75,9 +75,10 @@ func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 	}
 }
 
-// Same-instant events must fire in scheduling-time order before
-// falling back to sequence order: on one engine that is identical to
-// pure FIFO, because the clock never runs backwards while scheduling.
+// Same-instant events fire in the order they were scheduled, which is
+// also scheduling-time order: the clock never runs backwards while
+// scheduling, so an event scheduled later in simulated time always
+// carries a larger sequence number.
 func TestSameInstantOrderBySchedThenSeq(t *testing.T) {
 	eng := NewEngine()
 	var order []string

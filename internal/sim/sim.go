@@ -184,8 +184,6 @@ type Event struct {
 // address-taking callbacks (see Engine.AtArg).
 type eventNode struct {
 	when   Time
-	sched  Time  // engine time when the event was scheduled
-	tag    int32 // actor stream of the scheduler (see nodeLess); inherited
 	seq    uint64
 	gen    uint64 // bumped on every recycle; pairs with Event.gen
 	arg    uint64 // fnArg's argument
@@ -220,17 +218,11 @@ const nodeChunk = 128
 type Engine struct {
 	now       Time
 	seq       uint64
-	heap      []*eventNode // 4-ary min-heap on (when, sched, seq)
+	heap      []*eventNode // 4-ary min-heap on (when, seq)
 	free      []*eventNode
 	fired     uint64
 	halted    bool
 	nonDaemon int
-
-	// curTag is the actor tag of the event currently firing. It
-	// propagates: events scheduled while an event fires inherit it, so a
-	// whole causal stream carries its root's tag without the model
-	// re-stating it at every hop.
-	curTag int32
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -240,24 +232,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
-
-// CurTag returns the actor tag of the event currently firing. Tags refine
-// the event order below (when, sched): two events with the same timestamp
-// and scheduling time but different tags order by tag (see nodeLess).
-func (e *Engine) CurTag() int32 { return e.curTag }
-
-// WithTag runs fn with the engine's scheduling tag set to tag: events
-// scheduled inside fn (and, transitively, their whole causal streams)
-// carry it. Models use it to root an actor's stream — a vault tags its
-// construction-time daemon, the cube tags each request as it enters a
-// vault's stream — so that same-instant events of different actors order
-// by actor rather than by scheduling history.
-func (e *Engine) WithTag(tag int32, fn func()) {
-	old := e.curTag
-	e.curTag = tag
-	fn()
-	e.curTag = old
-}
 
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -298,16 +272,6 @@ func (e *Engine) AtArg(t Time, fn func(uint64), arg uint64) Event {
 	return e.schedule(t, nil, nil, fn, arg, false)
 }
 
-// AtTag schedules fn to run at absolute time t, stamped with the given
-// actor tag instead of inheriting the current event's. It is WithTag for
-// a single hot-path scheduling call: no closure, no save/restore.
-func (e *Engine) AtTag(t Time, tag int32, fn func()) Event {
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	return e.scheduleTagged(t, tag, fn, nil, nil, 0, false)
-}
-
 // AtDaemon schedules a daemon event: it fires like any other event while
 // the simulation is alive, but does not by itself keep Run going. Use it
 // for self-rearming background work (DRAM refresh windows, periodic
@@ -320,17 +284,11 @@ func (e *Engine) AtDaemon(t Time, fn func()) Event {
 }
 
 func (e *Engine) schedule(t Time, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) Event {
-	return e.scheduleTagged(t, e.curTag, fn, fnAt, fnArg, arg, daemon)
-}
-
-func (e *Engine) scheduleTagged(t Time, tag int32, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	nd := e.alloc()
 	nd.when = t
-	nd.sched = e.now
-	nd.tag = tag
 	nd.seq = e.seq
 	nd.daemon = daemon
 	nd.fn = fn
@@ -412,7 +370,6 @@ func (e *Engine) Step() bool {
 		e.nonDaemon--
 	}
 	e.now = nd.when
-	e.curTag = nd.tag
 	when := nd.when
 	fn, fnAt, fnArg, arg := nd.fn, nd.fnAt, nd.fnArg, nd.arg
 	// Recycle before invoking: the callback may schedule new events, and
@@ -466,25 +423,16 @@ func (e *Engine) RunFor(d Time) {
 	e.RunUntil(e.now + d)
 }
 
-// The pending queue is a 4-ary min-heap ordered by (when, sched, tag,
-// seq), stored flat with parent/child arithmetic. Compared with
-// container/heap this is monomorphic (no interface dispatch, no
-// any-boxing) and shallower (log4 vs log2 levels), which is worth ~2x on
-// the schedule/step hot path.
-//
-// tag disambiguates the common same-instant collision — two independent
-// actors (vaults) scheduling at the same engine time for the same target
-// time — by actor stream; seq breaks the final tie in FIFO order.
+// The pending queue is a 4-ary min-heap ordered by (when, seq), stored
+// flat with parent/child arithmetic: seq rises with every scheduling call,
+// so same-instant events fire in FIFO order. Compared with container/heap
+// this is monomorphic (no interface dispatch, no any-boxing) and
+// shallower (log4 vs log2 levels), which is worth ~2x on the schedule/step
+// hot path.
 
 func nodeLess(a, b *eventNode) bool {
 	if a.when != b.when {
 		return a.when < b.when
-	}
-	if a.sched != b.sched {
-		return a.sched < b.sched
-	}
-	if a.tag != b.tag {
-		return a.tag < b.tag
 	}
 	return a.seq < b.seq
 }

@@ -138,18 +138,6 @@ type Controller struct {
 // window is one [start, end) interval on a bank's timeline.
 type window struct{ start, end sim.Time }
 
-// Event-order tags (sim.Engine.WithTag). Every event stream rooted in a
-// vault carries one of two tags derived from the vault id: requests
-// entering the vault (and everything they cause — bank operations,
-// completion trampolines, the response path) carry TagSubmit, while the
-// vault's self-driven stream (the refresh daemon and what it causes)
-// carries TagInternal. The tags make same-instant scheduling collisions
-// between different vaults — routine, since vaults are deliberately
-// symmetric — order by vault rather than by the engine's sequence
-// counter. Tag 0 is everything outside the vaults.
-func TagSubmit(id int) int32   { return int32(2*id + 1) }
-func TagInternal(id int) int32 { return int32(2*id + 2) }
-
 // New returns a vault controller for vault id using the given prefetch
 // scheme. All controllers of a cube share one simulation engine.
 func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Controller {
@@ -198,9 +186,7 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	// schedule() re-arms it as deadlines advance. Bank 0 holds the minimum
 	// of the staggered initial deadlines.
 	c.refreshWakeAt = c.nextRefresh[0]
-	eng.WithTag(TagInternal(id), func() {
-		c.eng.AtDaemon(c.refreshWakeAt, c.scheduleFn)
-	})
+	c.eng.AtDaemon(c.refreshWakeAt, c.scheduleFn)
 	c.pf = prefetch.New(scheme, cfg, prefetch.Context{
 		Banks:       nbanks,
 		LinesPerRow: c.lines,
