@@ -5,10 +5,9 @@
 // orchestration entry point, ticks never mix with time.Duration, and
 // obs metrics are registered. Whole-program analyzers walk a
 // cross-package call graph (including prefetch.Engine interface
-// dispatch) built from cached per-package facts: shardsafe certifies
-// that vault-controller paths never write shared state or launch
-// goroutines, globalmut that mutable package-level state is written
-// only during init or Register-at-init, and detflow that no
+// dispatch) built from per-package facts: globalmut certifies that
+// mutable package-level state is written only during init or
+// Register-at-init, and detflow that no
 // nondeterminism source hides behind a cross-package helper called
 // from simulation code.
 //
@@ -17,8 +16,8 @@
 //	campslint [flags] [analyzer,...] [packages]
 //
 // The analyzer selection may ride as the first positional argument
-// (e.g. `campslint shardsafe,globalmut,detflow ./...`) or via -only.
-// -timing reports load, facts-cache, and per-analyzer wall time;
+// (e.g. `campslint globalmut,detflow ./...`) or via -only.
+// -timing reports load, facts+call-graph, and per-analyzer wall time;
 // -allow-budget fails the run when //lint:allow-* use exceeds the
 // committed .campslint-budget baseline.
 //

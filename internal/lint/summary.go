@@ -9,8 +9,8 @@ import (
 )
 
 // The facts layer: each package under analysis is distilled into one
-// PackageSummary — per-function call edges, package-level writes,
-// goroutine launches, and nondeterminism sources, each with a resolved
+// PackageSummary — per-function call edges, package-level writes, and
+// nondeterminism sources, each with a resolved
 // source position. The whole-program analyzers (globalmut, detflow) run
 // entirely over these summaries joined by the call graph, so diagnostics
 // in dependency packages can be reconstructed without their ASTs.
@@ -45,7 +45,6 @@ type FuncSummary struct {
 
 	Calls   []CallSite     `json:"calls,omitempty"`
 	Writes  []GlobalWrite  `json:"writes,omitempty"`
-	Gos     []GoLaunch     `json:"gos,omitempty"`
 	Sources []NondetSource `json:"sources,omitempty"`
 }
 
@@ -65,11 +64,6 @@ type GlobalWrite struct {
 	Target string         `json:"target"`
 	Op     string         `json:"op"`
 	Pos    token.Position `json:"pos"`
-}
-
-// GoLaunch is one `go` statement.
-type GoLaunch struct {
-	Pos token.Position `json:"pos"`
 }
 
 // NondetSource is one direct nondeterminism source: a wall-clock read,
@@ -158,8 +152,6 @@ func summarizeFunc(pkg *Package, fd *ast.FuncDecl) FuncSummary {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			summarizeCall(pkg, &fs, n)
-		case *ast.GoStmt:
-			fs.Gos = append(fs.Gos, GoLaunch{Pos: pkg.Fset.Position(n.Pos())})
 		case *ast.SelectStmt:
 			comms := 0
 			for _, c := range n.Body.List {
@@ -245,7 +237,7 @@ func recordGlobalWrite(pkg *Package, fs *FuncSummary, lhs ast.Expr, op string) {
 		return
 	}
 	if v.Parent() != v.Pkg().Scope() {
-		return // local, parameter, or receiver: shard-owned by construction
+		return // local, parameter, or receiver: owned by construction
 	}
 	fs.Writes = append(fs.Writes, GlobalWrite{
 		Target: varSym(v),
