@@ -9,8 +9,6 @@ package lint
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -109,8 +107,6 @@ func (ti *testImporter) check(path, dir string) (*types.Package, []*ast.File, *t
 		return nil, nil, nil, err
 	}
 	var files []*ast.File
-	hash := sha256.New()
-	fmt.Fprintf(hash, "testdata:%s\n", path)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
@@ -120,8 +116,6 @@ func (ti *testImporter) check(path, dir string) (*types.Package, []*ast.File, *t
 		if rerr != nil {
 			return nil, nil, nil, rerr
 		}
-		fmt.Fprintf(hash, "file:%s:%d\n", e.Name(), len(src))
-		hash.Write(src)
 		f, perr := parser.ParseFile(ti.fset, full, src, parser.ParseComments|parser.SkipObjectResolution)
 		if perr != nil {
 			return nil, nil, nil, perr
@@ -136,13 +130,12 @@ func (ti *testImporter) check(path, dir string) (*types.Package, []*ast.File, *t
 	}
 	ti.pkgs[path] = pkg
 	ti.done = append(ti.done, &Package{
-		Path:    path,
-		Fset:    ti.fset,
-		Files:   files,
-		Types:   pkg,
-		Info:    info,
-		Target:  true,
-		SrcHash: hex.EncodeToString(hash.Sum(nil)),
+		Path:   path,
+		Fset:   ti.fset,
+		Files:  files,
+		Types:  pkg,
+		Info:   info,
+		Target: true,
 	})
 	return pkg, files, info, nil
 }

@@ -2,8 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +14,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 )
 
@@ -37,9 +34,6 @@ type Package struct {
 	// call-graph edges cross package boundaries with one shared object
 	// identity), but diagnostics are only reported in target packages.
 	Target bool
-
-	// SrcHash is a content hash over the package's source files.
-	SrcHash string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -137,16 +131,12 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 	prog := &Program{Fset: fset, ByPath: byPath}
 	for _, t := range module {
 		files := make([]*ast.File, 0, len(t.GoFiles))
-		hash := sha256.New()
-		fmt.Fprintf(hash, "go:%s\npkg:%s\n", runtime.Version(), t.ImportPath)
 		for _, name := range t.GoFiles {
 			path := filepath.Join(t.Dir, name)
 			src, rerr := os.ReadFile(path)
 			if rerr != nil {
 				return nil, fmt.Errorf("reading %s: %w", name, rerr)
 			}
-			fmt.Fprintf(hash, "file:%s:%d\n", name, len(src))
-			hash.Write(src)
 			f, perr := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 			if perr != nil {
 				return nil, fmt.Errorf("parsing %s: %w", name, perr)
@@ -160,13 +150,12 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 			return nil, fmt.Errorf("type-checking %s: %w", t.ImportPath, terr)
 		}
 		pkg := &Package{
-			Path:    t.ImportPath,
-			Fset:    fset,
-			Files:   files,
-			Types:   tpkg,
-			Info:    info,
-			Target:  !t.DepOnly,
-			SrcHash: hex.EncodeToString(hash.Sum(nil)),
+			Path:   t.ImportPath,
+			Fset:   fset,
+			Files:  files,
+			Types:  tpkg,
+			Info:   info,
+			Target: !t.DepOnly,
 		}
 		byPath[t.ImportPath] = pkg
 		prog.Pkgs = append(prog.Pkgs, pkg)

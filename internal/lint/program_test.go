@@ -55,12 +55,6 @@ func TestLoadProgramSharedObjectIdentity(t *testing.T) {
 	if idx["camps/internal/prefetch"] > idx["camps/internal/vault"] {
 		t.Error("Pkgs not in dependency order: prefetch must precede vault")
 	}
-
-	for _, p := range prog.Pkgs {
-		if p.SrcHash == "" {
-			t.Errorf("package %s has no SrcHash", p.Path)
-		}
-	}
 }
 
 // TestProgramSuppression pins the program-wide directive index: a
