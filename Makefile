@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke verify bench figures clean
+.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke perfbench-check verify bench figures clean
 
 build:
 	$(GO) build ./...
@@ -89,9 +89,16 @@ fault-smoke:
 		-faults 'linkcrc=1e-3,stall=1e-4,poison=2e-3,bankfail=100us,bankfor=2us' \
 		-check -timeout 10s >/dev/null
 
+# perfbench/ is its own Go module (it points back here through a replace
+# directive), so the root `go build ./...` never compiles it. Vet and test
+# it against the current tree, so an engine or cache API change cannot
+# break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.
-verify: build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke
+verify: build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke perfbench-check
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -236,6 +236,11 @@ type Hierarchy struct {
 	cfg    config.Config
 
 	l3MissPerCore []stats.Counter
+
+	// wbBuf backs Result.Writebacks. One access surfaces at most three
+	// dirty victims: the L3 install, the L2→L3 cascade and the
+	// L1→L2→L3 cascade.
+	wbBuf [3]uint64
 }
 
 // NewHierarchy builds the stack for cfg.Processor.Cores cores.
@@ -278,6 +283,8 @@ type Result struct {
 	// main-memory time (added by the caller for Level 4).
 	Latency int64
 	// Writebacks lists dirty L3 victims that must be written to memory.
+	// It is borrowed from the Hierarchy and valid only until the next
+	// Access; nil when there are none.
 	Writebacks []uint64
 }
 
@@ -311,7 +318,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	res.Level = 4
 	h.l3MissPerCore[core].Inc()
 	if v := h.l3.Install(addr, false); v.Valid && v.Dirty {
-		res.Writebacks = append(res.Writebacks, v.Addr)
+		h.writeback(&res, v.Addr)
 	}
 	h.fillL2(core, addr, &res)
 	h.fillL1(core, addr, write, &res)
@@ -323,7 +330,7 @@ func (h *Hierarchy) fillL1(core int, addr uint64, write bool, res *Result) {
 	if v := h.l1[core].Install(addr, write); v.Valid && v.Dirty {
 		h.installDirty(h.l2[core], v.Addr, res, func(v2 Victim) {
 			h.installDirty(h.l3, v2.Addr, res, func(v3 Victim) {
-				res.Writebacks = append(res.Writebacks, v3.Addr)
+				h.writeback(res, v3.Addr)
 			})
 		})
 	}
@@ -333,9 +340,17 @@ func (h *Hierarchy) fillL1(core int, addr uint64, write bool, res *Result) {
 func (h *Hierarchy) fillL2(core int, addr uint64, res *Result) {
 	if v := h.l2[core].Install(addr, false); v.Valid && v.Dirty {
 		h.installDirty(h.l3, v.Addr, res, func(v3 Victim) {
-			res.Writebacks = append(res.Writebacks, v3.Addr)
+			h.writeback(res, v3.Addr)
 		})
 	}
+}
+
+// writeback appends a dirty L3 victim to res, in the hierarchy's buffer.
+func (h *Hierarchy) writeback(res *Result, addr uint64) {
+	if res.Writebacks == nil {
+		res.Writebacks = h.wbBuf[:0]
+	}
+	res.Writebacks = append(res.Writebacks, addr)
 }
 
 // installDirty writes a dirty victim into a lower level; if that in turn

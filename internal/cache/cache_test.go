@@ -233,3 +233,66 @@ func TestHierarchyFootprintDrivesMissRate(t *testing.T) {
 			smallMisses, largeMisses)
 	}
 }
+
+// writebackConfig shrinks every level to a few direct-mapped sets so dirty
+// victims cascade on most accesses.
+func writebackConfig() config.Config {
+	cfg := config.Default()
+	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2, MSHRs: 4}
+	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6, MSHRs: 4}
+	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 1, LineBytes: 64, HitLatency: 20, MSHRs: 4, Shared: true}
+	return cfg
+}
+
+// TestHierarchyWritebacksBorrowed pins the Result.Writebacks contract: the
+// slice is backed by the hierarchy's own three-entry buffer, nil when an
+// access writes nothing back, and Access allocates nothing even while
+// dirty victims cascade through every level.
+func TestHierarchyWritebacksBorrowed(t *testing.T) {
+	h := NewHierarchy(writebackConfig())
+	rng := rand.New(rand.NewSource(5))
+	most := 0
+	for i := 0; i < 20000; i++ {
+		r := h.Access(rng.Intn(2), uint64(rng.Intn(64))*64, rng.Intn(2) == 0)
+		if r.Writebacks == nil {
+			continue
+		}
+		if len(r.Writebacks) == 0 {
+			t.Fatalf("access %d: empty non-nil Writebacks", i)
+		}
+		if &r.Writebacks[0] != &h.wbBuf[0] {
+			t.Fatalf("access %d: Writebacks not backed by the hierarchy buffer", i)
+		}
+		most = max(most, len(r.Writebacks))
+	}
+	if most < 2 {
+		t.Fatalf("at most %d writebacks per access; the stream does not cascade", most)
+	}
+	t.Logf("up to %d writebacks per access", most)
+	if n := testing.AllocsPerRun(5000, func() {
+		h.Access(rng.Intn(2), uint64(rng.Intn(64))*64, rng.Intn(2) == 0)
+	}); n != 0 {
+		t.Fatalf("Access allocates %.2f times per call, want 0", n)
+	}
+}
+
+// BenchmarkHierarchyAccess measures one demand reference through the
+// default Table I hierarchy on a 64 MB footprint, a third of them writes,
+// so misses and dirty L3 writebacks are part of the mix.
+func BenchmarkHierarchyAccess(b *testing.B) {
+	cfg := config.Default()
+	h := NewHierarchy(cfg)
+	rng := rand.New(rand.NewSource(1))
+	const footprint = 64 << 20
+	addrs := make([]uint64, 1<<16)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Int63n(footprint)) &^ 63
+	}
+	cores := cfg.Processor.Cores
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := addrs[i&(len(addrs)-1)]
+		h.Access(i%cores, a, i%3 == 0)
+	}
+}

@@ -28,6 +28,8 @@ type asdEngine struct {
 	hist       [17]uint64
 	epochCount int
 	depth      int
+
+	out []Fetch // borrowed OnDemandServed result
 }
 
 // asdEpoch is the number of closed episodes per adaptation epoch.
@@ -78,15 +80,15 @@ func (e *asdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	}
 	// Stream confirmed: copy the row (leave it open — ASD is not
 	// conflict-aware) and, at depth 2, its successor.
-	fetches := []Fetch{{Bank: b, Row: req.Row, CloseAfter: false,
-		Touched: 1 << uint(req.Line)}}
+	e.out = append(e.out[:0], Fetch{Bank: b, Row: req.Row, CloseAfter: false,
+		Touched: 1 << uint(req.Line)})
 	if e.depth >= 2 {
 		next := req.Row + 1
 		if e.ctx.RowsPerBank == 0 || next < e.ctx.RowsPerBank {
-			fetches = append(fetches, Fetch{Bank: b, Row: next, CloseAfter: true})
+			e.out = append(e.out, Fetch{Bank: b, Row: next, CloseAfter: true})
 		}
 	}
-	return fetches
+	return e.out
 }
 
 // closeEpisode records a finished row episode and adapts depth each epoch.

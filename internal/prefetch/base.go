@@ -12,13 +12,15 @@ import (
 // the bank is always closed behind the copy.
 type baseEngine struct {
 	ctx Context
+	out []Fetch // borrowed OnDemandServed result
 }
 
 func newBase(ctx Context) *baseEngine { return &baseEngine{ctx: ctx} }
 
 func (e *baseEngine) OnDemandServed(req Request, _ dram.RowState, _ int64) []Fetch {
-	return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true,
-		Touched: 1 << uint(req.Line)}}
+	e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true,
+		Touched: 1 << uint(req.Line)})
+	return e.out
 }
 
 func (e *baseEngine) OnBufferHit(Request) {}
@@ -31,6 +33,7 @@ func (e *baseEngine) OnEviction(pfbuffer.Eviction) {}
 // normal open-page policy otherwise, so row-buffer conflicts remain.
 type baseHitEngine struct {
 	ctx Context
+	out []Fetch // borrowed OnDemandServed result
 }
 
 func newBaseHit(ctx Context) *baseHitEngine { return &baseHitEngine{ctx: ctx} }
@@ -43,8 +46,9 @@ func (e *baseHitEngine) OnDemandServed(req Request, _ dram.RowState, _ int64) []
 		// Copy but keep the row open: BASE-HIT follows the normal
 		// open-page policy, so row-buffer conflicts remain (it is the
 		// scheme with the most conflicts in the paper's Figure 6).
-		return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: false,
-			Touched: 1 << uint(req.Line)}}
+		e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: false,
+			Touched: 1 << uint(req.Line)})
+		return e.out
 	}
 	return nil
 }

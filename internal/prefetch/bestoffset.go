@@ -27,6 +27,7 @@ type boEngine struct {
 	test   int   // next offset index to score
 	round  int   // completed scoring rounds this phase
 	best   int64 // active prefetch offset in rows; 0 = disabled
+	out    []Fetch
 }
 
 func newBestOffset(cfg config.BestOffset, ctx Context) *boEngine {
@@ -76,7 +77,8 @@ func (e *boEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []F
 	if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
 		return nil
 	}
-	return []Fetch{{Bank: req.Bank, Row: row, CloseAfter: true}}
+	e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
+	return e.out
 }
 
 // endPhase elects the new offset and starts a fresh scoring phase.

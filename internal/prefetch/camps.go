@@ -27,6 +27,7 @@ type campsEngine struct {
 	rut       *RUT
 	ct        *CT
 	threshold int
+	out       []Fetch // borrowed OnDemandServed result
 }
 
 func newCAMPS(cfg config.CAMPS, ctx Context) *campsEngine {
@@ -45,7 +46,7 @@ func (e *campsEngine) OnDemandServed(req Request, state dram.RowState, displaced
 		if util >= e.threshold {
 			touched := e.rut.Bitmap(req.Bank)
 			e.rut.Clear(req.Bank)
-			return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched}}
+			return e.fetch(req, touched)
 		}
 		return nil
 
@@ -73,17 +74,22 @@ func (e *campsEngine) onNewRow(req Request) []Fetch {
 		// whole and precharge; do not profile it further. The lines it
 		// accumulated before displacement seed the buffer entry's
 		// utilization, per the CT's stored row-utilization information.
-		return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true,
-			Touched: touched | 1<<uint(req.Line)}}
+		return e.fetch(req, touched|1<<uint(req.Line))
 	}
 	util := e.rut.Track(req.Bank, req.Row, req.Line)
 	if util >= e.threshold {
 		// Degenerate configuration (threshold 1): fetch immediately.
 		touched := e.rut.Bitmap(req.Bank)
 		e.rut.Clear(req.Bank)
-		return []Fetch{{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched}}
+		return e.fetch(req, touched)
 	}
 	return nil
+}
+
+// fetch directs a whole-row copy of the request's row, precharging after.
+func (e *campsEngine) fetch(req Request, touched uint64) []Fetch {
+	e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched})
+	return e.out
 }
 
 func (e *campsEngine) OnBufferHit(Request) {}

@@ -26,6 +26,8 @@ type ghbEngine struct {
 	ait  []int64    // delta-hash -> absolute sequence of last push, -1 empty
 
 	lastKey int64 // previous activation's rowKey, -1 before the first
+
+	out []Fetch // borrowed OnDemandServed result
 }
 
 // ghbEntry is one row activation in the history ring.
@@ -68,7 +70,7 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	e.ait[h] = e.seq
 	e.seq++
 
-	var fetches []Fetch
+	e.out = e.out[:0]
 	add := func(k int64) {
 		if k == key {
 			return
@@ -80,12 +82,12 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 		if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
 			return
 		}
-		for _, f := range fetches {
+		for _, f := range e.out {
 			if f.Bank == bank && f.Row == row {
 				return
 			}
 		}
-		fetches = append(fetches, Fetch{Bank: bank, Row: row, CloseAfter: true})
+		e.out = append(e.out, Fetch{Bank: bank, Row: row, CloseAfter: true})
 	}
 
 	// Width traversal: each live chain occurrence contributes the Degree
@@ -106,8 +108,8 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 		}
 		ptr = e.hist[ptr%int64(len(e.hist))].prev
 	}
-	if len(fetches) > 0 {
-		return fetches
+	if len(e.out) > 0 {
+		return e.out
 	}
 	// Cold delta: sequential fallback within the bank.
 	for d := int64(1); d <= int64(e.cfg.Degree); d++ {
@@ -115,9 +117,12 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 		if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
 			break
 		}
-		fetches = append(fetches, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
+		e.out = append(e.out, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
 	}
-	return fetches
+	if len(e.out) == 0 {
+		return nil
+	}
+	return e.out
 }
 
 func (e *ghbEngine) OnBufferHit(Request) {}

@@ -121,6 +121,9 @@ func (e *hybridEngine) credit(key int64) {
 
 func (e *hybridEngine) OnDemandServed(req Request, state dram.RowState, displacedRow int64) []Fetch {
 	e.credit(rowKey(req.Bank, req.Row))
+	// Candidate results are borrowed: each is read in place before the
+	// next candidate runs, and the winner's is returned as is — it stays
+	// valid until this engine's next call, the only time the winner runs.
 	var out []Fetch
 	for i := range e.cands {
 		c := &e.cands[i]

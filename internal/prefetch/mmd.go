@@ -25,7 +25,8 @@ type mmdEngine struct {
 	ctx    Context
 	cfg    config.MMD
 	degree int
-	touch  *RUT // per-bank distinct-line counting of the open row
+	touch  *RUT    // per-bank distinct-line counting of the open row
+	out    []Fetch // borrowed OnDemandServed result, at most MaxDegree rows
 }
 
 func newMMD(cfg config.MMD, ctx Context) *mmdEngine {
@@ -34,6 +35,7 @@ func newMMD(cfg config.MMD, ctx Context) *mmdEngine {
 		cfg:    cfg,
 		degree: 1,
 		touch:  NewRUT(ctx.Banks),
+		out:    make([]Fetch, 0, cfg.MaxDegree),
 	}
 }
 
@@ -52,18 +54,17 @@ func (e *mmdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	}
 	touched := e.touch.Bitmap(req.Bank)
 	e.touch.Clear(req.Bank)
-	fetches := make([]Fetch, 0, e.degree)
 	// The confirmed row itself: copied but left open (open-page policy;
 	// MMD is not conflict-aware).
-	fetches = append(fetches, Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: false, Touched: touched})
+	e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: false, Touched: touched})
 	for d := 1; d < e.degree; d++ {
 		row := req.Row + int64(d)
 		if e.ctx.RowsPerBank > 0 && row >= e.ctx.RowsPerBank {
 			break
 		}
-		fetches = append(fetches, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
+		e.out = append(e.out, Fetch{Bank: req.Bank, Row: row, CloseAfter: true})
 	}
-	return fetches
+	return e.out
 }
 
 func (e *mmdEngine) OnBufferHit(Request) {}

@@ -82,6 +82,11 @@ type Engine interface {
 	// the request saw; displacedRow is the row that was closed to make room
 	// when state is RowConflict, else dram.NoRow. The returned fetches are
 	// executed by the controller as bank bandwidth allows.
+	//
+	// The result is borrowed: engines append into a buffer they own and
+	// reuse, so the slice is valid only until the engine's next
+	// OnDemandServed call. Callers consume or copy it before then. No
+	// directives is nil.
 	OnDemandServed(req Request, state dram.RowState, displacedRow int64) []Fetch
 	// OnBufferHit fires when a demand request was served by the prefetch
 	// buffer instead of a bank.
@@ -130,7 +135,7 @@ func New(s Scheme, cfg config.Config, ctx Context) Engine {
 func rowKey(bank int, row int64) int64 { return int64(bank)<<40 | row }
 
 // rowKeyBank and rowKeyRow unpack a rowKey.
-func rowKeyBank(k int64) int { return int(k >> 40) }
+func rowKeyBank(k int64) int  { return int(k >> 40) }
 func rowKeyRow(k int64) int64 { return k & (1<<40 - 1) }
 
 // mix64 is a splitmix64-style finalizer used to hash table indices; fixed

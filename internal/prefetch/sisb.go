@@ -27,6 +27,8 @@ type sisbEngine struct {
 	size int
 
 	last []int64 // per-bank previous activation rowKey, -1 before the first
+
+	out []Fetch // borrowed OnDemandServed result
 }
 
 func newSISB(cfg config.SISB, ctx Context) *sisbEngine {
@@ -68,7 +70,7 @@ func (e *sisbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) [
 	}
 	e.last[req.Bank] = key
 
-	var fetches []Fetch
+	e.out = e.out[:0]
 	p := key
 	for d := 0; d < e.cfg.Degree; d++ {
 		nk, ok := e.next[p]
@@ -81,7 +83,7 @@ func (e *sisbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) [
 			break
 		}
 		dup := false
-		for _, f := range fetches {
+		for _, f := range e.out {
 			if f.Bank == bank && f.Row == row {
 				dup = true
 				break
@@ -90,10 +92,13 @@ func (e *sisbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) [
 		if dup {
 			break // the chain closed a loop; stop
 		}
-		fetches = append(fetches, Fetch{Bank: bank, Row: row, CloseAfter: true})
+		e.out = append(e.out, Fetch{Bank: bank, Row: row, CloseAfter: true})
 		p = nk
 	}
-	return fetches
+	if len(e.out) == 0 {
+		return nil
+	}
+	return e.out
 }
 
 func (e *sisbEngine) OnBufferHit(Request) {}

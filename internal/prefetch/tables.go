@@ -98,7 +98,7 @@ func NewCT(capacity int) *CT {
 	if capacity <= 0 {
 		panic("prefetch: CT needs positive capacity")
 	}
-	return &CT{cap: capacity}
+	return &CT{cap: capacity, entries: make([]ctEntry, 0, capacity)}
 }
 
 // Len returns the number of resident entries.
@@ -115,7 +115,10 @@ func (c *CT) Insert(bank int, row int64, touched uint64) {
 		touched |= c.entries[i].touched
 		c.entries = append(c.entries[:i], c.entries[i+1:]...)
 	} else if len(c.entries) == c.cap {
-		c.entries = c.entries[1:]
+		// Drop the LRU entry by shifting down in place: reslicing off the
+		// front would leak capacity and reallocate every cap inserts.
+		copy(c.entries, c.entries[1:])
+		c.entries = c.entries[:len(c.entries)-1]
 	}
 	c.entries = append(c.entries, ctEntry{bank: bank, row: row, touched: touched})
 }

@@ -165,3 +165,30 @@ func TestCTStoresAndMergesBitmaps(t *testing.T) {
 		t.Fatalf("CT bitmap = %#b,%v; want merged 0b1111", touched, ok)
 	}
 }
+
+// TestCTInsertKeepsCapacity pins the full-table eviction path to the
+// table's own backing array: dropping the LRU entry must not slide
+// capacity off the front, or append reallocates every capacity inserts.
+func TestCTInsertKeepsCapacity(t *testing.T) {
+	const capacity = 10
+	ct := NewCT(capacity)
+	for i := 0; i < 10*capacity; i++ {
+		ct.Insert(i%16, int64(i), 0)
+	}
+	if got := cap(ct.entries); got != capacity {
+		t.Fatalf("cap(entries) = %d after %d inserts, want %d", got, 10*capacity, capacity)
+	}
+	// The most recent capacity rows stay resident, oldest first.
+	for i, en := range ct.entries {
+		if want := int64(9*capacity + i); en.row != want {
+			t.Fatalf("entries[%d].row = %d, want %d", i, en.row, want)
+		}
+	}
+	row := int64(10 * capacity)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ct.Insert(int(row%16), row, 0)
+		row++
+	}); allocs != 0 {
+		t.Fatalf("CT.Insert allocates %.1f times per call, want 0", allocs)
+	}
+}

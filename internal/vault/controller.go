@@ -68,7 +68,8 @@ type Controller struct {
 
 	// Request queues hold value-type nodes: enqueue/dequeue move small
 	// structs inside preallocated backing arrays instead of allocating a
-	// node per request.
+	// node per request. fetchQ starts at its hard bound (maxFetchQ); the
+	// unbounded demand and store queues grow to their high-water marks.
 	readQ  []pending
 	writeQ []pending
 	fetchQ []prefetch.Fetch
@@ -78,6 +79,14 @@ type Controller struct {
 	scheduleFn   func()
 	retryFn      func()
 	fetchScratch []prefetch.Fetch
+
+	// In-flight row fills: landFillFn fires through AtArg with an index
+	// into fills, and landed records are chained into a free list from
+	// fillFree (-1 when empty), so a fetch schedules its buffer insert
+	// without allocating a closure.
+	landFillFn func(uint64)
+	fills      []fill
+	fillFree   int
 
 	// Per-bank queued-work counts, maintained on every enqueue/dequeue.
 	// schedule() runs after every bank event; the counts let startJob skip
@@ -135,6 +144,14 @@ type Controller struct {
 	lastBlkNear []window // most recent blackout window per bank
 }
 
+// fill is one in-flight row fetch: the row and the trigger lines that
+// seed its prefetch-buffer entry when it lands. next links free records.
+type fill struct {
+	id      pfbuffer.RowID
+	touched uint64
+	next    int
+}
+
 // window is one [start, end) interval on a bank's timeline.
 type window struct{ start, end sim.Time }
 
@@ -160,8 +177,11 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 		writeCount:  make([]int, nbanks),
 		storeCount:  make([]int, nbanks),
 		fetchCount:  make([]int, nbanks),
+		fetchQ:      make([]prefetch.Fetch, 0, 4*nbanks),
 	}
 	c.scheduleFn = c.schedule
+	c.landFillFn = c.landFill
+	c.fillFree = -1
 	c.retryFn = func() {
 		c.retryArmed = false
 		c.schedule()
@@ -872,7 +892,7 @@ func (c *Controller) runInlineFetch(b int, f prefetch.Fetch) {
 		c.epochAcc.FetchesIssued++
 	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 1)
-	c.eng.At(end, func() { c.insertFetched(id, f.Touched, end) })
+	c.scheduleFill(end, id, f.Touched)
 }
 
 // runFetch copies a whole row into the prefetch buffer. It reports whether
@@ -899,9 +919,32 @@ func (c *Controller) runFetch(b int, now sim.Time, f prefetch.Fetch) bool {
 		c.epochAcc.FetchesIssued++
 	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 0)
-	c.eng.At(end, func() { c.insertFetched(id, f.Touched, end) })
+	c.scheduleFill(end, id, f.Touched)
 	c.eng.At(release, c.scheduleFn)
 	return true
+}
+
+// scheduleFill arranges for the fetched row to land in the buffer at end,
+// in a pooled fill record.
+func (c *Controller) scheduleFill(end sim.Time, id pfbuffer.RowID, touched uint64) {
+	i := c.fillFree
+	if i >= 0 {
+		c.fillFree = c.fills[i].next
+	} else {
+		i = len(c.fills)
+		c.fills = append(c.fills, fill{})
+	}
+	c.fills[i] = fill{id: id, touched: touched}
+	c.eng.AtArg(end, c.landFillFn, uint64(i))
+}
+
+// landFill fires when fill record i's transfer completes. The record is
+// released before the insert, which may start another fetch.
+func (c *Controller) landFill(i uint64) {
+	f := c.fills[i]
+	c.fills[i].next = c.fillFree
+	c.fillFree = int(i)
+	c.insertFetched(f.id, f.touched, c.eng.Now())
 }
 
 // insertFetched lands a fetched row in the prefetch buffer. A poisoned
