@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke perfbench-check verify bench figures clean
+.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke perfbench-check bench-smoke verify bench figures clean
 
 build:
 	$(GO) build ./...
@@ -96,9 +96,15 @@ fault-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# One iteration of each per-layer microbenchmark (event kernel, cache
+# hierarchy, prefetch engines, saturated vault scheduler), so they keep
+# compiling and running; timing them is a separate, deliberate step.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'EngineSchedule|HierarchyAccess|OnDemandServed|VaultSchedule' -benchtime 1x ./internal/...
+
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.
-verify: build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke perfbench-check
+verify: build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke perfbench-check bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

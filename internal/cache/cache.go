@@ -2,6 +2,11 @@
 // private L1 and L2 per core and one shared L3, all with 64-byte lines,
 // true-LRU set associativity, and write-back/write-allocate semantics.
 //
+// LRU order is kept as one-byte recency stamps: each set has a one-byte
+// clock, and touching a line gives it the clock's next value, so the
+// valid line with the smallest stamp is exactly the least recently used.
+// When a set's clock would wrap, the set is renumbered in recency order.
+//
 // The caches are functional models with timing metadata: an access
 // resolves, in zero simulated time, to the level that services it plus the
 // cumulative lookup latency; misses past L3 and dirty L3 evictions are the
@@ -25,7 +30,8 @@ type Level struct {
 	setMask   uint64
 	tags      []uint64 // sets*ways
 	state     []uint8  // bit0 valid, bit1 dirty
-	lru       []uint8  // LRU rank within the set; 0 = LRU, ways-1 = MRU
+	stamp     []uint8  // recency stamp per line; larger = more recent
+	clock     []uint8  // per set: the last stamp issued
 	hitLat    int64
 
 	hits   stats.Counter
@@ -49,15 +55,22 @@ func NewLevel(cfg config.CacheLevel) *Level {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
 	}
+	if cfg.Ways > config.MaxCacheWays {
+		panic(fmt.Sprintf("cache: %d ways exceed the %d that recency stamps can rank", cfg.Ways, config.MaxCacheWays))
+	}
 	n := sets * cfg.Ways
+	// state, stamp and clock share one allocation: one fewer per level
+	// than the rank-based LRU it replaced.
+	b := make([]uint8, 2*n+sets)
 	return &Level{
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, n),
-		state:     make([]uint8, n),
-		lru:       make([]uint8, n),
+		state:     b[:n:n],
+		stamp:     b[n : 2*n : 2*n],
+		clock:     b[2*n:],
 		hitLat:    cfg.HitLatency,
 	}
 }
@@ -90,7 +103,7 @@ func (l *Level) Lookup(addr uint64, write bool) bool {
 	for w := 0; w < l.ways; w++ {
 		i := base + w
 		if l.state[i]&stValid != 0 && l.tags[i] == tag {
-			l.touch(set, w)
+			l.touch(set, i)
 			if write {
 				l.state[i] |= stDirty
 			}
@@ -139,42 +152,38 @@ func (l *Level) InstallPrefetched(addr uint64) Victim {
 	return l.install(addr, false, true)
 }
 
+// install makes one pass over the set: it finds the line if present, else
+// the first free way, else the valid way with the smallest stamp (the LRU
+// line).
 func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 	set, tag := l.index(addr)
 	base := set * l.ways
-	// Already present: refresh (a prefetch overlay never downgrades the
-	// line's state).
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.state[i]&stValid != 0 && l.tags[i] == tag {
-			l.touch(set, w)
+	free, lru := -1, -1
+	var oldest uint8
+	for i := base; i < base+l.ways; i++ {
+		if l.state[i]&stValid == 0 {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if l.tags[i] == tag {
+			// Already present: refresh (a prefetch overlay never
+			// downgrades the line's state).
+			l.touch(set, i)
 			if dirty {
 				l.state[i] |= stDirty
 			}
 			return Victim{}
 		}
-	}
-	// Free way?
-	way := -1
-	for w := 0; w < l.ways; w++ {
-		if l.state[base+w]&stValid == 0 {
-			way = w
-			// A never-used way carries a stale LRU rank; neutralize it so
-			// touch() does not decrement other lines spuriously.
-			l.lru[base+w] = 0xFF
-			break
+		if lru < 0 || l.stamp[i] < oldest {
+			lru, oldest = i, l.stamp[i]
 		}
 	}
 	var victim Victim
-	if way < 0 {
-		// Evict the LRU way.
-		for w := 0; w < l.ways; w++ {
-			if l.lru[base+w] == 0 {
-				way = w
-				break
-			}
-		}
-		i := base + way
+	i := free
+	if i < 0 {
+		i = lru
 		victim = Victim{
 			Addr:  l.reconstruct(set, l.tags[i]),
 			Dirty: l.state[i]&stDirty != 0,
@@ -185,7 +194,6 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 			l.wbacks.Inc()
 		}
 	}
-	i := base + way
 	l.tags[i] = tag
 	l.state[i] = stValid
 	if dirty {
@@ -194,7 +202,7 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 	if prefetched {
 		l.state[i] |= stPref
 	}
-	l.touch(set, way)
+	l.touch(set, i)
 	return victim
 }
 
@@ -210,23 +218,36 @@ func (l *Level) reconstruct(set int, tag uint64) uint64 {
 	return line << l.lineShift
 }
 
-// touch makes way w of set the MRU entry.
-func (l *Level) touch(set, w int) {
+// touch makes line i (an index into set's ways) the set's MRU entry.
+func (l *Level) touch(set, i int) {
+	next := l.clock[set] + 1
+	if next == 0 {
+		next = l.renumber(set, i)
+	}
+	l.clock[set] = next
+	l.stamp[i] = next
+}
+
+// renumber restamps the valid lines of set other than line i as 0..n-1 in
+// recency order and returns n, the stamp that makes line i the MRU. Valid
+// stamps in a set are distinct (each touch issues one above all others),
+// so indexing lines by stamp sorts them. n <= ways-1 < 256.
+func (l *Level) renumber(set, skip int) uint8 {
+	var byStamp [256]uint16 // line offset within the set + 1; 0 = none
 	base := set * l.ways
-	old := l.lru[base+w]
-	for k := 0; k < l.ways; k++ {
-		if l.state[base+k]&stValid != 0 && l.lru[base+k] > old {
-			l.lru[base+k]--
+	for i := base; i < base+l.ways; i++ {
+		if i != skip && l.state[i]&stValid != 0 {
+			byStamp[l.stamp[i]] = uint16(i - base + 1)
 		}
 	}
-	// MRU rank is the number of other valid lines in the set.
-	valid := 0
-	for k := 0; k < l.ways; k++ {
-		if l.state[base+k]&stValid != 0 && k != w {
-			valid++
+	n := uint8(0)
+	for _, w := range byStamp {
+		if w != 0 {
+			l.stamp[base+int(w)-1] = n
+			n++
 		}
 	}
-	l.lru[base+w] = uint8(valid)
+	return n
 }
 
 // Hierarchy is the full per-chip cache stack.

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"camps/internal/config"
@@ -96,31 +95,151 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	}
 }
 
-// Property: per-set LRU ranks of valid lines always form a permutation.
-func TestLevelLRUPermutationInvariant(t *testing.T) {
-	l := tinyLevel(4)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 20000; i++ {
-		addr := uint64(rng.Intn(64)) * 64
-		if rng.Intn(2) == 0 {
-			l.Lookup(addr, rng.Intn(4) == 0)
-		} else {
-			l.Install(addr, rng.Intn(4) == 0)
+// refLRU is a reference true-LRU cache kept as one MRU-first list per
+// set, written independently of Level's recency stamps.
+type refLRU struct {
+	ways, sets int
+	lists      [][]refLine
+	useful     int
+}
+
+type refLine struct {
+	line        uint64
+	dirty, pref bool
+}
+
+func newRefLRU(ways, sets int) *refLRU {
+	return &refLRU{ways: ways, sets: sets, lists: make([][]refLine, sets)}
+}
+
+// find returns addr's set and the line's position in it (-1 if absent).
+func (r *refLRU) find(addr uint64) (int, int) {
+	line := addr >> 6
+	set := int(line % uint64(r.sets))
+	for k, e := range r.lists[set] {
+		if e.line == line {
+			return set, k
 		}
-		for set := 0; set < l.Sets(); set++ {
-			var ranks []int
-			for w := 0; w < l.ways; w++ {
-				if l.state[set*l.ways+w]&stValid != 0 {
-					ranks = append(ranks, int(l.lru[set*l.ways+w]))
+	}
+	return set, -1
+}
+
+// promote moves position k of set to the MRU end (the front).
+func (r *refLRU) promote(set, k int) *refLine {
+	l := r.lists[set]
+	e := l[k]
+	copy(l[1:k+1], l[:k])
+	l[0] = e
+	return &l[0]
+}
+
+func (r *refLRU) lookup(addr uint64, write bool) bool {
+	set, k := r.find(addr)
+	if k < 0 {
+		return false
+	}
+	e := r.promote(set, k)
+	e.dirty = e.dirty || write
+	if e.pref {
+		e.pref = false
+		r.useful++
+	}
+	return true
+}
+
+func (r *refLRU) install(addr uint64, dirty, pref bool) Victim {
+	set, k := r.find(addr)
+	if k >= 0 {
+		e := r.promote(set, k)
+		e.dirty = e.dirty || dirty
+		return Victim{}
+	}
+	var v Victim
+	l := r.lists[set]
+	if len(l) == r.ways {
+		old := l[len(l)-1]
+		v = Victim{Addr: old.line << 6, Dirty: old.dirty, Valid: true}
+		l = l[:len(l)-1]
+	}
+	r.lists[set] = append([]refLine{{line: addr >> 6, dirty: dirty, pref: pref}}, l...)
+	return v
+}
+
+// TestLevelMatchesReferenceLRU drives random Lookup / Install /
+// InstallPrefetched streams through a Level and through refLRU: every
+// hit, victim (address, dirty bit) and prefetch-usefulness count must
+// agree, and so must the dirty bit of every resident line at the end.
+// The single-set cases push one set's one-byte clock past its wrap many
+// times, exercising the recency renumbering.
+func TestLevelMatchesReferenceLRU(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		ways, sets int
+		lines, ops int
+		minWraps   int // set 0's clock must wrap at least this often
+	}{
+		{"2way", 2, 4, 24, 20000, 0},
+		{"4way", 4, 4, 48, 20000, 0},
+		{"16way", 16, 4, 160, 20000, 0},
+		{"16way-one-set-wraps", 16, 1, 40, 6000, 5},
+		{"256way-one-set", 256, 1, 400, 4000, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLevel(config.CacheLevel{
+				SizeBytes: int64(tc.ways * tc.sets * 64), Ways: tc.ways,
+				LineBytes: 64, HitLatency: 1, MSHRs: 1,
+			})
+			ref := newRefLRU(tc.ways, tc.sets)
+			rng := rand.New(rand.NewSource(int64(tc.ways*131 + tc.sets)))
+			wraps, clock := 0, l.clock[0]
+			for op := 0; op < tc.ops; op++ {
+				addr := uint64(rng.Intn(tc.lines)) * 64
+				switch rng.Intn(3) {
+				case 0:
+					write := rng.Intn(3) == 0
+					if got, want := l.Lookup(addr, write), ref.lookup(addr, write); got != want {
+						t.Fatalf("op %d: Lookup(%#x) hit=%v, reference %v", op, addr, got, want)
+					}
+				case 1:
+					dirty := rng.Intn(3) == 0
+					if got, want := l.Install(addr, dirty), ref.install(addr, dirty, false); got != want {
+						t.Fatalf("op %d: Install(%#x) victim %+v, reference %+v", op, addr, got, want)
+					}
+				default:
+					if got, want := l.InstallPrefetched(addr), ref.install(addr, false, true); got != want {
+						t.Fatalf("op %d: InstallPrefetched(%#x) victim %+v, reference %+v", op, addr, got, want)
+					}
+				}
+				if l.clock[0] < clock {
+					wraps++
+				}
+				clock = l.clock[0]
+			}
+			if wraps < tc.minWraps {
+				t.Fatalf("set 0's clock wrapped %d times, want at least %d", wraps, tc.minWraps)
+			}
+			if got := int(l.PrefetchUseful()); got != ref.useful {
+				t.Fatalf("prefetch useful = %d, reference %d", got, ref.useful)
+			}
+			for set, lines := range ref.lists {
+				for _, e := range lines {
+					addr := e.line << 6
+					s, tag := l.index(addr)
+					found := false
+					for i := s * l.ways; i < (s+1)*l.ways; i++ {
+						if l.state[i]&stValid != 0 && l.tags[i] == tag {
+							found = true
+							if dirty := l.state[i]&stDirty != 0; dirty != e.dirty {
+								t.Fatalf("set %d line %#x dirty=%v, reference %v", set, addr, dirty, e.dirty)
+							}
+						}
+					}
+					if !found {
+						t.Fatalf("set %d: reference holds %#x, level does not", set, addr)
+					}
 				}
 			}
-			sort.Ints(ranks)
-			for j, r := range ranks {
-				if r != j {
-					t.Fatalf("set %d LRU ranks not a permutation: %v", set, ranks)
-				}
-			}
-		}
+		})
 	}
 }
 

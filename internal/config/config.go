@@ -329,6 +329,22 @@ func Default() Config {
 // the 64-bit per-row line bitmap (prefetch.Fetch.Touched) can represent.
 var ErrLineBitmap = errors.New("config: lines per row exceeds 64-bit line bitmap")
 
+// MaxCacheWays is the largest associativity a cache level accepts: its
+// one-byte recency stamps rank at most 256 lines per set.
+const MaxCacheWays = 256
+
+// ErrCacheWays reports a cache level with more ways than its recency
+// stamps can rank.
+var ErrCacheWays = errors.New("config: cache ways exceed recency-stamp range")
+
+// MaxVaultBanks is the largest bank count per vault: the vault scheduler
+// tracks banks with queued work in a 64-bit mask.
+const MaxVaultBanks = 64
+
+// ErrVaultBanks reports a vault with more banks than the scheduler's
+// work mask can track.
+var ErrVaultBanks = errors.New("config: banks per vault exceed 64-bit work mask")
+
 // Validate checks internal consistency.
 func (c Config) Validate() error {
 	var errs []error
@@ -354,11 +370,19 @@ func (c Config) Validate() error {
 			check(sets > 0 && isPow2(sets), "config: %s set count %d must be a power of two", lvl.name, sets)
 		}
 		check(lvl.l.MSHRs > 0, "config: %s MSHR count must be positive", lvl.name)
+		if lvl.l.Ways > MaxCacheWays {
+			errs = append(errs, fmt.Errorf("%w: %s has %d ways, at most %d",
+				ErrCacheWays, lvl.name, lvl.l.Ways, MaxCacheWays))
+		}
 	}
 	check(c.L1.LineBytes == c.L2.LineBytes && c.L2.LineBytes == c.L3.LineBytes,
 		"config: cache line sizes must match across levels")
 	check(isPow2(int64(c.HMC.Vaults)), "config: vault count must be a power of two")
 	check(isPow2(int64(c.HMC.Banks())), "config: banks per vault must be a power of two")
+	if c.HMC.Banks() > MaxVaultBanks {
+		errs = append(errs, fmt.Errorf("%w: %d banks per vault, at most %d",
+			ErrVaultBanks, c.HMC.Banks(), MaxVaultBanks))
+	}
 	check(isPow2(int64(c.HMC.RowBytes)), "config: row size must be a power of two")
 	check(isPow2(int64(c.HMC.RowsPerBank)), "config: rows per bank must be a power of two")
 	check(c.HMC.RowBytes >= c.L3.LineBytes, "config: row must hold at least one cache line")

@@ -136,6 +136,38 @@ func TestValidateRejectsOversizedLineBitmap(t *testing.T) {
 	}
 }
 
+// Regression: cache levels rank LRU order with one-byte recency stamps,
+// so more than 256 ways would pick wrong victims silently. Validate must
+// reject such a level with a typed error and accept exactly 256.
+func TestValidateRejectsTooManyCacheWays(t *testing.T) {
+	c := Default()
+	c.L3.Ways = 2 * MaxCacheWays
+	err := c.Validate()
+	if !errors.Is(err, ErrCacheWays) {
+		t.Fatalf("Validate(%d-way L3) = %v, want ErrCacheWays", c.L3.Ways, err)
+	}
+	c.L3.Ways = MaxCacheWays
+	if err := c.Validate(); err != nil {
+		t.Fatalf("%d-way L3 rejected: %v", c.L3.Ways, err)
+	}
+}
+
+// Regression: the vault scheduler tracks banks with queued work in a
+// 64-bit mask. Validate must reject more banks per vault with a typed
+// error and accept exactly 64.
+func TestValidateRejectsTooManyVaultBanks(t *testing.T) {
+	c := Default()
+	c.HMC.BanksPerLayer = 2 * MaxVaultBanks / c.HMC.Layers
+	err := c.Validate()
+	if !errors.Is(err, ErrVaultBanks) {
+		t.Fatalf("Validate(%d banks) = %v, want ErrVaultBanks", c.HMC.Banks(), err)
+	}
+	c.HMC.BanksPerLayer = MaxVaultBanks / c.HMC.Layers
+	if err := c.Validate(); err != nil {
+		t.Fatalf("%d banks per vault rejected: %v", c.HMC.Banks(), err)
+	}
+}
+
 func TestValidateJoinsMultipleErrors(t *testing.T) {
 	c := Default()
 	c.Processor.Cores = 0

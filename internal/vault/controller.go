@@ -13,6 +13,8 @@ package vault
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"camps/internal/config"
 	"camps/internal/dram"
@@ -91,13 +93,17 @@ type Controller struct {
 	// Per-bank queued-work counts, maintained on every enqueue/dequeue.
 	// schedule() runs after every bank event; the counts let startJob skip
 	// the O(queue-length) scans for the (common) banks with nothing queued.
+	// workMask mirrors them: bit b is set iff bank b has any queued work
+	// (noteWork keeps it exact), so a wake visits only those banks.
 	readCount  []int
 	writeCount []int
 	storeCount []int
 	fetchCount []int
+	workMask   uint64
 
 	timing        dram.Timing
 	nextRefresh   []sim.Time
+	minRefresh    sim.Time // min(nextRefresh), recomputed by runRefresh
 	refreshWakeAt sim.Time // time of the vault's single armed refresh wake
 	draining      bool     // write-drain mode latch
 
@@ -160,6 +166,9 @@ type window struct{ start, end sim.Time }
 func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Controller {
 	timing := dram.NewTiming(cfg.HMC.Timing, cfg.DRAMClock())
 	nbanks := cfg.HMC.Banks()
+	if nbanks > config.MaxVaultBanks {
+		panic(fmt.Sprintf("vault %d: %d banks exceed the %d the work mask tracks", id, nbanks, config.MaxVaultBanks))
+	}
 	c := &Controller{
 		eng:         eng,
 		cfg:         cfg,
@@ -203,9 +212,9 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	}
 	// One daemon wake per vault covers the earliest refresh deadline
 	// (daemon: refresh alone must not keep the simulation running);
-	// schedule() re-arms it as deadlines advance. Bank 0 holds the minimum
-	// of the staggered initial deadlines.
-	c.refreshWakeAt = c.nextRefresh[0]
+	// schedule() re-arms it as deadlines advance.
+	c.minRefresh = slices.Min(c.nextRefresh)
+	c.refreshWakeAt = c.minRefresh
 	c.eng.AtDaemon(c.refreshWakeAt, c.scheduleFn)
 	c.pf = prefetch.New(scheme, cfg, prefetch.Context{
 		Banks:       nbanks,
@@ -430,12 +439,14 @@ func (c *Controller) Submit(req Request) {
 		c.complete(req, now, now)
 		c.writeQ = append(c.writeQ, p)
 		c.writeCount[req.Bank]++
+		c.noteWork(req.Bank)
 		if len(c.writeQ) > c.stats.MaxWriteQueue {
 			c.stats.MaxWriteQueue = len(c.writeQ)
 		}
 	} else {
 		c.readQ = append(c.readQ, p)
 		c.readCount[req.Bank]++
+		c.noteWork(req.Bank)
 		if len(c.readQ) > c.stats.MaxReadQueue {
 			c.stats.MaxReadQueue = len(c.readQ)
 		}
@@ -489,6 +500,7 @@ func (c *Controller) enqueueFetches(fs []prefetch.Fetch) {
 			copy(c.fetchQ, c.fetchQ[1:])
 			c.fetchQ = c.fetchQ[:len(c.fetchQ)-1]
 			c.fetchCount[old.Bank]--
+			c.noteWork(old.Bank)
 			c.stats.FetchesDropped.Inc()
 			// Squeezed out of the queue by bank pressure before it could
 			// ever become resident: a conflict victim in the ledger.
@@ -500,6 +512,7 @@ func (c *Controller) enqueueFetches(fs []prefetch.Fetch) {
 		}
 		c.fetchQ = append(c.fetchQ, f)
 		c.fetchCount[f.Bank]++
+		c.noteWork(f.Bank)
 		if len(c.fetchQ) > c.stats.MaxFetchQueue {
 			c.stats.MaxFetchQueue = len(c.fetchQ)
 		}
@@ -524,34 +537,64 @@ func (c *Controller) updateDrainMode() {
 // refresh completions are daemon events (refresh re-arms itself forever
 // and must not keep the simulation alive), so queued work cannot rely on
 // them for a wake-up.
+//
+// Banks are visited in ascending order, and startJob runs on exactly the
+// idle banks a scan of all of them would act on, in the same order. An
+// idle bank with no queued work, no refresh due and no fault site is a
+// no-op for startJob, so the common pass walks only workMask's set bits.
+// It re-reads the mask after every job: a job can queue fetches for later
+// banks, and runWrite can re-enter schedule and drain them. A fault site
+// (whose blackout check has side effects) or a due refresh falls back to
+// the full scan.
 func (c *Controller) schedule() {
 	now := c.eng.Now()
 	c.updateDrainMode()
-	for b := range c.banks {
-		if c.busy[b] > now {
-			continue
+	if c.faults != nil || now >= c.minRefresh {
+		for b := range c.banks {
+			if c.busy[b] <= now {
+				c.startJob(b, now)
+			}
 		}
-		c.startJob(b, now)
+	} else {
+		for m := c.workMask; m != 0; {
+			b := bits.TrailingZeros64(m)
+			if c.busy[b] <= now {
+				c.startJob(b, now)
+			}
+			m = c.workMask &^ (2<<uint(b) - 1)
+		}
 	}
 	c.armRefreshWake(now)
 	if !c.PendingWork() {
 		return
 	}
-	earliest := sim.Time(-1)
-	for b := range c.banks {
-		if c.busy[b] > now && (earliest < 0 || c.busy[b] < earliest) {
-			earliest = c.busy[b]
-		}
+	// Earliest release among all busy banks, not only those with work: the
+	// retry's time fixes its place in the event order. Idle banks (busy <=
+	// now) wrap to unsigned values >= 2^63, so the minimum needs no branch.
+	d := ^uint64(0)
+	for _, t := range c.busy {
+		d = min(d, uint64(t-now-1))
 	}
-	if earliest < 0 {
+	if d >= 1<<63 {
 		return // work exists but targets idle banks: a job just started will wake us
 	}
+	earliest := now + 1 + sim.Time(d)
 	if c.retryArmed && c.retryAt <= earliest {
 		return
 	}
 	c.retryArmed = true
 	c.retryAt = earliest
 	c.eng.At(earliest, c.retryFn)
+}
+
+// noteWork brings bank b's workMask bit in line with its queued-work
+// counts. Every change to a count calls it.
+func (c *Controller) noteWork(b int) {
+	if c.readCount[b]|c.writeCount[b]|c.storeCount[b]|c.fetchCount[b] != 0 {
+		c.workMask |= 1 << uint(b)
+	} else {
+		c.workMask &^= 1 << uint(b)
+	}
 }
 
 // armRefreshWake keeps exactly one daemon wake pending at the earliest
@@ -564,14 +607,18 @@ func (c *Controller) schedule() {
 func (c *Controller) armRefreshWake(now sim.Time) {
 	// Earliest deadline still in the future: already-due banks are either
 	// refreshing or busy, and their release wakes re-enter schedule().
-	earliest := sim.Time(-1)
-	for _, t := range c.nextRefresh {
-		if t > now && (earliest < 0 || t < earliest) {
-			earliest = t
+	// With none due that is minRefresh itself.
+	earliest := c.minRefresh
+	if earliest <= now {
+		earliest = -1
+		for _, t := range c.nextRefresh {
+			if t > now && (earliest < 0 || t < earliest) {
+				earliest = t
+			}
 		}
-	}
-	if earliest < 0 {
-		return
+		if earliest < 0 {
+			return
+		}
 	}
 	if c.refreshWakeAt > now && c.refreshWakeAt <= earliest {
 		return // the armed wake already covers the deadline
@@ -654,6 +701,7 @@ func (c *Controller) takeRead(b int, now sim.Time) (pending, bool) {
 		p := c.readQ[idx]
 		c.readQ = append(c.readQ[:idx], c.readQ[idx+1:]...)
 		c.readCount[b]--
+		c.noteWork(b)
 		// Service-time buffer re-check: a fetch may have landed the row in
 		// the buffer after this request was queued.
 		id := pfbuffer.RowID{Bank: p.req.Bank, Row: p.req.Row}
@@ -680,6 +728,7 @@ func (c *Controller) takeWrite(b int) (pending, bool) {
 	p := c.writeQ[idx]
 	c.writeQ = append(c.writeQ[:idx], c.writeQ[idx+1:]...)
 	c.writeCount[b]--
+	c.noteWork(b)
 	return p, true
 }
 
@@ -710,6 +759,7 @@ func (c *Controller) takeFetch(b int) (prefetch.Fetch, bool) {
 		if f.Bank == b {
 			c.fetchQ = append(c.fetchQ[:i], c.fetchQ[i+1:]...)
 			c.fetchCount[b]--
+			c.noteWork(b)
 			return f, true
 		}
 	}
@@ -722,6 +772,7 @@ func (c *Controller) takeStore(b int) (pfbuffer.RowID, bool) {
 		if id.Bank == b {
 			c.storeQ = append(c.storeQ[:i], c.storeQ[i+1:]...)
 			c.storeCount[b]--
+			c.noteWork(b)
 			return id, true
 		}
 	}
@@ -1022,6 +1073,7 @@ func (c *Controller) runRefresh(b int, now sim.Time) {
 		c.lastRefNear[b] = window{start: now, end: done}
 	}
 	c.nextRefresh[b] += c.timing.REFI
+	c.minRefresh = slices.Min(c.nextRefresh)
 	// The bank's next deadline is covered by armRefreshWake when this
 	// schedule() pass ends. Daemon: refresh self-sustains forever; queued
 	// demand is woken by the scheduler's explicit retry instead.
@@ -1038,6 +1090,7 @@ func (c *Controller) onEviction(ev pfbuffer.Eviction) {
 	if ev.Dirty || !c.cfg.PFBuffer.WritebackDirtyOnly {
 		c.storeQ = append(c.storeQ, ev.ID)
 		c.storeCount[ev.ID.Bank]++
+		c.noteWork(ev.ID.Bank)
 		c.schedule()
 	}
 }
@@ -1077,8 +1130,10 @@ func (c *Controller) CheckInvariant() error {
 			return fmt.Errorf("vault %d: %w", c.id, err)
 		}
 	}
-	// The per-bank work counters must mirror the queues exactly; a skew
-	// would make startJob skip queued work forever.
+	// The per-bank work counters must mirror the queues exactly, and
+	// workMask the counters; a skew would make schedule skip queued work
+	// forever.
+	mask := uint64(0)
 	for b := range c.banks {
 		nr, nw, ns, nf := 0, 0, 0, 0
 		for i := range c.readQ {
@@ -1105,6 +1160,15 @@ func (c *Controller) CheckInvariant() error {
 			return fmt.Errorf("vault %d bank %d: work counts (r=%d w=%d s=%d f=%d) disagree with queues (r=%d w=%d s=%d f=%d)",
 				c.id, b, c.readCount[b], c.writeCount[b], c.storeCount[b], c.fetchCount[b], nr, nw, ns, nf)
 		}
+		if nr+nw+ns+nf > 0 {
+			mask |= 1 << uint(b)
+		}
+	}
+	if mask != c.workMask {
+		return fmt.Errorf("vault %d: work mask %#x disagrees with queues (%#x)", c.id, c.workMask, mask)
+	}
+	if m := slices.Min(c.nextRefresh); m != c.minRefresh {
+		return fmt.Errorf("vault %d: cached earliest refresh %d, deadlines say %d", c.id, c.minRefresh, m)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package vault
 
 import (
+	"math/rand"
 	"testing"
 
 	"camps/internal/config"
@@ -401,5 +402,84 @@ func TestAllSchemesRunEndToEnd(t *testing.T) {
 				t.Fatalf("%v: pending work after drain", scheme)
 			}
 		})
+	}
+}
+
+// TestCheckInvariantCoversSchedulerCache corrupts each piece of state the
+// scheduler caches — the work mask and the earliest refresh deadline —
+// and expects CheckInvariant to report it.
+func TestCheckInvariantCoversSchedulerCache(t *testing.T) {
+	eng, c := newVault(t, config.Default(), prefetch.CAMPSMOD)
+	for i := 0; i < 40; i++ {
+		c.Submit(Request{Bank: i % 5, Row: int64(i % 3), Line: i % 16, Write: i%4 == 0})
+	}
+	eng.RunFor(20_000)
+	if c.workMask == 0 {
+		t.Fatal("no queued work left to check; submit more")
+	}
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatalf("clean controller: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func() (restore func())
+	}{
+		{"work mask bit cleared", func() func() {
+			m := c.workMask
+			c.workMask &= c.workMask - 1
+			return func() { c.workMask = m }
+		}},
+		{"work mask bit set", func() func() {
+			m := c.workMask
+			idle := ^m & (1<<len(c.banks) - 1)
+			if idle == 0 {
+				t.Fatal("every bank has queued work; none to mark falsely")
+			}
+			c.workMask |= idle & -idle
+			return func() { c.workMask = m }
+		}},
+		{"min refresh stale", func() func() {
+			m := c.minRefresh
+			c.minRefresh = m + 1
+			return func() { c.minRefresh = m }
+		}},
+	} {
+		restore := tc.corrupt()
+		if err := c.CheckInvariant(); err == nil {
+			t.Errorf("%s: CheckInvariant passed", tc.name)
+		}
+		restore()
+	}
+	if err := c.CheckInvariant(); err != nil {
+		t.Fatalf("restored controller: %v", err)
+	}
+}
+
+// BenchmarkVaultSchedule measures the scheduler of one saturated 16-bank
+// vault under CAMPS-MOD. Each op submits one demand request (a quarter of
+// them writes, over all banks and 64 rows per bank) and then fires events
+// until no more than 64 demand requests are queued, so every wake finds
+// work on most banks.
+func BenchmarkVaultSchedule(b *testing.B) {
+	cfg := config.Default()
+	eng := sim.NewEngine()
+	c := New(eng, cfg, prefetch.CAMPSMOD, 0)
+	rng := rand.New(rand.NewSource(1))
+	reqs := make([]Request, 1<<12)
+	for i := range reqs {
+		reqs[i] = Request{
+			Bank:  rng.Intn(cfg.HMC.Banks()),
+			Row:   rng.Int63n(64),
+			Line:  rng.Intn(c.lines),
+			Write: rng.Intn(4) == 0,
+		}
+	}
+	const depth = 64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Submit(reqs[i&(len(reqs)-1)])
+		for len(c.readQ)+len(c.writeQ) > depth && eng.Step() {
+		}
 	}
 }
