@@ -100,7 +100,7 @@ perfbench-check:
 # hierarchy, prefetch engines, saturated vault scheduler), so they keep
 # compiling and running; timing them is a separate, deliberate step.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|HierarchyAccess|OnDemandServed|VaultSchedule' -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule' -benchtime 1x ./internal/...
 
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.

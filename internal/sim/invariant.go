@@ -45,10 +45,10 @@ type Checker struct {
 	last   Time // previous check time, for the built-in monotone clock
 }
 
-// NewChecker arms a checker on eng with the given interval. The built-in
-// monotone-clock invariant (engine time never moves backwards between
-// checks) is always registered; add model-level invariants with Register
-// before the simulation runs.
+// NewChecker arms a checker on eng with the given interval. Two built-in
+// invariants are always registered: monotone-clock (engine time never
+// moves backwards between checks) and event-queue (Engine.CheckQueue);
+// add model-level invariants with Register before the simulation runs.
 func NewChecker(eng *Engine, interval Time) *Checker {
 	c := &Checker{eng: eng, last: eng.Now()}
 	c.Register(Invariant{Name: "monotone-clock", Check: func() error {
@@ -56,7 +56,7 @@ func NewChecker(eng *Engine, interval Time) *Checker {
 			return fmt.Errorf("clock moved backwards: %v after %v", now, c.last)
 		}
 		return nil
-	}})
+	}}, Invariant{Name: "event-queue", Check: eng.CheckQueue})
 	c.ticker = NewDaemonTicker(eng, interval, c.run)
 	return c
 }
@@ -107,3 +107,63 @@ func (c *Checker) Err() error {
 
 // Stop cancels future checks.
 func (c *Checker) Stop() { c.ticker.Stop() }
+
+// CheckQueue verifies the structure of the pending queue: the ring's
+// occupancy bits match its non-empty buckets; each bucket is in (when, seq)
+// order with consistent back-links; each ring node sits in its own bucket,
+// within one revolution of now; the nodes found add up to Pending(); and
+// the far heap keeps the heap property with correct positions. It is
+// read-only and O(ringSize + Pending()).
+func (e *Engine) CheckQueue() error {
+	nowBucket := e.now >> ringShift
+	ringN, nonDaemon := 0, 0
+	for s := range e.ring {
+		b := &e.ring[s]
+		if occupied := e.occ[s>>6]&(1<<(s&63)) != 0; occupied != (b.head != nil) {
+			return fmt.Errorf("ring slot %d: occupancy bit %v, non-empty %v", s, occupied, b.head != nil)
+		}
+		var prev *eventNode
+		for nd := b.head; nd != nil; prev, nd = nd, nd.next {
+			switch {
+			case nd.prev != prev:
+				return fmt.Errorf("ring slot %d: broken back-link at event (%v, %d)", s, nd.when, nd.seq)
+			case prev != nil && !nodeLess(prev, nd):
+				// Also ends the walk of a corrupted, cyclic list.
+				return fmt.Errorf("ring slot %d: event (%v, %d) after (%v, %d)", s, nd.when, nd.seq, prev.when, prev.seq)
+			case nd.idx != inRing:
+				return fmt.Errorf("ring slot %d: event (%v, %d) has heap index %d", s, nd.when, nd.seq, nd.idx)
+			case int(nd.when>>ringShift)&ringMask != s:
+				return fmt.Errorf("ring slot %d: event at %v belongs in slot %d", s, nd.when, int(nd.when>>ringShift)&ringMask)
+			case nd.when < e.now || nd.when>>ringShift >= nowBucket+ringSize:
+				return fmt.Errorf("ring slot %d: event at %v outside the revolution from now %v", s, nd.when, e.now)
+			}
+			ringN++
+			if !nd.daemon {
+				nonDaemon++
+			}
+		}
+		if b.tail != prev {
+			return fmt.Errorf("ring slot %d: tail is not the last event", s)
+		}
+	}
+	if ringN != e.ringN {
+		return fmt.Errorf("ring holds %d events, count says %d (Pending %d, far heap %d)", ringN, e.ringN, e.Pending(), len(e.heap))
+	}
+	for i, nd := range e.heap {
+		switch {
+		case nd.idx != int32(i):
+			return fmt.Errorf("far heap position %d: event records index %d", i, nd.idx)
+		case i > 0 && nodeLess(nd, e.heap[(i-1)/4]):
+			return fmt.Errorf("far heap position %d: event (%v, %d) precedes its parent", i, nd.when, nd.seq)
+		case nd.when < e.now:
+			return fmt.Errorf("far heap position %d: event at %v before now %v", i, nd.when, e.now)
+		}
+		if !nd.daemon {
+			nonDaemon++
+		}
+	}
+	if nonDaemon != e.nonDaemon {
+		return fmt.Errorf("%d non-daemon events pending, count says %d", nonDaemon, e.nonDaemon)
+	}
+	return nil
+}

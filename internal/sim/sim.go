@@ -6,8 +6,10 @@
 // built on this kernel fully deterministic for a given input.
 //
 // The kernel is allocation-free in steady state: event nodes are pooled on
-// the engine and recycled when they fire or are cancelled, and the pending
-// queue is a concrete 4-ary heap (no container/heap interface dispatch).
+// the engine and recycled when they fire or are cancelled. The pending
+// queue is a near-future bucket ring (a calendar queue covering about one
+// microsecond ahead of now, where nearly every event of the HMC model
+// lands) backed by a 4-ary heap for events beyond the ring's horizon.
 // Handles returned by At/After/AtDaemon are generation-checked values, so a
 // handle to an event that has already fired or been cancelled stays inert
 // even after its node has been reused for a newer event.
@@ -15,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -187,11 +190,13 @@ type eventNode struct {
 	seq    uint64
 	gen    uint64 // bumped on every recycle; pairs with Event.gen
 	arg    uint64 // fnArg's argument
-	idx    int32  // position in the heap, -1 once fired or cancelled
+	idx    int32  // position in the far heap, inRing, or -1 once fired or cancelled
 	daemon bool
 	fn     func()
 	fnAt   func(Time)
 	fnArg  func(uint64)
+	// prev/next link the node into its ring bucket's list; nil in the heap.
+	prev, next *eventNode
 }
 
 // When returns the time the event is scheduled for, or 0 if the handle is
@@ -213,12 +218,35 @@ func (e Event) Scheduled() bool {
 // list runs dry; steady-state scheduling allocates nothing.
 const nodeChunk = 128
 
+// Near-future ring geometry. The ring has ringSize buckets, each
+// 1<<ringShift ps wide, so it covers ringSize<<ringShift ps (≈1.05 µs)
+// ahead of the bucket holding now: twice the longest delay the HMC model
+// schedules (≈512 ns). DESIGN.md §3 records the measurement behind both.
+const (
+	ringShift = 10
+	ringSize  = 1024
+	ringMask  = ringSize - 1
+	ringWords = ringSize / 64
+
+	// inRing is eventNode.idx for a node queued in the ring. It is
+	// non-negative, so Scheduled needs no second test.
+	inRing = math.MaxInt32
+)
+
+// bucket is one ring slot: an intrusive list in (when, seq) order.
+type bucket struct{ head, tail *eventNode }
+
 // Engine owns the event queue and the current simulation time.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
-	now       Time
-	seq       uint64
-	heap      []*eventNode // 4-ary min-heap on (when, seq)
+	now  Time
+	seq  uint64
+	occ  [ringWords]uint64 // bit s set iff ring[s] is non-empty
+	ring [ringSize]bucket
+	// ringN counts ring nodes; heap is the far-future overflow, a 4-ary
+	// min-heap on (when, seq).
+	ringN     int
+	heap      []*eventNode
 	free      []*eventNode
 	fired     uint64
 	halted    bool
@@ -237,7 +265,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.ringN + len(e.heap) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug, and silently reordering time would make
@@ -296,7 +324,11 @@ func (e *Engine) schedule(t Time, fn func(), fnAt func(Time), fnArg func(uint64)
 	nd.fnArg = fnArg
 	nd.arg = arg
 	e.seq++
-	e.heapPush(nd)
+	if t>>ringShift < e.now>>ringShift+ringSize {
+		e.ringPush(nd)
+	} else {
+		e.heapPush(nd)
+	}
 	if !daemon {
 		e.nonDaemon++
 	}
@@ -345,7 +377,7 @@ func (e *Engine) Cancel(ev Event) bool {
 	if nd == nil || nd.gen != ev.gen || nd.idx < 0 {
 		return false
 	}
-	e.heapRemove(int(nd.idx))
+	e.unlink(nd)
 	if !nd.daemon {
 		e.nonDaemon--
 	}
@@ -362,10 +394,21 @@ func (e *Engine) Halted() bool { return e.halted }
 // Step executes the single earliest pending event.
 // It reports false if the queue is empty or the engine has halted.
 func (e *Engine) Step() bool {
-	if e.halted || len(e.heap) == 0 {
+	if e.halted {
 		return false
 	}
-	nd := e.heapPop()
+	nd := e.peek()
+	if nd == nil {
+		return false
+	}
+	e.fire(nd)
+	return true
+}
+
+// fire removes nd, the earliest pending event, advances time to it and
+// runs its callback.
+func (e *Engine) fire(nd *eventNode) {
+	e.unlink(nd)
 	if !nd.daemon {
 		e.nonDaemon--
 	}
@@ -386,7 +429,6 @@ func (e *Engine) Step() bool {
 	default:
 		fnArg(arg)
 	}
-	return true
 }
 
 // Run executes events until no non-daemon events remain or Halt is called.
@@ -398,13 +440,16 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline. On return the
-// engine's time is min(deadline, time of last fired event); events beyond
-// the deadline remain queued. If Halt is called mid-run, time stays at the
-// halting event. A deadline already in the past is an explicit no-op:
-// nothing fires and Now() is unchanged.
+// engine's time is the deadline; events beyond it remain queued. If Halt
+// is called mid-run, time stays at the halting event. A deadline already
+// in the past is an explicit no-op: nothing fires and Now() is unchanged.
 func (e *Engine) RunUntil(deadline Time) {
-	for !e.halted && len(e.heap) > 0 && e.heap[0].when <= deadline {
-		e.Step()
+	for !e.halted {
+		nd := e.peek()
+		if nd == nil || nd.when > deadline {
+			break
+		}
+		e.fire(nd)
 	}
 	if !e.halted && e.now < deadline {
 		e.now = deadline
@@ -423,7 +468,102 @@ func (e *Engine) RunFor(d Time) {
 	e.RunUntil(e.now + d)
 }
 
-// The pending queue is a 4-ary min-heap ordered by (when, seq), stored
+// The pending queue has two parts, ordered together by (when, seq). An
+// event whose bucket (when>>ringShift) lies less than ringSize buckets past
+// now's goes in the ring; any other goes in the far heap. Since now never
+// passes a pending event, every ring node's bucket lies within one
+// revolution of now's, so a slot never mixes revolutions and the first
+// occupied slot at or after now's (circularly) holds the ring's earliest
+// events. Heap events are never migrated: peek compares the ring head
+// with the heap top, which keeps the order exact across both, FIFO among
+// same-instant events included.
+
+// peek returns the earliest pending event by (when, seq), or nil.
+func (e *Engine) peek() *eventNode {
+	var nd *eventNode
+	if e.ringN > 0 {
+		nd = e.ring[e.firstSlot()].head
+	}
+	if len(e.heap) > 0 && (nd == nil || nodeLess(e.heap[0], nd)) {
+		nd = e.heap[0]
+	}
+	return nd
+}
+
+// firstSlot returns the first occupied ring slot at or after now's,
+// circularly. The ring must be non-empty.
+func (e *Engine) firstSlot() int {
+	s := int(e.now>>ringShift) & ringMask
+	w := s >> 6
+	if m := e.occ[w] >> (s & 63); m != 0 {
+		return s + bits.TrailingZeros64(m)
+	}
+	// The last pass revisits word w whole: only its bits below s, the end
+	// of the revolution, can still be set.
+	for i := 1; i <= ringWords; i++ {
+		w = (w + 1) & (ringWords - 1)
+		if m := e.occ[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: ring count and occupancy disagree")
+}
+
+// ringPush links nd into its bucket after every node with when <= nd.when.
+// nd carries the largest seq yet, so this keeps the bucket in (when, seq)
+// order; the walk from the tail is usually zero steps.
+func (e *Engine) ringPush(nd *eventNode) {
+	s := int(nd.when>>ringShift) & ringMask
+	b := &e.ring[s]
+	p := b.tail
+	for p != nil && p.when > nd.when {
+		p = p.prev
+	}
+	nd.prev = p
+	if p == nil {
+		nd.next = b.head
+		b.head = nd
+	} else {
+		nd.next = p.next
+		p.next = nd
+	}
+	if nd.next == nil {
+		b.tail = nd
+	} else {
+		nd.next.prev = nd
+	}
+	nd.idx = inRing
+	e.occ[s>>6] |= 1 << (s & 63)
+	e.ringN++
+}
+
+// unlink removes a pending node from the ring or the heap.
+func (e *Engine) unlink(nd *eventNode) {
+	if nd.idx != inRing {
+		e.heapRemove(int(nd.idx))
+		return
+	}
+	s := int(nd.when>>ringShift) & ringMask
+	b := &e.ring[s]
+	if nd.prev == nil {
+		b.head = nd.next
+	} else {
+		nd.prev.next = nd.next
+	}
+	if nd.next == nil {
+		b.tail = nd.prev
+	} else {
+		nd.next.prev = nd.prev
+	}
+	if b.head == nil {
+		e.occ[s>>6] &^= 1 << (s & 63)
+	}
+	nd.prev, nd.next = nil, nil
+	nd.idx = -1
+	e.ringN--
+}
+
+// The far heap is a 4-ary min-heap ordered by (when, seq), stored
 // flat with parent/child arithmetic: seq rises with every scheduling call,
 // so same-instant events fire in FIFO order. Compared with container/heap
 // this is monomorphic (no interface dispatch, no any-boxing) and
@@ -486,20 +626,6 @@ func (e *Engine) siftDown(i int, nd *eventNode) {
 	}
 	h[i] = nd
 	nd.idx = int32(i)
-}
-
-func (e *Engine) heapPop() *eventNode {
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(0, last)
-	}
-	top.idx = -1
-	return top
 }
 
 func (e *Engine) heapRemove(i int) {

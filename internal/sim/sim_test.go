@@ -258,6 +258,33 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("schedule+Step allocates %.1f per op in steady state, want 0", allocs)
 	}
+
+	// The same holds for a mix of ring, far-heap and cancelled events, once
+	// the pool and the far heap have reached their high-water marks.
+	far := Time(3*ringSize) << ringShift
+	i := fillSteady(eng, fn)
+	mixed := func() {
+		now := eng.Now()
+		eng.At(now+steadyDeltas[i%len(steadyDeltas)], fn)
+		eng.Cancel(eng.At(now+steadyDeltas[(i+7)%len(steadyDeltas)], fn))
+		eng.Cancel(eng.AtDaemon(now+far+Time(i), fn))
+		if i%16 == 0 {
+			eng.AtDaemon(now+far, fn)
+			eng.Step()
+		}
+		eng.Step()
+		i++
+	}
+	for range 20000 {
+		mixed()
+	}
+	allocs = testing.AllocsPerRun(1000, mixed)
+	if allocs != 0 {
+		t.Fatalf("ring/far/cancel mix allocates %.1f per op in steady state, want 0", allocs)
+	}
+	if len(eng.heap) == 0 || eng.ringN == 0 {
+		t.Fatalf("mix left %d far and %d ring events pending; want both in use", len(eng.heap), eng.ringN)
+	}
 }
 
 func TestEngineRunUntil(t *testing.T) {
@@ -495,6 +522,81 @@ func BenchmarkEngineSchedule(b *testing.B) {
 			for eng.Pending() > 0 {
 				eng.Step()
 			}
+		}
+	}
+}
+
+// steadyDeltas are scheduling delays, in ps, shaped like the simulator's
+// own on the memory-intensive HM1 mix: 0.5–512 ns ahead, most of them 4–64 ns,
+// one per octave-weighted share of the measured histogram, on a 200 ps grid
+// and in a fixed scrambled order. With steadyPending events queued, about
+// a third of them land on an instant already pending, as in the simulator.
+var steadyDeltas = [...]Time{
+	600, 17000, 5400, 37800, 8400, 60600, 13000, 1400,
+	23000, 6200, 44600, 9800, 160000, 14400, 4200, 29000,
+	7000, 51600, 11200, 448000, 15800, 5000, 35600, 8000,
+	58400, 12600, 1000, 21000, 6000, 42400, 9200, 96000,
+	14000, 3000, 27000, 6800, 49200, 10600, 320000, 15400,
+	4800, 33200, 7600, 56000, 12000, 800, 19000, 5600,
+	40000, 8800, 63000, 13600, 1800, 25000, 6600, 47000,
+	10200, 224000, 15000, 4600, 31000, 7400, 53800, 11600,
+}
+
+// steadyPending is about the queue length the simulator holds on HM1
+// (186 pending on average).
+const steadyPending = 190
+
+// fillSteady queues steadyPending events with delays from steadyDeltas
+// and returns the index of the next delay to use.
+func fillSteady(eng *Engine, fn func()) int {
+	i := 0
+	for eng.Pending() < steadyPending {
+		eng.At(eng.Now()+steadyDeltas[i%len(steadyDeltas)], fn)
+		i++
+	}
+	return i
+}
+
+// BenchmarkEngineSteadyQueue is one Step plus one schedule on a queue held
+// at steadyPending events with delays drawn from steadyDeltas: the shape
+// of the simulator's real traffic, where BenchmarkEngineSchedule's
+// 1-ps-apart, drain-at-1024 pattern is a best case for any queue.
+func BenchmarkEngineSteadyQueue(b *testing.B) {
+	eng := NewEngine()
+	fn := func() {}
+	i := fillSteady(eng, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		eng.Step()
+		eng.At(eng.Now()+steadyDeltas[i%len(steadyDeltas)], fn)
+		i++
+	}
+}
+
+// The benchmark's traffic keeps the shape it claims: a third of the fires
+// land on the instant of the one before, as the simulator's do (32% on HM1).
+func TestSteadyQueueTrafficShape(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	i := fillSteady(eng, fn)
+	const steps = 50000
+	same := 0
+	for n := 0; n < steps; n++ {
+		before := eng.Now()
+		eng.Step()
+		if eng.Now() == before {
+			same++
+		}
+		eng.At(eng.Now()+steadyDeltas[i%len(steadyDeltas)], fn)
+		i++
+	}
+	if frac := float64(same) / steps; frac < 0.25 || frac > 0.40 {
+		t.Fatalf("%.2f of fires share the previous instant, want about a third", frac)
+	}
+	for _, d := range steadyDeltas {
+		if d < Nanosecond/2 || d > 512*Nanosecond {
+			t.Fatalf("delay %v outside the simulator's 0.5–512 ns band", d)
 		}
 	}
 }
