@@ -97,10 +97,11 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of each per-layer microbenchmark (event kernel, cache
-# hierarchy, prefetch engines, saturated vault scheduler), so they keep
-# compiling and running; timing them is a separate, deliberate step.
+# hierarchy, prefetch engines, saturated vault scheduler, one campaign
+# row through exp.Run), so they keep compiling and running; timing them
+# is a separate, deliberate step.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule' -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix' -benchtime 1x ./internal/...
 
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.

@@ -390,3 +390,39 @@ func BenchmarkCoreSideVsMemorySide(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSchemeCost times the measured region of MX1 at 200k
+// instructions per core under each registered scheme, so the schemes'
+// simulation costs compare directly (the hybrid engine's target is within
+// 10% of CAMPS-MOD's). The functional warmup is scheme-independent, so it
+// runs once, outside the timer, and each iteration starts from a clone.
+func BenchmarkSchemeCost(b *testing.B) {
+	mix, err := camps.MixByID("MX1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := camps.RunConfig{Mix: mix, MeasureInstr: 200_000}
+	ws, err := camps.Warm(context.Background(), rc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range camps.AllSchemes() {
+		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				run := rc
+				run.Scheme = s
+				run.Warm = ws.Clone()
+				b.StartTimer()
+				res, err := camps.RunContext(context.Background(), run)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += res.EventsFired
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}

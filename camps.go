@@ -22,9 +22,7 @@ package camps
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 
 	"camps/internal/cache"
 	"camps/internal/config"
@@ -130,9 +128,14 @@ type RunConfig struct {
 	// Seed decorrelates synthetic traces across runs (default 1).
 	Seed uint64
 	// WarmupRefs is the number of per-core references run through the
-	// caches functionally before timing starts (default 30000), the
+	// caches functionally before timing starts (default 50000), the
 	// analogue of the paper's fast-forward + cache warmup.
 	WarmupRefs uint64
+	// Warm, when non-nil, replaces the run's functional warmup: the run
+	// starts from this state, built by Warm for an equal WarmKey, and takes
+	// it over, so each run needs its own (see WarmState.Clone). It cannot
+	// be combined with Readers.
+	Warm *WarmState
 	// MeasureInstr is the per-core instruction budget of the measured
 	// region (default 400000), the analogue of the paper's 800M detailed
 	// instructions, scaled to synthetic-trace size.
@@ -179,6 +182,21 @@ func ParseFaultSpec(text string) (FaultSpec, error) { return fault.ParseSpec(tex
 
 // FaultGrammar returns the -faults grammar description for CLI help.
 func FaultGrammar() string { return fault.Grammar() }
+
+// validate reports the configuration errors every run and warm build
+// checks, after applyDefaults.
+func (rc *RunConfig) validate() error {
+	if err := rc.System.Validate(); err != nil {
+		return &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
+	}
+	if err := prefetch.ValidateConfig(rc.System); err != nil {
+		return &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
+	}
+	if err := rc.Faults.Validate(); err != nil {
+		return fmt.Errorf("camps: %w", err) // matches ErrBadFaultSpec
+	}
+	return nil
+}
 
 func (rc *RunConfig) applyDefaults() {
 	if rc.System.Processor.Cores == 0 {
@@ -326,40 +344,14 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 		return Results{}, fmt.Errorf("camps: run cancelled before start: %w", err)
 	}
 	rc.applyDefaults()
-	if err := rc.System.Validate(); err != nil {
-		return Results{}, &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
+	if err := rc.validate(); err != nil {
+		return Results{}, err
 	}
-	if err := prefetch.ValidateConfig(rc.System); err != nil {
-		return Results{}, &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
+	hier, readers, err := rc.warmState(ctx)
+	if err != nil {
+		return Results{}, err
 	}
-	if err := rc.Faults.Validate(); err != nil {
-		return Results{}, fmt.Errorf("camps: %w", err) // matches ErrBadFaultSpec
-	}
-
 	cores := rc.System.Processor.Cores
-	readers := rc.Readers
-	if readers == nil {
-		if len(rc.Mix.Benchmarks) != cores {
-			return Results{}, &apiError{
-				msg: fmt.Sprintf("camps: mix %q has %d benchmarks, system has %d cores",
-					rc.Mix.ID, len(rc.Mix.Benchmarks), cores),
-				refs: []error{ErrMixCoreMismatch},
-			}
-		}
-		gens, err := rc.Mix.Generators(rc.Seed)
-		if err != nil {
-			return Results{}, err
-		}
-		readers = make([]trace.Reader, len(gens))
-		for i, g := range gens {
-			readers[i] = g
-		}
-	} else if len(readers) != cores {
-		return Results{}, &apiError{
-			msg:  fmt.Sprintf("camps: %d readers for %d cores", len(readers), cores),
-			refs: []error{ErrMixCoreMismatch},
-		}
-	}
 
 	eng := sim.NewEngine()
 	cube := hmc.NewCube(eng, rc.System, rc.Scheme)
@@ -380,7 +372,6 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 		chk = sim.NewChecker(eng, interval)
 		chk.Register(cube.Invariants()...)
 	}
-	hier := cache.NewHierarchy(rc.System)
 	// The shared L3 MSHR file sits between the cores and the cube: it
 	// coalesces concurrent misses to one line and bounds distinct
 	// outstanding fetches.
@@ -397,25 +388,6 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 		}
 	}
 
-	// Functional cache warmup: consume WarmupRefs records per core through
-	// the hierarchy with no timing, discarding memory traffic.
-	for core := 0; core < cores; core++ {
-		if err := ctx.Err(); err != nil {
-			return Results{}, fmt.Errorf("camps: run cancelled during warmup: %w", err)
-		}
-		for i := uint64(0); i < rc.WarmupRefs; i++ {
-			rec, err := readers[core].Next()
-			if errors.Is(err, io.EOF) {
-				break // finite reader exhausted: measured region sees EOF
-			}
-			if err != nil {
-				// A malformed or truncated trace must fail the run, not
-				// silently shrink the warmup.
-				return Results{}, fmt.Errorf("camps: core %d warmup trace: %w", core, err)
-			}
-			hier.Access(core, rec.Addr, rec.Write)
-		}
-	}
 	l3Base := make([]uint64, cores)
 	for core := 0; core < cores; core++ {
 		l3Base[core] = hier.L3Misses(core)

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	campsim -mix HM1 -scheme CAMPS-MOD [-instr 400000] [-warmup 30000] [-seed 1]
+//	campsim -mix HM1 -scheme CAMPS-MOD [-instr 400000] [-warmup 50000] [-seed 1]
 //	campsim -mix HM1 -metrics-out m.jsonl -trace-out t.json -epoch-table
 //	campsim -faults linkcrc=1e-4,stall=5e-5 -check    # degraded memory
 //	campsim -trace a.trace,b.trace,...                # replay file traces

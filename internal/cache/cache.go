@@ -75,6 +75,19 @@ func NewLevel(cfg config.CacheLevel) *Level {
 	}
 }
 
+// clone returns a deep copy of l: its lines, recency stamps and counters.
+func (l *Level) clone() *Level {
+	cp := *l
+	n := len(l.tags)
+	b := make([]uint8, 2*n+l.sets)
+	copy(b, l.state)
+	copy(b[n:], l.stamp)
+	copy(b[2*n:], l.clock)
+	cp.tags = append([]uint64(nil), l.tags...)
+	cp.state, cp.stamp, cp.clock = b[:n:n], b[n:2*n:2*n], b[2*n:]
+	return &cp
+}
+
 // HitLatency returns the level's lookup latency in CPU cycles.
 func (l *Level) HitLatency() int64 { return l.hitLat }
 
@@ -275,6 +288,22 @@ func NewHierarchy(cfg config.Config) *Hierarchy {
 		h.l2[i] = NewLevel(cfg.L2)
 	}
 	return h
+}
+
+// Clone returns a deep copy of h: every level's contents, LRU order and
+// counters, so the copy continues exactly as h would. Nothing is shared, and
+// no observability registration carries over.
+func (h *Hierarchy) Clone() *Hierarchy {
+	cp := *h
+	cp.l3 = h.l3.clone()
+	cp.l1 = make([]*Level, len(h.l1))
+	cp.l2 = make([]*Level, len(h.l2))
+	for i := range h.l1 {
+		cp.l1[i] = h.l1[i].clone()
+		cp.l2[i] = h.l2[i].clone()
+	}
+	cp.l3MissPerCore = append([]stats.Counter(nil), h.l3MissPerCore...)
+	return &cp
 }
 
 // Instrument registers the hierarchy's hit/miss counters with the

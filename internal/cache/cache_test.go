@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"camps/internal/config"
@@ -413,5 +414,75 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := addrs[i&(len(addrs)-1)]
 		h.Access(i%cores, a, i%3 == 0)
+	}
+}
+
+// counters lists every counter of h, level by level, then per core.
+func counters(h *Hierarchy) []uint64 {
+	var out []uint64
+	levels := append(append([]*Level{h.l3}, h.l1...), h.l2...)
+	for _, l := range levels {
+		out = append(out, l.hits.Value(), l.misses.Value(), l.evicts.Value(),
+			l.wbacks.Value(), l.prefInstalled.Value(), l.prefUseful.Value())
+	}
+	for core := range h.l3MissPerCore {
+		out = append(out, h.L3Misses(core))
+	}
+	return out
+}
+
+// TestHierarchyCloneIsIndependent warms a hierarchy, clones it, and drives
+// both with one stream: the clone must resolve every access exactly as the
+// original does and carry the same counters, and driving the clone alone
+// must leave the original untouched.
+func TestHierarchyCloneIsIndependent(t *testing.T) {
+	// Small associative levels, so LRU order and set clocks decide victims.
+	cfg := config.Default()
+	cfg.L1 = config.CacheLevel{SizeBytes: 256, Ways: 2, LineBytes: 64, HitLatency: 2, MSHRs: 4}
+	cfg.L2 = config.CacheLevel{SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatency: 6, MSHRs: 4}
+	cfg.L3 = config.CacheLevel{SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: 20, MSHRs: 4, Shared: true}
+	h := NewHierarchy(cfg)
+	rng := rand.New(rand.NewSource(9))
+	step := func(h *Hierarchy, core int, addr uint64, write, pref bool) Result {
+		if pref {
+			h.InstallPrefetched(core, addr)
+			return Result{}
+		}
+		r := h.Access(core, addr, write)
+		r.Writebacks = append([]uint64(nil), r.Writebacks...)
+		return r
+	}
+	type ref struct {
+		core        int
+		addr        uint64
+		write, pref bool
+	}
+	next := func() ref {
+		return ref{rng.Intn(2), uint64(rng.Intn(64)) * 64, rng.Intn(3) == 0, rng.Intn(8) == 0}
+	}
+	for i := 0; i < 5000; i++ {
+		r := next()
+		step(h, r.core, r.addr, r.write, r.pref)
+	}
+	cp := h.Clone()
+	if !slices.Equal(counters(h), counters(cp)) {
+		t.Fatal("clone's counters differ from the original's")
+	}
+	for i := 0; i < 20000; i++ {
+		r := next()
+		a, b := step(h, r.core, r.addr, r.write, r.pref), step(cp, r.core, r.addr, r.write, r.pref)
+		if a.Level != b.Level || a.Latency != b.Latency || !slices.Equal(a.Writebacks, b.Writebacks) {
+			t.Fatalf("access %d: original %+v, clone %+v", i, a, b)
+		}
+	}
+	if !slices.Equal(counters(h), counters(cp)) {
+		t.Fatal("counters diverged under the same stream")
+	}
+	before := counters(h)
+	for i := 0; i < 1000; i++ {
+		cp.Access(0, uint64(rng.Intn(64))*64, true)
+	}
+	if !slices.Equal(before, counters(h)) {
+		t.Fatal("driving the clone changed the original")
 	}
 }

@@ -184,6 +184,10 @@ type Options struct {
 	// ExecuteCell for the real simulation. Called from worker goroutines;
 	// must be safe for concurrent use.
 	RunCell func(ctx context.Context, c Cell, o *Options) (camps.Results, error)
+
+	// warm shares functional warmups among Run's cells; ExecuteCell uses
+	// it when Run passes these options on. Nil outside Run.
+	warm *warmMemo
 }
 
 // Gate throttles cell execution across campaign boundaries; see
@@ -244,13 +248,15 @@ var ErrDuplicateCell = errors.New("exp: duplicate cell key")
 func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, error) {
 	opts.applyDefaults()
 
+	keys := make([]string, len(cells))
 	seen := make(map[string]struct{}, len(cells))
-	for _, c := range cells {
+	for i, c := range cells {
 		k := c.Key()
 		if _, dup := seen[k]; dup {
 			return nil, Stats{}, fmt.Errorf("%w: %s", ErrDuplicateCell, k)
 		}
 		seen[k] = struct{}{}
+		keys[i] = k
 	}
 
 	var (
@@ -287,14 +293,16 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 	}
 
 	var pending []int
-	for i, c := range cells {
-		if rec, ok := done[c.Key()]; ok {
+	for i := range cells {
+		if rec, ok := done[keys[i]]; ok {
 			st.Resumed++
 			finish(i, rec.cellResult())
 			continue
 		}
 		pending = append(pending, i)
 	}
+	opts.warm = newWarmMemo(cells, keys, pending, &opts)
+	defer opts.warm.drop()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -349,6 +357,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 					}
 				}
 				res, attempt, dur, err := runWithRetry(runCtx, c, &opts, &st, &mu)
+				opts.warm.release(keys[i])
 				if opts.Gate != nil {
 					opts.Gate.Release()
 				}
@@ -472,8 +481,27 @@ func permanent(err error) bool {
 // ExecuteCell runs one cell's real simulation under the options' system,
 // fault, and observability settings — the default cell executor behind
 // Run, exported so RunCell overrides that merely wrap execution (result
-// caches, accounting shims) can fall back to the genuine article.
+// caches, accounting shims) can fall back to the genuine article. Under
+// Run it starts the simulation from the campaign's shared warm state for
+// the cell's camps.WarmKey; called with options of its own, it warms up
+// from scratch. Results are byte-identical either way.
 func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error) {
+	rc := o.runConfig(c)
+	if o.CellObs != nil {
+		rc.Obs = o.CellObs(c)
+	}
+	if o.warm != nil {
+		ws, err := o.warm.acquire(ctx, c, rc)
+		if err != nil {
+			return camps.Results{}, err
+		}
+		rc.Warm = ws
+	}
+	return camps.RunContext(ctx, rc)
+}
+
+// runConfig is the run configuration of cell c, observability aside.
+func (o *Options) runConfig(c Cell) camps.RunConfig {
 	sys := o.System
 	if c.Apply != nil {
 		if sys.Processor.Cores == 0 {
@@ -481,11 +509,7 @@ func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error)
 		}
 		c.Apply(&sys)
 	}
-	var suite *obs.Suite
-	if o.CellObs != nil {
-		suite = o.CellObs(c)
-	}
-	return camps.RunContext(ctx, camps.RunConfig{
+	return camps.RunConfig{
 		System:          sys,
 		Scheme:          c.Scheme,
 		Mix:             c.Mix,
@@ -494,8 +518,7 @@ func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error)
 		MeasureInstr:    o.MeasureInstr,
 		Faults:          o.Faults,
 		CheckInvariants: o.CheckInvariants,
-		Obs:             suite,
-	})
+	}
 }
 
 // instrument exposes the campaign counters through an obs registry. The

@@ -97,6 +97,17 @@ func (g *Generator) resetGroup() {
 	}
 }
 
+// Clone returns an independent generator in g's exact state: it yields the
+// same records g would from here on.
+func (g *Generator) Clone() *Generator {
+	cp := *g
+	rng := *g.rng
+	cp.rng = &rng
+	cp.streams = append([]uint64(nil), g.streams...)
+	cp.group = append([]uint64(nil), g.group...)
+	return &cp
+}
+
 // MustGenerator is NewGenerator for known-good profiles.
 func MustGenerator(p Profile, base uint64, seed uint64) *Generator {
 	g, err := NewGenerator(p, base, seed)

@@ -326,3 +326,24 @@ func TestGeneratorValidation(t *testing.T) {
 		}
 	}
 }
+
+func TestGeneratorClone(t *testing.T) {
+	g := MustGenerator(testProfile(), 0, 77)
+	for i := 0; i < 1000; i++ {
+		g.Next()
+	}
+	cp := g.Clone()
+	for i := 0; i < 5000; i++ {
+		a, _ := g.Next()
+		b, _ := cp.Next()
+		if a != b {
+			t.Fatalf("clone diverged at %d: %+v vs %+v", i, a, b)
+		}
+	}
+	// Advancing the clone alone must not move the original.
+	want, _ := g.Clone().Next()
+	cp.Next()
+	if got, _ := g.Next(); got != want {
+		t.Fatalf("advancing the clone moved the original: %+v, want %+v", got, want)
+	}
+}
