@@ -2,6 +2,11 @@
 // private L1 and L2 per core and one shared L3, all with 64-byte lines,
 // true-LRU set associativity, and write-back/write-allocate semantics.
 //
+// Each way is one word, tag<<3 | state (valid, dirty and prefetched bits),
+// so a lookup is one masked compare per way and an install reads one word
+// per way. Lines of at least 8 bytes leave a tag at most 61 bits wide for
+// any 64-bit address, so the shifted tag always fits.
+//
 // LRU order is kept as one-byte recency stamps: each set has a one-byte
 // clock, and touching a line gives it the clock's next value, so the
 // valid line with the smallest stamp is exactly the least recently used.
@@ -28,8 +33,7 @@ type Level struct {
 	ways      int
 	lineShift uint
 	setMask   uint64
-	tags      []uint64 // sets*ways
-	state     []uint8  // bit0 valid, bit1 dirty
+	lines     []uint64 // sets*ways words of tag<<stBits | state
 	stamp     []uint8  // recency stamp per line; larger = more recent
 	clock     []uint8  // per set: the last stamp issued
 	hitLat    int64
@@ -43,10 +47,12 @@ type Level struct {
 	prefUseful    stats.Counter
 }
 
+// State bits in the low stBits bits of a line word.
 const (
-	stValid uint8 = 1 << 0
-	stDirty uint8 = 1 << 1
-	stPref  uint8 = 1 << 2 // installed by a core-side prefetch, unused yet
+	stValid uint64 = 1 << 0
+	stDirty uint64 = 1 << 1
+	stPref  uint64 = 1 << 2 // installed by a core-side prefetch, unused yet
+	stBits         = 3
 )
 
 // NewLevel builds a cache level from its configuration.
@@ -58,19 +64,20 @@ func NewLevel(cfg config.CacheLevel) *Level {
 	if cfg.Ways > config.MaxCacheWays {
 		panic(fmt.Sprintf("cache: %d ways exceed the %d that recency stamps can rank", cfg.Ways, config.MaxCacheWays))
 	}
+	if cfg.LineBytes < config.MinCacheLineBytes {
+		panic(fmt.Sprintf("%v: %d-byte lines, at least %d", config.ErrCacheLine, cfg.LineBytes, config.MinCacheLineBytes))
+	}
 	n := sets * cfg.Ways
-	// state, stamp and clock share one allocation: one fewer per level
-	// than the rank-based LRU it replaced.
-	b := make([]uint8, 2*n+sets)
+	// stamp and clock share one allocation.
+	b := make([]uint8, n+sets)
 	return &Level{
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, n),
-		state:     b[:n:n],
-		stamp:     b[n : 2*n : 2*n],
-		clock:     b[2*n:],
+		lines:     make([]uint64, n),
+		stamp:     b[:n:n],
+		clock:     b[n:],
 		hitLat:    cfg.HitLatency,
 	}
 }
@@ -78,13 +85,12 @@ func NewLevel(cfg config.CacheLevel) *Level {
 // clone returns a deep copy of l: its lines, recency stamps and counters.
 func (l *Level) clone() *Level {
 	cp := *l
-	n := len(l.tags)
-	b := make([]uint8, 2*n+l.sets)
-	copy(b, l.state)
-	copy(b[n:], l.stamp)
-	copy(b[2*n:], l.clock)
-	cp.tags = append([]uint64(nil), l.tags...)
-	cp.state, cp.stamp, cp.clock = b[:n:n], b[n:2*n:2*n], b[2*n:]
+	n := len(l.lines)
+	b := make([]uint8, n+l.sets)
+	copy(b, l.stamp)
+	copy(b[n:], l.clock)
+	cp.lines = append([]uint64(nil), l.lines...)
+	cp.stamp, cp.clock = b[:n:n], b[n:]
 	return &cp
 }
 
@@ -111,38 +117,40 @@ func (l *Level) index(addr uint64) (set int, lineTag uint64) {
 // Lookup probes for addr; on a hit it refreshes LRU and, for writes, sets
 // the dirty bit.
 func (l *Level) Lookup(addr uint64, write bool) bool {
-	set, tag := l.index(addr)
-	base := set * l.ways
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.state[i]&stValid != 0 && l.tags[i] == tag {
-			l.touch(set, i)
-			if write {
-				l.state[i] |= stDirty
-			}
-			if l.state[i]&stPref != 0 {
-				l.state[i] &^= stPref
-				l.prefUseful.Inc()
-			}
-			l.hits.Inc()
-			return true
-		}
+	set, i := l.find(addr)
+	if i < 0 {
+		l.misses.Inc()
+		return false
 	}
-	l.misses.Inc()
-	return false
+	l.touch(set, i)
+	if write {
+		l.lines[i] |= stDirty
+	}
+	if l.lines[i]&stPref != 0 {
+		l.lines[i] &^= stPref
+		l.prefUseful.Inc()
+	}
+	l.hits.Inc()
+	return true
 }
 
 // Contains probes without disturbing LRU or statistics.
 func (l *Level) Contains(addr uint64) bool {
+	_, i := l.find(addr)
+	return i >= 0
+}
+
+// find returns addr's set and the index of its valid line, or -1.
+func (l *Level) find(addr uint64) (set, i int) {
 	set, tag := l.index(addr)
+	want := tag<<stBits | stValid
 	base := set * l.ways
-	for w := 0; w < l.ways; w++ {
-		i := base + w
-		if l.state[i]&stValid != 0 && l.tags[i] == tag {
-			return true
+	for i, w := range l.lines[base : base+l.ways] {
+		if w&^(stDirty|stPref) == want {
+			return set, base + i
 		}
 	}
-	return false
+	return set, -1
 }
 
 // Victim describes a line displaced by Install.
@@ -174,18 +182,19 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 	free, lru := -1, -1
 	var oldest uint8
 	for i := base; i < base+l.ways; i++ {
-		if l.state[i]&stValid == 0 {
+		w := l.lines[i]
+		if w&stValid == 0 {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if l.tags[i] == tag {
+		if w>>stBits == tag {
 			// Already present: refresh (a prefetch overlay never
 			// downgrades the line's state).
 			l.touch(set, i)
 			if dirty {
-				l.state[i] |= stDirty
+				l.lines[i] |= stDirty
 			}
 			return Victim{}
 		}
@@ -198,8 +207,8 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 	if i < 0 {
 		i = lru
 		victim = Victim{
-			Addr:  l.reconstruct(set, l.tags[i]),
-			Dirty: l.state[i]&stDirty != 0,
+			Addr:  l.reconstruct(set, l.lines[i]>>stBits),
+			Dirty: l.lines[i]&stDirty != 0,
 			Valid: true,
 		}
 		l.evicts.Inc()
@@ -207,14 +216,14 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 			l.wbacks.Inc()
 		}
 	}
-	l.tags[i] = tag
-	l.state[i] = stValid
+	w := tag<<stBits | stValid
 	if dirty {
-		l.state[i] |= stDirty
+		w |= stDirty
 	}
 	if prefetched {
-		l.state[i] |= stPref
+		w |= stPref
 	}
+	l.lines[i] = w
 	l.touch(set, i)
 	return victim
 }
@@ -249,7 +258,7 @@ func (l *Level) renumber(set, skip int) uint8 {
 	var byStamp [256]uint16 // line offset within the set + 1; 0 = none
 	base := set * l.ways
 	for i := base; i < base+l.ways; i++ {
-		if i != skip && l.state[i]&stValid != 0 {
+		if i != skip && l.lines[i]&stValid != 0 {
 			byStamp[l.stamp[i]] = uint16(i - base + 1)
 		}
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"camps/internal/config"
@@ -94,6 +95,41 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	if !v.Valid || v.Addr != addr {
 		t.Fatalf("reconstructed victim %#x, want %#x", v.Addr, addr)
 	}
+}
+
+// TestPackedLineWordFullWidth checks the packed tag-and-state word at the
+// smallest line size, where the tag is widest: addresses in the top bits
+// of the 64-bit space must hit, miss and reconstruct exactly, with the
+// dirty and prefetched bits kept apart from the tag.
+func TestPackedLineWordFullWidth(t *testing.T) {
+	l := NewLevel(config.CacheLevel{
+		SizeBytes: 2 * config.MinCacheLineBytes, Ways: 2,
+		LineBytes: config.MinCacheLineBytes, HitLatency: 1, MSHRs: 1,
+	})
+	hi, lo := ^uint64(0)&^(config.MinCacheLineBytes-1), uint64(0)
+	l.InstallPrefetched(hi)
+	l.Install(lo, true)
+	if !l.Contains(hi) || !l.Contains(lo) || l.Contains(hi>>1&^7) {
+		t.Fatal("residency wrong for full-width tags")
+	}
+	if !l.Lookup(hi, true) || l.PrefetchUseful() != 1 {
+		t.Fatal("prefetched full-width line missed on first demand hit")
+	}
+	l.Lookup(lo, false) // hi becomes LRU
+	v := l.Install(hi-config.MinCacheLineBytes, false)
+	if !v.Valid || !v.Dirty || v.Addr != hi {
+		t.Fatalf("victim %+v, want dirty %#x", v, hi)
+	}
+}
+
+func TestNewLevelRejectsSubWordLines(t *testing.T) {
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, config.ErrCacheLine.Error()) {
+			t.Fatalf("NewLevel(4-byte lines) panicked with %v, want %q", r, config.ErrCacheLine)
+		}
+	}()
+	NewLevel(config.CacheLevel{SizeBytes: 64, Ways: 2, LineBytes: 4, HitLatency: 1, MSHRs: 1})
 }
 
 // refLRU is a reference true-LRU cache kept as one MRU-first list per
@@ -228,9 +264,9 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 					s, tag := l.index(addr)
 					found := false
 					for i := s * l.ways; i < (s+1)*l.ways; i++ {
-						if l.state[i]&stValid != 0 && l.tags[i] == tag {
+						if l.lines[i]&stValid != 0 && l.lines[i]>>stBits == tag {
 							found = true
-							if dirty := l.state[i]&stDirty != 0; dirty != e.dirty {
+							if dirty := l.lines[i]&stDirty != 0; dirty != e.dirty {
 								t.Fatalf("set %d line %#x dirty=%v, reference %v", set, addr, dirty, e.dirty)
 							}
 						}

@@ -337,6 +337,15 @@ const MaxCacheWays = 256
 // stamps can rank.
 var ErrCacheWays = errors.New("config: cache ways exceed recency-stamp range")
 
+// MinCacheLineBytes is the smallest cache line a level accepts: a cache
+// keeps each way as one 64-bit word of tag<<3 | state, and 8-byte lines
+// leave a tag of at most 61 bits for any 64-bit address.
+const MinCacheLineBytes = 8
+
+// ErrCacheLine reports a cache level whose lines are too small for its
+// packed tag-and-state word.
+var ErrCacheLine = errors.New("config: cache line too small for packed tag and state")
+
 // MaxVaultBanks is the largest bank count per vault: the vault scheduler
 // tracks banks with queued work in a 64-bit mask.
 const MaxVaultBanks = 64
@@ -373,6 +382,10 @@ func (c Config) Validate() error {
 		if lvl.l.Ways > MaxCacheWays {
 			errs = append(errs, fmt.Errorf("%w: %s has %d ways, at most %d",
 				ErrCacheWays, lvl.name, lvl.l.Ways, MaxCacheWays))
+		}
+		if lvl.l.LineBytes > 0 && lvl.l.LineBytes < MinCacheLineBytes {
+			errs = append(errs, fmt.Errorf("%w: %s has %d-byte lines, at least %d",
+				ErrCacheLine, lvl.name, lvl.l.LineBytes, MinCacheLineBytes))
 		}
 	}
 	check(c.L1.LineBytes == c.L2.LineBytes && c.L2.LineBytes == c.L3.LineBytes,

@@ -102,13 +102,17 @@ func (e *campsEngine) CTLen() int { return e.ct.Len() }
 // CTCap exposes the conflict-table capacity for tests and invariants.
 func (e *campsEngine) CTCap() int { return e.ct.Capacity() }
 
-// CheckInvariant validates the engine's table bounds: CT occupancy within
-// capacity, the RUT sized one entry per bank, and every tracked bitmap
-// within the vault's lines-per-row mask. It implements the optional
-// invariant-checking interface the vault controller probes for.
+// CheckInvariant validates the engine's tables: CT occupancy within
+// capacity and its LRU list and index consistent with each other, the RUT
+// sized one entry per bank, and every tracked bitmap within the vault's
+// lines-per-row mask. It implements the optional invariant-checking
+// interface the vault controller probes for.
 func (e *campsEngine) CheckInvariant() error {
 	if n, c := e.ct.Len(), e.ct.Capacity(); n > c {
 		return fmt.Errorf("prefetch: CT holds %d entries over capacity %d", n, c)
+	}
+	if err := e.ct.check(); err != nil {
+		return err
 	}
 	if len(e.rut.entries) != e.ctx.Banks {
 		return fmt.Errorf("prefetch: RUT has %d entries for %d banks", len(e.rut.entries), e.ctx.Banks)

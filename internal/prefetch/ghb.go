@@ -21,7 +21,7 @@ type ghbEngine struct {
 	ctx Context
 	cfg config.GHB
 
-	hist []ghbEntry // history ring, indexed by absolute sequence % len
+	hist []ghbEntry // history ring (power-of-two length), indexed by absolute sequence & (len-1)
 	seq  int64      // next absolute sequence number (total pushes)
 	ait  []int64    // delta-hash -> absolute sequence of last push, -1 empty
 
@@ -66,7 +66,7 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	e.lastKey = key
 	h := int(mix64(uint64(delta)) & uint64(len(e.ait)-1))
 	chain := e.ait[h]
-	e.hist[e.seq%int64(len(e.hist))] = ghbEntry{key: key, prev: chain}
+	e.hist[e.seq&int64(len(e.hist)-1)] = ghbEntry{key: key, prev: chain}
 	e.ait[h] = e.seq
 	e.seq++
 
@@ -104,9 +104,9 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 			if !e.live(s) {
 				continue
 			}
-			add(e.hist[s%int64(len(e.hist))].key)
+			add(e.hist[s&int64(len(e.hist)-1)].key)
 		}
-		ptr = e.hist[ptr%int64(len(e.hist))].prev
+		ptr = e.hist[ptr&int64(len(e.hist)-1)].prev
 	}
 	if len(e.out) > 0 {
 		return e.out

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"fmt"
+
 	"camps/internal/config"
 	"camps/internal/dram"
 	"camps/internal/pfbuffer"
@@ -24,6 +26,12 @@ type hybridEngine struct {
 	cands  []hybridCand
 	winner int // index into cands; -1 = observing / disabled
 
+	// shadow holds every candidate's private shadow table, direct-mapped
+	// by rowKey, interleaved so one slot's entries for all candidates
+	// share a cache line: candidate i's entry for slot s is at
+	// s*len(cands)+i. Entries are predicted rowKeys, -1 empty.
+	shadow []int64
+
 	// owner maps fetched rows (direct-mapped by rowKey) to the candidate
 	// whose directive fetched them, so eviction feedback reaches only the
 	// engine that asked for the row.
@@ -31,13 +39,12 @@ type hybridEngine struct {
 }
 
 type hybridCand struct {
-	name   string
-	eng    Engine
-	obs    EpochObserver // non-nil when the candidate adapts per epoch
-	shadow []int64       // direct-mapped predicted rowKeys, -1 empty
-	preds  uint64        // shadow predictions recorded this epoch
-	hits   uint64        // shadow predictions confirmed this epoch
-	score  int64
+	name  string
+	eng   Engine
+	obs   EpochObserver // non-nil when the candidate adapts per epoch
+	preds uint64        // shadow predictions recorded this epoch
+	hits  uint64        // shadow predictions confirmed this epoch
+	score int64
 }
 
 type ownerEntry struct {
@@ -74,15 +81,15 @@ func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 			continue
 		}
 		c := hybridCand{
-			name:   Describe(s).Name,
-			eng:    Describe(s).New(cfg, ctx),
-			shadow: make([]int64, cfg.Hybrid.ShadowEntries),
-		}
-		for i := range c.shadow {
-			c.shadow[i] = -1
+			name: Describe(s).Name,
+			eng:  Describe(s).New(cfg, ctx),
 		}
 		c.obs, _ = c.eng.(EpochObserver)
 		e.cands = append(e.cands, c)
+	}
+	e.shadow = make([]int64, cfg.Hybrid.ShadowEntries*len(e.cands))
+	for i := range e.shadow {
+		e.shadow[i] = -1
 	}
 	// Warm start on the first configured candidate (the config order makes
 	// it the prior) instead of issuing nothing until the first election:
@@ -110,11 +117,12 @@ func (e *hybridEngine) slot(k int64) int {
 // credit scores every candidate that shadow-predicted the row, consuming
 // the prediction (one credit per predicted row).
 func (e *hybridEngine) credit(key int64) {
-	for i := range e.cands {
-		c := &e.cands[i]
-		if idx := e.slot(key); c.shadow[idx] == key {
-			c.hits++
-			c.shadow[idx] = -1
+	n := len(e.cands)
+	base := e.slot(key) * n
+	for i, k := range e.shadow[base : base+n] {
+		if k == key {
+			e.cands[i].hits++
+			e.shadow[base+i] = -1
 		}
 	}
 }
@@ -131,7 +139,7 @@ func (e *hybridEngine) OnDemandServed(req Request, state dram.RowState, displace
 		for _, f := range fs {
 			fk := rowKey(f.Bank, f.Row)
 			c.preds++
-			c.shadow[e.slot(fk)] = fk
+			e.shadow[e.slot(fk)*len(e.cands)+i] = fk
 		}
 		if i == e.winner {
 			out = fs
@@ -162,6 +170,20 @@ func (e *hybridEngine) OnEviction(ev pfbuffer.Eviction) {
 	}
 	// Unowned evictions (overwritten owner slot, pre-takeover residue) are
 	// dropped: feedback must not reach an engine that never fetched the row.
+}
+
+// CheckInvariant runs the invariant check of every candidate that has one
+// (the CAMPS tables), so a hybrid vault checks the shadow engines' tables
+// as a single-engine vault checks its own.
+func (e *hybridEngine) CheckInvariant() error {
+	for i := range e.cands {
+		if chk, ok := e.cands[i].eng.(interface{ CheckInvariant() error }); ok {
+			if err := chk.CheckInvariant(); err != nil {
+				return fmt.Errorf("hybrid candidate %s: %w", e.cands[i].name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // EpochRequests implements EpochObserver.
