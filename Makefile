@@ -11,7 +11,13 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke perfbench-check bench-smoke verify bench figures clean
+.PHONY: fmt build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke perfbench-check bench-smoke verify bench figures clean
+
+# gofmt over every package's own files; listing them per package
+# directory keeps the deliberately unformatted lint testdata out.
+fmt:
+	@files=$$(gofmt -l $$($(GO) list -f '{{.Dir}}/*.go' ./...)); \
+	if [ -n "$$files" ]; then echo "gofmt -l reports:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -98,14 +104,14 @@ perfbench-check:
 
 # One iteration of each per-layer microbenchmark (event kernel, cache
 # hierarchy, prefetch engines and conflict table, saturated vault
-# scheduler, one campaign row through exp.Run), so they keep compiling
-# and running; timing them is a separate, deliberate step.
+# scheduler, one and two campaign rows through exp.Run), so they keep
+# compiling and running; timing them is a separate, deliberate step.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|ConflictTable' -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|GridTwoMixes|ConflictTable' -benchtime 1x ./internal/...
 
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.
-verify: build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke perfbench-check bench-smoke
+verify: fmt build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke perfbench-check bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

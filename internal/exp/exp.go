@@ -1,6 +1,6 @@
 // Package exp orchestrates simulation campaigns: it shards the cells of a
 // design-space exploration — (mix × scheme × seed × knob-value) points —
-// across a bounded worker pool, applies per-cell wall-clock timeouts and
+// across a fixed worker pool, applies per-cell wall-clock timeouts and
 // bounded retry-with-backoff, checkpoints every completed cell to a JSONL
 // store so an interrupted campaign resumes where it stopped, and threads
 // context.Context cancellation down into each simulation via
@@ -128,9 +128,6 @@ type Options struct {
 	CheckInvariants bool
 	// Parallelism is the worker count (default NumCPU).
 	Parallelism int
-	// QueueDepth bounds the cell queue feeding the workers (default
-	// 2×Parallelism), so enormous campaigns do not buffer every cell.
-	QueueDepth int
 	// CellTimeout is the wall-clock budget of one attempt (0 = none). An
 	// attempt that exceeds it is cancelled mid-simulation and counts as a
 	// transient failure.
@@ -155,8 +152,9 @@ type Options struct {
 	// surfacing them as CellResults with Resumed set.
 	Resume bool
 	// Obs, when non-nil, receives the scheduler's counters
-	// (exp.cells_started/completed/retried/cancelled/failed/resumed) and
-	// the per-cell wall-clock latency histogram (exp.cell_wall_ms).
+	// (exp.cells_started/completed/retried/cancelled/failed/resumed/
+	// warm_waited) and the per-cell wall-clock latency histogram
+	// (exp.cell_wall_ms).
 	// Snapshot it after Run returns; during the run it is written
 	// concurrently by the workers.
 	Obs *obs.Registry
@@ -204,9 +202,6 @@ func (o *Options) applyDefaults() {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
 	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 2 * o.Parallelism
-	}
 	if o.Backoff <= 0 {
 		o.Backoff = 100 * time.Millisecond
 	}
@@ -226,13 +221,18 @@ type Stats struct {
 	Completed uint64
 	// Retried counts transient failures that were given another attempt.
 	Retried uint64
-	// Cancelled counts cells abandoned because the campaign context was
-	// cancelled.
+	// Cancelled counts cells abandoned because the campaign was cancelled
+	// or stopped by a failure, whether or not they had started. Every cell
+	// of a campaign is counted once in Completed, Failed, Cancelled or
+	// Resumed.
 	Cancelled uint64
 	// Failed counts cells whose final attempt failed.
 	Failed uint64
 	// Resumed counts cells restored from the checkpoint store.
 	Resumed uint64
+	// WarmWaits counts cell attempts that blocked on another cell's build
+	// of their shared warm state. Duration includes that wait.
+	WarmWaits uint64
 }
 
 // ErrDuplicateCell reports two cells with the same Key in one campaign,
@@ -302,7 +302,11 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 		pending = append(pending, i)
 	}
 	opts.warm = newWarmMemo(cells, keys, pending, &opts)
-	defer opts.warm.drop()
+	opts.warm.waited = func() {
+		mu.Lock()
+		st.WarmWaits++
+		mu.Unlock()
+	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -316,40 +320,24 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 		mu.Unlock()
 	}
 
-	queue := make(chan int, opts.QueueDepth)
-	if opts.Obs != nil {
-		// Queue depth is the scheduler's backpressure signal: a full queue
-		// means the enumerator is ahead of the workers.
-		opts.Obs.GaugeFunc("exp.queue_depth", func() float64 { return float64(len(queue)) })
-	}
-	go func() {
-		defer close(queue)
-		for _, i := range pending {
-			select {
-			case queue <- i:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
+	// Workers take their cells from the memo's picker, which keeps a
+	// worker off a cell that would only wait on another's warmup.
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range queue {
-				c := cells[i]
-				if runCtx.Err() != nil {
-					mu.Lock()
-					st.Cancelled++
-					mu.Unlock()
-					continue
+			for runCtx.Err() == nil {
+				i, ok := opts.warm.next()
+				if !ok {
+					return
 				}
+				c := cells[i]
 				if opts.Gate != nil {
 					// The gate slot covers the whole attempt sequence
 					// (retries included), so a cell never runs half-admitted.
 					if err := opts.Gate.Acquire(runCtx); err != nil {
+						opts.warm.release(keys[i])
 						mu.Lock()
 						st.Cancelled++
 						mu.Unlock()
@@ -397,6 +385,9 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 		}()
 	}
 	wg.Wait()
+	mu.Lock()
+	st.Cancelled += uint64(opts.warm.drop())
+	mu.Unlock()
 
 	out := make([]CellResult, 0, len(cells))
 	for _, r := range results {
@@ -538,4 +529,5 @@ func instrument(reg *obs.Registry, st *Stats, mu *sync.Mutex) {
 	reg.CounterFunc("exp.cells_cancelled", locked(&st.Cancelled))
 	reg.CounterFunc("exp.cells_failed", locked(&st.Failed))
 	reg.CounterFunc("exp.cells_resumed", locked(&st.Resumed))
+	reg.CounterFunc("exp.cells_warm_waited", locked(&st.WarmWaits))
 }

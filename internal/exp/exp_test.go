@@ -208,6 +208,9 @@ func TestCampaignCancellation(t *testing.T) {
 	if st.Cancelled == 0 {
 		t.Fatalf("stats = %+v: no cells recorded as cancelled", st)
 	}
+	if n := st.Completed + st.Failed + st.Cancelled + st.Resumed; n != uint64(len(cells)) {
+		t.Fatalf("stats = %+v account for %d cells, want %d", st, n, len(cells))
+	}
 }
 
 func TestDuplicateCellsRejected(t *testing.T) {

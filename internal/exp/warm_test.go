@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"camps"
+	"camps/internal/obs"
 	"camps/internal/workload"
 )
 
@@ -331,4 +332,116 @@ func TestWarmKeyingSurvivesPanickingApply(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want a PanicError", err)
 	}
+}
+
+// recordStarts makes opts run its cells through ExecuteCell, appending each
+// to the returned order as it starts. The first hold starts block until
+// hold cells have started, so each was handed out while the others ran.
+func recordStarts(opts *Options, hold int) *[]Cell {
+	var (
+		mu    sync.Mutex
+		order []Cell
+		held  = make(chan struct{})
+	)
+	opts.RunCell = func(ctx context.Context, c Cell, o *Options) (camps.Results, error) {
+		mu.Lock()
+		order = append(order, c)
+		n := len(order)
+		if n == hold {
+			close(held)
+		}
+		mu.Unlock()
+		if n <= hold {
+			<-held
+		}
+		return ExecuteCell(ctx, c, o)
+	}
+	return &order
+}
+
+// A worker is not handed a cell that would wait on another worker's
+// warmup while a cell of another key is ready: the second worker starts
+// the second mix instead, and no cell of the campaign waits at all.
+func TestRunPicksCellsOffWarmingKeys(t *testing.T) {
+	cells := append(warmCells(t, "HM1", 5), warmCells(t, "LM2", 5)...)
+	opts := smallOpts()
+	opts.Parallelism = 2
+	order := recordStarts(&opts, 2)
+	out, st, err := Run(context.Background(), cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := (*order)[0], (*order)[1]
+	if opts.runConfig(first).WarmKey() == opts.runConfig(second).WarmKey() {
+		t.Errorf("first two cells handed out, %s and %s, share a warm key", first.Key(), second.Key())
+	}
+	if st.WarmWaits != 0 {
+		t.Errorf("WarmWaits = %d, want 0", st.WarmWaits)
+	}
+	if len(out) != len(cells) {
+		t.Fatalf("%d results for %d cells", len(out), len(cells))
+	}
+	for i := range cells {
+		if out[i].Mix != cells[i].Mix.ID || out[i].Scheme != cells[i].Scheme {
+			t.Fatalf("result %d is %s/%v, want enumeration order", i, out[i].Mix, out[i].Scheme)
+		}
+	}
+}
+
+// One worker runs the cells in enumeration order, even when the keys
+// interleave.
+func TestRunSingleWorkerKeepsEnumerationOrder(t *testing.T) {
+	a, b := warmCells(t, "HM1", 3), warmCells(t, "LM2", 3)
+	var cells []Cell
+	for i := range a {
+		cells = append(cells, a[i], b[i])
+	}
+	opts := smallOpts()
+	order := recordStarts(&opts, 1)
+	if _, _, err := Run(context.Background(), cells, opts); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range *order {
+		if c.Key() != cells[i].Key() {
+			t.Fatalf("start %d is %s, want %s", i, c.Key(), cells[i].Key())
+		}
+	}
+}
+
+// When every cell left waits on a build, the next worker takes one
+// anyway and waits; the wait shows in Stats and in the obs counter.
+func TestRunCountsWarmWaits(t *testing.T) {
+	cells := warmCells(t, "MX1", 2)
+	waiting := make(chan struct{})
+	var wait sync.Once
+	reg := obs.NewRegistry()
+	opts := smallOpts()
+	opts.Parallelism = 2
+	opts.Obs = reg
+	opts.RunCell = func(ctx context.Context, c Cell, o *Options) (camps.Results, error) {
+		// Poll 3 is inside the warmup: the builder holds there until its
+		// sibling waits on the build.
+		ctx = &pollCtx{
+			Context: ctx,
+			onPoll: func(n int64) error {
+				if n == 3 {
+					<-waiting
+				}
+				return nil
+			},
+			touched: func() { wait.Do(func() { close(waiting) }) },
+		}
+		return ExecuteCell(ctx, c, o)
+	}
+	out, st, err := Run(context.Background(), cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WarmWaits != 1 {
+		t.Fatalf("WarmWaits = %d, want 1", st.WarmWaits)
+	}
+	if got := reg.Snapshot("final", 0).Counter("exp.cells_warm_waited"); got != 1 {
+		t.Errorf("exp.cells_warm_waited = %d, want 1", got)
+	}
+	requireFresh(t, cells, out, smallOpts())
 }

@@ -32,8 +32,8 @@ func FuzzCompactDecode(f *testing.F) {
 	f.Add(encode(nil))
 	f.Add(encode([]Record{{Gap: 0, Addr: 64, Write: false}, {Gap: 3, Addr: 128, Write: true}}))
 	f.Add(encode([]Record{{Gap: 0xFFFFFFFF, Addr: 1 << 62}, {Gap: 1, Addr: 0}}))
-	f.Add([]byte("CAMPSTR2"))           // header only
-	f.Add([]byte("CAMPSTR1\x00\x00"))   // wrong magic
+	f.Add([]byte("CAMPSTR2"))                     // header only
+	f.Add([]byte("CAMPSTR1\x00\x00"))             // wrong magic
 	f.Add(append([]byte("CAMPSTR2"), 0x80, 0x80)) // truncated uvarint
 	var big [16]byte
 	n := binary.PutUvarint(big[:], 1<<40) // gap overflowing uint32

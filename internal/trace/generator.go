@@ -119,8 +119,25 @@ func MustGenerator(p Profile, base uint64, seed uint64) *Generator {
 
 // Next implements Reader; it never fails.
 func (g *Generator) Next() (Record, error) {
+	gap := g.rng.Geometric(g.p.GapMean)
+	addr, write := g.access()
+	return Record{Gap: gap, Addr: addr, Write: write}, nil
+}
+
+// NextAccess advances g exactly as Next does and returns the record's
+// address and direction, skipping the gap's computation: it draws the
+// gap's random bits and discards them. A functional warmup, which has no
+// timing, reads its records this way.
+func (g *Generator) NextAccess() (addr uint64, write bool) {
+	if g.p.GapMean > 0 {
+		g.rng.Uint64() // Geometric's one Float64 draw
+	}
+	return g.access()
+}
+
+// access draws the address and direction of the next record, after its gap.
+func (g *Generator) access() (addr uint64, write bool) {
 	p := &g.p
-	gap := g.rng.Geometric(p.GapMean)
 	u := g.rng.Float64()
 	var off uint64
 	switch {
@@ -143,12 +160,8 @@ func (g *Generator) Next() (Record, error) {
 		// pure prefetch poison, deliberately independent of the streams.
 		off = uint64(g.rng.Int63n(p.FootprintBytes))
 	}
-	addr := (g.base + off%uint64(g.p.FootprintBytes)) &^ uint64(p.LineBytes-1)
-	return Record{
-		Gap:   gap,
-		Addr:  addr,
-		Write: g.rng.Float64() >= p.ReadFrac,
-	}, nil
+	addr = (g.base + off%uint64(g.p.FootprintBytes)) &^ uint64(p.LineBytes-1)
+	return addr, g.rng.Float64() >= p.ReadFrac
 }
 
 func maxInt64(a, b int64) int64 {

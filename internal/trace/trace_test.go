@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -198,6 +199,28 @@ func TestGeneratorDeterminism(t *testing.T) {
 		b, _ := g2.Next()
 		if a != b {
 			t.Fatalf("diverged at %d: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// NextAccess yields Next's addresses and directions and leaves the
+// generator where Next would, with and without instruction gaps.
+func TestGeneratorNextAccessMatchesNext(t *testing.T) {
+	for _, gapMean := range []float64{0, 3} {
+		p := testProfile()
+		p.GapMean = gapMean
+		g := MustGenerator(p, 1<<30, 77)
+		fast := g.Clone()
+		for i := 0; i < 5000; i++ {
+			want, _ := g.Next()
+			addr, write := fast.NextAccess()
+			if addr != want.Addr || write != want.Write {
+				t.Fatalf("GapMean %g, record %d: NextAccess = (%#x, %v), Next = %+v",
+					gapMean, i, addr, write, want)
+			}
+		}
+		if !reflect.DeepEqual(g, fast) {
+			t.Fatalf("GapMean %g: generators differ after the same records", gapMean)
 		}
 	}
 }

@@ -94,13 +94,17 @@ func warm(ctx context.Context, rc RunConfig) (*cache.Hierarchy, []*trace.Generat
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	readers := make([]trace.Reader, len(gens))
-	for i, g := range gens {
-		readers[i] = g
-	}
 	hier := cache.NewHierarchy(rc.System)
-	if err := warmup(ctx, hier, readers, rc.WarmupRefs); err != nil {
-		return nil, nil, nil, err
+	readers := make([]trace.Reader, len(gens))
+	for core, g := range gens {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, fmt.Errorf("camps: run cancelled during warmup: %w", err)
+		}
+		for i := uint64(0); i < rc.WarmupRefs; i++ {
+			addr, write := g.NextAccess()
+			hier.Access(core, addr, write)
+		}
+		readers[core] = g
 	}
 	return hier, gens, readers, nil
 }
@@ -164,8 +168,9 @@ func (rc *RunConfig) warmState(ctx context.Context) (*cache.Hierarchy, []trace.R
 	return hier, readers, nil
 }
 
-// warmup is the functional cache warmup: it consumes refs records per core
-// through hier with no timing, discarding memory traffic.
+// warmup is the functional cache warmup over caller-supplied readers: it
+// consumes refs records per core through hier with no timing, discarding
+// memory traffic. warm does the same over a mix's generators.
 func warmup(ctx context.Context, hier *cache.Hierarchy, readers []trace.Reader, refs uint64) error {
 	for core, r := range readers {
 		if err := ctx.Err(); err != nil {
