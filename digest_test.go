@@ -24,6 +24,10 @@ type digestCase struct {
 // modes the default configuration does not reach: closed-page rows,
 // FCFS ordering, a bounded TSV data path, and bank blackouts (a fault
 // site on every vault, which forces the scheduler's full bank scan).
+// Two more cases pin the cache hierarchy's replacement: the default
+// 50k-reference warmup, long enough for L3 sets to fill and evict, and
+// the core-side stride prefetcher, whose fills take the
+// InstallPrefetched path.
 func digestCases(t *testing.T) []digestCase {
 	base := func(mixID string, s camps.Scheme) camps.RunConfig {
 		mix, err := camps.MixByID(mixID)
@@ -51,11 +55,18 @@ func digestCases(t *testing.T) []digestCase {
 		t.Fatal(err)
 	}
 	blackout.Faults = spec
+	warm := base("MX1", camps.CAMPSMOD)
+	warm.WarmupRefs = 0 // the default warmup
+	stride := base("MX1", camps.CAMPSMOD)
+	stride.System = camps.DefaultSystem()
+	stride.System.Processor.L2PrefetchDegree = 2
 	return append(cases,
 		digestCase{"MX1/CAMPS-MOD/closed-page", closed},
 		digestCase{"MX1/CAMPS-MOD/fcfs", fcfs},
 		digestCase{"MX1/CAMPS-MOD/tsv-10GBps", tsv},
 		digestCase{"HM1/CAMPS-MOD/blackout", blackout},
+		digestCase{"MX1/CAMPS-MOD/default-warmup", warm},
+		digestCase{"MX1/CAMPS-MOD/l2-stride-2", stride},
 	)
 }
 
