@@ -103,11 +103,12 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of each per-layer microbenchmark (event kernel, cache
-# hierarchy, prefetch engines and conflict table, saturated vault
-# scheduler, one and two campaign rows through exp.Run), so they keep
-# compiling and running; timing them is a separate, deliberate step.
+# hierarchy, prefetch engines and conflict table, prefetch buffer,
+# saturated vault scheduler, one and two campaign rows through exp.Run,
+# one functional warmup), so they keep compiling and running; timing them
+# is a separate, deliberate step.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|GridTwoMixes|ConflictTable' -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|GridTwoMixes|ConflictTable|BufferLookup|Warm' -benchtime 1x . ./internal/...
 
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.

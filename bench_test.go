@@ -426,3 +426,20 @@ func BenchmarkSchemeCost(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWarm times one functional warmup: MX1's default 50k references
+// per core through a fresh Table I hierarchy, the cost a campaign pays
+// once per (system, mix, seed). It is nearly all cache-hierarchy work.
+func BenchmarkWarm(b *testing.B) {
+	mix, err := camps.MixByID("MX1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rc := camps.RunConfig{Scheme: camps.CAMPSMOD, Mix: mix}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := camps.Warm(context.Background(), rc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

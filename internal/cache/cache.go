@@ -3,14 +3,20 @@
 // true-LRU set associativity, and write-back/write-allocate semantics.
 //
 // Each way is one word, tag<<3 | state (valid, dirty and prefetched bits),
-// so a lookup is one masked compare per way and an install reads one word
-// per way. Lines of at least 8 bytes leave a tag at most 61 bits wide for
-// any 64-bit address, so the shifted tag always fits.
+// so a tag check is one masked compare per way. Lines of at least 8 bytes
+// leave a tag at most 61 bits wide for any 64-bit address, so the shifted
+// tag always fits.
 //
 // LRU order is kept as one-byte recency stamps: each set has a one-byte
 // clock, and touching a line gives it the clock's next value, so the
 // valid line with the smallest stamp is exactly the least recently used.
 // When a set's clock would wrap, the set is renumbered in recency order.
+//
+// One routine searches a set: a probe returns the hit way, or on a miss the
+// fill target (the first free way, else the LRU way), and changes
+// nothing. An access probes each level once and fills the remembered
+// targets on the way back; nothing touches a level between its probe and
+// its fill, so the targets are still the ones a fresh scan would pick.
 //
 // The caches are functional models with timing metadata: an access
 // resolves, in zero simulated time, to the level that services it plus the
@@ -32,6 +38,7 @@ type Level struct {
 	sets      int
 	ways      int
 	lineShift uint
+	setShift  uint // log2(sets): a line address's set bits
 	setMask   uint64
 	lines     []uint64 // sets*ways words of tag<<stBits | state
 	stamp     []uint8  // recency stamp per line; larger = more recent
@@ -74,6 +81,7 @@ func NewLevel(cfg config.CacheLevel) *Level {
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		setShift:  uint(bits.TrailingZeros64(uint64(sets))),
 		setMask:   uint64(sets - 1),
 		lines:     make([]uint64, n),
 		stamp:     b[:n:n],
@@ -111,46 +119,76 @@ func (l *Level) Writebacks() uint64 { return l.wbacks.Value() }
 
 func (l *Level) index(addr uint64) (set int, lineTag uint64) {
 	line := addr >> l.lineShift
-	return int(line & l.setMask), line >> uint(bits.TrailingZeros64(uint64(l.sets)))
+	return int(line & l.setMask), line >> l.setShift
+}
+
+// slot is a probe's outcome: addr's set and tag, and a line index — the
+// hit line, or on a miss the way a fill of addr takes.
+type slot struct {
+	set int
+	tag uint64
+	i   int
+}
+
+// probe scans addr's set once. On a hit it returns the line holding addr.
+// On a miss it returns the fill target: the first free way, else the LRU
+// way. The target is the minimum of one key per way, a free way's key
+// being its index and a valid way's (stamp+1)<<8 | way, so every free way
+// ranks below every valid one and valid ways rank by stamp (distinct
+// within a set), then index; with at most MaxCacheWays = 256 ways, the
+// index fits the low byte. A probe changes nothing, so a fill at its
+// target is exact as long as nothing touches the level in between.
+func (l *Level) probe(addr uint64) (s slot, hit bool) {
+	s.set, s.tag = l.index(addr)
+	want := s.tag<<stBits | stValid
+	base := s.set * l.ways
+	words := l.lines[base : base+l.ways]
+	stamps := l.stamp[base : base+len(words)]
+	target := ^uint32(0)
+	for w, word := range words {
+		if word&^(stDirty|stPref) == want {
+			s.i = base + w
+			return s, true
+		}
+		valid := uint32(word & stValid) // 0 leaves a free way's index
+		target = min(target, (uint32(stamps[w])+1)<<8*valid|uint32(w))
+	}
+	s.i = base + int(target&0xff)
+	return s, false
+}
+
+// demand is a demand lookup that keeps its probe: a hit refreshes LRU,
+// sets the dirty bit for writes and counts prefetch usefulness; a miss
+// leaves s.i at the fill target.
+func (l *Level) demand(addr uint64, write bool) (s slot, hit bool) {
+	s, hit = l.probe(addr)
+	if !hit {
+		l.misses.Inc()
+		return s, false
+	}
+	l.touch(s.set, s.i)
+	if write {
+		l.lines[s.i] |= stDirty
+	}
+	if l.lines[s.i]&stPref != 0 {
+		l.lines[s.i] &^= stPref
+		l.prefUseful.Inc()
+	}
+	l.hits.Inc()
+	return s, true
 }
 
 // Lookup probes for addr; on a hit it refreshes LRU and, for writes, sets
 // the dirty bit.
 func (l *Level) Lookup(addr uint64, write bool) bool {
-	set, i := l.find(addr)
-	if i < 0 {
-		l.misses.Inc()
-		return false
-	}
-	l.touch(set, i)
-	if write {
-		l.lines[i] |= stDirty
-	}
-	if l.lines[i]&stPref != 0 {
-		l.lines[i] &^= stPref
-		l.prefUseful.Inc()
-	}
-	l.hits.Inc()
-	return true
+	_, hit := l.demand(addr, write)
+	return hit
 }
 
 // Contains probes without disturbing LRU or statistics.
 func (l *Level) Contains(addr uint64) bool {
-	_, i := l.find(addr)
-	return i >= 0
-}
-
-// find returns addr's set and the index of its valid line, or -1.
-func (l *Level) find(addr uint64) (set, i int) {
-	set, tag := l.index(addr)
-	want := tag<<stBits | stValid
-	base := set * l.ways
-	for i, w := range l.lines[base : base+l.ways] {
-		if w&^(stDirty|stPref) == want {
-			return set, base + i
-		}
-	}
-	return set, -1
+	_, hit := l.probe(addr)
+	return hit
 }
 
 // Victim describes a line displaced by Install.
@@ -163,52 +201,47 @@ type Victim struct {
 // Install places addr into its set as MRU, returning the displaced line.
 // Installing an already-present line refreshes it (and may set dirty).
 func (l *Level) Install(addr uint64, dirty bool) Victim {
-	return l.install(addr, dirty, false)
+	return l.put(addr, dirty, false)
 }
 
 // InstallPrefetched installs a line brought in by a core-side prefetcher;
 // its first demand hit counts toward prefetch usefulness.
 func (l *Level) InstallPrefetched(addr uint64) Victim {
 	l.prefInstalled.Inc()
-	return l.install(addr, false, true)
+	return l.put(addr, false, true)
 }
 
-// install makes one pass over the set: it finds the line if present, else
-// the first free way, else the valid way with the smallest stamp (the LRU
-// line).
-func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
-	set, tag := l.index(addr)
-	base := set * l.ways
-	free, lru := -1, -1
-	var oldest uint8
-	for i := base; i < base+l.ways; i++ {
-		w := l.lines[i]
-		if w&stValid == 0 {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if w>>stBits == tag {
-			// Already present: refresh (a prefetch overlay never
-			// downgrades the line's state).
-			l.touch(set, i)
-			if dirty {
-				l.lines[i] |= stDirty
-			}
-			return Victim{}
-		}
-		if lru < 0 || l.stamp[i] < oldest {
-			lru, oldest = i, l.stamp[i]
-		}
+// put is Install: a present line is refreshed (a prefetch overlay never
+// downgrades its state), an absent one filled at the probe's target.
+func (l *Level) put(addr uint64, dirty, prefetched bool) Victim {
+	s, hit := l.probe(addr)
+	if !hit {
+		return l.fill(s, dirty, prefetched)
 	}
+	l.touch(s.set, s.i)
+	if dirty {
+		l.lines[s.i] |= stDirty
+	}
+	return Victim{}
+}
+
+// absorb takes a dirty line written back from the level above: a demand
+// write, filled on a miss. It returns the line the fill displaced.
+func (l *Level) absorb(addr uint64) Victim {
+	if s, hit := l.demand(addr, true); !hit {
+		return l.fill(s, true, false)
+	}
+	return Victim{}
+}
+
+// fill writes s.tag into line s.i, a probe's miss target, as the set's
+// MRU line, returning the valid line it displaced.
+func (l *Level) fill(s slot, dirty, prefetched bool) Victim {
 	var victim Victim
-	i := free
-	if i < 0 {
-		i = lru
+	if old := l.lines[s.i]; old&stValid != 0 {
 		victim = Victim{
-			Addr:  l.reconstruct(set, l.lines[i]>>stBits),
-			Dirty: l.lines[i]&stDirty != 0,
+			Addr:  l.reconstruct(s.set, old>>stBits),
+			Dirty: old&stDirty != 0,
 			Valid: true,
 		}
 		l.evicts.Inc()
@@ -216,15 +249,15 @@ func (l *Level) install(addr uint64, dirty, prefetched bool) Victim {
 			l.wbacks.Inc()
 		}
 	}
-	w := tag<<stBits | stValid
+	w := s.tag<<stBits | stValid
 	if dirty {
 		w |= stDirty
 	}
 	if prefetched {
 		w |= stPref
 	}
-	l.lines[i] = w
-	l.touch(set, i)
+	l.lines[s.i] = w
+	l.touch(s.set, s.i)
 	return victim
 }
 
@@ -236,8 +269,7 @@ func (l *Level) PrefetchUseful() uint64 { return l.prefUseful.Value() }
 
 // reconstruct rebuilds a line's base address from set and tag.
 func (l *Level) reconstruct(set int, tag uint64) uint64 {
-	line := tag<<uint(bits.TrailingZeros64(uint64(l.sets))) | uint64(set)
-	return line << l.lineShift
+	return (tag<<l.setShift | uint64(set)) << l.lineShift
 }
 
 // touch makes line i (an index into set's ways) the set's MRU entry.
@@ -350,57 +382,52 @@ type Result struct {
 // Access performs one data reference for core. Misses install the line in
 // every level on the path; dirty victims cascade downward, and dirty L3
 // victims surface as memory writebacks.
+//
+// Each level is probed once: a miss remembers its fill target, and the
+// fills on the way back use it. That is exact because nothing touches a
+// level between its probe and its fill (a cascade writes only into the
+// levels below the one it leaves).
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	if core < 0 || core >= len(h.l1) {
 		panic(fmt.Sprintf("cache: core %d out of range", core))
 	}
-	l1, l2 := h.l1[core], h.l2[core]
-	res := Result{Latency: l1.HitLatency()}
-	if l1.Lookup(addr, write) {
-		res.Level = 1
+	l1, l2, l3 := h.l1[core], h.l2[core], h.l3
+	res := Result{Level: 1, Latency: l1.hitLat}
+	s1, hit := l1.demand(addr, write)
+	if hit {
 		return res
 	}
-	res.Latency += l2.HitLatency()
-	if l2.Lookup(addr, false) {
-		res.Level = 2
-		h.fillL1(core, addr, write, &res)
-		return res
+	res.Level, res.Latency = 2, res.Latency+l2.hitLat
+	if s2, hit := l2.demand(addr, false); !hit {
+		res.Level, res.Latency = 3, res.Latency+l3.hitLat
+		if s3, hit := l3.demand(addr, false); !hit {
+			// Miss to memory: install everywhere on the way back.
+			res.Level = 4
+			h.l3MissPerCore[core].Inc()
+			if v := l3.fill(s3, false, false); v.Dirty {
+				h.writeback(&res, v.Addr)
+			}
+		}
+		if v := l2.fill(s2, false, false); v.Dirty {
+			h.spill(&res, l3, nil, v.Addr)
+		}
 	}
-	res.Latency += h.l3.HitLatency()
-	if h.l3.Lookup(addr, false) {
-		res.Level = 3
-		h.fillL2(core, addr, &res)
-		h.fillL1(core, addr, write, &res)
-		return res
+	if v := l1.fill(s1, write, false); v.Dirty {
+		h.spill(&res, l2, l3, v.Addr)
 	}
-	// Miss to memory: install everywhere on the way back.
-	res.Level = 4
-	h.l3MissPerCore[core].Inc()
-	if v := h.l3.Install(addr, false); v.Valid && v.Dirty {
-		h.writeback(&res, v.Addr)
-	}
-	h.fillL2(core, addr, &res)
-	h.fillL1(core, addr, write, &res)
 	return res
 }
 
-// fillL1 installs addr into core's L1, cascading a dirty victim into L2.
-func (h *Hierarchy) fillL1(core int, addr uint64, write bool, res *Result) {
-	if v := h.l1[core].Install(addr, write); v.Valid && v.Dirty {
-		h.installDirty(h.l2[core], v.Addr, res, func(v2 Victim) {
-			h.installDirty(h.l3, v2.Addr, res, func(v3 Victim) {
-				h.writeback(res, v3.Addr)
-			})
-		})
-	}
-}
-
-// fillL2 installs addr into core's L2, cascading a dirty victim into L3.
-func (h *Hierarchy) fillL2(core int, addr uint64, res *Result) {
-	if v := h.l2[core].Install(addr, false); v.Valid && v.Dirty {
-		h.installDirty(h.l3, v.Addr, res, func(v3 Victim) {
-			h.writeback(res, v3.Addr)
-		})
+// spill writes a dirty victim into lvl; a dirty line that displaces in
+// turn goes to next, or to memory when next is nil.
+func (h *Hierarchy) spill(res *Result, lvl, next *Level, addr uint64) {
+	v := lvl.absorb(addr)
+	switch {
+	case !v.Dirty:
+	case next != nil:
+		h.spill(res, next, nil, v.Addr)
+	default:
+		h.writeback(res, v.Addr)
 	}
 }
 
@@ -412,35 +439,21 @@ func (h *Hierarchy) writeback(res *Result, addr uint64) {
 	res.Writebacks = append(res.Writebacks, addr)
 }
 
-// installDirty writes a dirty victim into a lower level; if that in turn
-// displaces a dirty line, onDirty handles it.
-func (h *Hierarchy) installDirty(lvl *Level, addr uint64, res *Result, onDirty func(Victim)) {
-	if lvl.Lookup(addr, true) {
-		return
-	}
-	if v := lvl.Install(addr, true); v.Valid && v.Dirty {
-		onDirty(v)
-	}
-}
-
 // InstallPrefetched installs a line fetched by core's L2 prefetcher into
 // its L2 and the shared L3, returning dirty L3 victims that must be
-// written to memory. It is the fill path of the core-side prefetching
-// ablation; the installed lines count toward prefetch usefulness on their
-// first demand hit.
+// written to memory, borrowed as Result.Writebacks is: valid until the
+// next Access or InstallPrefetched, nil when there are none. It is the
+// fill path of the core-side prefetching ablation; the installed lines
+// count toward prefetch usefulness on their first demand hit.
 func (h *Hierarchy) InstallPrefetched(core int, addr uint64) []uint64 {
-	var wbs []uint64
-	if v := h.l3.InstallPrefetched(addr); v.Valid && v.Dirty {
-		wbs = append(wbs, v.Addr)
+	var res Result
+	if v := h.l3.InstallPrefetched(addr); v.Dirty {
+		h.writeback(&res, v.Addr)
 	}
-	if v := h.l2[core].InstallPrefetched(addr); v.Valid && v.Dirty {
-		res := Result{}
-		h.installDirty(h.l3, v.Addr, &res, func(v3 Victim) {
-			wbs = append(wbs, v3.Addr)
-		})
-		wbs = append(wbs, res.Writebacks...)
+	if v := h.l2[core].InstallPrefetched(addr); v.Dirty {
+		h.spill(&res, h.l3, nil, v.Addr)
 	}
-	return wbs
+	return res.Writebacks
 }
 
 // L1 returns core's L1 (for tests).

@@ -1,12 +1,14 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"camps/internal/config"
+	"camps/internal/workload"
 )
 
 func tinyLevel(ways int) *Level {
@@ -432,25 +434,254 @@ func TestHierarchyWritebacksBorrowed(t *testing.T) {
 	}
 }
 
-// BenchmarkHierarchyAccess measures one demand reference through the
-// default Table I hierarchy on a 64 MB footprint, a third of them writes,
-// so misses and dirty L3 writebacks are part of the mix.
-func BenchmarkHierarchyAccess(b *testing.B) {
+// refAccess resolves one reference through h level by level with plain
+// Lookup and Install calls, each of which scans its set afresh: the
+// hierarchy's semantics written without remembered fill targets.
+func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
+	l1, l2, l3 := h.l1[core], h.l2[core], h.l3
+	var res Result
+	// absorb writes a dirty victim into lvl; what that displaces dirty
+	// goes to next, or to memory.
+	var absorb func(lvl *Level, next []*Level, addr uint64)
+	absorb = func(lvl *Level, next []*Level, addr uint64) {
+		if lvl.Lookup(addr, true) {
+			return
+		}
+		if v := lvl.Install(addr, true); v.Valid && v.Dirty {
+			if len(next) == 0 {
+				res.Writebacks = append(res.Writebacks, v.Addr)
+			} else {
+				absorb(next[0], next[1:], v.Addr)
+			}
+		}
+	}
+	fill := func(lvl *Level, next []*Level, dirty bool) {
+		if v := lvl.Install(addr, dirty); v.Valid && v.Dirty {
+			absorb(next[0], next[1:], v.Addr)
+		}
+	}
+	res.Level, res.Latency = 1, l1.HitLatency()
+	if l1.Lookup(addr, write) {
+		return res
+	}
+	res.Level, res.Latency = 2, res.Latency+l2.HitLatency()
+	if !l2.Lookup(addr, false) {
+		res.Level, res.Latency = 3, res.Latency+l3.HitLatency()
+		if !l3.Lookup(addr, false) {
+			res.Level = 4
+			h.l3MissPerCore[core].Inc()
+			if v := l3.Install(addr, false); v.Valid && v.Dirty {
+				res.Writebacks = append(res.Writebacks, v.Addr)
+			}
+		}
+		fill(l2, []*Level{l3}, false)
+	}
+	fill(l1, []*Level{l2, l3}, write)
+	return res
+}
+
+// refInstallPrefetched is InstallPrefetched written with plain Level calls.
+func refInstallPrefetched(h *Hierarchy, core int, addr uint64) []uint64 {
+	var wbs []uint64
+	if v := h.l3.InstallPrefetched(addr); v.Valid && v.Dirty {
+		wbs = append(wbs, v.Addr)
+	}
+	if v := h.l2[core].InstallPrefetched(addr); v.Valid && v.Dirty && !h.l3.Lookup(v.Addr, true) {
+		if v3 := h.l3.Install(v.Addr, true); v3.Valid && v3.Dirty {
+			wbs = append(wbs, v3.Addr)
+		}
+	}
+	return wbs
+}
+
+// TestAccessMatchesPerLevelReference drives random streams through
+// Hierarchy.Access and InstallPrefetched, which probe each level once and
+// fill remembered targets, and through refAccess, which scans every set
+// afresh. Small levels make dirty victims cascade through every level;
+// every result, writeback list, counter, line word and recency stamp must
+// agree at every associativity, up to MaxCacheWays.
+func TestAccessMatchesPerLevelReference(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 16, config.MaxCacheWays} {
+		t.Run(fmt.Sprintf("%dway", ways), func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Processor.Cores = 2
+			lvl := func(sets int, lat int64) config.CacheLevel {
+				return config.CacheLevel{SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: lat, MSHRs: 4}
+			}
+			cfg.L1, cfg.L2, cfg.L3 = lvl(2, 2), lvl(4, 6), lvl(4, 20)
+			h, ref := NewHierarchy(cfg), NewHierarchy(cfg)
+			rng := rand.New(rand.NewSource(int64(ways)))
+			lines := 32 * ways // four times the L3
+			most := 0
+			for op := 0; op < 40000; op++ {
+				core, addr := rng.Intn(2), uint64(rng.Intn(lines))*64
+				var got, want []uint64
+				if rng.Intn(8) == 0 {
+					got = slices.Clone(h.InstallPrefetched(core, addr))
+					want = refInstallPrefetched(ref, core, addr)
+				} else {
+					write := rng.Intn(2) == 0
+					a, b := h.Access(core, addr, write), refAccess(ref, core, addr, write)
+					if a.Level != b.Level || a.Latency != b.Latency {
+						t.Fatalf("op %d: Access(%d, %#x, %v) = level %d latency %d, reference level %d latency %d",
+							op, core, addr, write, a.Level, a.Latency, b.Level, b.Latency)
+					}
+					got, want = slices.Clone(a.Writebacks), b.Writebacks
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("op %d (%#x): writebacks %#x, reference %#x", op, addr, got, want)
+				}
+				most = max(most, len(got))
+			}
+			if most < 2 {
+				t.Fatalf("at most %d writebacks per reference; the stream does not cascade", most)
+			}
+			if !slices.Equal(counters(h), counters(ref)) {
+				t.Fatalf("counters %v, reference %v", counters(h), counters(ref))
+			}
+			levels := append(append([]*Level{h.l3}, h.l1...), h.l2...)
+			refLevels := append(append([]*Level{ref.l3}, ref.l1...), ref.l2...)
+			for k, l := range levels {
+				r := refLevels[k]
+				if !slices.Equal(l.lines, r.lines) || !slices.Equal(l.stamp, r.stamp) || !slices.Equal(l.clock, r.clock) {
+					t.Fatalf("level %d: line contents or recency differ from the reference", k)
+				}
+			}
+		})
+	}
+}
+
+// TestInstallPrefetchedWritebacksBorrowed pins InstallPrefetched's
+// writebacks to Result.Writebacks' contract: backed by the hierarchy's
+// buffer, nil when nothing is written back, and no allocation even when
+// dirty victims leave L3 and cascade out of L2.
+func TestInstallPrefetchedWritebacksBorrowed(t *testing.T) {
+	h := NewHierarchy(writebackConfig())
+	rng := rand.New(rand.NewSource(6))
+	step := func() []uint64 {
+		addr := uint64(rng.Intn(64)) * 64
+		if rng.Intn(2) == 0 {
+			h.Access(rng.Intn(2), addr, true)
+			return nil
+		}
+		return h.InstallPrefetched(rng.Intn(2), addr)
+	}
+	most := 0
+	for i := 0; i < 20000; i++ {
+		wbs := step()
+		if wbs == nil {
+			continue
+		}
+		if len(wbs) == 0 || &wbs[0] != &h.wbBuf[0] {
+			t.Fatalf("step %d: writebacks %v not a non-empty view of the hierarchy buffer", i, wbs)
+		}
+		most = max(most, len(wbs))
+	}
+	if most < 2 {
+		t.Fatalf("at most %d writebacks per prefetch fill; the stream does not cascade", most)
+	}
+	if n := testing.AllocsPerRun(5000, func() { step() }); n != 0 {
+		t.Fatalf("InstallPrefetched allocates %.2f times per call, want 0", n)
+	}
+}
+
+// lm2Traffic returns a Table I hierarchy warmed as a run warms it, with
+// the LM2 mix's default 50k references per core, core by core, and the
+// mix's next n references (n a multiple of the core count) interleaved
+// round-robin over the cores; bit 0 of a reference is its write flag.
+// The stream is replayed once before it is returned, which fills the
+// L3's last free ways, as a run longer than the warmup does.
+func lm2Traffic(tb testing.TB, n int) (*Hierarchy, []uint64) {
+	mix, err := workload.MixByID("LM2")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gens, err := mix.Generators(1)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	cfg := config.Default()
 	h := NewHierarchy(cfg)
-	rng := rand.New(rand.NewSource(1))
-	const footprint = 64 << 20
-	addrs := make([]uint64, 1<<16)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Int63n(footprint)) &^ 63
+	for core, g := range gens {
+		for range 50_000 {
+			addr, write := g.NextAccess()
+			h.Access(core, addr, write)
+		}
 	}
-	cores := cfg.Processor.Cores
+	refs := make([]uint64, n)
+	for i := range refs {
+		addr, write := gens[i%len(gens)].NextAccess()
+		if write {
+			addr |= 1
+		}
+		refs[i] = addr
+	}
+	replay(h, refs, len(refs))
+	return h, refs
+}
+
+// replay resolves n references of the cyclic stream refs through h,
+// returning how many of them hit in L1.
+func replay(h *Hierarchy, refs []uint64, n int) (l1Hits int) {
+	for i := range n {
+		a := refs[i&(len(refs)-1)]
+		if h.Access(i%len(h.l1), a&^1, a&1 != 0).Level == 1 {
+			l1Hits++
+		}
+	}
+	return l1Hits
+}
+
+// lm2Refs is the replayed stream's length: long enough that a reference
+// comes round again only after its line has left the L3, so replaying it
+// keeps the level mix (TestHierarchyAccessTrafficShape).
+const lm2Refs = 1 << 20
+
+// TestHierarchyAccessTrafficShape pins BenchmarkHierarchyAccess to the
+// level mix of a measured run (LM2 under CAMPS-MOD at 400k instructions
+// per core: L1 hit rate 0.6%, L3 hit rate 51%, 0.32 dirty writebacks per
+// L3 miss): replaying the stream twice after the warmup, L1 must hit
+// almost never, L3 must hit about half the time, and every L3 miss must
+// evict a line, as in a run whose L3 is full.
+func TestHierarchyAccessTrafficShape(t *testing.T) {
+	h, refs := lm2Traffic(t, lm2Refs)
+	l3 := h.l3
+	for i, w := range l3.lines {
+		if w&stValid == 0 {
+			t.Fatalf("L3 way %d is free after the warmup", i)
+		}
+	}
+	hits, misses, evicts, wbacks := l3.Hits(), l3.Misses(), l3.evicts.Value(), l3.Writebacks()
+	l1Hits := replay(h, refs, 2*len(refs))
+	hits, misses = l3.Hits()-hits, l3.Misses()-misses
+	evicts, wbacks = l3.evicts.Value()-evicts, l3.Writebacks()-wbacks
+	l1Rate := float64(l1Hits) / float64(2*len(refs))
+	l3Rate := float64(hits) / float64(hits+misses)
+	wbRate := float64(wbacks) / float64(misses)
+	t.Logf("L1 hit rate %.4f, L3 hit rate %.3f, %.2f writebacks per L3 miss", l1Rate, l3Rate, wbRate)
+	if l1Rate > 0.01 {
+		t.Errorf("L1 hit rate %.4f, want at most 0.01", l1Rate)
+	}
+	if l3Rate < 0.40 || l3Rate > 0.60 {
+		t.Errorf("L3 hit rate %.3f, want 0.40..0.60", l3Rate)
+	}
+	if evicts != misses {
+		t.Errorf("%d L3 misses evicted %d lines, want one each", misses, evicts)
+	}
+	if wbRate < 0.15 || wbRate > 0.50 {
+		t.Errorf("%.2f dirty writebacks per L3 miss, want 0.15..0.50", wbRate)
+	}
+}
+
+// BenchmarkHierarchyAccess measures one demand reference through the
+// default Table I hierarchy, replaying LM2's reference stream after a
+// run's functional warmup: the level mix, L3 evictions and dirty
+// writebacks of a measured run (TestHierarchyAccessTrafficShape).
+func BenchmarkHierarchyAccess(b *testing.B) {
+	h, refs := lm2Traffic(b, lm2Refs)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := addrs[i&(len(addrs)-1)]
-		h.Access(i%cores, a, i%3 == 0)
-	}
+	replay(h, refs, b.N)
 }
 
 // counters lists every counter of h, level by level, then per core.

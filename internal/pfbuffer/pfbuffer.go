@@ -15,10 +15,17 @@
 // (CAMPS-MOD): evict a fully consumed row first; otherwise evict the row
 // with the minimum utilization+recency sum, breaking ties toward lower
 // utilization.
+//
+// Every demand searches the buffer and every hit or eviction renumbers
+// the recency counters, so each slot's row id and counter are kept apart
+// from the rest of its state, in one packed array (24 bytes a slot rather
+// than the whole entry). A negative counter marks a free slot, so
+// searches, renumbering and the LRU scan read that array alone.
 package pfbuffer
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"camps/internal/obs"
@@ -110,14 +117,21 @@ func (s Stats) LineAccuracy(linesPerRow int) float64 {
 	return float64(s.LinesUseful) / float64(s.Inserts*uint64(linesPerRow))
 }
 
+// tag is the searched part of a slot: its row and recency counter.
+type tag struct {
+	id      RowID
+	recency int // permutation rank among valid slots, MRU = nValid-1; free < 0
+}
+
+// free is the recency counter of a slot that holds no row.
+const free = -1
+
+// entry is the rest of a valid slot's state.
 type entry struct {
-	id       RowID
-	valid    bool
 	dirty    bool
-	touched  uint64 // bitmap of referenced lines (linesPerRow <= 64)
-	recency  int    // permutation rank among valid entries; MRU = nValid-1
 	used     bool
-	late     bool // a demand was already queued when the row landed
+	late     bool   // a demand was already queued when the row landed
+	touched  uint64 // bitmap of referenced lines (linesPerRow <= 64)
 	insertAt sim.Time
 }
 
@@ -125,7 +139,8 @@ func (e *entry) util() int { return bits.OnesCount64(e.touched) }
 
 // Buffer is one vault's prefetch buffer.
 type Buffer struct {
-	entries     []entry
+	tags        []tag   // per slot; tags[i].recency < 0 marks a free slot
+	entries     []entry // per slot; meaningful while the slot is valid
 	linesPerRow int
 	policy      Policy
 	nValid      int
@@ -148,7 +163,12 @@ func New(entries, linesPerRow int, policy Policy) *Buffer {
 	if linesPerRow <= 0 || linesPerRow > 64 {
 		panic("pfbuffer: linesPerRow must be in 1..64")
 	}
+	tags := make([]tag, entries)
+	for i := range tags {
+		tags[i].recency = free
+	}
 	return &Buffer{
+		tags:        tags,
 		entries:     make([]entry, entries),
 		linesPerRow: linesPerRow,
 		policy:      policy,
@@ -217,8 +237,8 @@ func (b *Buffer) NotePoisoned() {
 func (b *Buffer) Contains(id RowID) bool { return b.find(id) >= 0 }
 
 func (b *Buffer) find(id RowID) int {
-	for i := range b.entries {
-		if b.entries[i].valid && b.entries[i].id == id {
+	for i, t := range b.tags {
+		if t.id == id && t.recency >= 0 {
 			return i
 		}
 	}
@@ -264,14 +284,20 @@ func (b *Buffer) Lookup(id RowID, line int, write bool, now sim.Time) bool {
 // rank is inherited by its replacement, which keeps the permutation
 // closed.
 func (b *Buffer) promote(i int) {
-	old := b.entries[i].recency
-	top := b.nValid - 1
-	for j := range b.entries {
-		if b.entries[j].valid && b.entries[j].recency > old {
-			b.entries[j].recency--
+	b.demote(b.tags[i].recency)
+	b.tags[i].recency = b.nValid - 1
+}
+
+// demote closes the gap a counter leaves: every counter above old drops
+// by one. Free slots' counters are negative, so they never move.
+func (b *Buffer) demote(old int) {
+	for j := range b.tags {
+		r := b.tags[j].recency
+		if r > old {
+			r--
 		}
+		b.tags[j].recency = r
 	}
-	b.entries[i].recency = top
 }
 
 // Insert places a freshly prefetched row into the buffer as the MRU entry.
@@ -294,65 +320,61 @@ func (b *Buffer) Insert(id RowID, alreadyTouched uint64, now sim.Time) (Eviction
 	}
 	var ev Eviction
 	evicted := false
-	slot := -1
-	for i := range b.entries {
-		if !b.entries[i].valid {
-			slot = i
-			break
-		}
-	}
+	slot := b.rank(free)
 	if slot < 0 {
 		slot = b.victim()
 		ev = b.evict(slot)
 		evicted = true
 	}
-	e := &b.entries[slot]
-	*e = entry{id: id, valid: true, recency: b.nValid, touched: alreadyTouched, insertAt: now}
+	b.tags[slot] = tag{id: id, recency: b.nValid}
+	b.entries[slot] = entry{touched: alreadyTouched, insertAt: now}
 	b.nValid++
 	b.stats.Inserts++
 	return ev, evicted
+}
+
+// rank returns the first slot whose recency counter is r (a free slot for
+// r = free), or -1.
+func (b *Buffer) rank(r int) int {
+	for i, t := range b.tags {
+		if t.recency == r {
+			return i
+		}
+	}
+	return -1
 }
 
 // victim selects the replacement index per the active policy. The buffer
 // must be full.
 func (b *Buffer) victim() int {
 	if b.policy == UtilRecency {
-		// First preference: any fully consumed row; all of its data has
-		// already been transferred to the processor.
-		best := -1
-		for i := range b.entries {
-			if b.entries[i].util() == b.linesPerRow {
-				if best < 0 || b.entries[i].recency < b.entries[best].recency {
-					best = i
-				}
-			}
-		}
-		if best >= 0 {
-			b.stats.FullRowEvicts++
-			return best
-		}
+		// First preference: the least recent fully consumed row; all of
+		// its data has already been transferred to the processor.
 		// Otherwise: minimum utilization+recency, ties toward lower
-		// utilization, further ties toward lower recency (deterministic).
-		best = 0
-		for i := 1; i < len(b.entries); i++ {
-			bi, bb := &b.entries[i], &b.entries[best]
-			si, sb := bi.util()+bi.recency, bb.util()+bb.recency
-			switch {
-			case si < sb:
-				best = i
-			case si == sb && bi.util() < bb.util():
-				best = i
-			case si == sb && bi.util() == bb.util() && bi.recency < bb.recency:
-				best = i
+		// utilization (then toward lower recency, which a tie in both
+		// already fixes). Each is the minimum of one key per slot, the
+		// slot index in the low bits; counters are distinct, so each
+		// minimum is unique. util <= 64 fits in 7 bits.
+		shift := uint(bits.Len(uint(len(b.tags))))
+		full, best := math.MaxInt, math.MaxInt
+		for i, t := range b.tags {
+			u, r := b.entries[i].util(), t.recency
+			best = min(best, ((u+r)<<7|u)<<shift|i)
+			f := r<<shift | i
+			if u != b.linesPerRow {
+				f = math.MaxInt
 			}
+			full = min(full, f)
 		}
-		return best
+		if full != math.MaxInt {
+			b.stats.FullRowEvicts++
+			best = full
+		}
+		return best & (1<<shift - 1)
 	}
 	// LRU: recency 0 is the least recently used by construction.
-	for i := range b.entries {
-		if b.entries[i].recency == 0 {
-			return i
-		}
+	if i := b.rank(0); i >= 0 {
+		return i
 	}
 	panic("pfbuffer: full buffer without an LRU entry")
 }
@@ -361,18 +383,14 @@ func (b *Buffer) victim() int {
 // recency permutation of the remaining entries (equivalently: the next
 // insert inherits the victim's rank before being promoted to MRU).
 func (b *Buffer) evict(i int) Eviction {
-	e := &b.entries[i]
-	if !e.valid {
+	t, e := &b.tags[i], &b.entries[i]
+	if t.recency < 0 {
 		panic("pfbuffer: evicting invalid entry")
 	}
-	ev := Eviction{ID: e.id, Dirty: e.dirty, Used: e.used, Util: e.util(), Late: e.late}
-	old := e.recency
-	e.valid = false
-	for j := range b.entries {
-		if b.entries[j].valid && b.entries[j].recency > old {
-			b.entries[j].recency--
-		}
-	}
+	ev := Eviction{ID: t.id, Dirty: e.dirty, Used: e.used, Util: e.util(), Late: e.late}
+	old := t.recency
+	t.recency = free
+	b.demote(old)
 	b.nValid--
 	b.stats.Evictions++
 	if ev.Dirty {
@@ -409,13 +427,7 @@ func (b *Buffer) Drop(id RowID) (Eviction, bool) {
 func (b *Buffer) Flush() []Eviction {
 	var dirty []Eviction
 	for b.nValid > 0 {
-		idx := -1
-		for i := range b.entries {
-			if b.entries[i].valid && b.entries[i].recency == 0 {
-				idx = i
-				break
-			}
-		}
+		idx := b.rank(0)
 		if idx < 0 {
 			panic("pfbuffer: valid entries without recency 0")
 		}
@@ -442,21 +454,20 @@ func (b *Buffer) CheckInvariant() error {
 	}
 	valid := 0
 	seen := make([]bool, len(b.entries))
-	for i := range b.entries {
-		e := &b.entries[i]
-		if !e.valid {
+	for i, t := range b.tags {
+		if t.recency == free {
 			continue
 		}
 		valid++
-		if e.touched&^mask != 0 {
+		if e := &b.entries[i]; e.touched&^mask != 0 {
 			return fmt.Errorf("pfbuffer: entry %s touched bitmap %#x exceeds %d lines",
-				e.id, e.touched, b.linesPerRow)
+				t.id, e.touched, b.linesPerRow)
 		}
-		if e.recency < 0 || e.recency >= b.nValid || seen[e.recency] {
+		if t.recency < 0 || t.recency >= b.nValid || seen[t.recency] {
 			return fmt.Errorf("pfbuffer: recency counters are not a permutation of 0..%d (entry %s has %d)",
-				b.nValid-1, e.id, e.recency)
+				b.nValid-1, t.id, t.recency)
 		}
-		seen[e.recency] = true
+		seen[t.recency] = true
 	}
 	if valid != b.nValid {
 		return fmt.Errorf("pfbuffer: %d valid entries but occupancy count %d", valid, b.nValid)
@@ -468,9 +479,9 @@ func (b *Buffer) CheckInvariant() error {
 // invariant checking in tests.
 func (b *Buffer) Recencies() []int {
 	var out []int
-	for i := range b.entries {
-		if b.entries[i].valid {
-			out = append(out, b.entries[i].recency)
+	for _, t := range b.tags {
+		if t.recency >= 0 {
+			out = append(out, t.recency)
 		}
 	}
 	return out
