@@ -402,35 +402,53 @@ func writebackConfig() config.Config {
 	return cfg
 }
 
-// TestHierarchyWritebacksBorrowed pins the Result.Writebacks contract: the
-// slice is backed by the hierarchy's own three-entry buffer, nil when an
-// access writes nothing back, and Access allocates nothing even while
-// dirty victims cascade through every level.
+// TestHierarchyWritebacksBorrowed pins the Result.Writebacks contract,
+// which InstallPrefetched's result shares: the slice is backed by the
+// hierarchy's own three-entry buffer, nil when a call writes nothing
+// back, and neither call allocates, even while dirty victims cascade
+// through every level.
 func TestHierarchyWritebacksBorrowed(t *testing.T) {
 	h := NewHierarchy(writebackConfig())
 	rng := rand.New(rand.NewSource(5))
-	most := 0
+	// step makes one Access, or every fourth call on average one
+	// prefetch fill, and reports which.
+	step := func() (wbs []uint64, pref bool) {
+		core, addr := rng.Intn(2), uint64(rng.Intn(64))*64
+		if rng.Intn(4) == 0 {
+			return h.InstallPrefetched(core, addr), true
+		}
+		return h.Access(core, addr, rng.Intn(2) == 0).Writebacks, false
+	}
+	var most [2]int // per kind: Access, InstallPrefetched
 	for i := 0; i < 20000; i++ {
-		r := h.Access(rng.Intn(2), uint64(rng.Intn(64))*64, rng.Intn(2) == 0)
-		if r.Writebacks == nil {
+		wbs, pref := step()
+		if wbs == nil {
 			continue
 		}
-		if len(r.Writebacks) == 0 {
-			t.Fatalf("access %d: empty non-nil Writebacks", i)
+		if len(wbs) == 0 {
+			t.Fatalf("call %d: empty non-nil Writebacks", i)
 		}
-		if &r.Writebacks[0] != &h.wbBuf[0] {
-			t.Fatalf("access %d: Writebacks not backed by the hierarchy buffer", i)
+		if &wbs[0] != &h.wbBuf[0] {
+			t.Fatalf("call %d: Writebacks not backed by the hierarchy buffer", i)
 		}
-		most = max(most, len(r.Writebacks))
+		k := 0
+		if pref {
+			k = 1
+		}
+		most[k] = max(most[k], len(wbs))
 	}
-	if most < 2 {
-		t.Fatalf("at most %d writebacks per access; the stream does not cascade", most)
+	if most[0] < 2 || most[1] < 2 {
+		t.Fatalf("at most %v writebacks per Access and per prefetch fill; the stream does not cascade", most)
 	}
-	t.Logf("up to %d writebacks per access", most)
-	if n := testing.AllocsPerRun(5000, func() {
-		h.Access(rng.Intn(2), uint64(rng.Intn(64))*64, rng.Intn(2) == 0)
+	t.Logf("up to %v writebacks per Access and per prefetch fill", most)
+	// AllocsPerRun truncates its average, so each run makes 100 calls:
+	// a path that allocates on one call in a hundred still shows.
+	if n := testing.AllocsPerRun(50, func() {
+		for range 100 {
+			step()
+		}
 	}); n != 0 {
-		t.Fatalf("Access allocates %.2f times per call, want 0", n)
+		t.Fatalf("100 calls to Access and InstallPrefetched allocate %.0f times, want 0", n)
 	}
 }
 
@@ -548,40 +566,6 @@ func TestAccessMatchesPerLevelReference(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestInstallPrefetchedWritebacksBorrowed pins InstallPrefetched's
-// writebacks to Result.Writebacks' contract: backed by the hierarchy's
-// buffer, nil when nothing is written back, and no allocation even when
-// dirty victims leave L3 and cascade out of L2.
-func TestInstallPrefetchedWritebacksBorrowed(t *testing.T) {
-	h := NewHierarchy(writebackConfig())
-	rng := rand.New(rand.NewSource(6))
-	step := func() []uint64 {
-		addr := uint64(rng.Intn(64)) * 64
-		if rng.Intn(2) == 0 {
-			h.Access(rng.Intn(2), addr, true)
-			return nil
-		}
-		return h.InstallPrefetched(rng.Intn(2), addr)
-	}
-	most := 0
-	for i := 0; i < 20000; i++ {
-		wbs := step()
-		if wbs == nil {
-			continue
-		}
-		if len(wbs) == 0 || &wbs[0] != &h.wbBuf[0] {
-			t.Fatalf("step %d: writebacks %v not a non-empty view of the hierarchy buffer", i, wbs)
-		}
-		most = max(most, len(wbs))
-	}
-	if most < 2 {
-		t.Fatalf("at most %d writebacks per prefetch fill; the stream does not cascade", most)
-	}
-	if n := testing.AllocsPerRun(5000, func() { step() }); n != 0 {
-		t.Fatalf("InstallPrefetched allocates %.2f times per call, want 0", n)
 	}
 }
 
