@@ -35,8 +35,8 @@ race:
 # public API) is the most concurrency-sensitive code in the repo; vet and
 # race-test it explicitly even when iterating on a subset of packages.
 orchestration:
-	$(GO) vet ./internal/exp/... ./internal/harness/... .
-	$(GO) test -race ./internal/exp/... ./internal/harness/... .
+	$(GO) vet ./internal/exp/... ./internal/report/... .
+	$(GO) test -race ./internal/exp/... ./internal/report/... .
 
 # The observability layer crosses goroutines in exactly one place (the
 # SSE stream server) and the campaign runner snapshots metrics from the

@@ -147,7 +147,7 @@ type RunConfig struct {
 	// structured events flow to Obs.Tracer, and a registry snapshot tagged
 	// "epoch" is appended every EpochInterval of simulated time (plus one
 	// tagged "final" after the run drains). One Suite serves exactly one
-	// run; the harness gives each parallel cell its own.
+	// run; exp.Run gives each parallel cell its own.
 	Obs *obs.Suite
 	// EpochInterval is the simulated time between epoch snapshots
 	// (default 5us when Obs is set; ignored otherwise).

@@ -20,12 +20,13 @@ import (
 	"log"
 	"os"
 
+	"camps"
 	"camps/internal/cliutil"
-	"camps/internal/harness"
+	"camps/internal/exp"
 	"camps/internal/obs"
 	"camps/internal/plot"
 	"camps/internal/report"
-	"camps/internal/stats"
+	"camps/internal/workload"
 )
 
 func main() {
@@ -62,8 +63,7 @@ func main() {
 		log.Fatal("-seeds must be at least 1")
 	}
 
-	opts := harness.Options{
-		Seed:         *seed,
+	opts := exp.Options{
 		WarmupRefs:   *warmup,
 		MeasureInstr: *instr,
 		Parallelism:  *parallel,
@@ -74,10 +74,15 @@ func main() {
 	}
 	if !*quiet || stream != nil {
 		progress := !*quiet
-		opts.Progress = func(cr harness.CellResult) {
+		opts.Progress = func(cr exp.CellResult) {
 			if progress {
-				fmt.Fprintf(os.Stderr, "done %-4s %-9v ipc=%.4f amat=%.1fns acc=%.2f\n",
-					cr.Mix, cr.Scheme, cr.Results.GeoMeanIPC, cr.Results.AMATps/1000, cr.Results.LineAccuracy)
+				// One campaign interleaves the seeds, so name the cell's.
+				seedTag := ""
+				if *seeds > 1 {
+					seedTag = fmt.Sprintf(" seed=%d", cr.Seed)
+				}
+				fmt.Fprintf(os.Stderr, "done %-4s %-9v%s ipc=%.4f amat=%.1fns acc=%.2f\n",
+					cr.Mix, cr.Scheme, seedTag, cr.Results.GeoMeanIPC, cr.Results.AMATps/1000, cr.Results.LineAccuracy)
 			}
 			// Each finished grid cell becomes one synthetic snapshot on the
 			// stream: headline results keyed like the simulator's own
@@ -99,23 +104,17 @@ func main() {
 	for i := range seedList {
 		seedList[i] = *seed + uint64(i)
 	}
-	grids, err := harness.RunSeeds(context.Background(), opts, seedList)
+	cells := exp.Grid(workload.Mixes(), camps.Schemes(), seedList)
+	results, _, err := exp.Run(context.Background(), cells, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	grid := grids[0]
 
 	figNums := []int{5, 6, 7, 8, 9}
+	tables := report.Figures(results)
 	if *fig != 0 {
 		figNums = []int{*fig}
-	}
-	var tables []*stats.Table
-	for _, n := range figNums {
-		t, err := harness.FigureAcrossSeeds(grids, n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tables = append(tables, t)
+		tables = tables[*fig-5 : *fig-4]
 	}
 
 	for i, t := range tables {
@@ -138,18 +137,18 @@ func main() {
 	if *fig == 0 || *fig == 5 {
 		f5 := tables[0]
 		lastCol := len(f5.Columns) - 1
-		groups := harness.GroupAverages(f5, lastCol)
+		groups := report.GroupAverages(f5, lastCol)
 		fmt.Println("per-class CAMPS-MOD speedup over BASE (paper: HM +24.9%, LM +9.4%, MX +19.6%):")
 		for _, g := range []string{"HM", "LM", "MX"} {
 			if v, ok := groups[g]; ok {
 				fmt.Printf("  %s %+.1f%%\n", g, (v-1)*100)
 			}
 		}
-		fmt.Println(report.Summary(grid))
+		fmt.Println(report.Summary(results))
 	}
 
 	if *reportPath != "" {
-		md := report.Markdown(grid, "CAMPS reproduction report")
+		md := report.Markdown(results, "CAMPS reproduction report")
 		if err := os.WriteFile(*reportPath, []byte(md), 0o644); err != nil {
 			log.Fatal(err)
 		}

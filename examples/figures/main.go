@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"log"
 
-	"camps/internal/harness"
+	"camps"
+	"camps/internal/exp"
 	"camps/internal/plot"
+	"camps/internal/report"
 	"camps/internal/workload"
 )
 
@@ -18,10 +20,10 @@ func main() {
 
 	hm1, _ := workload.MixByID("HM1")
 	mx1, _ := workload.MixByID("MX1")
-	grid, err := harness.RunContext(context.Background(), harness.Options{
-		Mixes:        []workload.Mix{hm1, mx1},
+	cells := exp.Grid([]workload.Mix{hm1, mx1}, camps.Schemes(), nil)
+	results, _, err := exp.Run(context.Background(), cells, exp.Options{
 		MeasureInstr: 150_000, // reduced budget: this is a demo
-		Progress: func(cr harness.CellResult) {
+		Progress: func(cr exp.CellResult) {
 			fmt.Printf("  finished %s under %v (IPC %.4f)\n", cr.Mix, cr.Scheme, cr.Results.GeoMeanIPC)
 		},
 	})
@@ -29,11 +31,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	figs := report.Figures(results)
 	fmt.Println()
-	fmt.Println(plot.Bars(grid.Figure5(), plot.Options{
+	fmt.Println(plot.Bars(figs[0], plot.Options{
 		Width: 36, UseBaseline: true, Baseline: 1.0,
 	}))
-	fmt.Println(plot.Bars(grid.Figure9(), plot.Options{
+	fmt.Println(plot.Bars(figs[4], plot.Options{
 		Width: 36, UseBaseline: true, Baseline: 1.0,
 	}))
 	fmt.Println("Bars to the right of '|' are better than BASE on Figure 5,")

@@ -6,9 +6,11 @@
 // context.Context cancellation down into each simulation via
 // camps.RunContext.
 //
-// The harness grid runner (internal/harness) and the 1-D sweep CLI
-// (cmd/campsweep) are thin clients of this package: a grid and a sweep are
-// both just cell enumerations handed to Run.
+// The figure grid (cmd/campbench, whose results internal/report turns
+// into Figures 5–9), the 1-D sweep CLI (cmd/campsweep) and the serving
+// daemon (internal/serve) are thin clients of this package: a grid, a
+// multi-seed grid and a sweep are all just cell enumerations handed to
+// Run.
 package exp
 
 import (

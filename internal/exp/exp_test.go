@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -355,5 +357,83 @@ func TestObsInstrumentation(t *testing.T) {
 	h := reg.Histogram("exp.cell_wall_ms")
 	if h.Count() != 4 {
 		t.Fatalf("latency histogram has %d samples, want 4", h.Count())
+	}
+}
+
+// realGrid is MX1 and HM1 under CAMPS and CAMPS-MOD at seeds 1 and 2:
+// eight real cells, four warm keys.
+func realGrid(t *testing.T) []Cell {
+	t.Helper()
+	mx1, _ := workload.MixByID("MX1")
+	hm1, _ := workload.MixByID("HM1")
+	return Grid([]workload.Mix{mx1, hm1}, []camps.Scheme{camps.CAMPS, camps.CAMPSMOD}, []uint64{1, 2})
+}
+
+func TestGridDeterministicAcrossParallelism(t *testing.T) {
+	cells := realGrid(t)
+	run := func(par int) []byte {
+		res, _, err := Run(context.Background(), cells, Options{
+			WarmupRefs: 2_000, MeasureInstr: 10_000, Parallelism: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(cells) {
+			t.Fatalf("%d results for %d cells", len(res), len(cells))
+		}
+		for i, cr := range res {
+			if cr.Mix != cells[i].Mix.ID || cr.Scheme != cells[i].Scheme || cr.Seed != cells[i].Seed {
+				t.Fatalf("result %d is %s/%v/seed=%d, want %s", i, cr.Mix, cr.Scheme, cr.Seed, cells[i].Key())
+			}
+		}
+		out := make([]camps.Results, len(res))
+		for i, cr := range res {
+			out[i] = cr.Results
+		}
+		b, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(run(1), run(4)) {
+		t.Fatal("grid results depend on parallelism")
+	}
+}
+
+func TestProgressReceivesCellResults(t *testing.T) {
+	hm1, _ := workload.MixByID("HM1")
+	var got []CellResult
+	_, _, err := Run(context.Background(), Grid([]workload.Mix{hm1},
+		[]camps.Scheme{camps.BASE, camps.CAMPSMOD}, nil), Options{
+		WarmupRefs:   2_000,
+		MeasureInstr: 10_000,
+		Progress:     func(cr CellResult) { got = append(got, cr) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("progress fired %d times, want 2", len(got))
+	}
+	for _, cr := range got {
+		if cr.Mix != "HM1" || cr.Seed != 1 || cr.Attempt != 1 || cr.Resumed {
+			t.Fatalf("cell result = %+v", cr)
+		}
+		if cr.Duration <= 0 {
+			t.Fatalf("cell result has no duration: %+v", cr)
+		}
+		if cr.Results.GeoMeanIPC <= 0 {
+			t.Fatalf("cell result carries no measurements: %+v", cr)
+		}
+	}
+}
+
+func TestRunCancelledGrid(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := Run(ctx, realGrid(t), Options{WarmupRefs: 2_000, MeasureInstr: 10_000})
+	if err == nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

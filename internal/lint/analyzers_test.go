@@ -31,7 +31,7 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestCtxThread(t *testing.T) {
-	runWantTest(t, CtxThread, "camps/internal/harness")
+	runWantTest(t, CtxThread, "camps/internal/serve")
 }
 
 func TestCtxThreadIgnoresNonOrchestrationPackages(t *testing.T) {

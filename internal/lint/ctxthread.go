@@ -6,15 +6,14 @@ import (
 )
 
 // ctxPackages are the orchestration layers whose exported API must
-// thread context.Context: the public root package and the campaign
-// scheduler/harness. Simulation internals are event-driven and
-// single-goroutine, so they are exempt; cancellation reaches them
-// through sim.NewHaltWatcher instead.
+// thread context.Context: the public root package, the campaign
+// scheduler and the campaign service. Simulation internals are
+// event-driven and single-goroutine, so they are exempt; cancellation
+// reaches them through sim.NewHaltWatcher instead.
 var ctxPackages = map[string]bool{
-	"camps":                  true,
-	"camps/internal/exp":     true,
-	"camps/internal/harness": true,
-	"camps/internal/serve":   true,
+	"camps":                true,
+	"camps/internal/exp":   true,
+	"camps/internal/serve": true,
 }
 
 // CtxThread flags exported functions in orchestration packages that

@@ -12,9 +12,8 @@ import (
 // engine will run concurrently.
 var runtimePkgs = func() map[string]bool {
 	m := map[string]bool{
-		"camps":                  true,
-		"camps/internal/exp":     true,
-		"camps/internal/harness": true,
+		"camps":              true,
+		"camps/internal/exp": true,
 	}
 	for p := range simPackages {
 		m[p] = true

@@ -1,9 +1,9 @@
-// Golden file for the ctxthread analyzer: camps/internal/harness is an
+// Golden file for the ctxthread analyzer: camps/internal/serve is an
 // orchestration package, so exported functions that spawn goroutines or
 // hard-code context.Background/TODO without accepting a context are
 // findings; ctx-threading functions, unexported helpers, and annotated
 // compatibility wrappers are not.
-package harness
+package serve
 
 import "context"
 

@@ -9,7 +9,7 @@
 //     touch only preallocated storage. All map lookups happen during
 //     registration or at snapshot/export time.
 //  2. One registry per simulation. Like the event engine, a Registry is
-//     confined to a single goroutine; the harness runs cells in parallel
+//     confined to a single goroutine; exp.Run runs cells in parallel
 //     by giving each its own engine *and* its own registry, so nothing
 //     here needs atomics or locks.
 //  3. Additive registration. Replicated subsystems (32 vault controllers,

@@ -235,7 +235,7 @@ func PercentChange(oldv, newv float64) float64 {
 }
 
 // Table formats labelled rows of float columns as an aligned text table,
-// used by the figure harness and the CLI tools.
+// used by the figure builders and the CLI tools.
 type Table struct {
 	Title   string
 	Columns []string

@@ -11,7 +11,7 @@ import (
 
 	"camps"
 	"camps/internal/exp"
-	"camps/internal/harness"
+	"camps/internal/report"
 	"camps/internal/workload"
 )
 
@@ -124,14 +124,15 @@ func TestCampaignInterruptAndResume(t *testing.T) {
 	}
 }
 
-// TestHarnessCheckpointResume drives the same contract through the grid
-// harness: a grid built from a half-resumed campaign must be complete.
+// TestHarnessCheckpointResume drives the same contract through the
+// figure pipeline: the results of a half-resumed grid campaign must be
+// complete enough for report.Figures.
 func TestHarnessCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
 	hm1, _ := workload.MixByID("HM1")
-	base := harness.Options{
-		Mixes:        []workload.Mix{hm1},
-		Schemes:      []camps.Scheme{camps.BASE, camps.MMD, camps.CAMPSMOD},
+	cells := exp.Grid([]workload.Mix{hm1},
+		[]camps.Scheme{camps.BASE, camps.MMD, camps.CAMPSMOD}, nil)
+	base := exp.Options{
 		WarmupRefs:   2_000,
 		MeasureInstr: 20_000,
 		Parallelism:  1,
@@ -140,25 +141,27 @@ func TestHarnessCheckpointResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := base
-	opts.Progress = func(cr harness.CellResult) { cancel() } // stop after the first cell
-	if _, err := harness.RunContext(ctx, opts); !errors.Is(err, context.Canceled) {
+	opts.Progress = func(cr exp.CellResult) { cancel() } // stop after the first cell
+	if _, _, err := exp.Run(ctx, cells, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	opts = base
 	opts.Resume = true
-	g, err := harness.RunContext(context.Background(), opts)
+	results, st, err := exp.Run(context.Background(), cells, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range g.Schemes() {
-		r, ok := g.Cell("HM1", s)
-		if !ok || r.GeoMeanIPC <= 0 {
-			t.Fatalf("resumed grid missing cell HM1/%v", s)
+	if st.Resumed == 0 || len(results) != len(cells) {
+		t.Fatalf("resumed %d cells, got %d of %d results", st.Resumed, len(results), len(cells))
+	}
+	for _, cr := range results {
+		if cr.Results.GeoMeanIPC <= 0 {
+			t.Fatalf("resumed grid missing cell HM1/%v", cr.Scheme)
 		}
 	}
 	// The figure pipeline must work off a partially-resumed grid.
-	if f5 := g.Figure5(); f5.Rows() != 2 || f5.Value(0, 0) != 1.0 {
+	if f5 := report.Figures(results)[0]; f5.Rows() != 2 || f5.Value(0, 0) != 1.0 {
 		t.Fatalf("figure 5 from resumed grid is malformed")
 	}
 }
