@@ -12,7 +12,7 @@ import (
 // its model up front; after that, the event kernel, caches, vaults and
 // prefetch engines reuse what they hold. Tripling the measured length of
 // an HM1 run may therefore add only a handful of allocations, for every
-// registered scheme. The budget leaves room for the runtime's own
+// scheme. The budget leaves room for the runtime's own
 // bookkeeping but not for one allocation per demand, fill or writeback,
 // which would add thousands.
 //

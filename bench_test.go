@@ -392,7 +392,7 @@ func BenchmarkCoreSideVsMemorySide(b *testing.B) {
 }
 
 // BenchmarkSchemeCost times the measured region of MX1 at 200k
-// instructions per core under each registered scheme, so the schemes'
+// instructions per core under each scheme, so the schemes'
 // simulation costs compare directly (the hybrid engine's target is within
 // 10% of CAMPS-MOD's). The functional warmup is scheme-independent, so it
 // runs once, outside the timer, and each iteration starts from a clone.

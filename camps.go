@@ -44,8 +44,8 @@ import (
 type Scheme = prefetch.Scheme
 
 // The five schemes evaluated in the paper, the no-prefetch reference, and
-// the extension engines. Any engine added to the prefetch registry is also
-// reachable by name through ParseScheme without a constant here.
+// the extension engines: the whole closed set of the prefetch package's
+// scheme table, one constant per entry.
 const (
 	BASE       = prefetch.Base
 	BASEHIT    = prefetch.BaseHit
@@ -63,21 +63,13 @@ const (
 // Schemes returns the paper's five schemes in presentation order.
 func Schemes() []Scheme { return prefetch.Schemes() }
 
-// AllSchemes returns every registered scheme in registration order,
-// including the NONE reference and the extension engines.
+// AllSchemes returns every scheme in Scheme order, including the NONE
+// reference and the extension engines.
 func AllSchemes() []Scheme { return prefetch.AllSchemes() }
 
-// SchemeNames returns every registered engine's canonical name in
-// registration order (the list CLIs derive their help text from).
+// SchemeNames returns every engine's canonical name in Scheme order (the
+// list CLIs derive their help text from).
 func SchemeNames() []string { return prefetch.Names() }
-
-// EngineKnob is one engine-exposed sweep parameter (see EngineKnobs).
-type EngineKnob = prefetch.Knob
-
-// EngineKnobs returns the sweepable configuration knobs every registered
-// engine exposes, in registration order; campsweep merges these with its
-// hardware knobs.
-func EngineKnobs() []EngineKnob { return prefetch.EngineKnobs() }
 
 // Hardware policy knobs, re-exported for ablation studies; see the config
 // package for semantics.
@@ -186,6 +178,9 @@ func FaultGrammar() string { return fault.Grammar() }
 // validate reports the configuration errors every run and warm build
 // checks, after applyDefaults.
 func (rc *RunConfig) validate() error {
+	if !rc.Scheme.Valid() {
+		return &apiError{msg: fmt.Sprintf("camps: unknown scheme %v", rc.Scheme), refs: []error{ErrInvalidConfig}}
+	}
 	if err := rc.System.Validate(); err != nil {
 		return &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
 	}

@@ -108,6 +108,33 @@ func TestRunContextCancelMidRunWallClock(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeSchemeIsInvalidConfig checks that a Scheme value outside
+// the scheme table ends in ErrInvalidConfig from both RunContext and
+// Warm, which share RunConfig validation, instead of a panic.
+func TestOutOfRangeSchemeIsInvalidConfig(t *testing.T) {
+	for _, s := range []camps.Scheme{-1, camps.Scheme(len(camps.AllSchemes()))} {
+		rc := quick("HM1", s)
+		for _, c := range []struct {
+			name string
+			call func() error
+		}{
+			{"RunContext", func() error { _, err := camps.RunContext(context.Background(), rc); return err }},
+			{"Warm", func() error { _, err := camps.Warm(context.Background(), rc); return err }},
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s(Scheme %d) panicked: %v", c.name, int(s), r)
+					}
+				}()
+				if err := c.call(); !errors.Is(err, camps.ErrInvalidConfig) {
+					t.Errorf("%s(Scheme %d): err = %v, want ErrInvalidConfig", c.name, int(s), err)
+				}
+			}()
+		}
+	}
+}
+
 func TestTypedErrors(t *testing.T) {
 	// Invalid configuration: message preserved, sentinel matched.
 	rc := quick("HM1", camps.BASE)

@@ -20,7 +20,7 @@ type digestCase struct {
 	rc   camps.RunConfig
 }
 
-// digestCases covers every registered engine on HM1 plus the scheduler
+// digestCases covers every engine on HM1 plus the scheduler
 // modes the default configuration does not reach: closed-page rows,
 // FCFS ordering, a bounded TSV data path, and bank blackouts (a fault
 // site on every vault, which forces the scheduler's full bank scan).

@@ -13,7 +13,8 @@ import (
 // of these under errors.Is, so callers can branch on the failure class
 // without parsing strings.
 var (
-	// ErrInvalidConfig matches every SystemConfig validation failure.
+	// ErrInvalidConfig matches every SystemConfig validation failure and
+	// a RunConfig.Scheme outside the scheme table.
 	ErrInvalidConfig = errors.New("camps: invalid configuration")
 	// ErrMixCoreMismatch matches a workload (mix or explicit readers)
 	// whose width differs from the configured core count.

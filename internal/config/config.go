@@ -245,12 +245,12 @@ type BestOffset struct {
 }
 
 // Hybrid holds the parameters of the hybrid meta-engine, which set-duels
-// registered engines per vault at epoch granularity.
+// the other prefetch engines per vault at epoch granularity.
 type Hybrid struct {
 	EpochRequests int // duel epoch length in demand requests
 	ShadowEntries int // per-candidate shadow prediction slots (power of two)
-	// Candidates names the engines to duel (prefetch registry names).
-	// Empty means every registered fetching engine.
+	// Candidates names the engines to duel (prefetch scheme names).
+	// Empty means every fetching engine.
 	Candidates []string
 }
 

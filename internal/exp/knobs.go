@@ -3,7 +3,7 @@ package exp
 import "camps"
 
 // Knob is one sweepable configuration dimension: a hardware parameter of
-// the simulated system or an engine-exported tuning parameter. The table
+// the simulated system or a prefetch engine's tuning parameter. The table
 // is shared by cmd/campsweep (the -knob flag) and internal/serve (the
 // job spec's knob/values sweep), so both surfaces accept exactly the
 // same dimensions.
@@ -13,10 +13,9 @@ type Knob struct {
 	Apply func(sys *camps.SystemConfig, v int64)
 }
 
-// hardwareKnobs are the simulator-level dimensions; engine knobs come
-// from the prefetch registry (camps.EngineKnobs) and are merged in by
-// Knobs.
-var hardwareKnobs = []Knob{
+// knobTable lists every dimension: the simulator-level ones, then the
+// engines' parameters grouped by engine.
+var knobTable = []Knob{
 	{"buffer", "prefetch-buffer entries per vault",
 		func(sys *camps.SystemConfig, v int64) {
 			sys.PFBuffer.SizeBytes = v * int64(sys.PFBuffer.LineBytes)
@@ -35,30 +34,43 @@ var hardwareKnobs = []Knob{
 		func(sys *camps.SystemConfig, v int64) { sys.Links.VaultPortGBps = v }},
 	{"l2pf", "core-side L2 stride prefetch degree (0 = off)",
 		func(sys *camps.SystemConfig, v int64) { sys.Processor.L2PrefetchDegree = int(v) }},
+	{"mmd.degree", "MMD maximum prefetch degree",
+		func(sys *camps.SystemConfig, v int64) { sys.MMD.MaxDegree = int(v) }},
+	{"mmd.epoch", "MMD feedback epoch in demand requests",
+		func(sys *camps.SystemConfig, v int64) { sys.MMD.EpochRequests = int(v) }},
+	{"ct", "CAMPS conflict-table entries per vault",
+		func(sys *camps.SystemConfig, v int64) { sys.CAMPS.CTEntries = int(v) }},
+	{"threshold", "CAMPS RUT utilization threshold",
+		func(sys *camps.SystemConfig, v int64) { sys.CAMPS.UtilThreshold = int(v) }},
+	{"ghb.width", "ghb history occurrences consulted per trigger",
+		func(sys *camps.SystemConfig, v int64) { sys.GHB.Width = int(v) }},
+	{"ghb.degree", "ghb successors predicted per occurrence",
+		func(sys *camps.SystemConfig, v int64) { sys.GHB.Degree = int(v) }},
+	{"sisb.entries", "sisb successor-table capacity",
+		func(sys *camps.SystemConfig, v int64) { sys.SISB.TableEntries = int(v) }},
+	{"sisb.degree", "sisb chained predictions per trigger",
+		func(sys *camps.SystemConfig, v int64) { sys.SISB.Degree = int(v) }},
+	{"bo.rounds", "bestoffset scoring rounds per learning phase",
+		func(sys *camps.SystemConfig, v int64) { sys.BestOffset.RoundMax = int(v) }},
+	{"bo.rr", "bestoffset recent-request table entries (power of two)",
+		func(sys *camps.SystemConfig, v int64) { sys.BestOffset.RREntries = int(v) }},
+	{"hybrid.epoch", "hybrid duel epoch in demand requests",
+		func(sys *camps.SystemConfig, v int64) { sys.Hybrid.EpochRequests = int(v) }},
 }
 
-// Knobs returns every sweepable knob keyed by name: the hardware table
-// above merged with the prefetch registry's per-engine knobs (ct,
-// threshold, mmd.degree, ghb.width, ...), so a newly registered engine's
-// parameters are sweepable everywhere without touching this file. The
-// map is built fresh on every call — callers own it, and the package
-// keeps no mutable state.
+// Knobs returns every sweepable knob keyed by name. The map is built
+// fresh on every call — callers own it, and the package keeps no mutable
+// state.
 func Knobs() map[string]Knob {
-	m := make(map[string]Knob, len(hardwareKnobs)+8)
-	for _, k := range hardwareKnobs {
+	m := make(map[string]Knob, len(knobTable))
+	for _, k := range knobTable {
 		m[k.Name] = k
-	}
-	for _, ek := range camps.EngineKnobs() {
-		if _, dup := m[ek.Name]; dup {
-			panic("exp: engine knob shadows hardware knob: " + ek.Name)
-		}
-		m[ek.Name] = Knob{Name: ek.Name, Help: ek.Help, Apply: ek.Apply}
 	}
 	return m
 }
 
-// LookupKnob returns the named knob, or false if no such dimension is
-// registered.
+// LookupKnob returns the named knob, or false if no such dimension
+// exists.
 func LookupKnob(name string) (Knob, bool) {
 	k, ok := Knobs()[name]
 	return k, ok

@@ -51,10 +51,6 @@ func TestStatsReg(t *testing.T) {
 	runWantTest(t, StatsReg, "statsreg")
 }
 
-func TestPfRegister(t *testing.T) {
-	runWantTest(t, PfRegister, "pfregister")
-}
-
 func TestGlobalMutProgram(t *testing.T) {
 	runProgramWantTest(t, GlobalMut, filepath.Join("testdata", "prog", "globalmut", "src"))
 }

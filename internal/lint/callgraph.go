@@ -13,7 +13,7 @@ import (
 // the interface contributes its method as a possible callee. That is
 // what lets the analyzers see through the prefetch.Engine, sim daemon,
 // and instrument-hook indirections: a call to Engine.OnDemandServed
-// fans out to every registered engine's implementation.
+// fans out to every engine's implementation.
 type CallGraph struct {
 	sums *SummarySet
 	// impls maps an interface method symbol to the implementing
@@ -152,7 +152,7 @@ func (g *CallGraph) Reachable(entries []string, stop func(sym string) bool) map[
 }
 
 // pathTo renders the call chain that reached sym, entry-first, e.g.
-// "camps/internal/vault.(Controller).Submit → camps/internal/prefetch.Register".
+// "camps/internal/sim.Run → camps/internal/knob.Set".
 func pathTo(reached map[string]step, sym string) string {
 	var chain []string
 	for cur := sym; ; {

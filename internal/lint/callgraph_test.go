@@ -8,7 +8,7 @@ import (
 
 // TestCallGraphEngineDispatch pins the interface-dispatch resolution on
 // the real tree: a vault controller's call to Engine.OnDemandServed
-// must fan out to every registered engine implementation, or globalmut
+// must fan out to every engine implementation, or globalmut
 // and detflow would silently skip the prefetcher zoo.
 func TestCallGraphEngineDispatch(t *testing.T) {
 	if testing.Short() {

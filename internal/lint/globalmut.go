@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // runtimePkgs are the packages whose exported functions run during a
 // simulation or while serving campaigns: the simulation set plus the
@@ -22,31 +19,18 @@ var runtimePkgs = func() map[string]bool {
 }()
 
 // GlobalMut enforces the init-only write discipline for mutable
-// package-level state (the prefetch registry being the canonical case,
-// DESIGN.md §8): package-level variables may be written during init —
-// including the Register-at-init idiom, where an exported Register*
-// function is documented init-only — but never from a simulation or
-// serving path. The analyzer walks the call graph from every exported
-// function of the runtime packages (excluding Register* and init) and
-// flags every package-level write it can reach, naming the path.
+// package-level state: package-level variables may be written by their
+// initializers and init functions, but never from a simulation or
+// serving path. Read-only tables with a static initializer (the prefetch
+// scheme table, exp's knob table) are the sanctioned idiom. The analyzer
+// walks the call graph from every exported function of the runtime
+// packages and flags every package-level write it can reach, naming the
+// path.
 var GlobalMut = &Analyzer{
 	Name:       "globalmut",
-	Doc:        "forbid package-level writes reachable from simulation or serving paths (init/Register-at-init only)",
+	Doc:        "forbid package-level writes reachable from simulation or serving paths (init only)",
 	Allow:      "globalmut",
 	RunProgram: runGlobalMut,
-}
-
-// initOnlySym reports whether sym is an init-context function: an init
-// function or a Register*-named registration entry point (documented
-// init-only; reaching one from a runtime path is exactly what this
-// analyzer exists to flag, so they are excluded only from the entry
-// set, not from the walk).
-func initOnlySym(sym string) bool {
-	base := symBase(sym)
-	if i := strings.LastIndex(base, ")."); i >= 0 {
-		base = base[i+2:]
-	}
-	return strings.HasPrefix(base, "Register") || strings.HasPrefix(base, "init@")
 }
 
 func runGlobalMut(pass *ProgramPass) {
@@ -58,7 +42,7 @@ func runGlobalMut(pass *ProgramPass) {
 		ps := pass.Sums.ByPkg[pkg.Path]
 		for i := range ps.Funcs {
 			fn := &ps.Funcs[i]
-			if fn.Exported && !fn.IsInit && !initOnlySym(fn.Sym) {
+			if fn.Exported && !fn.IsInit {
 				entries = append(entries, fn.Sym)
 			}
 		}
@@ -77,7 +61,7 @@ func runGlobalMut(pass *ProgramPass) {
 		}
 		for _, w := range fn.Writes {
 			pass.Report(w.Pos,
-				"package-level %s written outside init: %s is reachable from runtime path %s; mutable globals may only be written during init or Register-at-init (or //lint:allow-globalmut <reason>)",
+				"package-level %s written outside init: %s is reachable from runtime path %s; mutable globals may only be written during init (or //lint:allow-globalmut <reason>)",
 				shortSym(w.Target), shortSym(sym), pathTo(reached, sym))
 		}
 	}

@@ -15,8 +15,8 @@ import (
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CtxThread, DetFlow, GlobalMut, MapOrder, PfRegister,
-		SimDeterminism, StatsReg, TickArith,
+		CtxThread, DetFlow, GlobalMut, MapOrder, SimDeterminism,
+		StatsReg, TickArith,
 	}
 }
 

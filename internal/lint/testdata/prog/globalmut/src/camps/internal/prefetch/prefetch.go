@@ -1,22 +1,17 @@
-// Package prefetch mirrors the real registry idiom: package-level state
-// written from init and from a Register-at-init entry point is the
-// sanctioned pattern; the same state written from a runtime entry point
+// Package prefetch mirrors the real scheme-table idiom: a package-level
+// table with a static initializer, read from exported functions, is the
+// sanctioned pattern; the same table written from an exported function
 // is the violation.
 package prefetch
 
-var regNames []string
+var schemes = [...]string{0: "BASE", 1: "CAMPS"}
 
-// Register is init-only by contract; its write is not an entry-set
-// violation (but reaching Register from a runtime path would be).
-func Register(name string) {
-	regNames = append(regNames, name)
+// Name only reads the table: no finding.
+func Name(s int) string {
+	return schemes[s]
 }
 
-func init() {
-	Register("base")
-}
-
-// Reset is an exported runtime entry that illegally clears the registry.
-func Reset() {
-	regNames = nil // want `package-level prefetch.regNames written outside init: prefetch.Reset is reachable from runtime path prefetch.Reset`
+// Rename is an exported runtime entry that illegally rewrites the table.
+func Rename(s int, name string) {
+	schemes[s] = name // want `package-level prefetch.schemes written outside init: prefetch.Rename is reachable from runtime path prefetch.Rename`
 }

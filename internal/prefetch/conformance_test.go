@@ -1,12 +1,11 @@
 package prefetch
 
-// Conformance suite: every registered engine — builtin or third-party —
-// must satisfy the same contract the vault controller relies on. The
-// suite runs New() against the full registry, so registering an engine
-// is enough to put it under test.
+// Conformance suite: every engine of the scheme table must satisfy the
+// same contract the vault controller relies on. The suite runs New()
+// against every AllSchemes() entry, so adding an engine to the table is
+// enough to put it under test.
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -181,7 +180,7 @@ func mallocs(n int, f func()) uint64 {
 }
 
 // TestEngineSteadyStateAllocatesNothing pins the hot-path contract the
-// vault controller relies on: once warmed, no registered engine allocates
+// vault controller relies on: once warmed, no engine allocates
 // on any call. OnDemandServed results are engine-owned buffers reused
 // from call to call, not fresh slices.
 func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
@@ -223,8 +222,8 @@ func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkOnDemandServed measures one demand notification per registered
-// engine on the row-local stream, with epoch feedback at each engine's own
+// BenchmarkOnDemandServed measures one demand notification per engine
+// on the row-local stream, with epoch feedback at each engine's own
 // cadence as the vault controller delivers it.
 func BenchmarkOnDemandServed(b *testing.B) {
 	type demand struct {
@@ -359,81 +358,6 @@ func TestEvictionOfNeverFetchedRowDoesNotPanic(t *testing.T) {
 			e.OnEviction(pfbuffer.Eviction{ID: pfbuffer.RowID{Bank: i % 16, Row: int64(i * 31)}})
 		}
 	}
-}
-
-// TestRegistryExtension registers a throwaway engine and checks that every
-// registry-driven surface — name parsing, listing, knobs, New — picks it up
-// without further wiring. It deliberately uses the public extension path.
-func TestRegistryExtension(t *testing.T) {
-	name := fmt.Sprintf("conformance-probe-%d", len(Names()))
-	s := Register(name, Descriptor{
-		Name:   name,
-		Doc:    "test-only probe engine",
-		Policy: pfbuffer.LRU,
-		Knobs: []Knob{{Name: name + ".knob", Help: "probe knob",
-			Apply: func(cfg *config.Config, v int64) {}}},
-		New: func(cfg config.Config, ctx Context) Engine { return newNone() },
-	})
-	got, err := ParseScheme(name)
-	if err != nil || got != s {
-		t.Fatalf("ParseScheme(%q) = %v, %v", name, got, err)
-	}
-	if s.String() != name {
-		t.Fatalf("String() = %q, want %q", s.String(), name)
-	}
-	found := false
-	for _, n := range Names() {
-		if n == name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Names() does not list %q", name)
-	}
-	found = false
-	for _, k := range EngineKnobs() {
-		if k.Name == name+".knob" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("EngineKnobs() does not list the probe knob")
-	}
-	if e := New(s, config.Default(), testCtx(nil)); e == nil {
-		t.Fatal("New returned nil for registered probe")
-	}
-	// Probe stays out of the paper figure set.
-	for _, ps := range Schemes() {
-		if ps == s {
-			t.Fatal("probe leaked into Schemes()")
-		}
-	}
-}
-
-func TestRegisterRejectsDuplicatesAndNilFactory(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("duplicate name", func() {
-		Register("mmd", Descriptor{Name: "mmd",
-			New: func(config.Config, Context) Engine { return newNone() }})
-	})
-	mustPanic("duplicate alias", func() {
-		Register("probe-alias-dup", Descriptor{Name: "probe-alias-dup",
-			Aliases: []string{"Best-Offset"},
-			New:     func(config.Config, Context) Engine { return newNone() }})
-	})
-	mustPanic("nil factory", func() {
-		Register("probe-nil-new", Descriptor{Name: "probe-nil-new"})
-	})
-	mustPanic("empty name", func() {
-		Register("", Descriptor{New: func(config.Config, Context) Engine { return newNone() }})
-	})
 }
 
 func TestParseSchemeErrorListsAllNames(t *testing.T) {

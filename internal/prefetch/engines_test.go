@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"camps/internal/config"
@@ -34,6 +36,75 @@ func TestSchemeStringsAndParse(t *testing.T) {
 	}
 	if Scheme(42).String() == "" {
 		t.Error("unknown scheme produced empty string")
+	}
+}
+
+// TestSchemeTable pins the closed scheme table: Scheme values are
+// exported as integers and pinned by the goldens, so each index keeps its
+// name, aliases and buffer policy, and no spelling may name two engines.
+func TestSchemeTable(t *testing.T) {
+	want := []struct {
+		s       Scheme
+		name    string
+		aliases []string
+		policy  pfbuffer.Policy
+	}{
+		{Base, "BASE", nil, pfbuffer.LRU},
+		{BaseHit, "BASE-HIT", nil, pfbuffer.LRU},
+		{MMD, "MMD", nil, pfbuffer.LRU},
+		{CAMPS, "CAMPS", nil, pfbuffer.LRU},
+		{CAMPSMOD, "CAMPS-MOD", nil, pfbuffer.UtilRecency},
+		{None, "NONE", nil, pfbuffer.LRU},
+		{ASD, "ASD", nil, pfbuffer.LRU},
+		{GHB, "ghb", nil, pfbuffer.LRU},
+		{SISB, "sisb", nil, pfbuffer.LRU},
+		{BestOffset, "bestoffset", []string{"best-offset"}, pfbuffer.LRU},
+		{Hybrid, "hybrid", nil, pfbuffer.LRU},
+	}
+	if len(schemes) != len(want) || len(AllSchemes()) != len(want) || len(Names()) != len(want) {
+		t.Fatalf("table has %d entries (AllSchemes %d, Names %d), want %d",
+			len(schemes), len(AllSchemes()), len(Names()), len(want))
+	}
+	seen := map[string]Scheme{}
+	for i, w := range want {
+		if int(w.s) != i {
+			t.Fatalf("%s = %d, want %d", w.name, int(w.s), i)
+		}
+		d := Describe(w.s)
+		if d.Name != w.name || w.s.String() != w.name || Names()[i] != w.name {
+			t.Errorf("scheme %d named %q (String %q, Names %q), want %q",
+				i, d.Name, w.s.String(), Names()[i], w.name)
+		}
+		if !reflect.DeepEqual(d.Aliases, w.aliases) {
+			t.Errorf("%s aliases = %q, want %q", w.name, d.Aliases, w.aliases)
+		}
+		if d.Policy != w.policy {
+			t.Errorf("%s policy = %v, want %v", w.name, d.Policy, w.policy)
+		}
+		if (d.New == nil) != (w.s == Hybrid) {
+			t.Errorf("%s factory set = %v; only the hybrid is built by New itself", w.name, d.New != nil)
+		}
+		if New(w.s, config.Default(), testCtx(fakeQueue{})) == nil {
+			t.Errorf("New(%s) returned nil", w.name)
+		}
+		for _, spelling := range append([]string{w.name}, w.aliases...) {
+			key := strings.ToLower(spelling)
+			if prev, dup := seen[key]; dup {
+				t.Errorf("spelling %q names both %v and %v", spelling, prev, w.s)
+			}
+			seen[key] = w.s
+			for _, in := range []string{spelling, strings.ToLower(spelling), strings.ToUpper(spelling)} {
+				if got, err := ParseScheme(in); err != nil || got != w.s {
+					t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, w.s)
+				}
+			}
+		}
+	}
+	if got := Schemes(); !reflect.DeepEqual(got, []Scheme{Base, BaseHit, MMD, CAMPS, CAMPSMOD}) {
+		t.Errorf("paper set = %v", got)
+	}
+	if Scheme(-1).Valid() || Scheme(len(want)).Valid() || !Hybrid.Valid() {
+		t.Error("Valid disagrees with the table bounds")
 	}
 }
 
@@ -387,9 +458,8 @@ func TestASDDepthAdaptsToLongEpisodes(t *testing.T) {
 }
 
 func TestAllSchemesIncludesExtensions(t *testing.T) {
-	// 11 builtins; other tests may register extra probe engines.
 	all := AllSchemes()
-	if len(all) < 11 {
+	if len(all) != 11 {
 		t.Fatalf("AllSchemes = %v", all)
 	}
 	for _, tc := range []struct {

@@ -8,7 +8,7 @@ import (
 	"camps/internal/pfbuffer"
 )
 
-// hybridEngine set-duels registered engines per vault. All candidates
+// hybridEngine set-duels the other engines per vault. All candidates
 // observe the full demand stream, but only the current winner's fetch
 // directives are issued, so the duel never perturbs what it measures:
 // each candidate's would-be fetches go into a private shadow table, and a
@@ -52,17 +52,16 @@ type ownerEntry struct {
 	cand int
 }
 
-// newHybrid resolves the configured candidate names against the registry
-// (an empty list means every registered fetching engine, i.e. non-meta and
-// not NONE). Unresolvable or meta names are skipped here — ValidateConfig
-// reports them as errors on the public API path.
+// newHybrid resolves the configured candidate names against the scheme
+// table (an empty list means every fetching engine, i.e. neither the
+// hybrid itself nor NONE). Unresolvable names and the hybrid are skipped
+// here — ValidateConfig reports them as errors on the public API path.
 func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 	names := cfg.Hybrid.Candidates
 	if len(names) == 0 {
-		for _, s := range AllSchemes() {
-			d := Describe(s)
-			if !d.Meta && s != None {
-				names = append(names, d.Name)
+		for s := range schemes {
+			if Scheme(s) != Hybrid && Scheme(s) != None {
+				names = append(names, schemes[s].Name)
 			}
 		}
 	}
@@ -77,12 +76,12 @@ func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 	}
 	for _, name := range names {
 		s, ok := Lookup(name)
-		if !ok || Describe(s).Meta {
+		if !ok || s == Hybrid {
 			continue
 		}
 		c := hybridCand{
-			name: Describe(s).Name,
-			eng:  Describe(s).New(cfg, ctx),
+			name: schemes[s].Name,
+			eng:  schemes[s].New(cfg, ctx),
 		}
 		c.obs, _ = c.eng.(EpochObserver)
 		e.cands = append(e.cands, c)

@@ -1,10 +1,10 @@
 // Package prefetch implements the memory-side prefetch engines compared in
-// the CAMPS paper, plus extension engines, behind an open string-keyed
-// registry (see registry.go). Every engine lives in a vault controller,
-// observes the demand stream to that vault's banks, and directs whole-row
-// fetches into the vault's prefetch buffer.
+// the CAMPS paper, plus extension engines, listed in one closed table
+// indexed by Scheme (see schemes.go). Every engine lives in a vault
+// controller, observes the demand stream to that vault's banks, and
+// directs whole-row fetches into the vault's prefetch buffer.
 //
-// The built-in engines (builtins.go):
+// The engines:
 //
 //   - BASE: fetch the whole row on the first access to it (and precharge),
 //     the paper's aggressive baseline.
@@ -22,7 +22,7 @@
 //   - ghb: GHB/AIT width prefetcher over the row-activation stream.
 //   - sisb: temporal next-address prediction with a bounded training table.
 //   - bestoffset: Best-Offset offset scoring at row granularity.
-//   - hybrid: set-duels registered engines per vault at epoch granularity.
+//   - hybrid: set-duels the other engines per vault at epoch granularity.
 package prefetch
 
 import (
@@ -123,10 +123,13 @@ type EpochObserver interface {
 	OnEpoch(st EpochStats)
 }
 
-// New constructs the engine registered for the scheme using the given
-// configuration and vault context. It panics on an unregistered scheme;
-// use Lookup/ParseScheme to validate names first.
+// New constructs the scheme's engine using the given configuration and
+// vault context. It panics on a scheme outside the table; use
+// Lookup/ParseScheme to validate names first.
 func New(s Scheme, cfg config.Config, ctx Context) Engine {
+	if s == Hybrid {
+		return newHybrid(cfg, ctx)
+	}
 	return Describe(s).New(cfg, ctx)
 }
 

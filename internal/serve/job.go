@@ -70,8 +70,8 @@ type JobSpec struct {
 	// submissions are shed first.
 	Priority int `json:"priority,omitempty"`
 	// Mixes and Schemes are crossed to enumerate cells. Both accept any
-	// registered name (Table II and extension mixes; every engine in the
-	// prefetch registry).
+	// known name (Table II and extension mixes; every engine in the
+	// prefetch scheme table).
 	Mixes   []string `json:"mixes"`
 	Schemes []string `json:"schemes"`
 	// Seeds decorrelate synthetic traces (default [1]; 0 normalizes to 1).

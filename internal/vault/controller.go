@@ -531,12 +531,22 @@ func (c *Controller) updateDrainMode() {
 	}
 }
 
-// schedule starts jobs on every idle bank that has work. If demand work
-// remains queued behind busy banks it arms a retry at the earliest bank
-// release: bank-release events from demand jobs are ordinary events, but
-// refresh completions are daemon events (refresh re-arms itself forever
-// and must not keep the simulation alive), so queued work cannot rely on
-// them for a wake-up.
+// schedule starts jobs on every idle bank that has work. If work remains
+// queued behind busy banks it arms a retry at the earliest bank release.
+// The retry does two things:
+//
+//   - Keep-alive. Bank-release events from demand jobs are ordinary
+//     events, but refresh completions are daemon events (refresh re-arms
+//     itself forever and must not keep the simulation alive), so demand
+//     queued behind a refresh or a fault blackout has no other non-daemon
+//     wake. Without the retry, TestRefreshStorm starves 5 of 100 demands
+//     and TestCubeBankBlackoutsCounted completes 60 of 400 reads.
+//   - Catching fetches the walk passed. A job can queue prefetch fetches
+//     (dispatchFetches) for a lower-numbered idle bank after the
+//     ascending walk below has passed it; the retry starts them. In the
+//     export-digest cases only HM1/ghb, with its heavy fetch traffic,
+//     needs this: there 1,290 fetch jobs of 63,988 retry firings started
+//     from the retry, and in the other 16 cases no retry started a job.
 //
 // Banks are visited in ascending order, and startJob runs on exactly the
 // idle banks a scan of all of them would act on, in the same order. An

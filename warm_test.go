@@ -16,7 +16,7 @@ import (
 // campaign's shared warmup: exp.Run builds one warm state per warm key and
 // hands its cells clones, so every cell's export must equal a fresh
 // camps.RunContext of the same configuration byte for byte. The grid
-// covers every registered scheme with faults off and on; the sweeps cover
+// covers every scheme with faults off and on; the sweeps cover
 // a cube-only knob, whose cells share one state, and an L3 knob, whose
 // cells must not.
 func TestCampaignWarmSharingMatchesFreshRuns(t *testing.T) {
