@@ -90,10 +90,15 @@ fuzz-smoke:
 # class at a nonzero rate and the invariant checker armed. Exercises the
 # whole injection path (links, vaults, buffer, banks) in ~10s of wall
 # clock; any accounting drift under faults aborts with a typed error.
+# The second run pairs blackouts with ghb, whose fetches target other
+# banks than the demand that triggered them, so the scheduler's repeated
+# walk and its per-bank keep-alive wakes run under the checker together.
 fault-smoke:
 	$(GO) run ./cmd/campsim -mix HM1 -scheme CAMPS-MOD -instr 60000 -warmup 5000 \
 		-faults 'linkcrc=1e-3,stall=1e-4,poison=2e-3,bankfail=100us,bankfor=2us' \
 		-check -timeout 10s >/dev/null
+	$(GO) run ./cmd/campsim -mix HM1 -scheme ghb -instr 60000 -warmup 5000 \
+		-faults 'bankfail=100us,bankfor=2us' -check >/dev/null
 
 # perfbench/ is its own Go module (it points back here through a replace
 # directive), so the root `go build ./...` never compiles it. Vet and test

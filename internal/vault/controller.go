@@ -79,7 +79,6 @@ type Controller struct {
 
 	// Hot-path callbacks and scratch space, allocated once per controller.
 	scheduleFn   func()
-	retryFn      func()
 	fetchScratch []prefetch.Fetch
 
 	// In-flight row fills: landFillFn fires through AtArg with an index
@@ -101,6 +100,12 @@ type Controller struct {
 	fetchCount []int
 	workMask   uint64
 
+	// daemonWake bit b is set while bank b's pending release wake is a
+	// daemon event: a refresh or blackout armed it while the bank had no
+	// queued reads, writes or stores (armWake). Queuing such work behind
+	// it upgrades the wake (keepAlive); arming an ordinary wake clears it.
+	daemonWake uint64
+
 	timing        dram.Timing
 	nextRefresh   []sim.Time
 	minRefresh    sim.Time // min(nextRefresh), recomputed by runRefresh
@@ -110,9 +115,6 @@ type Controller struct {
 	pfHitLat  sim.Time
 	lines     int
 	maxFetchQ int
-
-	retryArmed bool
-	retryAt    sim.Time
 
 	// Activation-rate limits shared by the vault's banks: tRRD between
 	// consecutive ACTs and tFAW over any four (power-delivery limits).
@@ -191,10 +193,6 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	c.scheduleFn = c.schedule
 	c.landFillFn = c.landFill
 	c.fillFree = -1
-	c.retryFn = func() {
-		c.retryArmed = false
-		c.schedule()
-	}
 	if cfg.HMC.TSVGBps > 0 {
 		c.tsvRowTime = sim.Time(int64(cfg.HMC.RowBytes) * 1_000_000_000_000 / (cfg.HMC.TSVGBps * 1_000_000_000))
 	}
@@ -451,6 +449,7 @@ func (c *Controller) Submit(req Request) {
 			c.stats.MaxReadQueue = len(c.readQ)
 		}
 	}
+	c.keepAlive(req.Bank, now)
 	c.schedule()
 }
 
@@ -531,31 +530,26 @@ func (c *Controller) updateDrainMode() {
 	}
 }
 
-// schedule starts jobs on every idle bank that has work. If work remains
-// queued behind busy banks it arms a retry at the earliest bank release.
-// The retry does two things:
+// schedule starts jobs on every idle bank that has work. It arms no wake
+// of its own. Every job, refresh and blackout arms its bank's release
+// wake (armWake), and that wake keeps the bank's own queued work alive:
+// it is an ordinary event whenever the bank holds queued reads, writes or
+// row stores, and keepAlive upgrades a daemon wake that such work is
+// queued behind.
 //
-//   - Keep-alive. Bank-release events from demand jobs are ordinary
-//     events, but refresh completions are daemon events (refresh re-arms
-//     itself forever and must not keep the simulation alive), so demand
-//     queued behind a refresh or a fault blackout has no other non-daemon
-//     wake. Without the retry, TestRefreshStorm starves 5 of 100 demands
-//     and TestCubeBankBlackoutsCounted completes 60 of 400 reads.
-//   - Catching fetches the walk passed. A job can queue prefetch fetches
-//     (dispatchFetches) for a lower-numbered idle bank after the
-//     ascending walk below has passed it; the retry starts them. In the
-//     export-digest cases only HM1/ghb, with its heavy fetch traffic,
-//     needs this: there 1,290 fetch jobs of 63,988 retry firings started
-//     from the retry, and in the other 16 cases no retry started a job.
+// The write-drain latch samples the write queue before the pass (Submit
+// grows it just before calling schedule) and again after it (takeWrite
+// shrinks it during the pass), so the latch sees the level every pass
+// leaves behind, not only the level the next pass starts from.
 //
 // Banks are visited in ascending order, and startJob runs on exactly the
 // idle banks a scan of all of them would act on, in the same order. An
 // idle bank with no queued work, no refresh due and no fault site is a
 // no-op for startJob, so the common pass walks only workMask's set bits.
-// It re-reads the mask after every job: a job can queue fetches for later
-// banks, and runWrite can re-enter schedule and drain them. A fault site
-// (whose blackout check has side effects) or a due refresh falls back to
-// the full scan.
+// A fault site (whose blackout check has side effects) or a due refresh
+// falls back to the full scan. A job can queue fetches (dispatchFetches)
+// for a bank the pass has already passed, so the walk repeats, again in
+// ascending order, until no idle bank holds queued work.
 func (c *Controller) schedule() {
 	now := c.eng.Now()
 	c.updateDrainMode()
@@ -566,35 +560,65 @@ func (c *Controller) schedule() {
 			}
 		}
 	} else {
-		for m := c.workMask; m != 0; {
-			b := bits.TrailingZeros64(m)
-			if c.busy[b] <= now {
-				c.startJob(b, now)
-			}
-			m = c.workMask &^ (2<<uint(b) - 1)
+		c.walkWork(now)
+	}
+	for c.idleWork(now) {
+		c.walkWork(now)
+	}
+	c.updateDrainMode()
+	c.armRefreshWake(now)
+}
+
+// walkWork offers startJob to the idle banks in workMask, in ascending
+// order. It re-reads the mask after every job: a job can queue fetches
+// for later banks, and runWrite can re-enter schedule and drain them.
+func (c *Controller) walkWork(now sim.Time) {
+	for m := c.workMask; m != 0; {
+		b := bits.TrailingZeros64(m)
+		if c.busy[b] <= now {
+			c.startJob(b, now)
+		}
+		m = c.workMask &^ (2<<uint(b) - 1)
+	}
+}
+
+// idleWork reports whether some idle bank still holds queued work. A
+// startJob call leaves its bank busy or without work, so only work queued
+// for a bank the walk had already passed (fetches from dispatchFetches)
+// makes this true.
+func (c *Controller) idleWork(now sim.Time) bool {
+	for m := c.workMask; m != 0; m &= m - 1 {
+		if c.busy[bits.TrailingZeros64(m)] <= now {
+			return true
 		}
 	}
-	c.armRefreshWake(now)
-	if !c.PendingWork() {
+	return false
+}
+
+// armWake arms bank b's release wake at busy[b]. With ordinary set (a
+// job's release, or keepAlive's upgrade) it is an ordinary event. A
+// refresh or blackout release is one only while the bank holds queued
+// reads, writes or row stores, which it must keep alive. Otherwise it is
+// a daemon event, so refresh and blackouts alone never extend a drained
+// run, and daemonWake records it for keepAlive.
+func (c *Controller) armWake(b int, ordinary bool) {
+	bit := uint64(1) << uint(b)
+	if ordinary || c.readCount[b]|c.writeCount[b]|c.storeCount[b] != 0 {
+		c.daemonWake &^= bit
+		c.eng.At(c.busy[b], c.scheduleFn)
 		return
 	}
-	// Earliest release among all busy banks, not only those with work: the
-	// retry's time fixes its place in the event order. Idle banks (busy <=
-	// now) wrap to unsigned values >= 2^63, so the minimum needs no branch.
-	d := ^uint64(0)
-	for _, t := range c.busy {
-		d = min(d, uint64(t-now-1))
+	c.daemonWake |= bit
+	c.eng.AtDaemon(c.busy[b], c.scheduleFn)
+}
+
+// keepAlive follows every enqueue of a read, write or row store on bank
+// b: if the bank is still busy behind a daemon-only release wake, one
+// ordinary wake at the same release keeps the queued work alive.
+func (c *Controller) keepAlive(b int, now sim.Time) {
+	if c.daemonWake&(1<<uint(b)) != 0 && c.busy[b] > now {
+		c.armWake(b, true)
 	}
-	if d >= 1<<63 {
-		return // work exists but targets idle banks: a job just started will wake us
-	}
-	earliest := now + 1 + sim.Time(d)
-	if c.retryArmed && c.retryAt <= earliest {
-		return
-	}
-	c.retryArmed = true
-	c.retryAt = earliest
-	c.eng.At(earliest, c.retryFn)
 }
 
 // noteWork brings bank b's workMask bit in line with its queued-work
@@ -641,10 +665,10 @@ func (c *Controller) armRefreshWake(now sim.Time) {
 // Priority: refresh (mandatory), drained writes, demand reads, dirty row
 // stores, prefetch fetches, opportunistic writes.
 func (c *Controller) startJob(b int, now sim.Time) {
-	// An injected blackout makes the bank unavailable for the window. The
-	// busy-release retry re-dispatches queued demand when the window
-	// closes; the daemon wake covers work the retry path does not watch
-	// (refresh, fetch hints) without extending an otherwise-drained run.
+	// An injected blackout makes the bank unavailable for the window. Its
+	// release wake (armWake) keeps queued demand and stores alive; for a
+	// bank with only fetch hints or nothing queued it is a daemon event,
+	// so it does not extend an otherwise-drained run.
 	if until := c.faults.BankBlockedUntil(b, now); until > 0 {
 		if c.lastBlkNear != nil && until != c.lastBlkNear[b].end {
 			// First dispatch attempt inside a new window: record it so
@@ -653,10 +677,8 @@ func (c *Controller) startJob(b int, now sim.Time) {
 			// on the true window start.
 			c.lastBlkNear[b] = window{start: now, end: until}
 		}
-		if until > c.busy[b] {
-			c.busy[b] = until
-			c.eng.AtDaemon(until, c.scheduleFn)
-		}
+		c.busy[b] = until // startJob runs on idle banks: busy[b] <= now < until
+		c.armWake(b, false)
 		return
 	}
 	if now >= c.nextRefresh[b] {
@@ -864,7 +886,7 @@ func (c *Controller) runRead(b int, now sim.Time, p pending) {
 		state, displaced)
 	c.dispatchFetches(b, p.req.Row, fetches)
 	c.autoPrecharge(b, p.req.Row)
-	c.eng.At(c.busy[b], c.scheduleFn)
+	c.armWake(b, true)
 }
 
 // autoPrecharge closes the row after a demand access under the closed-page
@@ -909,7 +931,7 @@ func (c *Controller) runWrite(b int, now sim.Time, p pending) {
 		state, displaced)
 	c.dispatchFetches(b, p.req.Row, fetches)
 	c.autoPrecharge(b, p.req.Row)
-	c.eng.At(c.busy[b], c.scheduleFn)
+	c.armWake(b, true)
 }
 
 // dispatchFetches routes a demand-triggered fetch of the *currently open
@@ -981,7 +1003,7 @@ func (c *Controller) runFetch(b int, now sim.Time, f prefetch.Fetch) bool {
 	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 0)
 	c.scheduleFill(end, id, f.Touched)
-	c.eng.At(release, c.scheduleFn)
+	c.armWake(b, true)
 	return true
 }
 
@@ -1065,7 +1087,7 @@ func (c *Controller) runStore(b int, now sim.Time, id pfbuffer.RowID) {
 	c.busy[b] = release
 	c.stats.RowWritebacks.Inc()
 	c.emit(obs.EvRowWriteback, start, b, id.Row, 0)
-	c.eng.At(release, c.scheduleFn)
+	c.armWake(b, true)
 }
 
 // runRefresh performs one per-bank refresh (precharging first if needed).
@@ -1085,9 +1107,9 @@ func (c *Controller) runRefresh(b int, now sim.Time) {
 	c.nextRefresh[b] += c.timing.REFI
 	c.minRefresh = slices.Min(c.nextRefresh)
 	// The bank's next deadline is covered by armRefreshWake when this
-	// schedule() pass ends. Daemon: refresh self-sustains forever; queued
-	// demand is woken by the scheduler's explicit retry instead.
-	c.eng.AtDaemon(done, c.scheduleFn)
+	// schedule() pass ends. Refresh re-arms itself forever, so its
+	// completion wake keeps the run alive only for queued work (armWake).
+	c.armWake(b, false)
 }
 
 // onEviction routes a buffer eviction to the engine and queues the row's
@@ -1101,6 +1123,7 @@ func (c *Controller) onEviction(ev pfbuffer.Eviction) {
 		c.storeQ = append(c.storeQ, ev.ID)
 		c.storeCount[ev.ID.Bank]++
 		c.noteWork(ev.ID.Bank)
+		c.keepAlive(ev.ID.Bank, c.eng.Now())
 		c.schedule()
 	}
 }
@@ -1144,6 +1167,7 @@ func (c *Controller) CheckInvariant() error {
 	// workMask the counters; a skew would make schedule skip queued work
 	// forever.
 	mask := uint64(0)
+	now := c.eng.Now()
 	for b := range c.banks {
 		nr, nw, ns, nf := 0, 0, 0, 0
 		for i := range c.readQ {
@@ -1173,6 +1197,11 @@ func (c *Controller) CheckInvariant() error {
 		if nr+nw+ns+nf > 0 {
 			mask |= 1 << uint(b)
 		}
+		// Queued demand or stores behind a daemon-only wake would starve
+		// once no other ordinary event is left.
+		if nr+nw+ns > 0 && c.busy[b] > now && c.daemonWake&(1<<uint(b)) != 0 {
+			return fmt.Errorf("vault %d bank %d: queued work waits behind a daemon-only wake at %d", c.id, b, c.busy[b])
+		}
 	}
 	if mask != c.workMask {
 		return fmt.Errorf("vault %d: work mask %#x disagrees with queues (%#x)", c.id, c.workMask, mask)
@@ -1181,13 +1210,6 @@ func (c *Controller) CheckInvariant() error {
 		return fmt.Errorf("vault %d: cached earliest refresh %d, deadlines say %d", c.id, c.minRefresh, m)
 	}
 	return nil
-}
-
-// PendingWork reports whether the controller still has queued demand,
-// prefetch or writeback work (used by drain loops in tests and at
-// simulation end).
-func (c *Controller) PendingWork() bool {
-	return len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.storeQ) > 0
 }
 
 func maxTime(a, b sim.Time) sim.Time {

@@ -6,6 +6,7 @@ import (
 
 	"camps/internal/config"
 	"camps/internal/dram"
+	"camps/internal/pfbuffer"
 	"camps/internal/prefetch"
 	"camps/internal/sim"
 )
@@ -24,6 +25,12 @@ func newVault(t *testing.T, cfg config.Config, scheme prefetch.Scheme) (*sim.Eng
 	}
 	eng := sim.NewEngine()
 	return eng, New(eng, cfg, scheme, 0)
+}
+
+// pendingWork reports whether the controller still has queued demand or
+// row stores (fetch hints may be left queued: a drained run drops them).
+func (c *Controller) pendingWork() bool {
+	return len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.storeQ) > 0
 }
 
 // submitRead sends a read and returns a pointer that receives completion time.
@@ -140,7 +147,7 @@ func TestPostedWriteCompletesImmediatelyAndDrains(t *testing.T) {
 	if c.Stats().WriteBursts.Value() != 1 {
 		t.Fatalf("write bursts = %d, want 1 (write drained)", c.Stats().WriteBursts.Value())
 	}
-	if c.PendingWork() {
+	if c.pendingWork() {
 		t.Fatal("work left after drain")
 	}
 }
@@ -164,6 +171,25 @@ func TestWriteDrainMode(t *testing.T) {
 	}
 	if c.Stats().MaxWriteQueue < 24 {
 		t.Fatalf("max write queue = %d, want >= 24", c.Stats().MaxWriteQueue)
+	}
+}
+
+// TestDrainLatchReleasedByDrainingPass checks that the write-drain latch
+// is released by the schedule pass that drains the queue to the low
+// watermark, not by whichever pass happens to run next.
+func TestDrainLatchReleasedByDrainingPass(t *testing.T) {
+	cfg := smallCfg()
+	eng, c := newVault(t, cfg, prefetch.CAMPS)
+	for i := 0; i < 30; i++ {
+		c.Submit(Request{Bank: 0, Row: int64(i), Line: 0, Write: true})
+	}
+	if !c.draining {
+		t.Fatal("test setup: drain mode not latched")
+	}
+	for len(c.writeQ) > cfg.HMC.WriteQueue/4 && eng.Step() {
+	}
+	if c.draining {
+		t.Fatalf("drain mode still latched with %d writes queued after the draining pass", len(c.writeQ))
 	}
 }
 
@@ -398,7 +424,7 @@ func TestAllSchemesRunEndToEnd(t *testing.T) {
 			if s.BankOps.Activates == 0 {
 				t.Fatalf("%v: no DRAM activity recorded", scheme)
 			}
-			if c.PendingWork() {
+			if c.pendingWork() {
 				t.Fatalf("%v: pending work after drain", scheme)
 			}
 		})
@@ -406,8 +432,8 @@ func TestAllSchemesRunEndToEnd(t *testing.T) {
 }
 
 // TestCheckInvariantCoversSchedulerCache corrupts each piece of state the
-// scheduler caches — the work mask and the earliest refresh deadline —
-// and expects CheckInvariant to report it.
+// scheduler caches — the work mask, the daemon-wake mask and the earliest
+// refresh deadline — and expects CheckInvariant to report it.
 func TestCheckInvariantCoversSchedulerCache(t *testing.T) {
 	eng, c := newVault(t, config.Default(), prefetch.CAMPSMOD)
 	for i := 0; i < 40; i++ {
@@ -438,6 +464,17 @@ func TestCheckInvariantCoversSchedulerCache(t *testing.T) {
 			c.workMask |= idle & -idle
 			return func() { c.workMask = m }
 		}},
+		{"daemon-only wake behind queued work", func() func() {
+			m := c.daemonWake
+			for b := range c.banks {
+				if c.readCount[b]|c.writeCount[b]|c.storeCount[b] != 0 && c.busy[b] > eng.Now() {
+					c.daemonWake |= 1 << uint(b)
+					return func() { c.daemonWake = m }
+				}
+			}
+			t.Fatal("no busy bank with queued demand; submit more")
+			return nil
+		}},
 		{"min refresh stale", func() func() {
 			m := c.minRefresh
 			c.minRefresh = m + 1
@@ -452,6 +489,68 @@ func TestCheckInvariantCoversSchedulerCache(t *testing.T) {
 	}
 	if err := c.CheckInvariant(); err != nil {
 		t.Fatalf("restored controller: %v", err)
+	}
+}
+
+// TestDemandArrivingMidRefreshCompletes submits a read, from a scheduled
+// event, to a bank that is refreshing while nothing but daemon events is
+// pending. The refresh's daemon release wake must be upgraded so that Run
+// keeps going until the read is served.
+func TestDemandArrivingMidRefreshCompletes(t *testing.T) {
+	cfg := config.Default()
+	eng, c := newVault(t, cfg, prefetch.CAMPS)
+	tm := dram.NewTiming(cfg.HMC.Timing, cfg.DRAMClock())
+	// Bank 0's first refresh is due at tREFI/16 (the stagger in New).
+	at := tm.REFI/sim.Time(cfg.HMC.Banks()) + tm.RFC/2
+	done := new(sim.Time)
+	*done = -1
+	eng.At(at, func() {
+		if c.busy[0] <= at || c.daemonWake&1 == 0 {
+			t.Errorf("test setup: bank 0 not refreshing behind a daemon wake at %v (busy until %v)", at, c.busy[0])
+		}
+		done = submitRead(c, 0, 5, 0)
+	})
+	eng.Run()
+	if *done < 0 {
+		t.Fatal("read queued behind a refresh never completed")
+	}
+	if *done <= at {
+		t.Fatalf("read completed at %v, before the refresh ended", *done)
+	}
+}
+
+// fetchOnce is a stub engine that answers the first demand it sees with
+// one queued fetch.
+type fetchOnce struct {
+	f    prefetch.Fetch
+	sent bool
+}
+
+func (e *fetchOnce) OnDemandServed(prefetch.Request, dram.RowState, int64) []prefetch.Fetch {
+	if e.sent {
+		return nil
+	}
+	e.sent = true
+	return []prefetch.Fetch{e.f}
+}
+func (e *fetchOnce) OnBufferHit(prefetch.Request) {}
+func (e *fetchOnce) OnEviction(pfbuffer.Eviction) {}
+
+// TestPassedOverFetchStartsAtOnce checks that a fetch a job queues for an
+// idle bank the schedule walk has already passed starts in the same pass,
+// not at the next bank release.
+func TestPassedOverFetchStartsAtOnce(t *testing.T) {
+	eng, c := newVault(t, smallCfg(), prefetch.CAMPS)
+	c.pf = &fetchOnce{f: prefetch.Fetch{Bank: 2, Row: 9}}
+	submitRead(c, 5, 1, 0)
+	if eng.Now() != 0 || c.busy[5] <= 0 {
+		t.Fatalf("test setup: demand on bank 5 did not start at 0 (now %v, busy until %v)", eng.Now(), c.busy[5])
+	}
+	if got := c.Stats().FetchesIssued.Value(); got != 1 {
+		t.Fatalf("fetches issued at the demand's start = %d, want 1", got)
+	}
+	if c.busy[2] <= 0 || c.banks[2].OpenRow() != 9 {
+		t.Fatalf("bank 2 idle after its fetch was queued (busy until %v, open row %d)", c.busy[2], c.banks[2].OpenRow())
 	}
 }
 

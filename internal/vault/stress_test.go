@@ -31,7 +31,7 @@ func TestSingleBankHammer(t *testing.T) {
 			if completed != n {
 				t.Fatalf("completed %d/%d under single-bank hammer", completed, n)
 			}
-			if c.PendingWork() {
+			if c.pendingWork() {
 				t.Fatal("stuck work after hammer")
 			}
 		})
