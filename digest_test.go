@@ -27,7 +27,10 @@ type digestCase struct {
 // Two more cases pin the cache hierarchy's replacement: the default
 // 50k-reference warmup, long enough for L3 sets to fill and evict, and
 // the core-side stride prefetcher, whose fills take the
-// InstallPrefetched path.
+// InstallPrefetched path. HM3/BASE after the default warmup, at 10k
+// instructions and seed 1, reaches the write-drain latch's release:
+// its digest moves when schedule stops sampling the latch after its
+// pass, which no 2k-warmup case does.
 func digestCases(t *testing.T) []digestCase {
 	base := func(mixID string, s camps.Scheme) camps.RunConfig {
 		mix, err := camps.MixByID(mixID)
@@ -60,6 +63,10 @@ func digestCases(t *testing.T) []digestCase {
 	stride := base("MX1", camps.CAMPSMOD)
 	stride.System = camps.DefaultSystem()
 	stride.System.Processor.L2PrefetchDegree = 2
+	drain := base("HM3", camps.BASE)
+	drain.WarmupRefs = 0 // the default warmup
+	drain.MeasureInstr = 10_000
+	drain.Seed = 1
 	return append(cases,
 		digestCase{"MX1/CAMPS-MOD/closed-page", closed},
 		digestCase{"MX1/CAMPS-MOD/fcfs", fcfs},
@@ -67,6 +74,7 @@ func digestCases(t *testing.T) []digestCase {
 		digestCase{"HM1/CAMPS-MOD/blackout", blackout},
 		digestCase{"MX1/CAMPS-MOD/default-warmup", warm},
 		digestCase{"MX1/CAMPS-MOD/l2-stride-2", stride},
+		digestCase{"HM3/BASE/default-warmup-10k", drain},
 	)
 }
 
