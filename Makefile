@@ -99,6 +99,8 @@ fault-smoke:
 		-check -timeout 10s >/dev/null
 	$(GO) run ./cmd/campsim -mix HM1 -scheme ghb -instr 60000 -warmup 5000 \
 		-faults 'bankfail=100us,bankfor=2us' -check >/dev/null
+	$(GO) run ./cmd/campsim -mix HM1 -scheme hybrid -instr 60000 -warmup 5000 \
+		-faults 'bankfail=100us,bankfor=5us' -check >/dev/null
 
 # perfbench/ is its own Go module (it points back here through a replace
 # directive), so the root `go build ./...` never compiles it. Vet and test

@@ -394,26 +394,41 @@ func BenchmarkCoreSideVsMemorySide(b *testing.B) {
 // BenchmarkSchemeCost times the measured region of MX1 at 200k
 // instructions per core under each scheme, so the schemes'
 // simulation costs compare directly (the hybrid engine's target is within
-// 10% of CAMPS-MOD's). The functional warmup is scheme-independent, so it
-// runs once, outside the timer, and each iteration starts from a clone.
+// 10% of CAMPS-MOD's). hybrid-all duels the six candidates the hybrid
+// default once held, which keeps the cost of a full duel visible. The
+// functional warmup is scheme-independent, so it runs once, outside the
+// timer, and each iteration starts from a clone.
 func BenchmarkSchemeCost(b *testing.B) {
 	mix, err := camps.MixByID("MX1")
 	if err != nil {
 		b.Fatal(err)
 	}
-	rc := camps.RunConfig{Mix: mix, MeasureInstr: 200_000}
+	rc := camps.RunConfig{Mix: mix, MeasureInstr: 200_000, System: camps.DefaultSystem()}
 	ws, err := camps.Warm(context.Background(), rc)
 	if err != nil {
 		b.Fatal(err)
 	}
+	type costCase struct {
+		name string
+		rc   camps.RunConfig
+	}
+	var cases []costCase
 	for _, s := range camps.AllSchemes() {
-		b.Run(s.String(), func(b *testing.B) {
+		run := rc
+		run.Scheme = s
+		cases = append(cases, costCase{s.String(), run})
+	}
+	all := rc
+	all.Scheme = camps.HYBRID
+	all.System.Hybrid.Candidates = hybridAllCandidates
+	cases = append(cases, costCase{"hybrid-all", all})
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				run := rc
-				run.Scheme = s
+				run := c.rc
 				run.Warm = ws.Clone()
 				b.StartTimer()
 				res, err := camps.RunContext(context.Background(), run)

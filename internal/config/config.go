@@ -249,8 +249,11 @@ type BestOffset struct {
 type Hybrid struct {
 	EpochRequests int // duel epoch length in demand requests
 	ShadowEntries int // per-candidate shadow prediction slots (power of two)
-	// Candidates names the engines to duel (prefetch scheme names).
-	// Empty means every fetching engine.
+	// Candidates names the engines to duel (prefetch scheme names), in
+	// order: the first is the warm-start winner. Empty means every
+	// fetching engine. The default duels MMD and CAMPS only, the two
+	// engines ever elected on the 12 mixes; the other fetching engines
+	// can still be named here (DESIGN.md §8).
 	Candidates []string
 }
 
@@ -320,7 +323,7 @@ func Default() Config {
 		Hybrid: Hybrid{
 			EpochRequests: 256,
 			ShadowEntries: 256,
-			Candidates:    []string{"MMD", "CAMPS", "CAMPS-MOD", "ghb", "sisb", "bestoffset"},
+			Candidates:    []string{"MMD", "CAMPS"},
 		},
 	}
 }

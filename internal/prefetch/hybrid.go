@@ -8,9 +8,10 @@ import (
 	"camps/internal/pfbuffer"
 )
 
-// hybridEngine set-duels the other engines per vault. All candidates
-// observe the full demand stream, but only the current winner's fetch
-// directives are issued, so the duel never perturbs what it measures:
+// hybridEngine set-duels its candidate engines (config.Hybrid.Candidates;
+// by default MMD and CAMPS) per vault. All candidates observe the full
+// demand stream, but only the current winner's fetch directives are
+// issued, so the duel never perturbs what it measures:
 // each candidate's would-be fetches go into a private shadow table, and a
 // later demand for a shadowed row — whether it reaches the bank or hits
 // the buffer — scores that candidate a hit. Every EpochRequests demand

@@ -22,7 +22,8 @@
 //   - ghb: GHB/AIT width prefetcher over the row-activation stream.
 //   - sisb: temporal next-address prediction with a bounded training table.
 //   - bestoffset: Best-Offset offset scoring at row granularity.
-//   - hybrid: set-duels the other engines per vault at epoch granularity.
+//   - hybrid: set-duels candidate engines (by default MMD and CAMPS) per
+//     vault at epoch granularity.
 package prefetch
 
 import (

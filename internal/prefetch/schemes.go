@@ -93,9 +93,10 @@ var schemes = [...]Descriptor{
 	// Best-offset prefetch: offset scoring rounds at row granularity.
 	BestOffset: {Name: "bestoffset", Aliases: []string{"best-offset"}, Policy: pfbuffer.LRU,
 		New: func(cfg config.Config, ctx Context) Engine { return newBestOffset(cfg.BestOffset, ctx) }},
-	// Set-duels the other engines per vault at epoch granularity. Its
-	// factory reads this table, so it cannot sit in it (Go rejects the
-	// initialization cycle): New builds it by name.
+	// Set-duels candidate engines (config.Hybrid.Candidates) per vault
+	// at epoch granularity. Its factory reads this table, so it cannot
+	// sit in it (Go rejects the initialization cycle): New builds it by
+	// name.
 	Hybrid: {Name: "hybrid", Policy: pfbuffer.LRU},
 }
 
