@@ -79,10 +79,11 @@ lint-tools:
 	$(GO) install golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION)
 
 # Short deterministic-budget fuzz runs over the parsers that ingest
-# external bytes: the checkpoint store, the compact trace format, and the
-# fault-spec grammar.
+# external bytes: the checkpoint store and the job journal (one shared
+# JSONL log loader), the compact trace format, and the fault-spec grammar.
 fuzz-smoke:
 	$(GO) test ./internal/exp -run=^$$ -fuzz=FuzzStoreRepair -fuzztime=10s
+	$(GO) test ./internal/serve -run=^$$ -fuzz=FuzzJournalRepair -fuzztime=10s
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzCompactDecode -fuzztime=10s
 	$(GO) test ./internal/fault -run=^$$ -fuzz=FuzzParseSpec -fuzztime=10s
 

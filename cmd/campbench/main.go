@@ -149,7 +149,7 @@ func main() {
 
 	if *reportPath != "" {
 		md := report.Markdown(results, "CAMPS reproduction report")
-		if err := os.WriteFile(*reportPath, []byte(md), 0o644); err != nil {
+		if err := exp.AtomicWriteFile(*reportPath, []byte(md), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *reportPath)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 
@@ -64,9 +63,7 @@ func TestHybridDefaultMatchesAllCandidates(t *testing.T) {
 }
 
 // runJSON runs rc and returns its Results as JSON. A run with faults
-// enabled must see at least one bank blackout. A 5us blackout holds reads
-// past the read-latency histogram's range, so AMATp99ps reads +Inf there,
-// which encoding/json rejects: its bits are appended to the JSON instead.
+// enabled must see at least one bank blackout.
 func runJSON(t *testing.T, name string, rc camps.RunConfig) []byte {
 	t.Helper()
 	res, err := camps.RunContext(context.Background(), rc)
@@ -76,11 +73,9 @@ func runJSON(t *testing.T, name string, rc camps.RunConfig) []byte {
 	if rc.Faults.Enabled() && (res.Faults == nil || res.Faults.BankBlackouts == 0) {
 		t.Fatalf("%s: no bank blackout fired", name)
 	}
-	p99 := math.Float64bits(res.AMATp99ps)
-	res.AMATp99ps = 0
 	out, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return fmt.Appendf(out, " p99=%x", p99)
+	return out
 }

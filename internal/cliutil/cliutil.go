@@ -1,6 +1,8 @@
-// Package cliutil holds the flag behaviours shared by every cmd/*
-// binary: -version build-info printing and the -pprof debug server, so
-// the five CLIs stay consistent without each reimplementing them.
+// Package cliutil holds the flag behaviours shared by the simulator and
+// trace CLIs (campsim, campbench, campsweep, tracegen, traceinfo):
+// -version build-info printing and the -pprof debug server, so those
+// five stay consistent without each reimplementing them. campserve and
+// campslint use neither.
 package cliutil
 
 import (

@@ -153,13 +153,6 @@ type Options struct {
 	// Resume skips cells already present in the checkpoint store,
 	// surfacing them as CellResults with Resumed set.
 	Resume bool
-	// Obs, when non-nil, receives the scheduler's counters
-	// (exp.cells_started/completed/retried/cancelled/failed/resumed/
-	// warm_waited) and the per-cell wall-clock latency histogram
-	// (exp.cell_wall_ms).
-	// Snapshot it after Run returns; during the run it is written
-	// concurrently by the workers.
-	Obs *obs.Registry
 	// Progress, when non-nil, receives every completed cell (including
 	// resumed ones) as it lands. Calls are serialized; the callback need
 	// not be safe for concurrent use.
@@ -262,16 +255,11 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 	}
 
 	var (
-		mu    sync.Mutex // guards st, results, store appends, Progress, lat
+		mu    sync.Mutex // guards st, results, store appends, Progress
 		st    Stats
-		lat   = obs.NewHistogram()
 		done  = map[string]Record{}
 		store *Store
 	)
-	if opts.Obs != nil {
-		instrument(opts.Obs, &st, &mu)
-		lat = opts.Obs.Histogram("exp.cell_wall_ms")
-	}
 	if opts.Checkpoint != "" {
 		var err error
 		store, err = OpenStore(opts.Checkpoint)
@@ -372,7 +360,6 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 				}
 				mu.Lock()
 				st.Completed++
-				lat.Observe(float64(dur) / float64(time.Millisecond))
 				var serr error
 				if store != nil {
 					serr = store.Append(recordOf(c, cr))
@@ -512,24 +499,4 @@ func (o *Options) runConfig(c Cell) camps.RunConfig {
 		Faults:          o.Faults,
 		CheckInvariants: o.CheckInvariants,
 	}
-}
-
-// instrument exposes the campaign counters through an obs registry. The
-// CounterFuncs take the scheduler mutex, so snapshots are safe at any
-// time; the latency histogram is only safe to read after Run returns.
-func instrument(reg *obs.Registry, st *Stats, mu *sync.Mutex) {
-	locked := func(v *uint64) func() uint64 {
-		return func() uint64 {
-			mu.Lock()
-			defer mu.Unlock()
-			return *v
-		}
-	}
-	reg.CounterFunc("exp.cells_started", locked(&st.Started))
-	reg.CounterFunc("exp.cells_completed", locked(&st.Completed))
-	reg.CounterFunc("exp.cells_retried", locked(&st.Retried))
-	reg.CounterFunc("exp.cells_cancelled", locked(&st.Cancelled))
-	reg.CounterFunc("exp.cells_failed", locked(&st.Failed))
-	reg.CounterFunc("exp.cells_resumed", locked(&st.Resumed))
-	reg.CounterFunc("exp.cells_warm_waited", locked(&st.WarmWaits))
 }

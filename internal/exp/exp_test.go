@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"camps"
-	"camps/internal/obs"
 	"camps/internal/workload"
 )
 
@@ -311,6 +311,37 @@ func TestCheckpointResumeSkipsDoneCells(t *testing.T) {
 	}
 }
 
+// TestCheckpointBlackoutCell is campsweep's
+// "-mix HM1 -knob ct -values 16 -instr 20000
+// -faults bankfail=100us,bankfor=5us -out ..." as one Run. 5us bank
+// blackouts hold more than 1% of reads past the 2us read-latency
+// histogram, where AMATp99ps once read +Inf, which encoding/json
+// rejects: the checkpoint append failed and the campaign with it.
+func TestCheckpointBlackoutCell(t *testing.T) {
+	mix, _ := workload.MixByID("HM1")
+	faults, err := camps.ParseFaultSpec("bankfail=100us,bankfor=5us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sw.jsonl")
+	cells := Sweep(mix, camps.CAMPSMOD, 1, "ct", []int64{16}, Knobs()["ct"].Apply)
+	res, _, err := Run(context.Background(), cells, Options{MeasureInstr: 20_000, Faults: faults, Checkpoint: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p99 := res[0].Results.AMATp99ps; math.IsInf(p99, 0) || p99 <= 2e6 {
+		t.Fatalf("AMATp99ps = %g, want finite and past the 2us histogram", p99)
+	}
+	st, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Len() != 1 {
+		t.Fatalf("checkpoint holds %d records, want 1", st.Len())
+	}
+}
+
 func TestWithoutResumeCheckpointIsIgnoredOnRead(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.jsonl")
 	cells := fakeCells(3)
@@ -334,29 +365,6 @@ func TestWithoutResumeCheckpointIsIgnoredOnRead(t *testing.T) {
 	}
 	if calls.Load() != 3 {
 		t.Fatalf("executed %d cells, want 3", calls.Load())
-	}
-}
-
-func TestObsInstrumentation(t *testing.T) {
-	reg := obs.NewRegistry()
-	cells := fakeCells(4)
-	_, _, err := Run(context.Background(), cells, Options{
-		Obs: reg,
-		RunCell: func(ctx context.Context, c Cell, o *Options) (camps.Results, error) {
-			time.Sleep(time.Millisecond)
-			return fakeResults(c), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot("final", 0)
-	if snap.Counter("exp.cells_completed") != 4 || snap.Counter("exp.cells_started") != 4 {
-		t.Fatalf("snapshot counters = %+v", snap.Counters)
-	}
-	h := reg.Histogram("exp.cell_wall_ms")
-	if h.Count() != 4 {
-		t.Fatalf("latency histogram has %d samples, want 4", h.Count())
 	}
 }
 

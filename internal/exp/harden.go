@@ -3,8 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -85,40 +83,4 @@ func runAttempt(ctx context.Context, c Cell, opts *Options) (camps.Results, erro
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
 	return camps.Results{}, &HangError{Cell: c.Key(), Grace: opts.HangGrace, Stack: buf}
-}
-
-// AtomicWriteFile durably replaces path with data: the bytes land in a
-// temporary file in the same directory, are fsync'd, and are renamed over
-// path, so readers observe either the old file or the complete new one —
-// never a partial write, even across a crash. The containing directory is
-// fsync'd too, making the rename itself durable.
-func AtomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Directory fsync is best-effort: some filesystems reject it, and
-	// the rename is already atomic — only its durability is at stake.
-	syncDir(path)
-	return nil
 }

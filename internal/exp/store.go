@@ -1,12 +1,7 @@
 package exp
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+	"errors"
 	"sort"
 	"time"
 
@@ -60,90 +55,30 @@ func (r Record) cellResult() CellResult {
 	}
 }
 
-// Store is an append-only JSONL checkpoint of completed cells. Appends are
-// fsync'd one record at a time, so the file is consistent after a crash or
-// SIGKILL: at worst the final line is truncated, and Open repairs that by
-// truncating back to the last complete record.
+// Store is the campaign checkpoint: a Log of completed cells, keyed by
+// cell key. A record appended again for a key supersedes the earlier
+// one.
 type Store struct {
-	f    *os.File
+	log  *Log[Record]
 	done map[string]Record
-	// lines counts records physically in the file (superseded duplicates
-	// included), so Compact can report how much it reclaimed.
-	lines int
 }
 
-// OpenStore opens (creating if needed) the checkpoint at path, loads every
-// complete record, and positions the file for appending. A torn final
-// line — the signature of a crash mid-append — is discarded and truncated
-// away; a corrupt record elsewhere is an error, since it means the file is
-// not one of ours.
-//
-// When the call creates the file, the parent directory is fsync'd too:
-// per-record Append fsyncs make the *contents* durable, but on
-// journaling filesystems the directory entry itself is a separate piece
-// of metadata — without the directory sync, a crash shortly after
-// creation can lose the whole file even though every byte in it was
-// synced.
+// OpenStore opens (creating if needed) the checkpoint at path and loads
+// every complete record, repairing a torn final line (see OpenLog).
 func OpenStore(path string) (*Store, error) {
-	_, statErr := os.Stat(path)
-	creating := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	s := &Store{done: make(map[string]Record)}
+	hasKey := func(rec Record) error {
+		if rec.Key == "" {
+			return errors.New("record has no key")
+		}
+		return nil
+	}
+	log, err := OpenLog(path, "checkpoint", hasKey, func(rec Record) { s.done[rec.Key] = rec })
 	if err != nil {
 		return nil, err
 	}
-	if creating {
-		syncDir(path)
-	}
-	s := &Store{f: f, done: make(map[string]Record)}
-	if err := s.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	s.log = log
 	return s, nil
-}
-
-// syncDir fsyncs path's parent directory, making a just-created or
-// just-renamed directory entry durable. Best-effort, like the rename
-// sync in AtomicWriteFile: some filesystems reject directory fsync, and
-// only durability — not consistency — is at stake.
-func syncDir(path string) {
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
-func (s *Store) load() error {
-	data, err := io.ReadAll(s.f)
-	if err != nil {
-		return err
-	}
-	var valid int // offset just past the last complete, parseable record
-	for valid < len(data) {
-		nl := bytes.IndexByte(data[valid:], '\n')
-		if nl < 0 {
-			break // no trailing newline: a torn append, drop it
-		}
-		line := data[valid : valid+nl+1]
-		var rec Record
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Key == "" {
-			if valid+nl+1 == len(data) {
-				break // the corrupt line is the file's last: torn append
-			}
-			if jerr == nil {
-				jerr = fmt.Errorf("record has no key")
-			}
-			return fmt.Errorf("checkpoint %s: corrupt record at offset %d: %w", s.f.Name(), valid, jerr)
-		}
-		valid += nl + 1
-		s.done[rec.Key] = rec
-		s.lines++
-	}
-	if err := s.f.Truncate(int64(valid)); err != nil {
-		return err
-	}
-	_, err = s.f.Seek(int64(valid), io.SeekStart)
-	return err
 }
 
 // Done returns the loaded records keyed by cell key (a copy).
@@ -158,22 +93,13 @@ func (s *Store) Done() map[string]Record {
 // Len returns the number of records in the store.
 func (s *Store) Len() int { return len(s.done) }
 
-// Append durably writes one record: marshal, write, fsync. The record is
-// visible to a subsequent OpenStore as soon as Append returns.
+// Append durably writes one record: it is visible to a subsequent
+// OpenStore as soon as Append returns.
 func (s *Store) Append(rec Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := s.f.Write(b); err != nil {
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Append(rec); err != nil {
 		return err
 	}
 	s.done[rec.Key] = rec
-	s.lines++
 	return nil
 }
 
@@ -181,47 +107,24 @@ func (s *Store) Append(rec Record) error {
 // in sorted key order. Resumed campaigns re-append records the file
 // already holds (the map keeps the latest, but the file keeps them all),
 // so a long-lived store grows without bound until compacted. The rewrite
-// goes through AtomicWriteFile — temp file, fsync, rename, directory
-// fsync — so a crash mid-compaction leaves either the old file or the
-// complete new one. Returns the records kept and the superseded lines
-// dropped.
+// is atomic (Log.Rewrite). Returns the records kept and the superseded
+// lines dropped.
 func (s *Store) Compact() (kept, dropped int, err error) {
 	keys := make([]string, 0, len(s.done))
 	for k := range s.done {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var buf bytes.Buffer
-	for _, k := range keys {
-		b, merr := json.Marshal(s.done[k])
-		if merr != nil {
-			return 0, 0, merr
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
+	recs := make([]Record, len(keys))
+	for i, k := range keys {
+		recs[i] = s.done[k]
 	}
-	path := s.f.Name()
-	if err := AtomicWriteFile(path, buf.Bytes(), 0o644); err != nil {
+	dropped = s.log.Lines() - len(recs)
+	if err := s.log.Rewrite(recs); err != nil {
 		return 0, 0, err
 	}
-	// Swap the handle: the old descriptor still points at the unlinked
-	// pre-compaction inode, so appends through it would vanish.
-	if err := s.f.Close(); err != nil {
-		return 0, 0, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
-	dropped = s.lines - len(s.done)
-	s.lines = len(s.done)
-	s.f = f
-	return len(s.done), dropped, nil
+	return len(recs), dropped, nil
 }
 
 // Close releases the underlying file.
-func (s *Store) Close() error { return s.f.Close() }
+func (s *Store) Close() error { return s.log.Close() }

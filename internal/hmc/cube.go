@@ -330,7 +330,8 @@ func (c *Cube) Writes() uint64 { return c.writes.Value() }
 func (c *Cube) ReadAMAT() stats.LatencyAccum { return c.readAMAT }
 
 // ReadLatencyQuantile returns an upper bound on the q-quantile of read
-// latency in picoseconds (5 ns resolution; +Inf past 2 us).
+// latency in picoseconds (5 ns resolution; past 2 us, the largest
+// observed read latency).
 func (c *Cube) ReadLatencyQuantile(q float64) float64 { return c.readHist.Quantile(q) }
 
 // Vault returns vault controller i (for tests and detailed inspection).

@@ -51,8 +51,8 @@ func GoodStored() map[string]*obs.Histogram {
 	return map[string]*obs.Histogram{"lat": h}
 }
 
-// GoodConditional is the internal/exp idiom: a throwaway histogram that
-// is replaced by the registry-owned one when observability is enabled.
+// GoodConditional: a throwaway histogram that is replaced by the
+// registry-owned one when observability is enabled.
 func GoodConditional(r *obs.Registry, enabled bool) {
 	h := obs.NewHistogram()
 	if enabled {

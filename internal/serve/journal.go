@@ -1,12 +1,7 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+	"errors"
 	"sort"
 
 	"camps/internal/exp"
@@ -30,19 +25,15 @@ type jobRecord struct {
 	Spec      *JobSpec `json:"spec,omitempty"`
 }
 
-// journal is the fsync'd JSONL log of job state transitions — the
-// daemon's source of truth across crashes. Its durability contract
-// mirrors exp.Store: every append is fsync'd before it is acknowledged,
-// a torn final line (crash mid-append) is repaired away on open, the
-// parent directory is fsync'd when the file is created, and compaction
-// rewrites atomically via exp.AtomicWriteFile. Guarded by the server
+// journal is the daemon's source of truth across crashes: an exp.Log of
+// job state transitions, with every transition merged into a per-job
+// view. The Log gives it the checkpoint's durability contract (fsync'd
+// appends, torn-tail repair, atomic compaction). Guarded by the server
 // mutex.
 type journal struct {
-	f     *os.File
-	path  string
+	log   *exp.Log[jobRecord]
 	jobs  map[string]jobRecord // merged latest state per job id
 	order []string             // job ids in first-seen (submission) order
-	lines int                  // physical lines, for the compaction trigger
 }
 
 // openJournal opens (creating if needed) the journal, repairs a torn
@@ -50,65 +41,19 @@ type journal struct {
 // (retaining the spec from the submission record). A corrupt interior
 // record is an error: the file is not one of ours.
 func openJournal(path string) (*journal, error) {
-	_, statErr := os.Stat(path)
-	creating := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	j := &journal{jobs: make(map[string]jobRecord)}
+	hasID := func(rec jobRecord) error {
+		if rec.ID == "" {
+			return errors.New("record has no id")
+		}
+		return nil
+	}
+	log, err := exp.OpenLog(path, "journal", hasID, j.merge)
 	if err != nil {
 		return nil, err
 	}
-	if creating {
-		syncDir(path)
-	}
-	j := &journal{f: f, path: path, jobs: make(map[string]jobRecord)}
-	if err := j.load(); err != nil {
-		f.Close()
-		return nil, err
-	}
+	j.log = log
 	return j, nil
-}
-
-// syncDir fsyncs path's parent directory (best-effort, matching
-// exp.Store): without it, a crash right after creating the file can
-// lose the directory entry — and with it the whole journal — on some
-// filesystems, even though every record byte was fsync'd.
-func syncDir(path string) {
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-}
-
-func (j *journal) load() error {
-	data, err := io.ReadAll(j.f)
-	if err != nil {
-		return err
-	}
-	var valid int
-	for valid < len(data) {
-		nl := bytes.IndexByte(data[valid:], '\n')
-		if nl < 0 {
-			break // torn final append: repair by truncation
-		}
-		line := data[valid : valid+nl+1]
-		var rec jobRecord
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.ID == "" {
-			if valid+nl+1 == len(data) {
-				break // the corrupt line is the last: torn append
-			}
-			if jerr == nil {
-				jerr = fmt.Errorf("record has no id")
-			}
-			return fmt.Errorf("journal %s: corrupt record at offset %d: %w", j.path, valid, jerr)
-		}
-		valid += nl + 1
-		j.lines++
-		j.merge(rec)
-	}
-	if err := j.f.Truncate(int64(valid)); err != nil {
-		return err
-	}
-	_, err = j.f.Seek(int64(valid), io.SeekStart)
-	return err
 }
 
 // merge folds one transition into the per-job view, preserving the spec
@@ -123,20 +68,11 @@ func (j *journal) merge(rec jobRecord) {
 	j.jobs[rec.ID] = rec
 }
 
-// append durably writes one transition: marshal, write, fsync, merge.
+// append durably writes one transition, then merges it.
 func (j *journal) append(rec jobRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
+	if err := j.log.Append(rec); err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	if _, err := j.f.Write(b); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.lines++
 	j.merge(rec)
 	return nil
 }
@@ -144,42 +80,14 @@ func (j *journal) append(rec jobRecord) error {
 // needsCompaction reports whether the transition log has outgrown its
 // merged view enough to be worth rewriting.
 func (j *journal) needsCompaction() bool {
-	return j.lines > 64 && j.lines > 4*len(j.jobs)
+	lines := j.log.Lines()
+	return lines > 64 && lines > 4*len(j.jobs)
 }
 
-// compact rewrites the journal as one merged record per job in
-// submission order, atomically (temp file, fsync, rename, directory
-// fsync). The merged records carry their specs, so a compacted journal
-// recovers identically to the original log.
-func (j *journal) compact() error {
-	var buf bytes.Buffer
-	for _, id := range j.order {
-		rec := j.jobs[id]
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	if err := exp.AtomicWriteFile(j.path, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := j.f.Close(); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return err
-	}
-	j.f = f
-	j.lines = len(j.order)
-	return nil
-}
+// compact atomically rewrites the journal as one merged record per job
+// in submission order. The merged records carry their specs, so a
+// compacted journal recovers identically to the original log.
+func (j *journal) compact() error { return j.log.Rewrite(j.records()) }
 
 // nextSeq returns the sequence number for a newly submitted job: one
 // past the highest the journal has seen, so ids stay unique across
@@ -204,7 +112,7 @@ func (j *journal) records() []jobRecord {
 }
 
 // close releases the journal file.
-func (j *journal) close() error { return j.f.Close() }
+func (j *journal) close() error { return j.log.Close() }
 
 // sortedKeys is a small helper for deterministic iteration over
 // string-keyed maps in export paths.

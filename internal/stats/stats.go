@@ -125,6 +125,9 @@ type Histogram struct {
 	buckets  []uint64
 	overflow uint64
 	total    uint64
+	// max is the largest overflowed sample, and so the largest sample
+	// whenever overflow > 0 — the only case in which Quantile reads it.
+	max float64
 }
 
 // NewHistogram returns a histogram with n buckets of the given width.
@@ -145,6 +148,7 @@ func (h *Histogram) Observe(v float64) {
 	i := int(v / h.width)
 	if i >= len(h.buckets) {
 		h.overflow++
+		h.max = max(h.max, v)
 		return
 	}
 	h.buckets[i]++
@@ -160,7 +164,8 @@ func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
 func (h *Histogram) Overflow() uint64 { return h.overflow }
 
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) using
-// bucket upper edges. Overflowed samples report +Inf.
+// bucket upper edges. A quantile past the last bucket reports the largest
+// sample, so the bound stays finite (and JSON-encodable).
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -176,7 +181,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 			return float64(i+1) * h.width
 		}
 	}
-	return math.Inf(1)
+	return h.max
 }
 
 // GeoMean returns the geometric mean of strictly positive values.

@@ -77,8 +77,8 @@ func TestHistogram(t *testing.T) {
 	if q := h.Quantile(0.5); q != 10 {
 		t.Fatalf("median = %g, want 10", q)
 	}
-	if q := h.Quantile(1.0); !math.IsInf(q, 1) {
-		t.Fatalf("p100 with overflow = %g, want +Inf", q)
+	if q := h.Quantile(1.0); q != 100 {
+		t.Fatalf("p100 with overflow = %g, want the largest sample 100", q)
 	}
 }
 
