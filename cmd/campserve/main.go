@@ -54,9 +54,9 @@ func main() {
 		quotaJobs    = flag.Int("quota-jobs", 0, "default per-tenant queued-job cap (0 = default 16)")
 		quotaTicks   = flag.Float64("quota-ticks", 0, "default per-tenant simulated-tick budget in ps (0 = unlimited)")
 		instr        = flag.Uint64("instr", 200_000, "default measured instructions per cell")
-		warmup       = flag.Uint64("warmup", 0, "default warmup references per cell (0 = camps default)")
+		warmup       = flag.Uint64("warmup", 0, "default warmup references per cell (0 = 2000)")
 		cellTimeout  = flag.Duration("cell-timeout", 0, "wall-clock budget per cell attempt (0 = none)")
-		retries      = flag.Int("retries", 1, "extra attempts for transiently failing cells")
+		retries      = flag.Int("retries", 1, "extra attempts for transiently failing cells (values below 1 become 1)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget on SIGTERM")
 		cacheSize    = flag.Int("cache", 0, "result cache entries (0 = default 4096)")
 		smoke        = flag.Bool("smoke", false, "run the self-test against an ephemeral instance and exit")

@@ -45,7 +45,7 @@ func main() {
 	var (
 		name     = flag.String("knob", "", "knob to sweep (see -list)")
 		values   = flag.String("values", "", "comma-separated values")
-		mixID    = flag.String("mix", "HM2", "workload mix")
+		mixID    = flag.String("mix", "HM2", "workload mix (HM1-4, LM1-4, MX1-4, DC1-2)")
 		scheme   = flag.String("scheme", "CAMPS-MOD", "prefetching scheme ("+strings.Join(camps.SchemeNames(), ", ")+")")
 		instr    = flag.Uint64("instr", 200_000, "measured instructions per core")
 		seed     = flag.Uint64("seed", 1, "trace seed")
@@ -66,8 +66,8 @@ func main() {
 		cliutil.PrintVersion(os.Stdout, "campsweep")
 		return
 	}
-	knobs := exp.Knobs()
 	if *list {
+		knobs := exp.Knobs()
 		names := make([]string, 0, len(knobs))
 		for n := range knobs {
 			names = append(names, n)
@@ -99,23 +99,11 @@ func main() {
 		fmt.Printf("compacted %s: kept %d records, dropped %d superseded lines\n", *out, kept, dropped)
 		return
 	}
-	k, ok := knobs[*name]
-	if !ok {
-		log.Fatalf("unknown knob %q (use -list)", *name)
-	}
 	if *values == "" {
 		log.Fatal("need -values")
 	}
 	if *resume && *out == "" {
 		log.Fatal("-resume needs -out to name the checkpoint")
-	}
-	mix, err := camps.MixByID(*mixID)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := camps.ParseScheme(*scheme)
-	if err != nil {
-		log.Fatal(err)
 	}
 	var vals []int64
 	for _, raw := range strings.Split(*values, ",") {
@@ -125,30 +113,16 @@ func main() {
 		}
 		vals = append(vals, v)
 	}
-	var faultSpec camps.FaultSpec
-	if *faults != "" {
-		faultSpec, err = camps.ParseFaultSpec(*faults)
-		if err != nil {
-			log.Fatalf("-faults: %v", err)
-		}
+	spec := exp.Spec{
+		Mixes: []string{*mixID}, Schemes: []string{*scheme}, Seeds: []uint64{*seed},
+		Knob: *name, Values: vals, Instr: *instr, Faults: *faults, Check: *check,
 	}
-
-	// SIGINT/SIGTERM cancel the campaign: in-flight simulations halt
-	// within one epoch, and every finished cell is already fsync'd to the
-	// checkpoint, so -resume completes the sweep later.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cells := exp.Sweep(mix, s, *seed, *name, vals, k.Apply)
-	results, stats, err := exp.Run(ctx, cells, exp.Options{
-		MeasureInstr:    *instr,
-		Parallelism:     *parallel,
-		CellTimeout:     *timeout,
-		Retries:         *retries,
-		Checkpoint:      *out,
-		Resume:          *resume,
-		Faults:          faultSpec,
-		CheckInvariants: *check,
+	cells, opts, err := spec.Expand(exp.Options{
+		Parallelism: *parallel,
+		CellTimeout: *timeout,
+		Retries:     *retries,
+		Checkpoint:  *out,
+		Resume:      *resume,
 		Progress: func(cr exp.CellResult) {
 			state := "done"
 			if cr.Resumed {
@@ -158,9 +132,19 @@ func main() {
 				state, cr.Knob, cr.Value, cr.Attempt, cr.Duration.Round(time.Millisecond))
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// SIGINT/SIGTERM cancel the campaign: in-flight simulations halt
+	// within one epoch, and every finished cell is already fsync'd to the
+	// checkpoint, so -resume completes the sweep later.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	results, stats, err := exp.Run(ctx, cells, opts)
 
 	fmt.Printf("# sweep %s on %s under %v (%d instr/core, seed %d)\n",
-		*name, mix.ID, s, *instr, *seed)
+		*name, cells[0].Mix.ID, cells[0].Scheme, *instr, *seed)
 	fmt.Println("value,ipc,amat_ns,conflict_rate,bufhit_rate,row_accuracy,energy_mJ,faults")
 	for _, cr := range results {
 		res := cr.Results

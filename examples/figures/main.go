@@ -8,25 +8,28 @@ import (
 	"fmt"
 	"log"
 
-	"camps"
 	"camps/internal/exp"
 	"camps/internal/plot"
 	"camps/internal/report"
-	"camps/internal/workload"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	hm1, _ := workload.MixByID("HM1")
-	mx1, _ := workload.MixByID("MX1")
-	cells := exp.Grid([]workload.Mix{hm1, mx1}, camps.Schemes(), nil)
-	results, _, err := exp.Run(context.Background(), cells, exp.Options{
-		MeasureInstr: 150_000, // reduced budget: this is a demo
+	spec := exp.Spec{
+		Mixes:   []string{"HM1", "MX1"},
+		Schemes: []string{"BASE", "BASE-HIT", "MMD", "CAMPS", "CAMPS-MOD"},
+		Instr:   150_000, // reduced budget: this is a demo
+	}
+	cells, opts, err := spec.Expand(exp.Options{
 		Progress: func(cr exp.CellResult) {
 			fmt.Printf("  finished %s under %v (IPC %.4f)\n", cr.Mix, cr.Scheme, cr.Results.GeoMeanIPC)
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, _, err := exp.Run(context.Background(), cells, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,23 +19,27 @@ import (
 	"camps/internal/exp"
 )
 
-func sweep(ctx context.Context, mix camps.Mix, knob string, values []int64,
-	apply func(*camps.SystemConfig, int64)) []exp.CellResult {
-	cells := exp.Sweep(mix, camps.CAMPSMOD, 1, knob, values, apply)
-	results, _, err := exp.Run(ctx, cells, exp.Options{MeasureInstr: 150_000})
+// sweep runs CAMPS-MOD on mixID across the named knob's values.
+func sweep(ctx context.Context, knob string, values []int64) []exp.CellResult {
+	spec := exp.Spec{
+		Mixes: []string{mixID}, Schemes: []string{camps.CAMPSMOD.String()},
+		Knob: knob, Values: values, Instr: 150_000,
+	}
+	cells, opts, err := spec.Expand(exp.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, _, err := exp.Run(ctx, cells, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	return results
 }
 
+const mixID = "HM2"
+
 func main() {
 	log.SetFlags(0)
-	const mixID = "HM2"
-	mix, err := camps.MixByID(mixID)
-	if err != nil {
-		log.Fatal(err)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -43,8 +47,7 @@ func main() {
 
 	fmt.Println("RUT utilization threshold (paper: 4):")
 	fmt.Printf("%10s %10s %12s %12s\n", "threshold", "IPC", "fetches", "accuracy")
-	for _, cr := range sweep(ctx, mix, "threshold", []int64{1, 2, 4, 8},
-		func(sys *camps.SystemConfig, v int64) { sys.CAMPS.UtilThreshold = int(v) }) {
+	for _, cr := range sweep(ctx, "threshold", []int64{1, 2, 4, 8}) {
 		r := cr.Results
 		fmt.Printf("%10d %10.4f %12d %11.1f%%\n",
 			cr.Value, r.GeoMeanIPC, r.PrefetchesIssued, r.PrefetchAccuracy*100)
@@ -52,8 +55,7 @@ func main() {
 
 	fmt.Println("\nconflict-table entries per vault (paper: 32):")
 	fmt.Printf("%10s %10s %12s %12s\n", "entries", "IPC", "fetches", "accuracy")
-	for _, cr := range sweep(ctx, mix, "ct", []int64{8, 16, 32, 64},
-		func(sys *camps.SystemConfig, v int64) { sys.CAMPS.CTEntries = int(v) }) {
+	for _, cr := range sweep(ctx, "ct", []int64{8, 16, 32, 64}) {
 		r := cr.Results
 		fmt.Printf("%10d %10.4f %12d %11.1f%%\n",
 			cr.Value, r.GeoMeanIPC, r.PrefetchesIssued, r.PrefetchAccuracy*100)

@@ -105,9 +105,6 @@ func (l *Level) clone() *Level {
 // HitLatency returns the level's lookup latency in CPU cycles.
 func (l *Level) HitLatency() int64 { return l.hitLat }
 
-// Sets returns the number of sets.
-func (l *Level) Sets() int { return l.sets }
-
 // Hits returns the hit count.
 func (l *Level) Hits() uint64 { return l.hits.Value() }
 

@@ -16,7 +16,6 @@ type StrideDetector struct {
 	entries []strideEntry
 	degree  int
 
-	trained   stats.Counter
 	predicted stats.Counter
 }
 
@@ -63,7 +62,6 @@ func (d *StrideDetector) Observe(addr uint64) []uint64 {
 		e.confidence = 1
 	}
 	e.lastAddr = addr
-	d.trained.Inc()
 	if e.confidence < strideConfidence {
 		return nil
 	}
@@ -79,9 +77,6 @@ func (d *StrideDetector) Observe(addr uint64) []uint64 {
 	d.predicted.Add(uint64(len(out)))
 	return out
 }
-
-// Trained returns the number of observations that updated a valid entry.
-func (d *StrideDetector) Trained() uint64 { return d.trained.Value() }
 
 // Predicted returns the number of prefetch addresses emitted.
 func (d *StrideDetector) Predicted() uint64 { return d.predicted.Value() }

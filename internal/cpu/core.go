@@ -224,9 +224,6 @@ func (c *Core) issueStridePrefetches(addr uint64, at sim.Time) {
 	}
 }
 
-// StridePrefetches returns core-side prefetches issued (0 when disabled).
-func (c *Core) StridePrefetches() uint64 { return c.prefIssued.Value() }
-
 // readDone is called when an outstanding read's data arrives.
 func (c *Core) readDone(at sim.Time) {
 	c.outstanding--

@@ -10,7 +10,8 @@
 // into Figures 5–9), the 1-D sweep CLI (cmd/campsweep) and the serving
 // daemon (internal/serve) are thin clients of this package: a grid, a
 // multi-seed grid and a sweep are all just cell enumerations handed to
-// Run.
+// Run. The sweep CLI and the daemon name their campaigns as a Spec,
+// which validates and expands them; the figure grid calls Grid.
 package exp
 
 import (
@@ -68,24 +69,6 @@ func Grid(mixes []workload.Mix, schemes []camps.Scheme, seeds []uint64) []Cell {
 				cells = append(cells, Cell{Mix: m, Scheme: s, Seed: seed})
 			}
 		}
-	}
-	return cells
-}
-
-// Sweep enumerates one knob across values for a fixed mix/scheme/seed —
-// the 1-D ablation campaign behind cmd/campsweep.
-func Sweep(mix workload.Mix, scheme camps.Scheme, seed uint64, knob string,
-	values []int64, apply func(*camps.SystemConfig, int64)) []Cell {
-	if seed == 0 {
-		seed = 1
-	}
-	cells := make([]Cell, 0, len(values))
-	for _, v := range values {
-		v := v
-		cells = append(cells, Cell{
-			Mix: mix, Scheme: scheme, Seed: seed, Knob: knob, Value: v,
-			Apply: func(sys *camps.SystemConfig) { apply(sys, v) },
-		})
 	}
 	return cells
 }

@@ -53,9 +53,12 @@ func TestGridEnumeration(t *testing.T) {
 }
 
 func TestSweepEnumerationAppliesKnob(t *testing.T) {
-	mix, _ := workload.MixByID("HM2")
-	cells := Sweep(mix, camps.CAMPSMOD, 0, "ct", []int64{8, 64},
-		func(sys *camps.SystemConfig, v int64) { sys.CAMPS.CTEntries = int(v) })
+	spec := Spec{Mixes: []string{"HM2"}, Schemes: []string{"CAMPS-MOD"}, Seeds: []uint64{0},
+		Knob: "ct", Values: []int64{8, 64}}
+	cells, _, err := spec.Expand(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(cells) != 2 {
 		t.Fatalf("enumerated %d cells", len(cells))
 	}
@@ -318,14 +321,14 @@ func TestCheckpointResumeSkipsDoneCells(t *testing.T) {
 // histogram, where AMATp99ps once read +Inf, which encoding/json
 // rejects: the checkpoint append failed and the campaign with it.
 func TestCheckpointBlackoutCell(t *testing.T) {
-	mix, _ := workload.MixByID("HM1")
-	faults, err := camps.ParseFaultSpec("bankfail=100us,bankfor=5us")
+	path := filepath.Join(t.TempDir(), "sw.jsonl")
+	spec := Spec{Mixes: []string{"HM1"}, Schemes: []string{"CAMPS-MOD"}, Knob: "ct", Values: []int64{16},
+		Instr: 20_000, Faults: "bankfail=100us,bankfor=5us"}
+	cells, opts, err := spec.Expand(Options{Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sw.jsonl")
-	cells := Sweep(mix, camps.CAMPSMOD, 1, "ct", []int64{16}, Knobs()["ct"].Apply)
-	res, _, err := Run(context.Background(), cells, Options{MeasureInstr: 20_000, Faults: faults, Checkpoint: path})
+	res, _, err := Run(context.Background(), cells, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package exp
 import "camps"
 
 // Knob is one sweepable configuration dimension: a hardware parameter of
-// the simulated system or a prefetch engine's tuning parameter. The table
-// is shared by cmd/campsweep (the -knob flag) and internal/serve (the
-// job spec's knob/values sweep), so both surfaces accept exactly the
+// the simulated system or a prefetch engine's tuning parameter. A Spec's
+// knob names one of them, so cmd/campsweep (the -knob flag) and
+// internal/serve (the job spec's knob/values sweep) accept exactly the
 // same dimensions.
 type Knob struct {
 	Name  string

@@ -40,15 +40,6 @@ func (o PrefetchOutcome) String() string {
 	return fmt.Sprintf("outcome-%d", uint8(o))
 }
 
-// PrefetchOutcomes returns every outcome in declaration order.
-func PrefetchOutcomes() []PrefetchOutcome {
-	out := make([]PrefetchOutcome, outcomeCount)
-	for i := range out {
-		out[i] = PrefetchOutcome(i)
-	}
-	return out
-}
-
 // PrefetchLedger classifies every prefetch a run issues into its final
 // outcome, per engine (the whole ledger is labeled with the scheme that
 // drove it) and per vault. Like the rest of the obs layer it is

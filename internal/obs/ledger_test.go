@@ -80,13 +80,12 @@ func TestLedgerMetricsRegistered(t *testing.T) {
 // docs/OBSERVABILITY.md.
 func TestOutcomeStrings(t *testing.T) {
 	want := []string{"useful_timely", "useful_late", "evicted_unused", "conflict_victim"}
-	outs := PrefetchOutcomes()
-	if len(outs) != len(want) {
-		t.Fatalf("got %d outcomes, want %d", len(outs), len(want))
+	if int(outcomeCount) != len(want) {
+		t.Fatalf("got %d outcomes, want %d", outcomeCount, len(want))
 	}
-	for i, o := range outs {
-		if o.String() != want[i] {
-			t.Errorf("outcome %d = %q, want %q", i, o.String(), want[i])
+	for o := PrefetchOutcome(0); o < outcomeCount; o++ {
+		if o.String() != want[o] {
+			t.Errorf("outcome %d = %q, want %q", o, o.String(), want[o])
 		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package obs is the simulator-wide observability layer: a metrics
-// registry of named counters, gauges and log-bucketed latency histograms,
-// plus a ring-buffered structured event tracer (see tracer.go).
+// registry of named counter and gauge readers and log-bucketed latency
+// histograms, plus a ring-buffered structured event tracer (see
+// tracer.go).
 //
 // Design constraints, in order:
 //
-//  1. Zero allocation on the hot path. Components capture *Counter /
-//     *Histogram handles once at instrumentation time; Observe/Inc/Emit
-//     touch only preallocated storage. All map lookups happen during
+//  1. Zero allocation on the hot path. Components register counter and
+//     gauge readers over their own stats fields and capture *Histogram
+//     handles once at instrumentation time; Observe/Emit touch only
+//     preallocated storage. All map lookups happen during
 //     registration or at snapshot/export time.
 //  2. One registry per simulation. Like the event engine, a Registry is
 //     confined to a single goroutine; exp.Run runs cells in parallel
@@ -23,44 +25,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
-
-// Counter is a registry-owned monotonic counter. Use it for new metrics
-// that have no pre-existing private field; subsystems with existing
-// counters alias them via Registry.CounterFunc instead.
-type Counter struct {
-	v uint64
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.v += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
-// Gauge is a registry-owned instantaneous value.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the gauge by d (may be negative).
-func (g *Gauge) Add(d float64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // Registry holds every registered metric of one simulation.
 // The zero value is not usable; call NewRegistry.
 type Registry struct {
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	counterFns map[string][]func() uint64
 	gaugeFns   map[string][]func() float64
@@ -69,33 +38,10 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		hists:      make(map[string]*Histogram),
 		counterFns: make(map[string][]func() uint64),
 		gaugeFns:   make(map[string][]func() float64),
 	}
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use. Repeated calls with one name return the same instance.
-func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -152,19 +98,13 @@ func (r *Registry) Snapshot(tag string, atPs int64) Snapshot {
 	s := Snapshot{
 		AtPs:     atPs,
 		Tag:      tag,
-		Counters: make(map[string]uint64, len(r.counters)+len(r.counterFns)),
-		Gauges:   make(map[string]float64, len(r.gauges)+len(r.gaugeFns)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] += c.Value()
+		Counters: make(map[string]uint64, len(r.counterFns)),
+		Gauges:   make(map[string]float64, len(r.gaugeFns)),
 	}
 	for name, fns := range r.counterFns {
 		for _, fn := range fns {
 			s.Counters[name] += fn()
 		}
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] += g.Value()
 	}
 	for name, fns := range r.gaugeFns {
 		for _, fn := range fns {
@@ -185,33 +125,6 @@ func (r *Registry) Snapshot(tag string, atPs int64) Snapshot {
 		}
 	}
 	return s
-}
-
-// MetricNames returns every registered metric name, sorted, for
-// discoverability in CLIs and docs.
-func (r *Registry) MetricNames() []string {
-	seen := make(map[string]bool)
-	for n := range r.counters {
-		seen[n] = true
-	}
-	for n := range r.counterFns {
-		seen[n] = true
-	}
-	for n := range r.gauges {
-		seen[n] = true
-	}
-	for n := range r.gaugeFns {
-		seen[n] = true
-	}
-	for n := range r.hists {
-		seen[n] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteSnapshotsJSONL writes one JSON object per snapshot, one per line

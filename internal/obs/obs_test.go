@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,12 +11,6 @@ import (
 // instance, so components can capture handles once.
 func TestRegistryHandlesStable(t *testing.T) {
 	r := NewRegistry()
-	if r.Counter("a") != r.Counter("a") {
-		t.Error("Counter not stable across lookups")
-	}
-	if r.Gauge("g") != r.Gauge("g") {
-		t.Error("Gauge not stable across lookups")
-	}
 	if r.Histogram("h") != r.Histogram("h") {
 		t.Error("Histogram not stable across lookups")
 	}
@@ -35,7 +28,6 @@ func TestAdditiveRegistration(t *testing.T) {
 	}
 	r.GaugeFunc("vault.queue", func() float64 { return 1.5 })
 	r.GaugeFunc("vault.queue", func() float64 { return 2.5 })
-	r.Counter("direct").Add(5)
 
 	s := r.Snapshot("t", 123)
 	if s.AtPs != 123 || s.Tag != "t" {
@@ -46,9 +38,6 @@ func TestAdditiveRegistration(t *testing.T) {
 	}
 	if got := s.Gauges["vault.queue"]; got != 4.0 {
 		t.Errorf("vault.queue = %v, want 4", got)
-	}
-	if got := s.Counter("direct"); got != 5 {
-		t.Errorf("direct = %d, want 5", got)
 	}
 
 	// Later snapshots re-read the functions.
@@ -83,25 +72,11 @@ func TestSnapshotHistograms(t *testing.T) {
 	}
 }
 
-// TestMetricNames: names from all five tables, sorted, deduplicated.
-func TestMetricNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b.count")
-	r.CounterFunc("a.fn", func() uint64 { return 0 })
-	r.CounterFunc("a.fn", func() uint64 { return 0 }) // duplicate name
-	r.Gauge("c.gauge")
-	r.Histogram("d.hist")
-	want := []string{"a.fn", "b.count", "c.gauge", "d.hist"}
-	if got := r.MetricNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("MetricNames = %v, want %v", got, want)
-	}
-}
-
 // TestWriteSnapshotsJSONL: one valid JSON object per line with the
 // documented keys.
 func TestWriteSnapshotsJSONL(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x").Add(3)
+	r.CounterFunc("x", func() uint64 { return 3 })
 	snaps := []Snapshot{r.Snapshot("epoch", 1000), r.Snapshot("final", 2000)}
 	var buf bytes.Buffer
 	if err := WriteSnapshotsJSONL(&buf, snaps); err != nil {
@@ -129,9 +104,11 @@ func TestSuite(t *testing.T) {
 	if got := len(s.Tracer.buf); got != DefaultTraceCap {
 		t.Errorf("default trace cap = %d, want %d", got, DefaultTraceCap)
 	}
-	s.Registry.Counter("n").Inc()
+	var n uint64
+	s.Registry.CounterFunc("n", func() uint64 { return n })
+	n++
 	s.Snap("e1", 10)
-	s.Registry.Counter("n").Inc()
+	n++
 	s.Snap("e2", 20)
 	snaps := s.Snapshots()
 	if len(snaps) != 2 {

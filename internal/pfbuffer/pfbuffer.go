@@ -145,13 +145,6 @@ type Buffer struct {
 	policy      Policy
 	nValid      int
 	stats       Stats
-
-	// Prefetch efficacy ledger (nil unless SetLedger was called): every
-	// eviction classifies its row's final outcome. The buffer owns this
-	// because Flush surfaces only dirty evictions to the controller —
-	// evict() is the one chokepoint that sees every row leave.
-	ledger      *obs.PrefetchLedger
-	ledgerVault int
 }
 
 // New returns an empty buffer with the given entry count, lines per row and
@@ -209,16 +202,8 @@ func (b *Buffer) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("pfbuffer.occupancy", func() float64 { return float64(b.nValid) })
 }
 
-// SetLedger attaches the prefetch efficacy ledger; evictions classify
-// their row's outcome into it, labeled with this buffer's vault id. A
-// nil ledger detaches classification.
-func (b *Buffer) SetLedger(lg *obs.PrefetchLedger, vault int) {
-	b.ledger = lg
-	b.ledgerVault = vault
-}
-
 // MarkLate flags a resident row as having lost the race to a queued
-// demand request: any use it sees is "late" in the efficacy ledger.
+// demand request: its eviction record reports Late.
 func (b *Buffer) MarkLate(id RowID) {
 	if i := b.find(id); i >= 0 {
 		b.entries[i].late = true
@@ -396,16 +381,6 @@ func (b *Buffer) evict(i int) Eviction {
 	if ev.Dirty {
 		b.stats.DirtyEvicts++
 	}
-	// Every resident row leaves through here (replacement, Drop, Flush),
-	// so this is where its final efficacy verdict is recorded.
-	switch {
-	case ev.Used && !ev.Late:
-		b.ledger.Record(b.ledgerVault, obs.UsefulTimely)
-	case ev.Used:
-		b.ledger.Record(b.ledgerVault, obs.UsefulLate)
-	default:
-		b.ledger.Record(b.ledgerVault, obs.EvictedUnused)
-	}
 	return ev
 }
 
@@ -422,21 +397,18 @@ func (b *Buffer) Drop(id RowID) (Eviction, bool) {
 }
 
 // Flush evicts every resident row (in recency order, LRU first) and
-// returns the dirty ones; call at end of simulation so writeback traffic
-// and accuracy accounting include resident rows.
+// returns their eviction records; call at end of simulation so writeback
+// traffic and accuracy accounting include resident rows.
 func (b *Buffer) Flush() []Eviction {
-	var dirty []Eviction
+	evs := make([]Eviction, 0, b.nValid)
 	for b.nValid > 0 {
 		idx := b.rank(0)
 		if idx < 0 {
 			panic("pfbuffer: valid entries without recency 0")
 		}
-		ev := b.evict(idx)
-		if ev.Dirty {
-			dirty = append(dirty, ev)
-		}
+		evs = append(evs, b.evict(idx))
 	}
-	return dirty
+	return evs
 }
 
 // CheckInvariant validates the buffer's structural invariants: occupancy

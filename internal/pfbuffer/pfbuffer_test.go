@@ -186,8 +186,8 @@ func TestFlushReturnsDirtyRows(t *testing.T) {
 	b.Insert(dirty, 0, 0)
 	b.Lookup(dirty, 7, true, 0)
 	evs := b.Flush()
-	if len(evs) != 1 || evs[0].ID != dirty {
-		t.Fatalf("flush returned %+v, want just the dirty row", evs)
+	if len(evs) != 2 || evs[0].ID != clean || evs[0].Dirty || evs[1].ID != dirty || !evs[1].Dirty {
+		t.Fatalf("flush returned %+v, want the clean row, then the dirty row flagged Dirty", evs)
 	}
 	if b.Len() != 0 {
 		t.Fatal("buffer not empty after flush")

@@ -154,18 +154,16 @@ func (b *refBuffer) drop(id RowID) (Eviction, bool) {
 }
 
 func (b *refBuffer) flush() []Eviction {
-	var dirty []Eviction
+	evs := []Eviction{}
 	for b.nValid > 0 {
 		for i := range b.entries {
 			if b.entries[i].valid && b.entries[i].recency == 0 {
-				if ev := b.evict(i); ev.Dirty {
-					dirty = append(dirty, ev)
-				}
+				evs = append(evs, b.evict(i))
 				break
 			}
 		}
 	}
-	return dirty
+	return evs
 }
 
 func (b *refBuffer) recencies() []int {

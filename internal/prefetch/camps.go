@@ -99,9 +99,6 @@ func (e *campsEngine) OnEviction(pfbuffer.Eviction) {}
 // CTLen exposes the conflict-table occupancy for tests and ablations.
 func (e *campsEngine) CTLen() int { return e.ct.Len() }
 
-// CTCap exposes the conflict-table capacity for tests and invariants.
-func (e *campsEngine) CTCap() int { return e.ct.Capacity() }
-
 // CheckInvariant validates the engine's tables: CT occupancy within
 // capacity and its LRU list and index consistent with each other, the RUT
 // sized one entry per bank, and every tracked bitmap within the vault's

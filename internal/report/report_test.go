@@ -323,17 +323,19 @@ func TestGroupAverages(t *testing.T) {
 
 func TestTimeseries(t *testing.T) {
 	reg := obs.NewRegistry()
-	conflicts := reg.Counter("vault.row_conflicts")
-	queue := reg.Gauge("vault.read_queue")
+	var conflicts uint64
+	var queue float64
+	reg.CounterFunc("vault.row_conflicts", func() uint64 { return conflicts })
+	reg.GaugeFunc("vault.read_queue", func() float64 { return queue })
 	lat := reg.Histogram("vault.service_latency_ps")
 
 	var snaps []obs.Snapshot
-	conflicts.Add(10)
-	queue.Set(2)
+	conflicts += 10
+	queue = 2
 	lat.ObserveInt(100)
 	snaps = append(snaps, reg.Snapshot("epoch", 5_000_000))
-	conflicts.Add(25)
-	queue.Set(4)
+	conflicts += 25
+	queue = 4
 	snaps = append(snaps, reg.Snapshot("final", 10_000_000))
 
 	metrics := []string{"vault.row_conflicts", "vault.read_queue",

@@ -143,32 +143,21 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 		s.kick()
 	}()
 
-	cells, err := j.spec.cells()
-	if err != nil {
-		s.finishJob(j, StateFailed, "expanding spec: "+err.Error())
-		return
-	}
-
 	// cachedKeys marks cells served from the result cache, so the
 	// Progress callback (which only sees CellResults) can attribute them:
 	// cached and resumed cells are free of tick charges.
 	var cachedKeys sync.Map
 
-	par := s.cfg.Workers
-	if len(cells) < par {
-		par = len(cells)
-	}
-	opts := exp.Options{
-		System:          s.cfg.System,
-		WarmupRefs:      j.spec.Warmup,
-		MeasureInstr:    j.spec.Instr,
-		CheckInvariants: j.spec.Check,
-		Parallelism:     par,
-		CellTimeout:     s.cfg.CellTimeout,
-		Retries:         s.cfg.Retries,
-		Checkpoint:      s.cellStorePath(j.id),
-		Resume:          true,
-		Gate:            &slotGate{global: s.globalSlots, tenant: tenantSlots, inflight: &s.inflight},
+	// The spec was validated at admission; an expansion error means the
+	// journal was hand-edited.
+	cells, opts, err := j.spec.Expand(exp.Options{
+		System:      s.cfg.System,
+		Parallelism: min(s.cfg.Workers, j.spec.CellCount()),
+		CellTimeout: s.cfg.CellTimeout,
+		Retries:     s.cfg.Retries,
+		Checkpoint:  s.cellStorePath(j.id),
+		Resume:      true,
+		Gate:        &slotGate{global: s.globalSlots, tenant: tenantSlots, inflight: &s.inflight},
 		RunCell: func(ctx context.Context, c exp.Cell, o *exp.Options) (camps.Results, error) {
 			key := cacheKey(s.sysHash, &j.spec, c)
 			if res, ok := s.cache.get(key); ok {
@@ -214,11 +203,10 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 			})
 			j.stream.PublishFrame("cell", payload)
 		},
-	}
-	if j.spec.Faults != "" {
-		// Validated at admission; a parse error here means the journal was
-		// hand-edited, and the job fails cleanly below via the campaign.
-		opts.Faults, _ = camps.ParseFaultSpec(j.spec.Faults)
+	})
+	if err != nil {
+		s.finishJob(j, StateFailed, "expanding spec: "+err.Error())
+		return
 	}
 	if j.spec.StreamEpochs {
 		opts.CellObs = func(c exp.Cell) *obs.Suite {

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"camps/internal/exp"
 )
 
 // FuzzJournalRepair throws arbitrary bytes at the job journal's loader
@@ -16,7 +18,7 @@ import (
 // (appends land, reopening sees them, re-repair is a no-op).
 func FuzzJournalRepair(f *testing.F) {
 	line, err := json.Marshal(jobRecord{Seq: 1, ID: "j000001", Tenant: "a", State: StateQueued,
-		Cells: 1, Spec: &JobSpec{Tenant: "a", Mixes: []string{"HM1"}, Schemes: []string{"CAMPS"}}})
+		Cells: 1, Spec: &JobSpec{Tenant: "a", Spec: exp.Spec{Mixes: []string{"HM1"}, Schemes: []string{"CAMPS"}}}})
 	if err != nil {
 		f.Fatal(err)
 	}

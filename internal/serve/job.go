@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"time"
 
-	"camps"
 	"camps/internal/exp"
 	"camps/internal/obs"
 )
@@ -57,10 +56,10 @@ func terminalState(state string) bool {
 }
 
 // JobSpec is the client-submitted description of one campaign: the
-// cross product of mixes × schemes × seeds (× knob values, when a knob
-// sweep is requested), simulated with the given run lengths and fault
-// environment. The zero values of the optional fields inherit the
-// daemon's defaults.
+// campaign itself (exp.Spec: mixes × schemes × seeds, × knob values when
+// a knob sweep is requested, with run lengths and a fault environment)
+// plus the daemon's scheduling fields. The zero values of the optional
+// fields inherit the daemon's defaults.
 type JobSpec struct {
 	// Tenant names the submitting tenant; the X-Tenant header overrides
 	// it, and an empty value falls back to "anon".
@@ -69,25 +68,10 @@ type JobSpec struct {
 	// orders load shedding: as the wait queue fills up, lower-priority
 	// submissions are shed first.
 	Priority int `json:"priority,omitempty"`
-	// Mixes and Schemes are crossed to enumerate cells. Both accept any
-	// known name (Table II and extension mixes; every engine in the
-	// prefetch scheme table).
-	Mixes   []string `json:"mixes"`
-	Schemes []string `json:"schemes"`
-	// Seeds decorrelate synthetic traces (default [1]; 0 normalizes to 1).
-	Seeds []uint64 `json:"seeds,omitempty"`
-	// Knob/Values request a configuration sweep: every cell is further
-	// crossed with each value of the named knob (see exp.Knobs).
-	Knob   string  `json:"knob,omitempty"`
-	Values []int64 `json:"values,omitempty"`
-	// Instr and Warmup scale each cell's simulation (0 = daemon default).
-	Instr  uint64 `json:"instr,omitempty"`
-	Warmup uint64 `json:"warmup,omitempty"`
-	// Faults is a deterministic fault-injection spec in the -faults
-	// grammar ("" = fault-free).
-	Faults string `json:"faults,omitempty"`
-	// Check arms the epoch invariant checker in every cell.
-	Check bool `json:"check,omitempty"`
+	// Spec is the campaign. Its fields sit between priority and
+	// deadline_ms in the wire and journal JSON, so the embedding stays
+	// here. Its zero Instr and Warmup select the daemon defaults.
+	exp.Spec
 	// DeadlineMS bounds the job's wall-clock life from submission;
 	// a job that exceeds it fails with reason "deadline" (0 = none).
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -110,14 +94,7 @@ func (spec *JobSpec) normalize(defInstr, defWarmup uint64) {
 	if spec.Priority == 0 {
 		spec.Priority = defaultPriority
 	}
-	if len(spec.Seeds) == 0 {
-		spec.Seeds = []uint64{1}
-	}
-	for i, s := range spec.Seeds {
-		if s == 0 {
-			spec.Seeds[i] = 1
-		}
-	}
+	spec.NormalizeSeeds()
 	if spec.Instr == 0 {
 		spec.Instr = defInstr
 	}
@@ -131,98 +108,22 @@ func (spec *JobSpec) normalize(defInstr, defWarmup uint64) {
 const defaultPriority = 4
 
 // validate checks the spec against the registries and limits, returning
-// a client-facing error. maxCells bounds the expanded campaign size.
+// a client-facing error. maxCells bounds the expanded campaign size,
+// checked before any cell is built.
 func (spec *JobSpec) validate(maxCells int) error {
 	if spec.Priority < 0 || spec.Priority > 9 {
 		return fmt.Errorf("priority %d out of range [0,9]", spec.Priority)
 	}
-	if len(spec.Mixes) == 0 {
-		return errors.New("spec needs at least one mix")
-	}
-	if len(spec.Schemes) == 0 {
-		return errors.New("spec needs at least one scheme")
-	}
-	for _, id := range spec.Mixes {
-		if _, err := camps.AnyMixByID(id); err != nil {
-			return fmt.Errorf("mix %q: %w", id, err)
-		}
-	}
-	for _, name := range spec.Schemes {
-		if _, err := camps.ParseScheme(name); err != nil {
-			return fmt.Errorf("scheme %q: %w", name, err)
-		}
-	}
-	if spec.Knob != "" {
-		if _, ok := exp.LookupKnob(spec.Knob); !ok {
-			return fmt.Errorf("unknown knob %q", spec.Knob)
-		}
-		if len(spec.Values) == 0 {
-			return errors.New("knob sweep needs values")
-		}
-	} else if len(spec.Values) != 0 {
-		return errors.New("values without a knob")
-	}
-	if spec.Faults != "" {
-		if _, err := camps.ParseFaultSpec(spec.Faults); err != nil {
-			return fmt.Errorf("faults: %w", err)
-		}
+	if err := spec.Spec.Validate(); err != nil {
+		return err
 	}
 	if spec.DeadlineMS < 0 || spec.HeartbeatMS < 0 {
 		return errors.New("deadline_ms and heartbeat_ms must be non-negative")
 	}
-	if n := spec.cellCount(); n > maxCells {
+	if n := spec.CellCount(); n > maxCells {
 		return fmt.Errorf("campaign expands to %d cells, above the per-job limit %d", n, maxCells)
 	}
 	return nil
-}
-
-// cellCount is the size of the expanded campaign.
-func (spec *JobSpec) cellCount() int {
-	n := len(spec.Mixes) * len(spec.Schemes) * len(spec.Seeds)
-	if spec.Knob != "" {
-		n *= len(spec.Values)
-	}
-	return n
-}
-
-// cells expands the spec into exp cells in deterministic enumeration
-// order (seed-major, then mix, scheme, value — matching exp.Grid). The
-// spec must already be validated; expansion errors are impossible then.
-func (spec *JobSpec) cells() ([]exp.Cell, error) {
-	var knob exp.Knob
-	values := []int64{0}
-	if spec.Knob != "" {
-		k, ok := exp.LookupKnob(spec.Knob)
-		if !ok {
-			return nil, fmt.Errorf("unknown knob %q", spec.Knob)
-		}
-		knob, values = k, spec.Values
-	}
-	cells := make([]exp.Cell, 0, spec.cellCount())
-	for _, seed := range spec.Seeds {
-		for _, mixID := range spec.Mixes {
-			mix, err := camps.AnyMixByID(mixID)
-			if err != nil {
-				return nil, err
-			}
-			for _, schemeName := range spec.Schemes {
-				scheme, err := camps.ParseScheme(schemeName)
-				if err != nil {
-					return nil, err
-				}
-				for _, v := range values {
-					c := exp.Cell{Mix: mix, Scheme: scheme, Seed: seed}
-					if spec.Knob != "" {
-						v := v
-						c.Knob, c.Value = spec.Knob, v
-						c.Apply = func(sys *camps.SystemConfig) { knob.Apply(sys, v) }
-					}
-					cells = append(cells, c)
-				}
-			}
-		}
-	}
-	return cells, nil
 }
 
 // job is the server-side state of one campaign. Fields are guarded by

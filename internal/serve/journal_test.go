@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"camps/internal/exp"
 )
 
 func testJournal(t *testing.T) (*journal, string) {
@@ -20,7 +22,7 @@ func testJournal(t *testing.T) (*journal, string) {
 
 func TestJournalMergeAndReopen(t *testing.T) {
 	j, path := testJournal(t)
-	spec := &JobSpec{Tenant: "a", Mixes: []string{"HM1"}, Schemes: []string{"CAMPS-MOD"}}
+	spec := &JobSpec{Tenant: "a", Spec: exp.Spec{Mixes: []string{"HM1"}, Schemes: []string{"CAMPS-MOD"}}}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -116,7 +118,7 @@ func TestJournalCorruptInteriorRejected(t *testing.T) {
 
 func TestJournalCompact(t *testing.T) {
 	j, path := testJournal(t)
-	spec := &JobSpec{Tenant: "a", Mixes: []string{"HM1"}, Schemes: []string{"CAMPS-MOD"}}
+	spec := &JobSpec{Tenant: "a", Spec: exp.Spec{Mixes: []string{"HM1"}, Schemes: []string{"CAMPS-MOD"}}}
 	for i := 1; i <= 40; i++ {
 		id := "j" + string(rune('a'+i%3)) // three jobs transitioning repeatedly
 		if err := j.append(jobRecord{Seq: uint64(i%3 + 1), ID: id, Tenant: "a", State: StateRunning, Spec: spec}); err != nil {

@@ -477,7 +477,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tenant:    spec.Tenant,
 		spec:      spec,
 		state:     StateQueued,
-		cells:     spec.cellCount(),
+		cells:     spec.CellCount(),
 		submitted: now,
 		lastBeat:  now,
 		stream:    obs.NewStreamServer(),

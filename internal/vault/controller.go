@@ -59,8 +59,8 @@ type Controller struct {
 
 	// Epoch feedback for engines implementing prefetch.EpochObserver (nil
 	// otherwise; every field below then stays untouched). The controller
-	// counts demand requests and classifies buffer evictions itself —
-	// independent of the attribution ledger, which is optional — and hands
+	// counts demand requests and classifies buffer evictions itself (the
+	// same verdicts feedEviction gives the optional ledger), and hands
 	// the engine a fresh EpochStats every epochPeriod demands, immediately
 	// before the triggering request's OnDemandServed.
 	epochObs    prefetch.EpochObserver
@@ -283,9 +283,9 @@ func (c *Controller) SetFaults(site *fault.VaultSite) { c.faults = site }
 
 // AttachAttribution connects the vault to the attribution layer: demand
 // spans accrue cause segments here, and every prefetch's fate is
-// classified into the ledger (the buffer records eviction outcomes; the
-// controller records queue-overflow and poison casualties directly).
-// Either argument may be nil. Call before the simulation starts.
+// classified into the ledger (evicted and poisoned rows in feedEviction,
+// queue-overflow casualties where the fetch is dropped). Either argument
+// may be nil. Call before the simulation starts.
 func (c *Controller) AttachAttribution(spans *obs.SpanSet, ledger *obs.PrefetchLedger) {
 	c.spans = spans
 	c.ledger = ledger
@@ -293,7 +293,6 @@ func (c *Controller) AttachAttribution(spans *obs.SpanSet, ledger *obs.PrefetchL
 		c.lastRefNear = make([]window, len(c.banks))
 		c.lastBlkNear = make([]window, len(c.banks))
 	}
-	c.buffer.SetLedger(ledger, c.id)
 }
 
 // overlapPs returns the length of the intersection of [a0,a1) and w.
@@ -357,20 +356,23 @@ func (c *Controller) noteBufferHit() {
 	}
 }
 
-// feedEviction classifies a buffer eviction for the epoch accumulator
-// (the ledger's taxonomy: used-and-never-late is timely, used is late,
-// untouched is unused) and forwards it to the engine. Every eviction the
-// engine sees flows through here.
+// feedEviction classifies a prefetched row's final outcome — used and
+// never late is timely, used is late, untouched is unused — into the
+// efficacy ledger and the epoch accumulator, and forwards the eviction to
+// the engine. Every row that leaves the buffer (replacement or Flush) and
+// every row poisoned on arrival flows through here, and nowhere else
+// classifies one.
 func (c *Controller) feedEviction(ev pfbuffer.Eviction) {
+	o, n := obs.EvictedUnused, &c.epochAcc.EvictedUnused
+	switch {
+	case ev.Used && !ev.Late:
+		o, n = obs.UsefulTimely, &c.epochAcc.UsefulTimely
+	case ev.Used:
+		o, n = obs.UsefulLate, &c.epochAcc.UsefulLate
+	}
+	c.ledger.Record(c.id, o)
 	if c.epochObs != nil {
-		switch {
-		case ev.Used && !ev.Late:
-			c.epochAcc.UsefulTimely++
-		case ev.Used:
-			c.epochAcc.UsefulLate++
-		default:
-			c.epochAcc.EvictedUnused++
-		}
+		*n++
 	}
 	c.pf.OnEviction(ev)
 }
@@ -391,8 +393,8 @@ func (c *Controller) CollectOps() {
 }
 
 // Flush drains residency-dependent accounting at end of simulation: every
-// row still in the prefetch buffer is evicted so accuracy statistics cover
-// it, and dirty rows count as writebacks.
+// row still in the prefetch buffer is evicted so accuracy statistics and
+// the ledger cover it, and dirty rows count as writebacks.
 func (c *Controller) Flush() {
 	for _, ev := range c.buffer.Flush() {
 		c.feedEviction(ev)
@@ -1037,11 +1039,10 @@ func (c *Controller) landFill(i uint64) {
 // is charged with a zero-utilization eviction.
 func (c *Controller) insertFetched(id pfbuffer.RowID, touched uint64, at sim.Time) {
 	if c.faults.PoisonInsert(id.Bank, id.Row, at) {
-		c.feedEviction(pfbuffer.Eviction{ID: id})
 		// The fetch was spent but no demand can ever use it: pollution in
 		// the ledger, and excluded from buffer accuracy (the row never
 		// became resident).
-		c.ledger.Record(c.id, obs.EvictedUnused)
+		c.feedEviction(pfbuffer.Eviction{ID: id})
 		c.buffer.NotePoisoned()
 		return
 	}

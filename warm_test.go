@@ -33,7 +33,17 @@ func TestCampaignWarmSharingMatchesFreshRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := exp.Grid(mixes, camps.AllSchemes(), []uint64{1})
-	tsv, _ := exp.LookupKnob("tsv")
+	tsvSpec := exp.Spec{Mixes: []string{"MX1"}, Schemes: []string{"CAMPS-MOD"}, Knob: "tsv", Values: []int64{0, 8, 16}}
+	tsv, _, err := tsvSpec.Expand(exp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// l3size is not a knob of the table, so its cells are written out.
+	var l3 []exp.Cell
+	for _, v := range []int64{512 << 10, 1 << 20, 16 << 20} {
+		l3 = append(l3, exp.Cell{Mix: mixes[1], Scheme: camps.CAMPSMOD, Seed: 1, Knob: "l3size", Value: v,
+			Apply: func(sys *camps.SystemConfig) { sys.L3.SizeBytes = v }})
+	}
 	cases := []struct {
 		name   string
 		cells  []exp.Cell
@@ -41,9 +51,8 @@ func TestCampaignWarmSharingMatchesFreshRuns(t *testing.T) {
 	}{
 		{"grid/clean", grid, camps.FaultSpec{}},
 		{"grid/faulted", grid, faulted},
-		{"sweep/tsv", exp.Sweep(mixes[1], camps.CAMPSMOD, 1, "tsv", []int64{0, 8, 16}, tsv.Apply), camps.FaultSpec{}},
-		{"sweep/l3", exp.Sweep(mixes[1], camps.CAMPSMOD, 1, "l3size", []int64{512 << 10, 1 << 20, 16 << 20},
-			func(sys *camps.SystemConfig, v int64) { sys.L3.SizeBytes = v }), camps.FaultSpec{}},
+		{"sweep/tsv", tsv, camps.FaultSpec{}},
+		{"sweep/l3", l3, camps.FaultSpec{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
