@@ -11,7 +11,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: fmt build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke perfbench-check bench-smoke verify bench figures clean
+.PHONY: fmt build vet test race orchestration observability serve serve-smoke lint lint-tools fuzz-smoke fault-smoke trace-smoke perfbench-check bench-smoke verify bench figures clean
 
 # gofmt over every package's own files; listing them per package
 # directory keeps the deliberately unformatted lint testdata out.
@@ -103,6 +103,22 @@ fault-smoke:
 	$(GO) run ./cmd/campsim -mix HM1 -scheme hybrid -instr 60000 -warmup 5000 \
 		-faults 'bankfail=100us,bankfor=5us' -check >/dev/null
 
+# End-to-end trace replay: tracegen writes a short trace and campsim
+# replays it on every core under the invariant checker. The same trace
+# based at 64 GiB lies past the caches' 32 GiB tag limit, so campsim must
+# refuse it with the typed address-range error instead of aliasing lines.
+trace-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o $$dir/ ./cmd/tracegen ./cmd/campsim && \
+	$$dir/tracegen -bench mcf -n 20000 -o $$dir/low.trace >/dev/null && \
+	$$dir/campsim -trace $$dir/low.trace -instr 10000 -warmup 1000 -check >/dev/null && \
+	$$dir/tracegen -bench mcf -n 20000 -base 68719476736 -o $$dir/high.trace >/dev/null && \
+	if $$dir/campsim -trace $$dir/high.trace -instr 10000 -warmup 1000 -check >/dev/null 2>$$dir/err; then \
+		echo "trace-smoke: campsim accepted a trace past the tag limit"; exit 1; \
+	fi && \
+	grep -q "address beyond the cache tag range" $$dir/err || \
+		{ echo "trace-smoke: want the address-range error, got:"; cat $$dir/err; exit 1; }
+
 # perfbench/ is its own Go module (it points back here through a replace
 # directive), so the root `go build ./...` never compiles it. Vet and test
 # it against the current tree, so an engine or cache API change cannot
@@ -111,16 +127,16 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of each per-layer microbenchmark (event kernel, cache
-# hierarchy, prefetch engines and conflict table, prefetch buffer,
-# saturated vault scheduler, one and two campaign rows through exp.Run,
-# one functional warmup), so they keep compiling and running; timing them
-# is a separate, deliberate step.
+# hierarchy as a whole and per level, MSHR file, prefetch engines and
+# conflict table, prefetch buffer, saturated vault scheduler, one and two
+# campaign rows through exp.Run, one functional warmup), so they keep
+# compiling and running; timing them is a separate, deliberate step.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|GridTwoMixes|ConflictTable|BufferLookup|Warm' -benchtime 1x . ./internal/...
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|GridTwoMixes|ConflictTable|BufferLookup|Warm|MSHR' -benchtime 1x . ./internal/...
 
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.
-verify: fmt build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke perfbench-check bench-smoke
+verify: fmt build vet race orchestration observability serve serve-smoke lint fuzz-smoke fault-smoke trace-smoke perfbench-check bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

@@ -188,6 +188,14 @@ func (rc *RunConfig) validate() error {
 	if err := prefetch.ValidateConfig(rc.System); err != nil {
 		return &apiError{msg: "camps: " + err.Error(), refs: []error{ErrInvalidConfig, err}}
 	}
+	span := uint64(rc.System.Processor.Cores) * workload.CoreRegion
+	if limit := cache.AddressLimit(rc.System); rc.Readers == nil && limit < span {
+		return &apiError{
+			msg: fmt.Sprintf("camps: the caches tag addresses below %#x, short of the %d-core mix span %#x",
+				limit, rc.System.Processor.Cores, span),
+			refs: []error{ErrInvalidConfig},
+		}
+	}
 	if err := rc.Faults.Validate(); err != nil {
 		return fmt.Errorf("camps: %w", err) // matches ErrBadFaultSpec
 	}

@@ -144,7 +144,7 @@ func main() {
 	results, stats, err := exp.Run(ctx, cells, opts)
 
 	fmt.Printf("# sweep %s on %s under %v (%d instr/core, seed %d)\n",
-		*name, cells[0].Mix.ID, cells[0].Scheme, *instr, *seed)
+		*name, cells[0].Mix.ID, cells[0].Scheme, *instr, cells[0].Seed)
 	fmt.Println("value,ipc,amat_ns,conflict_rate,bufhit_rate,row_accuracy,energy_mJ,faults")
 	for _, cr := range results {
 		res := cr.Results

@@ -10,6 +10,7 @@ import (
 
 	"camps"
 	"camps/internal/sim"
+	"camps/internal/trace"
 )
 
 func TestRunContextBackgroundMatchesRun(t *testing.T) {
@@ -166,5 +167,61 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if _, err := camps.AnyMixByID("nope"); !errors.Is(err, camps.ErrUnknownMix) {
 		t.Fatalf("AnyMixByID err = %v, want ErrUnknownMix match", err)
+	}
+}
+
+// TestReadersBeyondTagLimit checks that a Readers record at the caches'
+// tag limit (32 GiB on Table I: the L1's 256 sets of 64-byte lines and
+// 21-bit tags) fails the run with ErrAddressRange, whether the functional
+// warmup or the measured region reads it, while the highest line below
+// the limit runs normally.
+func TestReadersBeyondTagLimit(t *testing.T) {
+	const limit = 32 << 30
+	for _, tc := range []struct {
+		name   string
+		at     int    // index of core 3's out-of-range record
+		inText string // where the error says it happened
+	}{
+		{"warmup", 50, "core 3 warmup trace"},
+		{"measured", 500, "cpu: core 3 trace"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			readers := make([]trace.Reader, camps.DefaultSystem().Processor.Cores)
+			for core := range readers {
+				recs := make([]trace.Record, 1000)
+				for i := range recs {
+					recs[i] = trace.Record{Gap: 3, Addr: uint64(core)<<20 | uint64(i)*64}
+				}
+				recs[10].Addr = limit - 64 // the highest taggable line
+				if core == 3 {
+					recs[tc.at].Addr = limit
+				}
+				readers[core] = trace.NewSliceReader(recs)
+			}
+			_, err := camps.RunContext(context.Background(), camps.RunConfig{
+				Scheme: camps.BASE, Readers: readers, WarmupRefs: 100, MeasureInstr: 4_000,
+			})
+			if !errors.Is(err, camps.ErrAddressRange) {
+				t.Fatalf("err = %v, want ErrAddressRange", err)
+			}
+			if !strings.Contains(err.Error(), tc.inText) {
+				t.Fatalf("err = %q, want it to name %q", err, tc.inText)
+			}
+		})
+	}
+}
+
+// TestTagLimitBelowMixSpanIsInvalidConfig checks that a system whose
+// caches cannot tag a whole mix's address span (8 cores x 512 MiB) fails
+// validation: an L1 of 16 sets tags only the first 2 GiB.
+func TestTagLimitBelowMixSpanIsInvalidConfig(t *testing.T) {
+	rc := quick("HM1", camps.BASE)
+	rc.System = camps.DefaultSystem()
+	rc.System.L1.SizeBytes = 2 << 10 // 2 ways of 64-byte lines: 16 sets
+	if _, err := camps.RunContext(context.Background(), rc); !errors.Is(err, camps.ErrInvalidConfig) {
+		t.Fatalf("RunContext: err = %v, want ErrInvalidConfig", err)
+	}
+	if _, err := camps.Warm(context.Background(), rc); !errors.Is(err, camps.ErrInvalidConfig) {
+		t.Fatalf("Warm: err = %v, want ErrInvalidConfig", err)
 	}
 }

@@ -29,6 +29,11 @@ var (
 	// ErrBadFaultSpec matches every fault-spec parse or validation failure
 	// (RunConfig.Faults and the CLIs' -faults grammar).
 	ErrBadFaultSpec = fault.ErrBadSpec
+	// ErrAddressRange matches a run whose Readers yield a record at or
+	// above the first address the system's caches can no longer tag
+	// (32 GiB on Table I; see DESIGN.md §3), in warmup or in the measured
+	// region.
+	ErrAddressRange = errors.New("camps: address beyond the cache tag range")
 )
 
 // apiError pairs an unchanged legacy message with the sentinels (and,

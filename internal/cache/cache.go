@@ -2,15 +2,20 @@
 // private L1 and L2 per core and one shared L3, all with 64-byte lines,
 // true-LRU set associativity, and write-back/write-allocate semantics.
 //
-// Each way is one word, tag<<3 | state (valid, dirty and prefetched bits),
-// so a tag check is one masked compare per way. Lines of at least 8 bytes
-// leave a tag at most 61 bits wide for any 64-bit address, so the shifted
-// tag always fits.
+// Each way is one 32-bit word, tag<<11 | stamp<<3 | state: a
+// config.CacheTagBits-wide tag, the way's one-byte recency stamp, and the
+// valid, dirty and prefetched bits. A tag check is one masked compare per
+// way, and a 16-way set is one 64-byte host cache line. The narrow tag
+// bounds the addresses a level can hold to 1 << (CacheTagBits +
+// log2(sets) + log2(line bytes)); Hierarchy.Access panics on an address
+// at or above the smallest level's bound (AddressLimit), so no address
+// aliases another, and camps rejects such input with a typed error before
+// it gets here.
 //
-// LRU order is kept as one-byte recency stamps: each set has a one-byte
-// clock, and touching a line gives it the clock's next value, so the
-// valid line with the smallest stamp is exactly the least recently used.
-// When a set's clock would wrap, the set is renumbered in recency order.
+// LRU order is kept as the recency stamps: each set has a one-byte clock,
+// and touching a line gives it the clock's next value, so the valid line
+// with the smallest stamp is exactly the least recently used. When a
+// set's clock would wrap, the set is renumbered in recency order.
 //
 // One routine searches a set: a probe returns the hit way, or on a miss the
 // fill target (the first free way, else the LRU way), and changes
@@ -27,6 +32,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"camps/internal/config"
 	"camps/internal/obs"
@@ -40,8 +46,7 @@ type Level struct {
 	lineShift uint
 	setShift  uint // log2(sets): a line address's set bits
 	setMask   uint64
-	lines     []uint64 // sets*ways words of tag<<stBits | state
-	stamp     []uint8  // recency stamp per line; larger = more recent
+	lines     []uint32 // sets*ways words of tag<<tagShift | stamp<<stBits | state
 	clock     []uint8  // per set: the last stamp issued
 	hitLat    int64
 
@@ -54,13 +59,20 @@ type Level struct {
 	prefUseful    stats.Counter
 }
 
-// State bits in the low stBits bits of a line word.
+// A line word: state in the low stBits bits, the recency stamp (larger =
+// more recent) in the next 8, the tag above.
 const (
-	stValid uint64 = 1 << 0
-	stDirty uint64 = 1 << 1
-	stPref  uint64 = 1 << 2 // installed by a core-side prefetch, unused yet
+	stValid uint32 = 1 << 0
+	stDirty uint32 = 1 << 1
+	stPref  uint32 = 1 << 2 // installed by a core-side prefetch, unused yet
 	stBits         = 3
+
+	stampMask uint32 = 0xff << stBits
+	tagShift         = stBits + 8
 )
+
+// The tag fills the rest of the 32-bit word exactly.
+var _ [32]struct{} = [tagShift + config.CacheTagBits]struct{}{}
 
 // NewLevel builds a cache level from its configuration.
 func NewLevel(cfg config.CacheLevel) *Level {
@@ -74,31 +86,23 @@ func NewLevel(cfg config.CacheLevel) *Level {
 	if cfg.LineBytes < config.MinCacheLineBytes {
 		panic(fmt.Sprintf("%v: %d-byte lines, at least %d", config.ErrCacheLine, cfg.LineBytes, config.MinCacheLineBytes))
 	}
-	n := sets * cfg.Ways
-	// stamp and clock share one allocation.
-	b := make([]uint8, n+sets)
 	return &Level{
 		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setShift:  uint(bits.TrailingZeros64(uint64(sets))),
 		setMask:   uint64(sets - 1),
-		lines:     make([]uint64, n),
-		stamp:     b[:n:n],
-		clock:     b[n:],
+		lines:     make([]uint32, sets*cfg.Ways),
+		clock:     make([]uint8, sets),
 		hitLat:    cfg.HitLatency,
 	}
 }
 
-// clone returns a deep copy of l: its lines, recency stamps and counters.
+// clone returns a deep copy of l: its lines, set clocks and counters.
 func (l *Level) clone() *Level {
 	cp := *l
-	n := len(l.lines)
-	b := make([]uint8, n+l.sets)
-	copy(b, l.stamp)
-	copy(b[n:], l.clock)
-	cp.lines = append([]uint64(nil), l.lines...)
-	cp.stamp, cp.clock = b[:n:n], b[n:]
+	cp.lines = slices.Clone(l.lines)
+	cp.clock = slices.Clone(l.clock)
 	return &cp
 }
 
@@ -114,16 +118,18 @@ func (l *Level) Misses() uint64 { return l.misses.Value() }
 // Writebacks returns the number of dirty lines evicted.
 func (l *Level) Writebacks() uint64 { return l.wbacks.Value() }
 
-func (l *Level) index(addr uint64) (set int, lineTag uint64) {
+// index splits addr into its set and tag. The tag keeps its low
+// CacheTagBits bits, all of them below the hierarchy's address limit.
+func (l *Level) index(addr uint64) (set int, lineTag uint32) {
 	line := addr >> l.lineShift
-	return int(line & l.setMask), line >> l.setShift
+	return int(line & l.setMask), uint32(line >> l.setShift)
 }
 
 // slot is a probe's outcome: addr's set and tag, and a line index — the
 // hit line, or on a miss the way a fill of addr takes.
 type slot struct {
 	set int
-	tag uint64
+	tag uint32
 	i   int
 }
 
@@ -137,18 +143,19 @@ type slot struct {
 // target is exact as long as nothing touches the level in between.
 func (l *Level) probe(addr uint64) (s slot, hit bool) {
 	s.set, s.tag = l.index(addr)
-	want := s.tag<<stBits | stValid
+	want := s.tag<<tagShift | stValid
 	base := s.set * l.ways
 	words := l.lines[base : base+l.ways]
-	stamps := l.stamp[base : base+len(words)]
 	target := ^uint32(0)
 	for w, word := range words {
-		if word&^(stDirty|stPref) == want {
+		if word&^(stampMask|stDirty|stPref) == want {
 			s.i = base + w
 			return s, true
 		}
-		valid := uint32(word & stValid) // 0 leaves a free way's index
-		target = min(target, (uint32(stamps[w])+1)<<8*valid|uint32(w))
+		// (stamp+1)<<8 is (the stamp field + 1<<stBits) << (8-stBits);
+		// valid is 0 for a free way, leaving its index.
+		valid := word & stValid
+		target = min(target, (word&stampMask+1<<stBits)<<(8-stBits)*valid|uint32(w))
 	}
 	s.i = base + int(target&0xff)
 	return s, false
@@ -163,14 +170,16 @@ func (l *Level) demand(addr uint64, write bool) (s slot, hit bool) {
 		l.misses.Inc()
 		return s, false
 	}
-	l.touch(s.set, s.i)
+	w := l.lines[s.i]
 	if write {
-		l.lines[s.i] |= stDirty
+		w |= stDirty
 	}
-	if l.lines[s.i]&stPref != 0 {
-		l.lines[s.i] &^= stPref
+	if w&stPref != 0 {
+		w &^= stPref
 		l.prefUseful.Inc()
 	}
+	l.lines[s.i] = w
+	l.touch(s.set, s.i)
 	l.hits.Inc()
 	return s, true
 }
@@ -215,10 +224,10 @@ func (l *Level) put(addr uint64, dirty, prefetched bool) Victim {
 	if !hit {
 		return l.fill(s, dirty, prefetched)
 	}
-	l.touch(s.set, s.i)
 	if dirty {
 		l.lines[s.i] |= stDirty
 	}
+	l.touch(s.set, s.i)
 	return Victim{}
 }
 
@@ -237,7 +246,7 @@ func (l *Level) fill(s slot, dirty, prefetched bool) Victim {
 	var victim Victim
 	if old := l.lines[s.i]; old&stValid != 0 {
 		victim = Victim{
-			Addr:  l.reconstruct(s.set, old>>stBits),
+			Addr:  l.reconstruct(s.set, old>>tagShift),
 			Dirty: old&stDirty != 0,
 			Valid: true,
 		}
@@ -246,7 +255,7 @@ func (l *Level) fill(s slot, dirty, prefetched bool) Victim {
 			l.wbacks.Inc()
 		}
 	}
-	w := s.tag<<stBits | stValid
+	w := s.tag<<tagShift | stValid
 	if dirty {
 		w |= stDirty
 	}
@@ -265,8 +274,13 @@ func (l *Level) PrefetchInstalled() uint64 { return l.prefInstalled.Value() }
 func (l *Level) PrefetchUseful() uint64 { return l.prefUseful.Value() }
 
 // reconstruct rebuilds a line's base address from set and tag.
-func (l *Level) reconstruct(set int, tag uint64) uint64 {
-	return (tag<<l.setShift | uint64(set)) << l.lineShift
+func (l *Level) reconstruct(set int, tag uint32) uint64 {
+	return (uint64(tag)<<l.setShift | uint64(set)) << l.lineShift
+}
+
+// setStamp replaces line i's recency stamp with stamp.
+func (l *Level) setStamp(i int, stamp uint8) {
+	l.lines[i] = l.lines[i]&^stampMask | uint32(stamp)<<stBits
 }
 
 // touch makes line i (an index into set's ways) the set's MRU entry.
@@ -276,7 +290,7 @@ func (l *Level) touch(set, i int) {
 		next = l.renumber(set, i)
 	}
 	l.clock[set] = next
-	l.stamp[i] = next
+	l.setStamp(i, next)
 }
 
 // renumber restamps the valid lines of set other than line i as 0..n-1 in
@@ -287,18 +301,34 @@ func (l *Level) renumber(set, skip int) uint8 {
 	var byStamp [256]uint16 // line offset within the set + 1; 0 = none
 	base := set * l.ways
 	for i := base; i < base+l.ways; i++ {
-		if i != skip && l.lines[i]&stValid != 0 {
-			byStamp[l.stamp[i]] = uint16(i - base + 1)
+		if w := l.lines[i]; i != skip && w&stValid != 0 {
+			byStamp[uint8(w>>stBits)] = uint16(i - base + 1)
 		}
 	}
 	n := uint8(0)
 	for _, w := range byStamp {
 		if w != 0 {
-			l.stamp[base+int(w)-1] = n
+			l.setStamp(base+int(w)-1, n)
 			n++
 		}
 	}
 	return n
+}
+
+// AddressLimit returns the first address the cache hierarchy of a valid
+// cfg cannot tag: the smallest of its levels' limits, 1 << (CacheTagBits +
+// log2(sets) + log2(line bytes)) each (see config.CacheTagBits), at most
+// ^uint64(0).
+func AddressLimit(cfg config.Config) uint64 {
+	limit := ^uint64(0)
+	for _, l := range []config.CacheLevel{cfg.L1, cfg.L2, cfg.L3} {
+		sets := l.SizeBytes / int64(l.Ways) / int64(l.LineBytes)
+		shift := config.CacheTagBits + bits.TrailingZeros64(uint64(sets)) + bits.TrailingZeros64(uint64(l.LineBytes))
+		if shift < 64 {
+			limit = min(limit, 1<<shift)
+		}
+	}
+	return limit
 }
 
 // Hierarchy is the full per-chip cache stack.
@@ -306,6 +336,7 @@ type Hierarchy struct {
 	l1, l2 []*Level
 	l3     *Level
 	cfg    config.Config
+	limit  uint64 // AddressLimit(cfg): the first address a level cannot tag
 
 	l3MissPerCore []stats.Counter
 
@@ -317,7 +348,7 @@ type Hierarchy struct {
 
 // NewHierarchy builds the stack for cfg.Processor.Cores cores.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, l3: NewLevel(cfg.L3)}
+	h := &Hierarchy{cfg: cfg, l3: NewLevel(cfg.L3), limit: AddressLimit(cfg)}
 	h.l1 = make([]*Level, cfg.Processor.Cores)
 	h.l2 = make([]*Level, cfg.Processor.Cores)
 	h.l3MissPerCore = make([]stats.Counter, cfg.Processor.Cores)
@@ -384,9 +415,15 @@ type Result struct {
 // fills on the way back use it. That is exact because nothing touches a
 // level between its probe and its fill (a cascade writes only into the
 // levels below the one it leaves).
+//
+// An address at or above the hierarchy's AddressLimit panics rather than
+// alias another line.
 func (h *Hierarchy) Access(core int, addr uint64, write bool) Result {
 	if core < 0 || core >= len(h.l1) {
 		panic(fmt.Sprintf("cache: core %d out of range", core))
+	}
+	if addr >= h.limit {
+		panic(fmt.Sprintf("cache: address %#x at or above the %#x tag limit", addr, h.limit))
 	}
 	l1, l2, l3 := h.l1[core], h.l2[core], h.l3
 	res := Result{Level: 1, Latency: l1.hitLat}
@@ -441,7 +478,9 @@ func (h *Hierarchy) writeback(res *Result, addr uint64) {
 // written to memory, borrowed as Result.Writebacks is: valid until the
 // next Access or InstallPrefetched, nil when there are none. It is the
 // fill path of the core-side prefetching ablation; the installed lines
-// count toward prefetch usefulness on their first demand hit.
+// count toward prefetch usefulness on their first demand hit. Its
+// addresses come from a StrideDetector, which predicts only below
+// AddressLimit.
 func (h *Hierarchy) InstallPrefetched(core int, addr uint64) []uint64 {
 	var res Result
 	if v := h.l3.InstallPrefetched(addr); v.Dirty {

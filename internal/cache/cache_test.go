@@ -99,28 +99,65 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	}
 }
 
-// TestPackedLineWordFullWidth checks the packed tag-and-state word at the
-// smallest line size, where the tag is widest: addresses in the top bits
-// of the 64-bit space must hit, miss and reconstruct exactly, with the
-// dirty and prefetched bits kept apart from the tag.
-func TestPackedLineWordFullWidth(t *testing.T) {
-	l := NewLevel(config.CacheLevel{
-		SizeBytes: 2 * config.MinCacheLineBytes, Ways: 2,
+// TestPackedLineWordAtLimit checks the packed way word at the smallest
+// line size, where the tag limit is lowest: the highest taggable line (an
+// all-ones tag in the last set) must hit, miss and reconstruct exactly,
+// with the dirty and prefetched bits kept apart from the tag and the
+// recency stamp, also while the set's clock wraps and renumbers.
+func TestPackedLineWordAtLimit(t *testing.T) {
+	lvl := config.CacheLevel{
+		SizeBytes: 2 * 2 * config.MinCacheLineBytes, Ways: 2, // 2 sets
 		LineBytes: config.MinCacheLineBytes, HitLatency: 1, MSHRs: 1,
-	})
-	hi, lo := ^uint64(0)&^(config.MinCacheLineBytes-1), uint64(0)
+	}
+	l := NewLevel(lvl)
+	limit := uint64(1) << (config.CacheTagBits + 1 + 3)
+	if got := AddressLimit(config.Config{L1: lvl, L2: lvl, L3: lvl}); got != limit {
+		t.Fatalf("AddressLimit = %#x, want %#x", got, limit)
+	}
+	line := uint64(config.MinCacheLineBytes)
+	hi := limit - line                 // all-ones tag, set 1
+	lo := line                         // tag 0, set 1
+	near := hi - 2*line                // set 1, tag one below all-ones
+	far := hi &^ (limit >> 1)          // set 1, top tag bit clear
+	word := func(addr uint64) uint32 { // the way holding addr
+		set, tag := l.index(addr)
+		for i := set * l.ways; i < (set+1)*l.ways; i++ {
+			if l.lines[i]&stValid != 0 && l.lines[i]>>tagShift == tag {
+				return l.lines[i]
+			}
+		}
+		t.Fatalf("%#x not resident", addr)
+		return 0
+	}
 	l.InstallPrefetched(hi)
 	l.Install(lo, true)
-	if !l.Contains(hi) || !l.Contains(lo) || l.Contains(hi>>1&^7) {
-		t.Fatal("residency wrong for full-width tags")
+	if !l.Contains(hi) || !l.Contains(lo) || l.Contains(near) || l.Contains(far) {
+		t.Fatal("residency wrong at the tag limit")
+	}
+	if w := word(hi); w>>tagShift != 1<<config.CacheTagBits-1 || w&stPref == 0 || w&stDirty != 0 {
+		t.Fatalf("prefetched all-ones line word %#x", w)
 	}
 	if !l.Lookup(hi, true) || l.PrefetchUseful() != 1 {
-		t.Fatal("prefetched full-width line missed on first demand hit")
+		t.Fatal("prefetched line at the limit missed on first demand hit")
+	}
+	// 600 alternating hits wrap set 1's clock twice: renumbering must
+	// move only the stamps.
+	for i := range 600 {
+		l.Lookup([]uint64{lo, hi}[i%2], false)
+	}
+	if w := word(hi); w>>tagShift != 1<<config.CacheTagBits-1 || w&stPref != 0 || w&stDirty == 0 {
+		t.Fatalf("all-ones line word %#x after the clock wrapped", w)
+	}
+	if w := word(lo); w>>tagShift != 0 || w&stDirty == 0 {
+		t.Fatalf("tag-0 line word %#x after the clock wrapped", w)
 	}
 	l.Lookup(lo, false) // hi becomes LRU
-	v := l.Install(hi-config.MinCacheLineBytes, false)
+	v := l.Install(near, false)
 	if !v.Valid || !v.Dirty || v.Addr != hi {
 		t.Fatalf("victim %+v, want dirty %#x", v, hi)
+	}
+	if !l.Contains(near) || l.Contains(hi) {
+		t.Fatal("residency wrong after evicting the all-ones line")
 	}
 }
 
@@ -266,7 +303,7 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 					s, tag := l.index(addr)
 					found := false
 					for i := s * l.ways; i < (s+1)*l.ways; i++ {
-						if l.lines[i]&stValid != 0 && l.lines[i]>>stBits == tag {
+						if l.lines[i]&stValid != 0 && l.lines[i]>>tagShift == tag {
 							found = true
 							if dirty := l.lines[i]&stDirty != 0; dirty != e.dirty {
 								t.Fatalf("set %d line %#x dirty=%v, reference %v", set, addr, dirty, e.dirty)
@@ -517,7 +554,8 @@ func refInstallPrefetched(h *Hierarchy, core int, addr uint64) []uint64 {
 // fill remembered targets, and through refAccess, which scans every set
 // afresh. Small levels make dirty victims cascade through every level;
 // every result, writeback list, counter, line word and recency stamp must
-// agree at every associativity, up to MaxCacheWays.
+// agree at every associativity, up to MaxCacheWays (a line word holds its
+// recency stamp).
 func TestAccessMatchesPerLevelReference(t *testing.T) {
 	for _, ways := range []int{1, 2, 4, 16, config.MaxCacheWays} {
 		t.Run(fmt.Sprintf("%dway", ways), func(t *testing.T) {
@@ -561,7 +599,7 @@ func TestAccessMatchesPerLevelReference(t *testing.T) {
 			refLevels := append(append([]*Level{ref.l3}, ref.l1...), ref.l2...)
 			for k, l := range levels {
 				r := refLevels[k]
-				if !slices.Equal(l.lines, r.lines) || !slices.Equal(l.stamp, r.stamp) || !slices.Equal(l.clock, r.clock) {
+				if !slices.Equal(l.lines, r.lines) || !slices.Equal(l.clock, r.clock) {
 					t.Fatalf("level %d: line contents or recency differ from the reference", k)
 				}
 			}
@@ -657,15 +695,38 @@ func TestHierarchyAccessTrafficShape(t *testing.T) {
 	}
 }
 
-// BenchmarkHierarchyAccess measures one demand reference through the
-// default Table I hierarchy, replaying LM2's reference stream after a
-// run's functional warmup: the level mix, L3 evictions and dirty
-// writebacks of a measured run (TestHierarchyAccessTrafficShape).
+// BenchmarkHierarchyAccess measures the default Table I hierarchy on
+// LM2's reference stream, replayed after a run's functional warmup: the
+// level mix, L3 evictions and dirty writebacks of a measured run
+// (TestHierarchyAccessTrafficShape). "access" times one demand reference
+// through Access; "L1", "L2" and "L3" time one probe of that level's set
+// for the stream's next reference, which changes nothing, so each level's
+// share of an access can be read off on its own.
 func BenchmarkHierarchyAccess(b *testing.B) {
 	h, refs := lm2Traffic(b, lm2Refs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	replay(h, refs, b.N)
+	b.Run("access", func(b *testing.B) {
+		b.ReportAllocs()
+		replay(h, refs, b.N)
+	})
+	for _, lvl := range []struct {
+		name  string
+		level func(core int) *Level
+	}{
+		{"L1", func(core int) *Level { return h.l1[core] }},
+		{"L2", func(core int) *Level { return h.l2[core] }},
+		{"L3", func(int) *Level { return h.l3 }},
+	} {
+		b.Run(lvl.name, func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := range b.N {
+				if _, hit := lvl.level(i % len(h.l1)).probe(refs[i&(len(refs)-1)] &^ 1); hit {
+					hits++
+				}
+			}
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
 }
 
 // counters lists every counter of h, level by level, then per core.

@@ -24,13 +24,16 @@ type MSHRFile struct {
 	backend Backend
 	entries int
 
-	// The file is a fixed table of entry slots: index maps an outstanding
-	// line address to its slot, free lists the idle slots, and pool
-	// recycles waiter slices. Each slot's completion callback is bound at
-	// construction, so a primary miss issues to the backend without
-	// allocating a closure or a waiter slice in steady state.
+	// The file is a fixed table of entry slots. live holds the outstanding
+	// line addresses densely packed, and liveSlot[k] names live[k]'s slot,
+	// so finding a line is one scan of at most entries words; free lists
+	// the idle slots, and pool recycles waiter slices. Each slot's
+	// completion callback is bound at construction, so a primary miss
+	// issues to the backend without allocating a closure or a waiter
+	// slice in steady state.
 	table    []mshrEntry
-	index    map[uint64]int32
+	live     []uint64
+	liveSlot []int32
 	free     []int32
 	pool     [][]waiter
 	overflow []mshrReq
@@ -45,7 +48,7 @@ type MSHRFile struct {
 }
 
 type mshrEntry struct {
-	addr    uint64
+	pos     int32 // index of this slot's line in live while outstanding
 	waiters []waiter
 	fire    func(at sim.Time) // completion callback bound to this slot
 }
@@ -71,12 +74,13 @@ func NewMSHRFile(eng *sim.Engine, backend Backend, entries int) *MSHRFile {
 		panic("cache: MSHR file needs at least one entry")
 	}
 	m := &MSHRFile{
-		eng:     eng,
-		backend: backend,
-		entries: entries,
-		table:   make([]mshrEntry, entries),
-		index:   make(map[uint64]int32, entries),
-		free:    make([]int32, 0, entries),
+		eng:      eng,
+		backend:  backend,
+		entries:  entries,
+		table:    make([]mshrEntry, entries),
+		live:     make([]uint64, 0, entries),
+		liveSlot: make([]int32, 0, entries),
+		free:     make([]int32, 0, entries),
 	}
 	for i := entries - 1; i >= 0; i-- {
 		slot := int32(i)
@@ -97,7 +101,7 @@ func (m *MSHRFile) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.CounterFunc("mshr.coalesced", m.coalesced.Value)
 	reg.CounterFunc("mshr.stalls", m.stalls.Value)
 	reg.CounterFunc("mshr.issued", m.issued.Value)
-	reg.GaugeFunc("mshr.outstanding", func() float64 { return float64(len(m.index)) })
+	reg.GaugeFunc("mshr.outstanding", func() float64 { return float64(len(m.live)) })
 	reg.GaugeFunc("mshr.peak", func() float64 { return float64(m.peak) })
 }
 
@@ -106,19 +110,29 @@ func (m *MSHRFile) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 // spans may be nil (attribution off).
 func (m *MSHRFile) AttachSpans(spans *obs.SpanSet) { m.spans = spans }
 
+// lookup returns the slot of addr's outstanding fetch, or -1.
+func (m *MSHRFile) lookup(addr uint64) int32 {
+	for k, a := range m.live {
+		if a == addr {
+			return m.liveSlot[k]
+		}
+	}
+	return -1
+}
+
 // ReadLine implements Backend with coalescing and entry bounding.
 func (m *MSHRFile) ReadLine(addr uint64, done func(at sim.Time)) {
 	ref := m.spans.Begin(int64(m.eng.Now()))
-	if slot, ok := m.index[addr]; ok {
+	if slot := m.lookup(addr); slot >= 0 {
 		// Secondary miss: ride the outstanding fetch.
 		e := &m.table[slot]
 		e.waiters = append(e.waiters, waiter{done: done, span: ref})
 		m.coalesced.Inc()
 		m.tr.Emit(obs.Event{At: int64(m.eng.Now()), Type: obs.EvMSHRCoalesce,
-			Vault: -1, Row: int64(addr), Arg: int64(len(m.index))})
+			Vault: -1, Row: int64(addr), Arg: int64(len(m.live))})
 		return
 	}
-	if len(m.index) >= m.entries {
+	if len(m.live) >= m.entries {
 		m.stalls.Inc()
 		m.overflow = append(m.overflow, mshrReq{addr: addr, done: done, span: ref})
 		m.tr.Emit(obs.Event{At: int64(m.eng.Now()), Type: obs.EvMSHRStall,
@@ -136,7 +150,9 @@ func (m *MSHRFile) allocate(addr uint64, done func(at sim.Time), ref obs.SpanRef
 	slot := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	e := &m.table[slot]
-	e.addr = addr
+	e.pos = int32(len(m.live))
+	m.live = append(m.live, addr)
+	m.liveSlot = append(m.liveSlot, slot)
 	var ws []waiter
 	if n := len(m.pool); n > 0 {
 		ws = m.pool[n-1]
@@ -147,17 +163,14 @@ func (m *MSHRFile) allocate(addr uint64, done func(at sim.Time), ref obs.SpanRef
 	// stage it for the synchronous handoff so the cube can claim it
 	// inside ReadLine. Its waiter carries the zero ref.
 	e.waiters = append(ws, waiter{done: done})
-	m.index[addr] = slot
-	if len(m.index) > m.peak {
-		m.peak = len(m.index)
-	}
+	m.peak = max(m.peak, len(m.live))
 	m.issued.Inc()
 	m.spans.Stage(ref)
 	m.backend.ReadLine(addr, e.fire)
 	if leftover := m.spans.Unstage(); leftover.Valid() {
 		// Span-unaware backend (tests): fall back to retiring the
 		// primary's span alongside the waiters so nothing leaks.
-		if s, ok := m.index[addr]; ok && s == slot {
+		if m.lookup(addr) == slot {
 			m.table[slot].waiters[0].span = leftover
 		} else { // the backend completed synchronously
 			m.spans.Retire(leftover, obs.CauseQueue, int64(m.eng.Now()))
@@ -173,7 +186,11 @@ func (m *MSHRFile) complete(slot int32, at sim.Time) {
 	e := &m.table[slot]
 	ws := e.waiters
 	e.waiters = nil
-	delete(m.index, e.addr)
+	// Move the last live line into this slot's place.
+	last := len(m.live) - 1
+	m.live[e.pos], m.liveSlot[e.pos] = m.live[last], m.liveSlot[last]
+	m.table[m.liveSlot[e.pos]].pos = e.pos
+	m.live, m.liveSlot = m.live[:last], m.liveSlot[:last]
 	m.free = append(m.free, slot)
 	for _, w := range ws {
 		// Secondary misses spent their whole life waiting behind the
@@ -194,13 +211,13 @@ func (m *MSHRFile) complete(slot int32, at sim.Time) {
 func (m *MSHRFile) drainOverflow() {
 	kept := m.overflow[:0]
 	for _, req := range m.overflow {
-		if slot, ok := m.index[req.addr]; ok {
+		if slot := m.lookup(req.addr); slot >= 0 {
 			e := &m.table[slot]
 			e.waiters = append(e.waiters, waiter{done: req.done, span: req.span})
 			m.coalesced.Inc()
 			continue
 		}
-		if len(m.index) < m.entries {
+		if len(m.live) < m.entries {
 			// Time stalled in the overflow queue is queue time; the rest
 			// of the journey accrues downstream.
 			m.spans.AdvanceTo(req.span, obs.CauseQueue, int64(m.eng.Now()))
@@ -225,4 +242,4 @@ func (m *MSHRFile) Issued() uint64 { return m.issued.Value() }
 func (m *MSHRFile) Peak() int { return m.peak }
 
 // Outstanding returns the current outstanding entry count.
-func (m *MSHRFile) Outstanding() int { return len(m.index) }
+func (m *MSHRFile) Outstanding() int { return len(m.live) }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"camps/internal/config"
@@ -107,8 +109,153 @@ func TestMSHRValidation(t *testing.T) {
 	NewMSHRFile(sim.NewEngine(), &stubMem{}, 0)
 }
 
+// refMSHR is a reference MSHR file written with a map from each
+// outstanding line to its waiters, the structure the file's dense scan
+// replaces. It issues to and completes through the same callbacks.
+type refMSHR struct {
+	entries                 int
+	lines                   map[uint64][]func()
+	overflow                []refReq
+	issued                  []uint64 // every fetch, in issue order
+	coalesced, stalls, peak int
+}
+
+type refReq struct {
+	addr uint64
+	done func()
+}
+
+func (r *refMSHR) read(addr uint64, done func()) {
+	if ws, ok := r.lines[addr]; ok {
+		r.lines[addr] = append(ws, done)
+		r.coalesced++
+		return
+	}
+	if len(r.lines) >= r.entries {
+		r.stalls++
+		r.overflow = append(r.overflow, refReq{addr, done})
+		return
+	}
+	r.allocate(addr, done)
+}
+
+func (r *refMSHR) allocate(addr uint64, done func()) {
+	r.lines[addr] = []func(){done}
+	r.issued = append(r.issued, addr)
+	r.peak = max(r.peak, len(r.lines))
+}
+
+// complete returns addr's data: the line leaves the file, its waiters run
+// in arrival order, then the overflow queue drains once.
+func (r *refMSHR) complete(addr uint64) {
+	ws := r.lines[addr]
+	delete(r.lines, addr)
+	for _, w := range ws {
+		w()
+	}
+	kept := r.overflow[:0]
+	for _, q := range r.overflow {
+		switch ws, ok := r.lines[q.addr]; {
+		case ok:
+			r.lines[q.addr] = append(ws, q.done)
+			r.coalesced++
+		case len(r.lines) < r.entries:
+			r.allocate(q.addr, q.done)
+		default:
+			kept = append(kept, q)
+		}
+	}
+	r.overflow = kept
+}
+
+// pendingMem is a backend that holds every fetch until the test returns
+// it, in any order.
+type pendingMem struct {
+	issued  []uint64
+	pending map[uint64]func(at sim.Time)
+}
+
+func (p *pendingMem) ReadLine(addr uint64, done func(at sim.Time)) {
+	p.issued = append(p.issued, addr)
+	p.pending[addr] = done
+}
+
+func (p *pendingMem) WriteLine(uint64) {}
+
+// TestMSHRMatchesMapReference drives random ReadLine and completion
+// sequences, with entries small enough to overflow and waiters that
+// re-enter ReadLine from their callbacks, through an MSHRFile and through
+// refMSHR: the fetches issued, the order waiter callbacks run in and every
+// counter must agree after every step.
+func TestMSHRMatchesMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		entries := 1 + rng.Intn(8)
+		lines := 2*entries + 1 + rng.Intn(8)
+		mem := &pendingMem{pending: map[uint64]func(at sim.Time){}}
+		m := NewMSHRFile(sim.NewEngine(), mem, entries)
+		ref := &refMSHR{entries: entries, lines: map[uint64][]func(){}}
+		var got, want []int // waiter ids in callback order
+		next := 0
+		// read issues request id to both files. One waiter in four
+		// re-enters ReadLine for a random line when its data returns.
+		var read func(addr uint64)
+		read = func(addr uint64) {
+			id, again := next, uint64(0)
+			next++
+			reenter := rng.Intn(4) == 0
+			if reenter {
+				again = uint64(rng.Intn(lines)) * 64
+			}
+			m.ReadLine(addr, func(sim.Time) {
+				got = append(got, id)
+				if reenter {
+					m.ReadLine(again, func(sim.Time) { got = append(got, -id) })
+				}
+			})
+			ref.read(addr, func() {
+				want = append(want, id)
+				if reenter {
+					ref.read(again, func() { want = append(want, -id) })
+				}
+			})
+		}
+		for step := 0; step < 400; step++ {
+			if len(mem.pending) == 0 || rng.Intn(3) != 0 {
+				read(uint64(rng.Intn(lines)) * 64)
+			} else {
+				var out []uint64
+				for a := range mem.pending {
+					out = append(out, a)
+				}
+				slices.Sort(out)
+				addr := out[rng.Intn(len(out))]
+				done := mem.pending[addr]
+				delete(mem.pending, addr)
+				done(0)
+				ref.complete(addr)
+			}
+			switch {
+			case !slices.Equal(mem.issued, ref.issued):
+				t.Fatalf("seed %d step %d: fetches %v, reference %v", seed, step, mem.issued, ref.issued)
+			case !slices.Equal(got, want):
+				t.Fatalf("seed %d step %d: waiters ran %v, reference %v", seed, step, got, want)
+			case int(m.Coalesced()) != ref.coalesced || int(m.Stalls()) != ref.stalls ||
+				int(m.Issued()) != len(ref.issued) || m.Peak() != ref.peak ||
+				m.Outstanding() != len(ref.lines):
+				t.Fatalf("seed %d step %d: coalesced %d stalls %d issued %d peak %d outstanding %d, reference %d %d %d %d %d",
+					seed, step, m.Coalesced(), m.Stalls(), m.Issued(), m.Peak(), m.Outstanding(),
+					ref.coalesced, ref.stalls, len(ref.issued), ref.peak, len(ref.lines))
+			}
+		}
+		if ref.coalesced == 0 || ref.stalls == 0 {
+			t.Fatalf("seed %d: %d coalesced, %d stalls; the stream does not exercise both", seed, ref.coalesced, ref.stalls)
+		}
+	}
+}
+
 func TestStrideDetectorConfirmsAndPredicts(t *testing.T) {
-	d := NewStrideDetector(8, 2)
+	d := NewStrideDetector(8, 2, 1<<32)
 	base := uint64(0x10000)
 	// First two observations train; stride confirmed on the third.
 	if p := d.Observe(base); p != nil {
@@ -126,8 +273,20 @@ func TestStrideDetectorConfirmsAndPredicts(t *testing.T) {
 	}
 }
 
+// TestStrideDetectorStopsAtLimit checks that predictions stop below the
+// caches' address limit, as they stop at address 0.
+func TestStrideDetectorStopsAtLimit(t *testing.T) {
+	base := uint64(0x10000)
+	d := NewStrideDetector(8, 2, base+256)
+	d.Observe(base)
+	d.Observe(base + 64)
+	if p := d.Observe(base + 128); len(p) != 1 || p[0] != base+192 {
+		t.Fatalf("predictions = %v, want only %#x below the limit", p, base+192)
+	}
+}
+
 func TestStrideDetectorResetsOnRegionChange(t *testing.T) {
-	d := NewStrideDetector(8, 1)
+	d := NewStrideDetector(8, 1, 1<<32)
 	d.Observe(0x1000)
 	d.Observe(0x1040)
 	d.Observe(0x1080) // confirmed in region 1
@@ -139,7 +298,7 @@ func TestStrideDetectorResetsOnRegionChange(t *testing.T) {
 }
 
 func TestStrideDetectorNegativeStride(t *testing.T) {
-	d := NewStrideDetector(8, 1)
+	d := NewStrideDetector(8, 1, 1<<32)
 	// All addresses within one 4 KB region (region-indexed table).
 	d.Observe(0x2f00)
 	d.Observe(0x2f00 - 64)
@@ -155,7 +314,7 @@ func TestStrideDetectorValidation(t *testing.T) {
 			t.Fatal("bad detector params accepted")
 		}
 	}()
-	NewStrideDetector(0, 1)
+	NewStrideDetector(0, 1, 1<<32)
 }
 
 func TestLevelPrefetchUsefulness(t *testing.T) {
@@ -197,5 +356,51 @@ func TestHierarchyInstallPrefetched(t *testing.T) {
 	}
 	if h.L2(0).PrefetchUseful() != 1 {
 		t.Fatal("L2 usefulness not counted")
+	}
+}
+
+// ringMem is a backend that holds up to 64 fetches in flight and
+// completes them oldest first, on demand, without allocating.
+type ringMem struct {
+	done       [64]func(at sim.Time)
+	head, tail int
+}
+
+func (r *ringMem) ReadLine(_ uint64, done func(at sim.Time)) {
+	r.done[r.tail&63] = done
+	r.tail++
+}
+
+func (r *ringMem) WriteLine(uint64) {}
+
+// completeOldest returns the oldest outstanding fetch's data.
+func (r *ringMem) completeOldest() {
+	done := r.done[r.head&63]
+	r.done[r.head&63] = nil
+	r.head++
+	done(0)
+}
+
+// BenchmarkMSHR measures one ReadLine/complete cycle on a 64-entry file
+// kept nearly full: each operation is a primary miss to a new line, which
+// searches the 63 outstanding lines and allocates the last free entry,
+// then the completion of the oldest fetch, which frees one.
+func BenchmarkMSHR(b *testing.B) {
+	const entries = 64
+	mem := &ringMem{}
+	m := NewMSHRFile(sim.NewEngine(), mem, entries)
+	done := func(sim.Time) {}
+	for i := range entries - 1 {
+		m.ReadLine(uint64(i)*64, done)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		m.ReadLine(uint64(i+entries)*64, done)
+		mem.completeOldest()
+	}
+	b.StopTimer()
+	if m.Outstanding() != entries-1 || m.Stalls() != 0 {
+		b.Fatalf("outstanding %d, stalls %d; want %d and 0", m.Outstanding(), m.Stalls(), entries-1)
 	}
 }

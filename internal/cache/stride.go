@@ -11,10 +11,11 @@ import "camps/internal/stats"
 //
 // Entries are indexed by 4 KB region. A stride is confirmed after it
 // repeats; confirmed entries predict the next Degree lines along the
-// stride.
+// stride that fall in [0, limit), the addresses the caches can tag.
 type StrideDetector struct {
 	entries []strideEntry
 	degree  int
+	limit   uint64
 
 	predicted stats.Counter
 }
@@ -32,12 +33,13 @@ type strideEntry struct {
 const strideConfidence = 2
 
 // NewStrideDetector returns a detector with the given table size
-// (regions tracked) and prefetch degree.
-func NewStrideDetector(tableSize, degree int) *StrideDetector {
+// (regions tracked) and prefetch degree whose predictions stay below
+// limit (AddressLimit).
+func NewStrideDetector(tableSize, degree int, limit uint64) *StrideDetector {
 	if tableSize <= 0 || degree <= 0 {
 		panic("cache: stride detector needs positive table size and degree")
 	}
-	return &StrideDetector{entries: make([]strideEntry, tableSize), degree: degree}
+	return &StrideDetector{entries: make([]strideEntry, tableSize), degree: degree, limit: limit}
 }
 
 // Observe trains on one miss address and returns the predicted prefetch
@@ -69,7 +71,7 @@ func (d *StrideDetector) Observe(addr uint64) []uint64 {
 	next := int64(addr)
 	for i := 0; i < d.degree; i++ {
 		next += e.stride
-		if next < 0 {
+		if next < 0 || uint64(next) >= d.limit {
 			break
 		}
 		out = append(out, uint64(next))

@@ -336,18 +336,25 @@ var ErrLineBitmap = errors.New("config: lines per row exceeds 64-bit line bitmap
 // one-byte recency stamps rank at most 256 lines per set.
 const MaxCacheWays = 256
 
+// CacheTagBits is the width of the tag a cache keeps per way. A way is one
+// 32-bit word: a 21-bit tag, the 8-bit recency stamp and 3 state bits. A
+// level therefore tags addresses below 1 << (CacheTagBits + log2(sets) +
+// log2(line bytes)), and the level with the fewest sets and bytes per line
+// binds the whole hierarchy (cache.AddressLimit). On Table I that is
+// 32 GiB, set by the L1's 256 sets of 64-byte lines; the L2 and L3 reach
+// 128 GiB and 2 TiB.
+const CacheTagBits = 21
+
 // ErrCacheWays reports a cache level with more ways than its recency
 // stamps can rank.
 var ErrCacheWays = errors.New("config: cache ways exceed recency-stamp range")
 
-// MinCacheLineBytes is the smallest cache line a level accepts: a cache
-// keeps each way as one 64-bit word of tag<<3 | state, and 8-byte lines
-// leave a tag of at most 61 bits for any 64-bit address.
+// MinCacheLineBytes is the smallest cache line a level accepts: one
+// 64-bit word.
 const MinCacheLineBytes = 8
 
-// ErrCacheLine reports a cache level whose lines are too small for its
-// packed tag-and-state word.
-var ErrCacheLine = errors.New("config: cache line too small for packed tag and state")
+// ErrCacheLine reports a cache level whose lines are smaller than a word.
+var ErrCacheLine = errors.New("config: cache line too small: under one 64-bit word")
 
 // MaxVaultBanks is the largest bank count per vault: the vault scheduler
 // tracks banks with queued work in a 64-bit mask.

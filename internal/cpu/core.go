@@ -110,7 +110,7 @@ func NewCore(eng *sim.Engine, cfg config.Config, id int, r trace.Reader,
 	c.writeLineFn = func(addr uint64) { c.mem.WriteLine(addr) }
 	c.issueReadFn = func(addr uint64) { c.mem.ReadLine(addr, c.readDoneFn) }
 	if d := cfg.Processor.L2PrefetchDegree; d > 0 {
-		c.stride = cache.NewStrideDetector(16, d)
+		c.stride = cache.NewStrideDetector(16, d, cache.AddressLimit(cfg))
 	}
 	return c
 }

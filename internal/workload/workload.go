@@ -202,10 +202,10 @@ func (m Mix) Group() string {
 	return m.ID[:2]
 }
 
-// coreRegion is the physical-address partition given to each core so
+// CoreRegion is the physical-address partition given to each core so
 // multiprogrammed workloads do not share data: 512 MiB slices of the 4 GiB
-// cube.
-const coreRegion = 512 * mib
+// cube. A mix on n cores addresses [0, n*CoreRegion).
+const CoreRegion = 512 * mib
 
 // Generators builds one trace generator per core for the mix. The seed
 // decorrelates runs; each core's sub-seed also folds in its index and
@@ -218,7 +218,7 @@ func (m Mix) Generators(seed uint64) ([]*trace.Generator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mix %s core %d: %w", m.ID, core, err)
 		}
-		base := uint64(core) * coreRegion
+		base := uint64(core) * CoreRegion
 		sub := seed ^ (uint64(core)+1)*0x9e3779b97f4a7c15 ^ hashName(name)
 		g, err := trace.NewGenerator(b.Profile, base, sub)
 		if err != nil {

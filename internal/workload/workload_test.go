@@ -113,8 +113,8 @@ func TestGeneratorsPartitionAddressSpace(t *testing.T) {
 		t.Fatalf("generators = %d, want 8", len(gens))
 	}
 	for core, g := range gens {
-		lo := uint64(core) * coreRegion
-		hi := lo + coreRegion
+		lo := uint64(core) * CoreRegion
+		hi := lo + CoreRegion
 		for i := 0; i < 2000; i++ {
 			rec, _ := g.Next()
 			if rec.Addr < lo || rec.Addr >= hi {
@@ -134,13 +134,13 @@ func TestSameBenchmarkDifferentCoresDiverge(t *testing.T) {
 	b, _ := gens[4].Next()
 	// Relative offsets within each core region must differ (the streams
 	// are decorrelated by the per-core sub-seed).
-	offA := a.Addr % coreRegion
-	offB := b.Addr % coreRegion
+	offA := a.Addr % CoreRegion
+	offB := b.Addr % CoreRegion
 	same := 0
 	for i := 0; i < 100; i++ {
 		ra, _ := gens[0].Next()
 		rb, _ := gens[4].Next()
-		if ra.Addr%coreRegion == rb.Addr%coreRegion {
+		if ra.Addr%CoreRegion == rb.Addr%CoreRegion {
 			same++
 		}
 	}
@@ -187,12 +187,12 @@ func TestClassString(t *testing.T) {
 func TestMixGenerationFitsCube(t *testing.T) {
 	// 8 cores x 512MiB regions = exactly the 4 GiB cube.
 	var _ = trace.Profile{}
-	if 8*coreRegion != 4<<30 {
-		t.Fatalf("core regions (%d) do not tile the 4GiB cube", 8*coreRegion)
+	if 8*CoreRegion != 4<<30 {
+		t.Fatalf("core regions (%d) do not tile the 4GiB cube", 8*CoreRegion)
 	}
 	for _, name := range Names() {
 		b, _ := Get(name)
-		if b.Profile.FootprintBytes > coreRegion {
+		if b.Profile.FootprintBytes > CoreRegion {
 			t.Errorf("%s footprint exceeds its core region", name)
 		}
 	}

@@ -150,11 +150,15 @@ func (rc *RunConfig) warmState(ctx context.Context) (*cache.Hierarchy, []trace.R
 				refs: []error{ErrMixCoreMismatch},
 			}
 		}
+		readers, limit := make([]trace.Reader, cores), cache.AddressLimit(rc.System)
+		for i, r := range rc.Readers {
+			readers[i] = boundedReader{Reader: r, limit: limit}
+		}
 		hier := cache.NewHierarchy(rc.System)
-		if err := warmup(ctx, hier, rc.Readers, rc.WarmupRefs); err != nil {
+		if err := warmup(ctx, hier, readers, rc.WarmupRefs); err != nil {
 			return nil, nil, err
 		}
-		return hier, rc.Readers, nil
+		return hier, readers, nil
 	case w == nil:
 		hier, _, readers, err := warm(ctx, *rc)
 		return hier, readers, err
@@ -166,6 +170,21 @@ func (rc *RunConfig) warmState(ctx context.Context) (*cache.Hierarchy, []trace.R
 	hier := w.hier
 	w.hier, w.gens = nil, nil
 	return hier, readers, nil
+}
+
+// boundedReader fails a record at or above limit, the first address the
+// caches cannot tag, with an error matching ErrAddressRange.
+type boundedReader struct {
+	trace.Reader
+	limit uint64
+}
+
+func (r boundedReader) Next() (trace.Record, error) {
+	rec, err := r.Reader.Next()
+	if err == nil && rec.Addr >= r.limit {
+		return trace.Record{}, fmt.Errorf("%w: record address %#x, limit %#x", ErrAddressRange, rec.Addr, r.limit)
+	}
+	return rec, err
 }
 
 // warmup is the functional cache warmup over caller-supplied readers: it
