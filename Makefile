@@ -129,10 +129,11 @@ perfbench-check:
 # One iteration of each per-layer microbenchmark (event kernel, cache
 # hierarchy as a whole and per level, MSHR file, prefetch engines and
 # conflict table, prefetch buffer, saturated vault scheduler, one and two
-# campaign rows through exp.Run, one functional warmup), so they keep
-# compiling and running; timing them is a separate, deliberate step.
+# campaign rows through exp.Run, one functional warmup, the trace
+# generator and the core clock's conversion), so they keep compiling and
+# running; timing them is a separate, deliberate step.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|GridTwoMixes|ConflictTable|BufferLookup|Warm|MSHR' -benchtime 1x . ./internal/...
+	$(GO) test -run '^$$' -bench 'EngineSchedule|EngineSteadyQueue|HierarchyAccess|OnDemandServed|VaultSchedule|GridMix|GridTwoMixes|ConflictTable|BufferLookup|Warm|MSHR|Generator|ClockCycles' -benchtime 1x . ./internal/...
 
 # lint-tools is CI's install step for the pinned linters that `make lint`
 # runs when present; every other CI step is one of these targets.

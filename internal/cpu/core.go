@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"camps/internal/cache"
 	"camps/internal/config"
@@ -48,6 +49,7 @@ type Core struct {
 	mem    Memory
 
 	issueWidth uint64
+	issueShift int // log2(issueWidth) when it is a power of two, else -1
 	window     int
 	clk        sim.Clock
 	quantum    sim.Time
@@ -104,6 +106,10 @@ func NewCore(eng *sim.Engine, cfg config.Config, id int, r trace.Reader,
 		quantum:    clk.Cycles(yieldQuantum),
 		budget:     budget,
 		onFinish:   onFinish,
+	}
+	c.issueShift = -1
+	if w := c.issueWidth; w&(w-1) == 0 {
+		c.issueShift = bits.TrailingZeros64(w)
 	}
 	c.stepFn = c.step
 	c.readDoneFn = c.readDone
@@ -167,9 +173,11 @@ func (c *Core) step() {
 			c.finish()
 			return
 		}
-		// Non-memory instructions retire issueWidth per cycle.
+		// The gap's non-memory instructions and the access are charged
+		// in one advance, so the cycle count is converted to time once
+		// per record; the access does not read the core's clock.
 		gap := uint64(rec.Gap)
-		c.advance(int64((gap + c.issueWidth - 1) / c.issueWidth))
+		issue := c.issueCycles(gap)
 
 		res := c.hier.Access(c.id, rec.Addr, rec.Write)
 		memRead := res.Level == 4 && !rec.Write
@@ -177,9 +185,9 @@ func (c *Core) step() {
 			// The cache-lookup latency of a miss overlaps with the memory
 			// access itself (both ride in the out-of-order window), so
 			// only charge the L1 probe serially.
-			c.advance(int64(c.hier.L1(c.id).HitLatency()))
+			c.advance(issue + int64(c.hier.L1(c.id).HitLatency()))
 		} else {
-			c.advance(int64(res.Latency))
+			c.advance(issue + int64(res.Latency))
 		}
 		issueAt := maxTime(c.localTime, c.eng.Now())
 		for _, wb := range res.Writebacks {
@@ -201,6 +209,16 @@ func (c *Core) step() {
 		// their traffic reaches memory as eventual writebacks.
 		c.retire(gap + 1)
 	}
+}
+
+// issueCycles is the cycles that gap non-memory instructions take to
+// retire at issueWidth per cycle, rounded up.
+func (c *Core) issueCycles(gap uint64) int64 {
+	n := gap + c.issueWidth - 1
+	if c.issueShift >= 0 {
+		return int64(n >> c.issueShift)
+	}
+	return int64(n / c.issueWidth)
 }
 
 // issueStridePrefetches feeds the detector one L2-miss address and sends

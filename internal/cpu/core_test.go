@@ -208,3 +208,18 @@ func TestCoreDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic core: (%g,%d) vs (%g,%d)", a1, a2, b1, b2)
 	}
 }
+
+// Gaps round up to whole issue cycles, through the shift at power-of-two
+// widths and the division at the others.
+func TestIssueCyclesRoundUp(t *testing.T) {
+	for w := 1; w <= 9; w++ {
+		eng, cfg, h, mem := testSetup(100*sim.Nanosecond, 8)
+		cfg.Processor.IssueWidth = w
+		c := NewCore(eng, cfg, 0, hitTrace(1), h, mem, 1, nil)
+		for gap := uint64(0); gap <= 100; gap++ {
+			if got, want := c.issueCycles(gap), int64((gap+uint64(w)-1)/uint64(w)); got != want {
+				t.Fatalf("width %d, gap %d: %d issue cycles, want %d", w, gap, got, want)
+			}
+		}
+	}
+}

@@ -7,14 +7,14 @@ import (
 
 const obsPkgPath = "camps/internal/obs"
 
-// StatsReg flags obs metrics (counters, gauges, histograms) that are
-// constructed directly — &obs.Counter{}, obs.NewHistogram() — and then
-// only ever observed locally, never registered with a Registry, passed
-// on, stored, or returned. Such a metric silently records into a value
-// nothing will ever snapshot, which is how an instrumented subsystem
-// drops out of the epoch tables without anyone noticing. Obtain handles
-// from Registry.Counter/Gauge/Histogram instead, or register a reader
-// via CounterFunc/GaugeFunc.
+// StatsReg flags obs histograms that are constructed directly —
+// obs.NewHistogram(), &obs.Histogram{} — and then only ever observed
+// locally, never registered with a Registry, passed on, stored, or
+// returned. Such a metric silently records into a value nothing will
+// ever snapshot, which is how an instrumented subsystem drops out of the
+// epoch tables without anyone noticing. Obtain histograms from
+// Registry.Histogram instead; counters and gauges are registered as
+// readers via CounterFunc/GaugeFunc.
 var StatsReg = &Analyzer{
 	Name:  "statsreg",
 	Doc:   "flag obs metrics never registered and registry names that are not compile-time constants",
@@ -41,8 +41,6 @@ func runStatsReg(pass *Pass) {
 // registryNameMethods are the Registry lookups whose first argument is a
 // metric name.
 var registryNameMethods = map[string]bool{
-	"Counter":     true,
-	"Gauge":       true,
 	"Histogram":   true,
 	"CounterFunc": true,
 	"GaugeFunc":   true,
@@ -78,11 +76,10 @@ func checkMetricNames(pass *Pass, f *ast.File) {
 	})
 }
 
-// creation is one direct metric construction assigned to a local.
+// creation is one direct histogram construction assigned to a local.
 type creation struct {
-	obj  types.Object
-	kind string
-	pos  ast.Expr // the creating expression, for the report position
+	obj types.Object
+	pos ast.Expr // the creating expression, for the report position
 }
 
 func checkFuncMetrics(pass *Pass, fd *ast.FuncDecl) {
@@ -96,8 +93,7 @@ func checkFuncMetrics(pass *Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			for i, rhs := range n.Rhs {
-				kind, ok := metricCreation(pass.Info, rhs)
-				if !ok {
+				if !metricCreation(pass.Info, rhs) {
 					continue
 				}
 				id, isIdent := n.Lhs[i].(*ast.Ident)
@@ -106,7 +102,7 @@ func checkFuncMetrics(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if obj := pass.Info.ObjectOf(id); obj != nil {
 					if _, seen := created[obj]; !seen {
-						created[obj] = &creation{obj: obj, kind: kind, pos: rhs}
+						created[obj] = &creation{obj: obj, pos: rhs}
 					}
 				}
 			}
@@ -115,13 +111,12 @@ func checkFuncMetrics(pass *Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			for i, v := range n.Values {
-				kind, ok := metricCreation(pass.Info, v)
-				if !ok {
+				if !metricCreation(pass.Info, v) {
 					continue
 				}
 				if obj := pass.Info.ObjectOf(n.Names[i]); obj != nil {
 					if _, seen := created[obj]; !seen {
-						created[obj] = &creation{obj: obj, kind: kind, pos: v}
+						created[obj] = &creation{obj: obj, pos: v}
 					}
 				}
 			}
@@ -156,8 +151,7 @@ func checkFuncMetrics(pass *Pass, fd *ast.FuncDecl) {
 	for _, c := range created {
 		if !escaped[c.obj] {
 			pass.Reportf(c.pos.Pos(),
-				"obs.%s created but never registered: nothing will snapshot it; obtain it from a Registry (%s) or register a reader via %sFunc (or //lint:allow-unregistered <reason>)",
-				c.kind, registryGetter(c.kind), readerFunc(c.kind))
+				`obs.Histogram created but never registered: nothing will snapshot it; obtain it from a Registry (r.Histogram("name")) (or //lint:allow-unregistered <reason>)`)
 		}
 	}
 }
@@ -194,7 +188,7 @@ func classifyMetricUse(info *types.Info, id *ast.Ident, c *creation, stack []ast
 			if rhs == c.pos {
 				return false // the creation itself
 			}
-			if _, isCreation := metricCreation(info, rhs); isCreation {
+			if metricCreation(info, rhs) {
 				return false // reassigned to another raw construction: still unregistered
 			}
 			// Reassigned from anything else — typically a Registry getter
@@ -217,51 +211,28 @@ func classifyMetricUse(info *types.Info, id *ast.Ident, c *creation, stack []ast
 	}
 }
 
-// metricCreation reports whether e directly constructs an obs metric,
-// and which kind.
-func metricCreation(info *types.Info, e ast.Expr) (string, bool) {
+// metricCreation reports whether e directly constructs an obs.Histogram.
+func metricCreation(info *types.Info, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.CallExpr:
 		if fn := funcOf(info, e.Fun); isPkgFunc(fn, obsPkgPath, "NewHistogram") {
-			return "Histogram", true
+			return true
 		}
 		if id, ok := e.Fun.(*ast.Ident); ok && len(e.Args) == 1 {
 			if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "new" {
-				if k, ok := metricTypeName(info.TypeOf(e.Args[0])); ok {
-					return k, true
-				}
+				return isHistogram(info.TypeOf(e.Args[0]))
 			}
 		}
 	case *ast.UnaryExpr:
 		if cl, ok := e.X.(*ast.CompositeLit); ok {
-			return compositeMetric(info, cl)
+			return isHistogram(info.TypeOf(cl))
 		}
 	case *ast.CompositeLit:
-		return compositeMetric(info, e)
+		return isHistogram(info.TypeOf(e))
 	}
-	return "", false
+	return false
 }
 
-func compositeMetric(info *types.Info, cl *ast.CompositeLit) (string, bool) {
-	return metricTypeName(info.TypeOf(cl))
-}
-
-func metricTypeName(t types.Type) (string, bool) {
-	for _, k := range [...]string{"Counter", "Gauge", "Histogram"} {
-		if t != nil && namedType(t, obsPkgPath, k) {
-			return k, true
-		}
-	}
-	return "", false
-}
-
-func registryGetter(kind string) string {
-	return "r." + kind + `("name")`
-}
-
-func readerFunc(kind string) string {
-	if kind == "Gauge" {
-		return "Gauge"
-	}
-	return "Counter"
+func isHistogram(t types.Type) bool {
+	return t != nil && namedType(t, obsPkgPath, "Histogram")
 }

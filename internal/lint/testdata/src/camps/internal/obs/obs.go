@@ -1,17 +1,6 @@
 // Package obs is a testdata stand-in for camps/internal/obs with the
-// metric types and registry surface the statsreg analyzer recognizes.
+// histogram and registry surface the statsreg analyzer recognizes.
 package obs
-
-type Counter struct{ v uint64 }
-
-func (c *Counter) Inc()          { c.v++ }
-func (c *Counter) Add(d uint64)  { c.v += d }
-func (c *Counter) Value() uint64 { return c.v }
-
-type Gauge struct{ v float64 }
-
-func (g *Gauge) Set(v float64)   { g.v = v }
-func (g *Gauge) Value() float64  { return g.v }
 
 type Histogram struct{ n uint64 }
 
@@ -24,8 +13,6 @@ type Registry struct{}
 
 func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) Counter(name string) *Counter     { return &Counter{} }
-func (r *Registry) Gauge(name string) *Gauge         { return &Gauge{} }
 func (r *Registry) Histogram(name string) *Histogram { return NewHistogram() }
 
 func (r *Registry) CounterFunc(name string, fn func() uint64) {}

@@ -16,22 +16,20 @@ func BadLocalHistogram() {
 	h.Observe(2)
 }
 
-func BadLocalCounter() uint64 {
-	c := &obs.Counter{} // want `obs.Counter created but never registered`
-	c.Inc()
-	return c.Value()
+func BadLocalLiteral() uint64 {
+	h := &obs.Histogram{} // want `obs.Histogram created but never registered`
+	h.Observe(1)
+	return h.Count()
 }
 
-func BadLocalGauge() {
-	g := new(obs.Gauge) // want `obs.Gauge created but never registered`
-	g.Set(4.2)
+func BadLocalNew() {
+	h := new(obs.Histogram) // want `obs.Histogram created but never registered`
+	h.Observe(4.2)
 }
 
 func GoodFromRegistry(r *obs.Registry) {
 	h := r.Histogram("vault.latency_ps")
 	h.Observe(1)
-	c := r.Counter("vault.requests")
-	c.Inc()
 }
 
 func GoodReturned() *obs.Histogram {
@@ -41,9 +39,9 @@ func GoodReturned() *obs.Histogram {
 }
 
 func GoodPassedOn(r *obs.Registry) {
-	c := &obs.Counter{}
-	c.Inc()
-	r.CounterFunc("vault.requests", c.Value) // method value hands the counter to the registry
+	h := &obs.Histogram{}
+	h.Observe(1)
+	r.CounterFunc("vault.requests", h.Count) // method value hands the histogram to the registry
 }
 
 func GoodStored() map[string]*obs.Histogram {
@@ -79,20 +77,18 @@ func AllowedDirective() {
 const goodName = "vault.row_hits"
 
 func GoodLiteralNames(r *obs.Registry) {
-	r.Counter("vault.hits").Inc()
-	r.Gauge("vault.queue").Set(1)
 	r.Histogram("vault.latency_ps").Observe(1)
 	r.CounterFunc("vault.misses", func() uint64 { return 0 })
 	r.GaugeFunc("vault.depth", func() float64 { return 0 })
 }
 
 func GoodNamedConstant(r *obs.Registry) {
-	r.Counter(goodName).Inc()
-	r.Counter(goodName + "_total").Inc() // constant concatenation is still constant
+	r.Histogram(goodName).Observe(1)
+	r.Histogram(goodName + "_total").Observe(1) // constant concatenation is still constant
 }
 
 func BadSprintfName(r *obs.Registry, vault int) {
-	r.Counter(fmt.Sprintf("vault%d.hits", vault)).Inc() // want `metric name passed to Registry.Counter is not a compile-time constant`
+	r.Histogram(fmt.Sprintf("vault%d.hits", vault)).Observe(1) // want `metric name passed to Registry.Histogram is not a compile-time constant`
 }
 
 func BadVariableName(r *obs.Registry, name string) {
@@ -104,5 +100,5 @@ func BadConcatenatedName(r *obs.Registry, suffix string) {
 }
 
 func AllowedDynamicName(r *obs.Registry, name string) {
-	r.Gauge(name).Set(1) //lint:allow-unregistered name validated against a static allowlist upstream
+	r.GaugeFunc(name, func() float64 { return 1 }) //lint:allow-unregistered name validated against a static allowlist upstream
 }

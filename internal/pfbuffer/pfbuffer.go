@@ -384,18 +384,6 @@ func (b *Buffer) evict(i int) Eviction {
 	return ev
 }
 
-// Drop removes a specific row if resident, returning its eviction record
-// (second result false if absent). Used by failure-injection tests and
-// future coherence extensions; the CAMPS schemes themselves never drop
-// rows explicitly.
-func (b *Buffer) Drop(id RowID) (Eviction, bool) {
-	i := b.find(id)
-	if i < 0 {
-		return Eviction{}, false
-	}
-	return b.evict(i), true
-}
-
 // Flush evicts every resident row (in recency order, LRU first) and
 // returns their eviction records; call at end of simulation so writeback
 // traffic and accuracy accounting include resident rows.

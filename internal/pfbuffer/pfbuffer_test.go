@@ -7,6 +7,18 @@ import (
 	"testing/quick"
 )
 
+// drop evicts a chosen row if resident, returning its eviction record
+// (second result false if absent). The simulator never drops rows: rows
+// leave the buffer by replacement or Flush. The tests use it to evict a
+// row of their choosing and check the record and the state left behind.
+func (b *Buffer) drop(id RowID) (Eviction, bool) {
+	i := b.find(id)
+	if i < 0 {
+		return Eviction{}, false
+	}
+	return b.evict(i), true
+}
+
 func TestLookupMissThenInsertHit(t *testing.T) {
 	b := New(4, 16, LRU)
 	id := RowID{Bank: 1, Row: 42}
@@ -200,11 +212,11 @@ func TestFlushReturnsDirtyRows(t *testing.T) {
 func TestDrop(t *testing.T) {
 	b := New(2, 16, LRU)
 	id := RowID{0, 3}
-	if _, ok := b.Drop(id); ok {
+	if _, ok := b.drop(id); ok {
 		t.Fatal("drop of absent row returned eviction")
 	}
 	b.Insert(id, 0, 0)
-	ev, ok := b.Drop(id)
+	ev, ok := b.drop(id)
 	if !ok || ev.ID != id {
 		t.Fatalf("drop returned %+v", ev)
 	}
@@ -271,7 +283,7 @@ func TestRecencyPermutationInvariant(t *testing.T) {
 			case 1:
 				b.Lookup(id, rng.Intn(16), rng.Intn(4) == 0, 0)
 			case 2:
-				b.Drop(id)
+				b.drop(id)
 			}
 			checkRecencyPermutation(t, b)
 			if b.Len() > b.Entries() {
@@ -329,7 +341,7 @@ func TestQuickOperationSequences(t *testing.T) {
 				b.Lookup(id, int(o.Line%16), o.Line%5 == 0, 0)
 				lookups++
 			case 2:
-				b.Drop(id)
+				b.drop(id)
 			}
 			if b.Len() > b.Entries() {
 				return false

@@ -49,24 +49,24 @@ func TestPoisonedFetchesExcludedFromAccuracy(t *testing.T) {
 }
 
 // TestEvictionLedgerClassification: every row leaving the buffer —
-// through replacement, Drop and Flush alike — reports the Used and Late
+// through replacement, drop and Flush alike — reports the Used and Late
 // flags its efficacy verdict is drawn from (the vault controller turns
 // them into ledger outcomes; see the vault package's ledger test).
 func TestEvictionLedgerClassification(t *testing.T) {
 	b := New(2, 4, LRU)
 	var evs []Eviction
 
-	// Row 1: used before any queued demand (timely, via Drop).
+	// Row 1: used before any queued demand (timely, via drop).
 	b.Insert(RowID{Row: 1}, 0, 0)
 	b.Lookup(RowID{Row: 1}, 0, false, 10)
-	ev, _ := b.Drop(RowID{Row: 1})
+	ev, _ := b.drop(RowID{Row: 1})
 	evs = append(evs, ev)
 
-	// Row 2: a demand was queued when it landed (late, via Drop).
+	// Row 2: a demand was queued when it landed (late, via drop).
 	b.Insert(RowID{Row: 2}, 0, 0)
 	b.MarkLate(RowID{Row: 2})
 	b.Lookup(RowID{Row: 2}, 1, false, 20)
-	ev, _ = b.Drop(RowID{Row: 2})
+	ev, _ = b.drop(RowID{Row: 2})
 	evs = append(evs, ev)
 
 	// Rows 3 and 4 fill the two-entry buffer unused; row 5 forces one

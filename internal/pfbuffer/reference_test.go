@@ -208,9 +208,9 @@ func TestBufferMatchesEntryReference(t *testing.T) {
 							t.Fatalf("op %d: Lookup(%v) = %v, reference %v", op, id, got, want)
 						}
 					case k == 17:
-						ev, ok := b.Drop(id)
+						ev, ok := b.drop(id)
 						if wev, wok := ref.drop(id); ev != wev || ok != wok {
-							t.Fatalf("op %d: Drop(%v) = %+v,%v, reference %+v,%v", op, id, ev, ok, wev, wok)
+							t.Fatalf("op %d: drop(%v) = %+v,%v, reference %+v,%v", op, id, ev, ok, wev, wok)
 						}
 					case k == 18:
 						b.MarkLate(id)

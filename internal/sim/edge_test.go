@@ -14,8 +14,8 @@ func TestClockConversionExtremeDurations(t *testing.T) {
 	// One simulated hour: 3.6e15 ps. d*den ~ 1.08e19 overflows int64.
 	hour := Time(3_600_000_000_000_000)
 	wantCycles := int64(10_796_400_000_000) // 3.6e15 ps * 2999 MHz / 1e6
-	if got := c.ToCycles(hour); got != wantCycles {
-		t.Fatalf("ToCycles(1h at 2999MHz) = %d, want %d", got, wantCycles)
+	if got := toCycles(c, hour); got != wantCycles {
+		t.Fatalf("toCycles(1h at 2999MHz) = %d, want %d", got, wantCycles)
 	}
 	if got := c.ToCyclesCeil(hour); got != wantCycles {
 		t.Fatalf("ToCyclesCeil(1h at 2999MHz) = %d, want %d (exact edge)", got, wantCycles)
@@ -30,12 +30,12 @@ func TestClockConversionExtremeDurations(t *testing.T) {
 	// then ceil must bracket the instant for a non-integral period.
 	cpu := NewClock(3000) // 1000/3 ps period
 	for _, d := range []Time{1 << 40, 1 << 50, 1 << 60, 1<<62 + 12345} {
-		n := cpu.ToCycles(d)
+		n := toCycles(cpu, d)
 		if at := cpu.Cycles(n); at > d {
-			t.Fatalf("Cycles(ToCycles(%d)) = %d, past the instant", d, at)
+			t.Fatalf("Cycles(toCycles(%d)) = %d, past the instant", d, at)
 		}
-		if edge := cpu.NextEdge(d); edge < d {
-			t.Fatalf("NextEdge(%d) = %d, before the instant", d, edge)
+		if edge := nextEdge(cpu, d); edge < d {
+			t.Fatalf("nextEdge(%d) = %d, before the instant", d, edge)
 		}
 	}
 }

@@ -46,6 +46,13 @@ func (t Time) String() string {
 type Clock struct {
 	num Time // period numerator, picoseconds
 	den Time // period denominator (>= 1); num/den is reduced
+
+	// Cycles' fast path: n*num/den is the 128-bit product n*num*recip
+	// shifted right by 63, with recip = ceil(2^63/den) (Granlund &
+	// Montgomery, "Division by invariant integers using multiplication",
+	// PLDI 1994). The quotient is exact while n*num*den < 2^63, which
+	// n <= fastMax guarantees.
+	recip, fastMax uint64
 }
 
 // NewClock returns a clock with the given frequency in MHz.
@@ -55,15 +62,13 @@ func NewClock(freqMHz int64) Clock {
 		panic("sim: clock frequency must be positive")
 	}
 	g := gcd(1_000_000, freqMHz)
-	return Clock{num: Time(1_000_000 / g), den: Time(freqMHz / g)}
-}
-
-// NewClockPeriod returns a clock with an explicit whole-picosecond period.
-func NewClockPeriod(period Time) Clock {
-	if period <= 0 {
-		panic("sim: clock period must be positive")
+	num, den := 1_000_000/g, freqMHz/g
+	return Clock{
+		num:     Time(num),
+		den:     Time(den),
+		recip:   (1<<63-1)/uint64(den) + 1,
+		fastMax: uint64(math.MaxInt64 / num / den),
 	}
-	return Clock{num: period, den: 1}
 }
 
 func gcd(a, b int64) int64 {
@@ -73,39 +78,25 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// Integral reports whether the period is a whole number of picoseconds.
-func (c Clock) Integral() bool { return c.den == 1 }
-
-// Period returns the exact period of an integral clock. For clocks whose
-// period is not a whole picosecond (3 GHz = 1000/3 ps) no exact Time
-// period exists; Period panics rather than silently truncating — convert
-// through Cycles/ToCycles, which stay exact, or inspect PeriodRational.
-func (c Clock) Period() Time {
-	if c.den != 1 {
-		panic(fmt.Sprintf("sim: clock period %d/%d ps is not a whole picosecond; use Cycles/ToCycles", c.num, c.den))
-	}
-	return c.num
-}
-
-// PeriodRational returns the period as an exact fraction num/den of
-// picoseconds per cycle, in lowest terms.
-func (c Clock) PeriodRational() (num, den Time) { return c.num, c.den }
-
 // Cycles converts a cycle count to a duration: the time of the n-th clock
 // edge, exact whenever n*num is divisible by den and rounded down (sub-ps)
 // otherwise. Cumulative conversions do not drift: Cycles(n) is always
 // within one picosecond of the true rational instant.
 //
-// The intermediate product n*num is formed in 128 bits: with a reduced
-// rational period the factors alone can overflow int64 well inside the
-// representable time range (a 2999 MHz clock has num=1000000, den=2999,
-// so the old int64 product wrapped around ~51 simulated minutes and
-// silently corrupted every conversion after that).
-func (c Clock) Cycles(n int64) Time { return Time(mulDivBias(n, int64(c.num), 0, int64(c.den))) }
-
-// ToCycles converts a duration to whole elapsed cycles (floor).
-// The d*den intermediate is 128-bit for the same reason as Cycles.
-func (c Clock) ToCycles(d Time) int64 { return mulDivBias(int64(d), int64(c.den), 0, int64(c.num)) }
+// Counts from 0 to fastMax (3.1e15 cycles, 12 simulated days, at
+// 3 GHz) take two multiplications. Others, negative ones included, form
+// the product n*num in 128 bits: with a reduced rational period the
+// factors alone can overflow int64 well inside the representable time
+// range (a 2999 MHz clock has num=1000000, den=2999, so the old int64
+// product wrapped around ~51 simulated minutes and silently corrupted
+// every conversion after that).
+func (c Clock) Cycles(n int64) Time {
+	if u := uint64(n); u <= c.fastMax {
+		hi, lo := bits.Mul64(u*uint64(c.num), c.recip)
+		return Time(hi<<1 | lo>>63)
+	}
+	return Time(mulDivBias(n, int64(c.num), 0, int64(c.den)))
+}
 
 // ToCyclesCeil converts a duration to cycles, rounding up: the first cycle
 // boundary at or after d. It is the resume-on-next-edge conversion for
@@ -160,12 +151,6 @@ func mulDivBias(a, b int64, bias uint64, c int64) int64 {
 		panic(fmt.Sprintf("sim: clock conversion overflows int64 (%d * %d / %d)", a, b, c))
 	}
 	return int64(q)
-}
-
-// NextEdge returns the earliest time >= t that falls on a clock edge
-// (edge k lives at Cycles(k)).
-func (c Clock) NextEdge(t Time) Time {
-	return c.Cycles(c.ToCyclesCeil(t))
 }
 
 // Event is a handle to a scheduled callback. It is a small value: copy it

@@ -1,32 +1,34 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// toCycles converts a duration to whole elapsed cycles (floor), the
+// inverse the tests check Cycles against.
+func toCycles(c Clock, d Time) int64 { return mulDivBias(int64(d), int64(c.den), 0, int64(c.num)) }
+
+// nextEdge is the earliest time >= t that falls on a clock edge.
+func nextEdge(c Clock, t Time) Time { return c.Cycles(c.ToCyclesCeil(t)) }
+
 func TestClockConversions(t *testing.T) {
 	cpu := NewClock(3000) // 3 GHz: period is 1000/3 ps, not a whole picosecond
-	if cpu.Integral() {
-		t.Fatal("3GHz clock claims an integral period")
-	}
-	if num, den := cpu.PeriodRational(); num != 1000 || den != 3 {
-		t.Fatalf("3GHz period = %d/%d ps, want 1000/3", num, den)
+	if cpu.num != 1000 || cpu.den != 3 {
+		t.Fatalf("3GHz period = %d/%d ps, want 1000/3", cpu.num, cpu.den)
 	}
 	dram := NewClock(800) // DDR3-1600 bus clock
-	if !dram.Integral() {
-		t.Fatal("800MHz clock claims a non-integral period")
-	}
-	if got := dram.Period(); got != 1250 {
-		t.Fatalf("800MHz period = %d ps, want 1250", got)
+	if dram.num != 1250 || dram.den != 1 {
+		t.Fatalf("800MHz period = %d/%d ps, want 1250/1", dram.num, dram.den)
 	}
 	if got := dram.Cycles(11); got != 13750 {
 		t.Fatalf("11 DRAM cycles = %v ps, want 13750", got)
 	}
-	if got := dram.ToCycles(13750); got != 11 {
-		t.Fatalf("ToCycles(13750) = %d, want 11", got)
+	if got := toCycles(dram, 13750); got != 11 {
+		t.Fatalf("toCycles(13750) = %d, want 11", got)
 	}
 }
 
@@ -40,8 +42,8 @@ func TestClockExactRational(t *testing.T) {
 		t.Fatalf("3M cycles at 3GHz = %d ps, want exactly %d (1ms); drift = %d ps",
 			got, Millisecond, got-Millisecond)
 	}
-	if got := cpu.ToCycles(Millisecond); got != 3_000_000 {
-		t.Fatalf("ToCycles(1ms) = %d, want 3000000", got)
+	if got := toCycles(cpu, Millisecond); got != 3_000_000 {
+		t.Fatalf("toCycles(1ms) = %d, want 3000000", got)
 	}
 	// Cumulative conversions stay within one picosecond of the true
 	// rational instant at any cycle count.
@@ -64,23 +66,47 @@ func TestClockExactRational(t *testing.T) {
 	}
 }
 
-func TestClockPeriodPanicsWhenNotIntegral(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Period() on a 3GHz clock did not panic")
+// Cycles' reciprocal fast path must give the 128-bit division's result
+// at every count it takes, and counts past it (negative, or beyond
+// fastMax) must still reach the division, overflow panics included.
+func TestClockCyclesFastPathExact(t *testing.T) {
+	outcome := func(f func() Time) (v Time, panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		return f(), false
+	}
+	rng := rand.New(rand.NewSource(28))
+	for _, mhz := range []int64{3000, 2999, 1250, 1} {
+		c := NewClock(mhz)
+		lim := int64(c.fastMax)
+		ns := []int64{0, 1, 2, 3, int64(c.den) - 1, int64(c.den), int64(c.den) + 1,
+			lim - 1, lim, lim + 1, 2 * lim, math.MaxInt64, -1, -2, -int64(c.den), math.MinInt64}
+		for i := 0; i < 200_000; i++ {
+			ns = append(ns, rng.Int63n(lim+1), rng.Int63n(1<<32), lim-rng.Int63n(1<<32))
 		}
-	}()
-	NewClock(3000).Period()
+		for _, n := range ns {
+			got, gotPanic := outcome(func() Time { return c.Cycles(n) })
+			want, wantPanic := outcome(func() Time { return Time(mulDivBias(n, int64(c.num), 0, int64(c.den))) })
+			if got != want || gotPanic != wantPanic {
+				t.Fatalf("%d MHz: Cycles(%d) = %d (panic %v), mulDivBias %d (panic %v)",
+					mhz, n, got, gotPanic, want, wantPanic)
+			}
+		}
+	}
+	// A 3 GHz core reaches the division only after 3.1e15 cycles, about
+	// 12 simulated days.
+	if lim := NewClock(3000).fastMax; lim < 3e15 {
+		t.Fatalf("3GHz fast path ends at %d cycles", lim)
+	}
 }
 
 func TestClockNextEdge(t *testing.T) {
-	c := NewClockPeriod(100)
+	c := NewClock(10_000) // 100 ps period
 	cases := []struct{ in, want Time }{
 		{0, 0}, {1, 100}, {99, 100}, {100, 100}, {101, 200},
 	}
 	for _, tc := range cases {
-		if got := c.NextEdge(tc.in); got != tc.want {
-			t.Errorf("NextEdge(%d) = %d, want %d", tc.in, got, tc.want)
+		if got := nextEdge(c, tc.in); got != tc.want {
+			t.Errorf("nextEdge(%d) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -510,6 +536,20 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("ticker fired %d times after in-callback Stop, want 2", count)
 	}
+}
+
+var benchTime Time
+
+// BenchmarkClockCycles is one cycle-to-time conversion on the 3 GHz core
+// clock, which the core model makes for every trace record.
+func BenchmarkClockCycles(b *testing.B) {
+	c := NewClock(3000)
+	b.ReportAllocs()
+	var sum Time
+	for i := 0; i < b.N; i++ {
+		sum += c.Cycles(int64(i) << 8)
+	}
+	benchTime = sum
 }
 
 func BenchmarkEngineSchedule(b *testing.B) {

@@ -62,9 +62,11 @@ func (p Profile) Validate() error {
 type Generator struct {
 	p       Profile
 	rng     *RNG
+	gaps    *gapTable // shared and read-only; nil keeps RNG.Geometric's Log1p path
 	base    uint64
 	streams []uint64 // current byte offsets within the footprint
 	group   []uint64 // conflict-group member offsets
+	step    uint64   // StrideBytes % FootprintBytes: one stream advance
 }
 
 // NewGenerator builds a generator whose addresses live in
@@ -73,7 +75,8 @@ func NewGenerator(p Profile, base uint64, seed uint64) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{p: p, rng: NewRNG(seed), base: base}
+	g := &Generator{p: p, rng: NewRNG(seed), gaps: gapTableFor(p.GapMean), base: base}
+	g.step = uint64(p.StrideBytes % p.FootprintBytes)
 	g.streams = make([]uint64, p.Streams)
 	for i := range g.streams {
 		g.streams[i] = uint64(g.rng.Int63n(p.FootprintBytes))
@@ -119,7 +122,12 @@ func MustGenerator(p Profile, base uint64, seed uint64) *Generator {
 
 // Next implements Reader; it never fails.
 func (g *Generator) Next() (Record, error) {
-	gap := g.rng.Geometric(g.p.GapMean)
+	var gap uint32
+	if g.gaps != nil {
+		gap = g.gaps.gap(g.rng.Uint64() >> 11) // Geometric's draw, looked up
+	} else {
+		gap = g.rng.Geometric(g.p.GapMean)
+	}
 	addr, write := g.access()
 	return Record{Gap: gap, Addr: addr, Write: write}, nil
 }
@@ -130,7 +138,7 @@ func (g *Generator) Next() (Record, error) {
 // timing, reads its records this way.
 func (g *Generator) NextAccess() (addr uint64, write bool) {
 	if g.p.GapMean > 0 {
-		g.rng.Uint64() // Geometric's one Float64 draw
+		g.rng.Uint64() // the gap's one draw
 	}
 	return g.access()
 }
@@ -154,13 +162,22 @@ func (g *Generator) access() (addr uint64, write bool) {
 	case u < p.ConflictProb+p.StreamProb:
 		s := g.rng.Intn(len(g.streams))
 		off = g.streams[s]
-		g.streams[s] = (g.streams[s] + uint64(p.StrideBytes)) % uint64(p.FootprintBytes)
+		// (off + StrideBytes) mod footprint, without a division: off
+		// and step are below the footprint, so one subtraction wraps.
+		next := off + g.step
+		if next >= uint64(p.FootprintBytes) {
+			next -= uint64(p.FootprintBytes)
+		}
+		g.streams[s] = next
 	default:
 		// Irregular jump: a single-touch line somewhere in the footprint —
 		// pure prefetch poison, deliberately independent of the streams.
 		off = uint64(g.rng.Int63n(p.FootprintBytes))
 	}
-	addr = (g.base + off%uint64(g.p.FootprintBytes)) &^ uint64(p.LineBytes-1)
+	// Every branch leaves off below the footprint: streams wrap, the
+	// conflict group resets before a member reaches the end, and jumps
+	// draw below it.
+	addr = (g.base + off) &^ uint64(p.LineBytes-1)
 	return addr, g.rng.Float64() >= p.ReadFrac
 }
 

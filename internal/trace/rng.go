@@ -1,7 +1,5 @@
 package trace
 
-import "math"
-
 // RNG is a SplitMix64 pseudo-random generator. It is tiny, fast,
 // deterministic across platforms, and owned by this package so that trace
 // generation can never be perturbed by changes to the standard library's
@@ -45,16 +43,11 @@ func (r *RNG) Float64() float64 {
 }
 
 // Geometric returns an exponential sample with the given mean, clamped to
-// [0, 16*mean]. Used for instruction gaps: only the mean and the presence
-// of a tail matter to the core model.
+// [0, 16*mean] (expGap of one 53-bit draw). Used for instruction gaps:
+// only the mean and the presence of a tail matter to the core model.
 func (r *RNG) Geometric(mean float64) uint32 {
 	if mean <= 0 {
 		return 0
 	}
-	u := r.Float64()
-	v := -mean * math.Log1p(-u)
-	if v > 16*mean {
-		v = 16 * mean
-	}
-	return uint32(v)
+	return expGap(mean, r.Uint64()>>11)
 }

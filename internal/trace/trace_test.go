@@ -225,6 +225,50 @@ func TestGeneratorNextAccessMatchesNext(t *testing.T) {
 	}
 }
 
+// Next's records are those of the Log1p sampler the gap table replaced,
+// whether the mean gets a table (3) or keeps the Log1p path (1000, gaps
+// up to 16000). The reference below is that sampler as it was written.
+func TestGeneratorNextMatchesLog1pReference(t *testing.T) {
+	for _, gapMean := range []float64{3, 1000} {
+		p := testProfile()
+		p.GapMean = gapMean
+		g := MustGenerator(p, 0, 77)
+		if tabled := g.gaps != nil; tabled != (gapMean < 1000) {
+			t.Fatalf("GapMean %g: gap table present = %v", gapMean, tabled)
+		}
+		ref := g.Clone()
+		for i := 0; i < 200_000; i++ {
+			got, _ := g.Next()
+			v := -gapMean * math.Log1p(-ref.rng.Float64())
+			if v > 16*gapMean {
+				v = 16 * gapMean
+			}
+			addr, write := ref.access()
+			if want := (Record{Gap: uint32(v), Addr: addr, Write: write}); got != want {
+				t.Fatalf("GapMean %g, record %d: Next = %+v, reference %+v", gapMean, i, got, want)
+			}
+		}
+	}
+}
+
+// A stream advances by StrideBytes modulo the footprint, even when the
+// stride is longer than the footprint.
+func TestGeneratorStreamWrapsModuloFootprint(t *testing.T) {
+	p := testProfile()
+	p.Streams, p.StreamProb, p.ConflictProb = 1, 1, 0
+	p.StrideBytes = 3*p.FootprintBytes + 192
+	const base = 1 << 30
+	g := MustGenerator(p, base, 7)
+	off, fp := g.streams[0], uint64(p.FootprintBytes)
+	for i := 0; i < 100_000; i++ {
+		addr, _ := g.NextAccess()
+		if want := (base + off) &^ 63; addr != want {
+			t.Fatalf("access %d: address %#x, want %#x", i, addr, want)
+		}
+		off = (off + uint64(p.StrideBytes)) % fp
+	}
+}
+
 func TestGeneratorAddressProperties(t *testing.T) {
 	p := testProfile()
 	base := uint64(1) << 30
