@@ -6,10 +6,9 @@
 // obs metrics are registered. Whole-program analyzers walk a
 // cross-package call graph (including prefetch.Engine interface
 // dispatch) built from per-package facts: globalmut certifies that
-// mutable package-level state is written only during init or
-// Register-at-init, and detflow that no
-// nondeterminism source hides behind a cross-package helper called
-// from simulation code.
+// mutable package-level state is written only by its initializer or an
+// init function, and detflow that no nondeterminism source hides behind
+// a cross-package helper called from simulation code.
 //
 // Usage:
 //

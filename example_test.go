@@ -23,10 +23,10 @@ func ExampleParseScheme() {
 // ExampleMixByID shows Table II lookup.
 func ExampleMixByID() {
 	mix, _ := camps.MixByID("HM1")
-	fmt.Println(mix.ID, mix.Group())
+	fmt.Println(mix.ID, len(mix.Benchmarks))
 	fmt.Println(mix.Benchmarks[0], mix.Benchmarks[1])
 	// Output:
-	// HM1 HM
+	// HM1 8
 	// bwaves gems
 }
 

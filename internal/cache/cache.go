@@ -74,8 +74,8 @@ const (
 // The tag fills the rest of the 32-bit word exactly.
 var _ [32]struct{} = [tagShift + config.CacheTagBits]struct{}{}
 
-// NewLevel builds a cache level from its configuration.
-func NewLevel(cfg config.CacheLevel) *Level {
+// newLevel builds a cache level from its configuration.
+func newLevel(cfg config.CacheLevel) *Level {
 	sets := int(cfg.SizeBytes) / cfg.Ways / cfg.LineBytes
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
@@ -114,9 +114,6 @@ func (l *Level) Hits() uint64 { return l.hits.Value() }
 
 // Misses returns the miss count.
 func (l *Level) Misses() uint64 { return l.misses.Value() }
-
-// Writebacks returns the number of dirty lines evicted.
-func (l *Level) Writebacks() uint64 { return l.wbacks.Value() }
 
 // index splits addr into its set and tag. The tag keeps its low
 // CacheTagBits bits, all of them below the hierarchy's address limit.
@@ -184,30 +181,17 @@ func (l *Level) demand(addr uint64, write bool) (s slot, hit bool) {
 	return s, true
 }
 
-// Lookup probes for addr; on a hit it refreshes LRU and, for writes, sets
-// the dirty bit.
-func (l *Level) Lookup(addr uint64, write bool) bool {
-	_, hit := l.demand(addr, write)
-	return hit
-}
-
 // Contains probes without disturbing LRU or statistics.
 func (l *Level) Contains(addr uint64) bool {
 	_, hit := l.probe(addr)
 	return hit
 }
 
-// Victim describes a line displaced by Install.
+// Victim describes a line displaced by a fill.
 type Victim struct {
 	Addr  uint64
 	Dirty bool
 	Valid bool
-}
-
-// Install places addr into its set as MRU, returning the displaced line.
-// Installing an already-present line refreshes it (and may set dirty).
-func (l *Level) Install(addr uint64, dirty bool) Victim {
-	return l.put(addr, dirty, false)
 }
 
 // InstallPrefetched installs a line brought in by a core-side prefetcher;
@@ -217,8 +201,9 @@ func (l *Level) InstallPrefetched(addr uint64) Victim {
 	return l.put(addr, false, true)
 }
 
-// put is Install: a present line is refreshed (a prefetch overlay never
-// downgrades its state), an absent one filled at the probe's target.
+// put places addr into its set as MRU, returning the displaced line: a
+// present line is refreshed (a prefetch overlay never downgrades its
+// state), an absent one filled at the probe's target.
 func (l *Level) put(addr uint64, dirty, prefetched bool) Victim {
 	s, hit := l.probe(addr)
 	if !hit {
@@ -266,12 +251,6 @@ func (l *Level) fill(s slot, dirty, prefetched bool) Victim {
 	l.touch(s.set, s.i)
 	return victim
 }
-
-// PrefetchInstalled returns lines installed by a core-side prefetcher.
-func (l *Level) PrefetchInstalled() uint64 { return l.prefInstalled.Value() }
-
-// PrefetchUseful returns prefetched lines that saw a demand hit.
-func (l *Level) PrefetchUseful() uint64 { return l.prefUseful.Value() }
 
 // reconstruct rebuilds a line's base address from set and tag.
 func (l *Level) reconstruct(set int, tag uint32) uint64 {
@@ -348,13 +327,13 @@ type Hierarchy struct {
 
 // NewHierarchy builds the stack for cfg.Processor.Cores cores.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, l3: NewLevel(cfg.L3), limit: AddressLimit(cfg)}
+	h := &Hierarchy{cfg: cfg, l3: newLevel(cfg.L3), limit: AddressLimit(cfg)}
 	h.l1 = make([]*Level, cfg.Processor.Cores)
 	h.l2 = make([]*Level, cfg.Processor.Cores)
 	h.l3MissPerCore = make([]stats.Counter, cfg.Processor.Cores)
 	for i := range h.l1 {
-		h.l1[i] = NewLevel(cfg.L1)
-		h.l2[i] = NewLevel(cfg.L2)
+		h.l1[i] = newLevel(cfg.L1)
+		h.l2[i] = newLevel(cfg.L2)
 	}
 	return h
 }

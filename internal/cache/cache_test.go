@@ -12,7 +12,7 @@ import (
 )
 
 func tinyLevel(ways int) *Level {
-	return NewLevel(config.CacheLevel{
+	return newLevel(config.CacheLevel{
 		SizeBytes:  int64(ways * 4 * 64), // 4 sets
 		Ways:       ways,
 		LineBytes:  64,
@@ -21,13 +21,20 @@ func tinyLevel(ways int) *Level {
 	})
 }
 
+// lookup is one demand probe of l: it reports a hit, refreshing LRU and,
+// for a write, setting the dirty bit.
+func (l *Level) lookup(addr uint64, write bool) bool {
+	_, hit := l.demand(addr, write)
+	return hit
+}
+
 func TestLevelHitMiss(t *testing.T) {
 	l := tinyLevel(2)
-	if l.Lookup(0, false) {
+	if l.lookup(0, false) {
 		t.Fatal("hit on empty cache")
 	}
-	l.Install(0, false)
-	if !l.Lookup(0, false) {
+	l.put(0, false, false)
+	if !l.lookup(0, false) {
 		t.Fatal("miss after install")
 	}
 	if !l.Contains(0) || l.Contains(64) {
@@ -41,10 +48,10 @@ func TestLevelHitMiss(t *testing.T) {
 func TestLevelLRUEviction(t *testing.T) {
 	l := tinyLevel(2) // 4 sets, so same-set addresses differ by 4*64=256
 	a, b, c := uint64(0), uint64(256), uint64(512)
-	l.Install(a, false)
-	l.Install(b, false)
-	l.Lookup(a, false) // a MRU, b LRU
-	v := l.Install(c, false)
+	l.put(a, false, false)
+	l.put(b, false, false)
+	l.lookup(a, false) // a MRU, b LRU
+	v := l.put(c, false, false)
 	if !v.Valid || v.Addr != b {
 		t.Fatalf("evicted %+v, want line %#x", v, b)
 	}
@@ -55,17 +62,17 @@ func TestLevelLRUEviction(t *testing.T) {
 
 func TestLevelDirtyEviction(t *testing.T) {
 	l := tinyLevel(1)
-	l.Install(0, false)
-	l.Lookup(0, true) // dirty via write hit
-	v := l.Install(256, false)
+	l.put(0, false, false)
+	l.lookup(0, true) // dirty via write hit
+	v := l.put(256, false, false)
 	if !v.Valid || !v.Dirty || v.Addr != 0 {
 		t.Fatalf("dirty eviction = %+v", v)
 	}
-	if l.Writebacks() != 1 {
-		t.Fatalf("writebacks = %d", l.Writebacks())
+	if l.wbacks.Value() != 1 {
+		t.Fatalf("writebacks = %d", l.wbacks.Value())
 	}
 	// Clean eviction.
-	v = l.Install(512, false)
+	v = l.put(512, false, false)
 	if v.Dirty {
 		t.Fatal("clean line evicted dirty")
 	}
@@ -73,16 +80,16 @@ func TestLevelDirtyEviction(t *testing.T) {
 
 func TestLevelInstallExistingRefreshes(t *testing.T) {
 	l := tinyLevel(2)
-	l.Install(0, false)
-	v := l.Install(0, true) // refresh + dirty
+	l.put(0, false, false)
+	v := l.put(0, true, false) // refresh + dirty
 	if v.Valid {
 		t.Fatal("reinstall evicted something")
 	}
-	v2 := l.Install(256, false)
+	v2 := l.put(256, false, false)
 	if v2.Valid {
 		t.Fatal("install into free way evicted")
 	}
-	v3 := l.Install(512, false) // evicts LRU = line 256? No: 0 refreshed first, then 256 -> LRU is 0.
+	v3 := l.put(512, false, false) // evicts LRU = line 256? No: 0 refreshed first, then 256 -> LRU is 0.
 	if !v3.Valid || v3.Addr != 0 || !v3.Dirty {
 		t.Fatalf("evicted %+v, want dirty line 0", v3)
 	}
@@ -91,9 +98,9 @@ func TestLevelInstallExistingRefreshes(t *testing.T) {
 func TestVictimAddressReconstruction(t *testing.T) {
 	l := tinyLevel(1)
 	addr := uint64(0xABCD00) // set = (0xABCD00>>6)&3
-	l.Install(addr, false)
+	l.put(addr, false, false)
 	conflict := addr + 256 // same set, different tag (4 sets * 64B)
-	v := l.Install(conflict, false)
+	v := l.put(conflict, false, false)
 	if !v.Valid || v.Addr != addr {
 		t.Fatalf("reconstructed victim %#x, want %#x", v.Addr, addr)
 	}
@@ -109,7 +116,7 @@ func TestPackedLineWordAtLimit(t *testing.T) {
 		SizeBytes: 2 * 2 * config.MinCacheLineBytes, Ways: 2, // 2 sets
 		LineBytes: config.MinCacheLineBytes, HitLatency: 1, MSHRs: 1,
 	}
-	l := NewLevel(lvl)
+	l := newLevel(lvl)
 	limit := uint64(1) << (config.CacheTagBits + 1 + 3)
 	if got := AddressLimit(config.Config{L1: lvl, L2: lvl, L3: lvl}); got != limit {
 		t.Fatalf("AddressLimit = %#x, want %#x", got, limit)
@@ -130,20 +137,20 @@ func TestPackedLineWordAtLimit(t *testing.T) {
 		return 0
 	}
 	l.InstallPrefetched(hi)
-	l.Install(lo, true)
+	l.put(lo, true, false)
 	if !l.Contains(hi) || !l.Contains(lo) || l.Contains(near) || l.Contains(far) {
 		t.Fatal("residency wrong at the tag limit")
 	}
 	if w := word(hi); w>>tagShift != 1<<config.CacheTagBits-1 || w&stPref == 0 || w&stDirty != 0 {
 		t.Fatalf("prefetched all-ones line word %#x", w)
 	}
-	if !l.Lookup(hi, true) || l.PrefetchUseful() != 1 {
+	if !l.lookup(hi, true) || l.prefUseful.Value() != 1 {
 		t.Fatal("prefetched line at the limit missed on first demand hit")
 	}
 	// 600 alternating hits wrap set 1's clock twice: renumbering must
 	// move only the stamps.
 	for i := range 600 {
-		l.Lookup([]uint64{lo, hi}[i%2], false)
+		l.lookup([]uint64{lo, hi}[i%2], false)
 	}
 	if w := word(hi); w>>tagShift != 1<<config.CacheTagBits-1 || w&stPref != 0 || w&stDirty == 0 {
 		t.Fatalf("all-ones line word %#x after the clock wrapped", w)
@@ -151,8 +158,8 @@ func TestPackedLineWordAtLimit(t *testing.T) {
 	if w := word(lo); w>>tagShift != 0 || w&stDirty == 0 {
 		t.Fatalf("tag-0 line word %#x after the clock wrapped", w)
 	}
-	l.Lookup(lo, false) // hi becomes LRU
-	v := l.Install(near, false)
+	l.lookup(lo, false) // hi becomes LRU
+	v := l.put(near, false, false)
 	if !v.Valid || !v.Dirty || v.Addr != hi {
 		t.Fatalf("victim %+v, want dirty %#x", v, hi)
 	}
@@ -165,10 +172,10 @@ func TestNewLevelRejectsSubWordLines(t *testing.T) {
 	defer func() {
 		r := recover()
 		if msg, _ := r.(string); !strings.Contains(msg, config.ErrCacheLine.Error()) {
-			t.Fatalf("NewLevel(4-byte lines) panicked with %v, want %q", r, config.ErrCacheLine)
+			t.Fatalf("newLevel(4-byte lines) panicked with %v, want %q", r, config.ErrCacheLine)
 		}
 	}()
-	NewLevel(config.CacheLevel{SizeBytes: 64, Ways: 2, LineBytes: 4, HitLatency: 1, MSHRs: 1})
+	newLevel(config.CacheLevel{SizeBytes: 64, Ways: 2, LineBytes: 4, HitLatency: 1, MSHRs: 1})
 }
 
 // refLRU is a reference true-LRU cache kept as one MRU-first list per
@@ -261,7 +268,7 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 		{"256way-one-set", 256, 1, 400, 4000, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := NewLevel(config.CacheLevel{
+			l := newLevel(config.CacheLevel{
 				SizeBytes: int64(tc.ways * tc.sets * 64), Ways: tc.ways,
 				LineBytes: 64, HitLatency: 1, MSHRs: 1,
 			})
@@ -273,13 +280,13 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					write := rng.Intn(3) == 0
-					if got, want := l.Lookup(addr, write), ref.lookup(addr, write); got != want {
+					if got, want := l.lookup(addr, write), ref.lookup(addr, write); got != want {
 						t.Fatalf("op %d: Lookup(%#x) hit=%v, reference %v", op, addr, got, want)
 					}
 				case 1:
 					dirty := rng.Intn(3) == 0
-					if got, want := l.Install(addr, dirty), ref.install(addr, dirty, false); got != want {
-						t.Fatalf("op %d: Install(%#x) victim %+v, reference %+v", op, addr, got, want)
+					if got, want := l.put(addr, dirty, false), ref.install(addr, dirty, false); got != want {
+						t.Fatalf("op %d: put(%#x) victim %+v, reference %+v", op, addr, got, want)
 					}
 				default:
 					if got, want := l.InstallPrefetched(addr), ref.install(addr, false, true); got != want {
@@ -294,7 +301,7 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 			if wraps < tc.minWraps {
 				t.Fatalf("set 0's clock wrapped %d times, want at least %d", wraps, tc.minWraps)
 			}
-			if got := int(l.PrefetchUseful()); got != ref.useful {
+			if got := int(l.prefUseful.Value()); got != ref.useful {
 				t.Fatalf("prefetch useful = %d, reference %d", got, ref.useful)
 			}
 			for set, lines := range ref.lists {
@@ -499,10 +506,10 @@ func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
 	// goes to next, or to memory.
 	var absorb func(lvl *Level, next []*Level, addr uint64)
 	absorb = func(lvl *Level, next []*Level, addr uint64) {
-		if lvl.Lookup(addr, true) {
+		if lvl.lookup(addr, true) {
 			return
 		}
-		if v := lvl.Install(addr, true); v.Valid && v.Dirty {
+		if v := lvl.put(addr, true, false); v.Valid && v.Dirty {
 			if len(next) == 0 {
 				res.Writebacks = append(res.Writebacks, v.Addr)
 			} else {
@@ -511,21 +518,21 @@ func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
 		}
 	}
 	fill := func(lvl *Level, next []*Level, dirty bool) {
-		if v := lvl.Install(addr, dirty); v.Valid && v.Dirty {
+		if v := lvl.put(addr, dirty, false); v.Valid && v.Dirty {
 			absorb(next[0], next[1:], v.Addr)
 		}
 	}
 	res.Level, res.Latency = 1, l1.HitLatency()
-	if l1.Lookup(addr, write) {
+	if l1.lookup(addr, write) {
 		return res
 	}
 	res.Level, res.Latency = 2, res.Latency+l2.HitLatency()
-	if !l2.Lookup(addr, false) {
+	if !l2.lookup(addr, false) {
 		res.Level, res.Latency = 3, res.Latency+l3.HitLatency()
-		if !l3.Lookup(addr, false) {
+		if !l3.lookup(addr, false) {
 			res.Level = 4
 			h.l3MissPerCore[core].Inc()
-			if v := l3.Install(addr, false); v.Valid && v.Dirty {
+			if v := l3.put(addr, false, false); v.Valid && v.Dirty {
 				res.Writebacks = append(res.Writebacks, v.Addr)
 			}
 		}
@@ -541,8 +548,8 @@ func refInstallPrefetched(h *Hierarchy, core int, addr uint64) []uint64 {
 	if v := h.l3.InstallPrefetched(addr); v.Valid && v.Dirty {
 		wbs = append(wbs, v.Addr)
 	}
-	if v := h.l2[core].InstallPrefetched(addr); v.Valid && v.Dirty && !h.l3.Lookup(v.Addr, true) {
-		if v3 := h.l3.Install(v.Addr, true); v3.Valid && v3.Dirty {
+	if v := h.l2[core].InstallPrefetched(addr); v.Valid && v.Dirty && !h.l3.lookup(v.Addr, true) {
+		if v3 := h.l3.put(v.Addr, true, false); v3.Valid && v3.Dirty {
 			wbs = append(wbs, v3.Addr)
 		}
 	}
@@ -673,10 +680,10 @@ func TestHierarchyAccessTrafficShape(t *testing.T) {
 			t.Fatalf("L3 way %d is free after the warmup", i)
 		}
 	}
-	hits, misses, evicts, wbacks := l3.Hits(), l3.Misses(), l3.evicts.Value(), l3.Writebacks()
+	hits, misses, evicts, wbacks := l3.Hits(), l3.Misses(), l3.evicts.Value(), l3.wbacks.Value()
 	l1Hits := replay(h, refs, 2*len(refs))
 	hits, misses = l3.Hits()-hits, l3.Misses()-misses
-	evicts, wbacks = l3.evicts.Value()-evicts, l3.Writebacks()-wbacks
+	evicts, wbacks = l3.evicts.Value()-evicts, l3.wbacks.Value()-wbacks
 	l1Rate := float64(l1Hits) / float64(2*len(refs))
 	l3Rate := float64(hits) / float64(hits+misses)
 	wbRate := float64(wbacks) / float64(misses)

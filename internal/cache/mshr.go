@@ -234,12 +234,3 @@ func (m *MSHRFile) Coalesced() uint64 { return m.coalesced.Value() }
 
 // Stalls returns requests that waited for a free entry.
 func (m *MSHRFile) Stalls() uint64 { return m.stalls.Value() }
-
-// Issued returns distinct line fetches sent to the backend.
-func (m *MSHRFile) Issued() uint64 { return m.issued.Value() }
-
-// Peak returns the maximum simultaneous outstanding entries.
-func (m *MSHRFile) Peak() int { return m.peak }
-
-// Outstanding returns the current outstanding entry count.
-func (m *MSHRFile) Outstanding() int { return len(m.live) }

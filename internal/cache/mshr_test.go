@@ -40,8 +40,8 @@ func TestMSHRCoalescesSameLine(t *testing.T) {
 	if got != 3 {
 		t.Fatalf("%d waiters completed, want 3", got)
 	}
-	if m.Coalesced() != 2 || m.Issued() != 1 {
-		t.Fatalf("coalesced=%d issued=%d", m.Coalesced(), m.Issued())
+	if m.Coalesced() != 2 || m.issued.Value() != 1 {
+		t.Fatalf("coalesced=%d issued=%d", m.Coalesced(), m.issued.Value())
 	}
 }
 
@@ -54,8 +54,8 @@ func TestMSHRBoundsOutstanding(t *testing.T) {
 		m.ReadLine(uint64(i)*64, func(sim.Time) { done++ })
 	}
 	// Only 2 issued immediately; 4 stalled.
-	if m.Outstanding() != 2 || m.Stalls() != 4 {
-		t.Fatalf("outstanding=%d stalls=%d", m.Outstanding(), m.Stalls())
+	if len(m.live) != 2 || m.Stalls() != 4 {
+		t.Fatalf("outstanding=%d stalls=%d", len(m.live), m.Stalls())
 	}
 	eng.Run()
 	if done != 6 {
@@ -64,8 +64,8 @@ func TestMSHRBoundsOutstanding(t *testing.T) {
 	if len(mem.reads) != 6 {
 		t.Fatalf("backend reads = %d, want 6", len(mem.reads))
 	}
-	if m.Peak() != 2 {
-		t.Fatalf("peak = %d, want 2 (the bound)", m.Peak())
+	if m.peak != 2 {
+		t.Fatalf("peak = %d, want 2 (the bound)", m.peak)
 	}
 }
 
@@ -241,10 +241,10 @@ func TestMSHRMatchesMapReference(t *testing.T) {
 			case !slices.Equal(got, want):
 				t.Fatalf("seed %d step %d: waiters ran %v, reference %v", seed, step, got, want)
 			case int(m.Coalesced()) != ref.coalesced || int(m.Stalls()) != ref.stalls ||
-				int(m.Issued()) != len(ref.issued) || m.Peak() != ref.peak ||
-				m.Outstanding() != len(ref.lines):
+				int(m.issued.Value()) != len(ref.issued) || m.peak != ref.peak ||
+				len(m.live) != len(ref.lines):
 				t.Fatalf("seed %d step %d: coalesced %d stalls %d issued %d peak %d outstanding %d, reference %d %d %d %d %d",
-					seed, step, m.Coalesced(), m.Stalls(), m.Issued(), m.Peak(), m.Outstanding(),
+					seed, step, m.Coalesced(), m.Stalls(), m.issued.Value(), m.peak, len(m.live),
 					ref.coalesced, ref.stalls, len(ref.issued), ref.peak, len(ref.lines))
 			}
 		}
@@ -267,9 +267,6 @@ func TestStrideDetectorConfirmsAndPredicts(t *testing.T) {
 	p := d.Observe(base + 128)
 	if len(p) != 2 || p[0] != base+192 || p[1] != base+256 {
 		t.Fatalf("predictions = %v, want next two lines", p)
-	}
-	if d.Predicted() != 2 {
-		t.Fatalf("predicted counter = %d", d.Predicted())
 	}
 }
 
@@ -320,18 +317,18 @@ func TestStrideDetectorValidation(t *testing.T) {
 func TestLevelPrefetchUsefulness(t *testing.T) {
 	l := tinyLevel(2)
 	l.InstallPrefetched(0)
-	if l.PrefetchInstalled() != 1 {
+	if l.prefInstalled.Value() != 1 {
 		t.Fatal("install not counted")
 	}
-	if l.PrefetchUseful() != 0 {
+	if l.prefUseful.Value() != 0 {
 		t.Fatal("useful counted before any hit")
 	}
-	l.Lookup(0, false)
-	if l.PrefetchUseful() != 1 {
+	l.lookup(0, false)
+	if l.prefUseful.Value() != 1 {
 		t.Fatal("first demand hit not counted as useful")
 	}
-	l.Lookup(0, false)
-	if l.PrefetchUseful() != 1 {
+	l.lookup(0, false)
+	if l.prefUseful.Value() != 1 {
 		t.Fatal("second hit double-counted usefulness")
 	}
 }
@@ -354,7 +351,7 @@ func TestHierarchyInstallPrefetched(t *testing.T) {
 	if r.Level != 2 {
 		t.Fatalf("post-prefetch access level = %d, want 2", r.Level)
 	}
-	if h.L2(0).PrefetchUseful() != 1 {
+	if h.L2(0).prefUseful.Value() != 1 {
 		t.Fatal("L2 usefulness not counted")
 	}
 }
@@ -400,7 +397,7 @@ func BenchmarkMSHR(b *testing.B) {
 		mem.completeOldest()
 	}
 	b.StopTimer()
-	if m.Outstanding() != entries-1 || m.Stalls() != 0 {
-		b.Fatalf("outstanding %d, stalls %d; want %d and 0", m.Outstanding(), m.Stalls(), entries-1)
+	if len(m.live) != entries-1 || m.Stalls() != 0 {
+		b.Fatalf("outstanding %d, stalls %d; want %d and 0", len(m.live), m.Stalls(), entries-1)
 	}
 }

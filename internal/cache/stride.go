@@ -1,7 +1,5 @@
 package cache
 
-import "camps/internal/stats"
-
 // StrideDetector is a classic core-side stride prefetcher's training
 // table, fed with the L2 miss stream. The CAMPS paper's §2.4 argues that
 // in an HMC, *memory-side* prefetching beats this kind of core-side
@@ -16,8 +14,6 @@ type StrideDetector struct {
 	entries []strideEntry
 	degree  int
 	limit   uint64
-
-	predicted stats.Counter
 }
 
 type strideEntry struct {
@@ -76,9 +72,5 @@ func (d *StrideDetector) Observe(addr uint64) []uint64 {
 		}
 		out = append(out, uint64(next))
 	}
-	d.predicted.Add(uint64(len(out)))
 	return out
 }
-
-// Predicted returns the number of prefetch addresses emitted.
-func (d *StrideDetector) Predicted() uint64 { return d.predicted.Value() }

@@ -75,9 +75,8 @@ type Core struct {
 
 	// Optional core-side stride prefetcher on the L2 miss stream (the
 	// paper's §2.4 comparison point); nil when disabled.
-	stride       *cache.StrideDetector
-	prefIssued   stats.Counter
-	prefFiltered stats.Counter // predictions already cached
+	stride     *cache.StrideDetector
+	prefIssued stats.Counter
 
 	memReads  stats.Counter
 	memWrites stats.Counter
@@ -228,8 +227,7 @@ func (c *Core) issueStridePrefetches(addr uint64, at sim.Time) {
 	for _, pa := range c.stride.Observe(addr) {
 		pa := pa
 		if c.hier.L2(c.id).Contains(pa) || c.hier.L3().Contains(pa) {
-			c.prefFiltered.Inc()
-			continue
+			continue // already cached
 		}
 		c.prefIssued.Inc()
 		c.eng.At(at, func() {
@@ -308,9 +306,6 @@ func (c *Core) MemReads() uint64 { return c.memReads.Value() }
 
 // MemWrites returns writebacks sent to memory.
 func (c *Core) MemWrites() uint64 { return c.memWrites.Value() }
-
-// StallTime returns time spent blocked on a full miss window.
-func (c *Core) StallTime() sim.Time { return c.stallTime }
 
 func maxTime(a, b sim.Time) sim.Time {
 	if a > b {

@@ -118,7 +118,7 @@ func TestStallTimeAccountedWhenWindowFull(t *testing.T) {
 	eng, cfg, h, mem := testSetup(1*sim.Microsecond, 1)
 	c := NewCore(eng, cfg, 0, missTrace(100), h, mem, 500, nil)
 	runCore(t, eng, c)
-	if c.StallTime() == 0 {
+	if c.stallTime == 0 {
 		t.Fatal("window-1 core with slow memory never stalled")
 	}
 }
@@ -183,11 +183,14 @@ func TestCoreDeterminism(t *testing.T) {
 		eng := sim.NewEngine()
 		h := cache.NewHierarchy(cfg)
 		mem := &fakeMem{eng: eng, latency: 80 * sim.Nanosecond}
-		gen := trace.MustGenerator(trace.Profile{
+		gen, err := trace.NewGenerator(trace.Profile{
 			Name: "d", FootprintBytes: 8 << 20, GapMean: 3, ReadFrac: 0.7,
 			Streams: 2, StreamProb: 0.6, StrideBytes: 64,
 			ConflictProb: 0.1, ConflictStreams: 2, ConflictStride: 512 << 10, LineBytes: 64,
 		}, 0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The generator is infinite; halt the engine once the measured
 		// region completes (the system driver's job in full simulations).
 		var c *Core

@@ -69,9 +69,9 @@ func Knobs() map[string]Knob {
 	return m
 }
 
-// LookupKnob returns the named knob, or false if no such dimension
+// lookupKnob returns the named knob, or false if no such dimension
 // exists.
-func LookupKnob(name string) (Knob, bool) {
+func lookupKnob(name string) (Knob, bool) {
 	k, ok := Knobs()[name]
 	return k, ok
 }

@@ -125,7 +125,7 @@ func (s *Spec) resolve() (resolved, error) {
 		r.schemes = append(r.schemes, sc)
 	}
 	if s.Knob != "" {
-		k, ok := LookupKnob(s.Knob)
+		k, ok := lookupKnob(s.Knob)
 		if !ok {
 			return r, fmt.Errorf("unknown knob %q", s.Knob)
 		}

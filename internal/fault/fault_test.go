@@ -86,9 +86,9 @@ func TestParseDuration(t *testing.T) {
 		{"0", 0},
 	}
 	for _, c := range cases {
-		got, err := ParseDuration(c.in)
+		got, err := parseDuration(c.in)
 		if err != nil || got != c.want {
-			t.Errorf("ParseDuration(%q) = %v, %v; want %v", c.in, got, err, c.want)
+			t.Errorf("parseDuration(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
 }

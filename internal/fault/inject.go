@@ -92,9 +92,6 @@ func NewInjector(spec Spec, runSeed uint64) *Injector {
 	return &Injector{spec: spec.withDefaults(), seed: mix(runSeed, spec.Seed)}
 }
 
-// Spec returns the spec the injector was built from (defaults applied).
-func (inj *Injector) Spec() Spec { return inj.spec }
-
 // Counts returns the injections performed so far.
 func (inj *Injector) Counts() Counts {
 	if inj == nil {

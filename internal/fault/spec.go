@@ -208,13 +208,13 @@ func ParseSpec(text string) (Spec, error) {
 		case "stall":
 			s.VaultStallRate, err = parseRate(val)
 		case "stallfor":
-			s.VaultStallTime, err = ParseDuration(val)
+			s.VaultStallTime, err = parseDuration(val)
 		case "poison":
 			s.PoisonRate, err = parseRate(val)
 		case "bankfail":
-			s.BankFailPeriod, err = ParseDuration(val)
+			s.BankFailPeriod, err = parseDuration(val)
 		case "bankfor":
-			s.BankFailDuration, err = ParseDuration(val)
+			s.BankFailDuration, err = parseDuration(val)
 		case "seed":
 			s.Seed, err = strconv.ParseUint(val, 10, 64)
 		default:
@@ -247,9 +247,9 @@ func parseRate(val string) (float64, error) {
 	return r, nil
 }
 
-// ParseDuration parses a simulation duration with a ps/ns/us/ms suffix; a
+// parseDuration parses a simulation duration with a ps/ns/us/ms suffix; a
 // bare integer is picoseconds. Fractional values are allowed ("2.5us").
-func ParseDuration(val string) (sim.Time, error) {
+func parseDuration(val string) (sim.Time, error) {
 	unit := sim.Picosecond
 	num := val
 	switch {

@@ -75,7 +75,7 @@ func NewCube(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme) *Cube {
 		c.vaults[i] = vault.New(eng, cfg, scheme, i)
 	}
 	for i := range c.links {
-		c.links[i] = NewLink(cfg.Links)
+		c.links[i] = newLink(cfg.Links)
 	}
 	if cfg.Links.VaultPortGBps > 0 {
 		c.portBps = cfg.Links.VaultPortGBps * 1_000_000_000
@@ -100,7 +100,7 @@ func (c *Cube) Instrument(reg *obs.Registry, tr *obs.Tracer) {
 		v.Instrument(reg, tr)
 	}
 	for i, l := range c.links {
-		l.Instrument(tr, i)
+		l.instrument(tr, i)
 	}
 }
 
@@ -139,7 +139,7 @@ func (c *Cube) AttachAttribution(spans *obs.SpanSet, ledger *obs.PrefetchLedger)
 // Call before the simulation starts.
 func (c *Cube) SetFaults(inj *fault.Injector) {
 	for i, l := range c.links {
-		l.SetFaults(inj, i)
+		l.setFaults(inj, i)
 	}
 	c.vsites = make([]*fault.VaultSite, len(c.vaults))
 	for i, v := range c.vaults {
@@ -175,9 +175,6 @@ func (c *Cube) Invariants() []sim.Invariant {
 	}
 }
 
-// Mapping returns the cube's address mapping.
-func (c *Cube) Mapping() Mapping { return c.mapping }
-
 // linkFor statically routes a vault's traffic over one link, spreading
 // vaults evenly (32 vaults over 4 links).
 func (c *Cube) linkFor(vaultID int) *Link { return c.links[vaultID%len(c.links)] }
@@ -201,7 +198,7 @@ func (c *Cube) Access(addr Address, write bool, done func(at sim.Time)) {
 
 	// External controller processing, then serialization over the link,
 	// then the crossbar hop (and optional vault ingress port).
-	atCube, reqRetry := link.SendRequestTimed(now+c.ctrlLat, reqBytes)
+	atCube, reqRetry := link.sendRequest(now+c.ctrlLat, reqBytes)
 	preStall := c.ingress(loc.Vault, atCube, reqBytes)
 	atVault := preStall
 	if c.vsites != nil {
@@ -298,7 +295,7 @@ func (a *access) readDone(ready sim.Time) {
 	ref := a.req.Span
 	c.releaseAccess(a)
 	// Response: crossbar back, response packet with data.
-	back, respRetry := link.SendResponseTimed(ready+c.switchLat, c.headerB+c.lineBytes)
+	back, respRetry := link.sendResponse(ready+c.switchLat, c.headerB+c.lineBytes)
 	// The vault advanced the span to `ready`; the crossbar hop, any CRC
 	// retransmissions, and the link transfer close it out at `back`.
 	c.spans.AdvanceTo(ref, obs.CauseXbar, int64(ready+c.switchLat))
@@ -319,12 +316,6 @@ func (a *access) readDone(ready sim.Time) {
 	}
 }
 
-// Reads returns the number of read requests issued.
-func (c *Cube) Reads() uint64 { return c.reads.Value() }
-
-// Writes returns the number of write requests issued.
-func (c *Cube) Writes() uint64 { return c.writes.Value() }
-
 // ReadAMAT returns the accumulated read-latency distribution (the
 // main-memory access time the paper's Figure 8 reports), in picoseconds.
 func (c *Cube) ReadAMAT() stats.LatencyAccum { return c.readAMAT }
@@ -344,7 +335,7 @@ func (c *Cube) Vaults() int { return len(c.vaults) }
 func (c *Cube) LinkStats() []LinkStats {
 	out := make([]LinkStats, len(c.links))
 	for i, l := range c.links {
-		out[i] = l.Stats()
+		out[i] = l.stats()
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 // issueBatch drives n reads round-robin across vaults and returns the
 // mean read latency in picoseconds.
 func issueBatch(cube *Cube, eng *sim.Engine, n int) float64 {
-	m := cube.Mapping()
+	m := cube.mapping
 	for i := 0; i < n; i++ {
 		addr := m.Encode(Location{Vault: i % 32, Bank: i % 16, Row: int64(i % 64), Line: i % 16})
 		cube.Access(addr, false, nil)
@@ -89,7 +89,7 @@ func TestCubeBankBlackoutsCounted(t *testing.T) {
 	}, 1)
 	cube.SetFaults(inj)
 	// Hammer one bank long enough to cross several windows.
-	m := cube.Mapping()
+	m := cube.mapping
 	for i := 0; i < 400; i++ {
 		cube.Access(m.Encode(Location{Vault: 0, Bank: 0, Row: int64(i % 128)}), false, nil)
 	}
@@ -138,7 +138,7 @@ func TestInvariantCheckerCatchesAccountingBug(t *testing.T) {
 	chk := sim.NewChecker(eng, sim.Microsecond)
 	chk.Register(cube.Invariants()...)
 
-	m := cube.Mapping()
+	m := cube.mapping
 	for i := 0; i < 64; i++ {
 		cube.Access(m.Encode(Location{Vault: i % 32, Row: int64(i)}), false, nil)
 	}

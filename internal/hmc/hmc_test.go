@@ -45,11 +45,12 @@ func TestMappingDecodeKnownAddresses(t *testing.T) {
 }
 
 func TestMappingRoundTrip(t *testing.T) {
-	m := NewMapping(config.Default())
+	cfg := config.Default()
+	m := NewMapping(cfg)
 	prop := func(raw uint64) bool {
-		addr := Address(raw % m.Capacity())
+		addr := Address(raw % uint64(cfg.HMC.CapacityBytes()))
 		loc := m.Decode(addr)
-		return m.Encode(loc) == m.LineAddress(addr)
+		return m.Encode(loc) == addr&^Address(cfg.L3.LineBytes-1)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -86,24 +87,24 @@ func TestMappingDistributesAcrossVaults(t *testing.T) {
 
 func TestPipeSerializationAndBackpressure(t *testing.T) {
 	cfg := config.Default()
-	l := NewLink(cfg.Links)
+	l := newLink(cfg.Links)
 	// 24 GB/s -> 80 bytes take 80/24e9 s = 3333 ps.
-	first := l.SendRequest(0, 80)
+	first, _ := l.sendRequest(0, 80)
 	wantSer := sim.Time(80 * 1_000_000_000_000 / cfg.Links.BytesPerSecond())
 	if first != wantSer+cfg.Links.PropDelay {
 		t.Fatalf("first packet arrives at %v, want %v", first, wantSer+cfg.Links.PropDelay)
 	}
 	// Second packet sent at the same instant queues behind the first.
-	second := l.SendRequest(0, 80)
+	second, _ := l.sendRequest(0, 80)
 	if second != first+wantSer {
 		t.Fatalf("second packet arrives at %v, want %v", second, first+wantSer)
 	}
 	// Response direction is independent.
-	resp := l.SendResponse(0, 80)
+	resp, _ := l.sendResponse(0, 80)
 	if resp != first {
 		t.Fatalf("response direction shares request bandwidth: %v vs %v", resp, first)
 	}
-	s := l.Stats()
+	s := l.stats()
 	if s.ReqPackets != 2 || s.ReqBytes != 160 || s.RespPackets != 1 {
 		t.Fatalf("link stats = %+v", s)
 	}
@@ -126,8 +127,8 @@ func TestCubeReadCompletes(t *testing.T) {
 	if done < 30*sim.Nanosecond || done > 500*sim.Nanosecond {
 		t.Fatalf("read latency %v outside plausible range", done)
 	}
-	if cube.Reads() != 1 || cube.Writes() != 0 {
-		t.Fatalf("counters: reads %d writes %d", cube.Reads(), cube.Writes())
+	if cube.reads.Value() != 1 || cube.writes.Value() != 0 {
+		t.Fatalf("counters: reads %d writes %d", cube.reads.Value(), cube.writes.Value())
 	}
 	if cube.ReadAMAT().Count() != 1 {
 		t.Fatal("AMAT sample missing")
@@ -157,7 +158,7 @@ func TestCubeRoutesToCorrectVault(t *testing.T) {
 	cfg := testCfg()
 	eng := sim.NewEngine()
 	cube := NewCube(eng, cfg, prefetch.CAMPS)
-	m := cube.Mapping()
+	m := cube.mapping
 	addr := m.Encode(Location{Vault: 7, Bank: 3, Row: 99, Line: 5})
 	cube.Access(addr, false, nil)
 	eng.Run()
@@ -244,7 +245,7 @@ func TestCubeDeterminism(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			addr := Address((i * 7919) % (1 << 22))
 			cube.Access(m64(addr), i%5 == 0, nil)
-			eng.RunFor(sim.Time(i%4) * 500)
+			eng.RunUntil(eng.Now() + sim.Time(i%4)*500)
 		}
 		eng.Run()
 		cube.Flush()
@@ -269,13 +270,13 @@ func TestMappingVariantsRoundTrip(t *testing.T) {
 			cfg := config.Default()
 			cfg.HMC.Interleave = scheme
 			m := NewMapping(cfg)
-			if m.Scheme() != scheme {
-				t.Fatalf("scheme = %v", m.Scheme())
+			if m.scheme != scheme {
+				t.Fatalf("scheme = %v", m.scheme)
 			}
 			prop := func(raw uint64) bool {
-				addr := Address(raw % m.Capacity())
+				addr := Address(raw % uint64(cfg.HMC.CapacityBytes()))
 				loc := m.Decode(addr)
-				return m.Encode(loc) == m.LineAddress(addr)
+				return m.Encode(loc) == addr&^Address(cfg.L3.LineBytes-1)
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 				t.Fatal(err)
@@ -329,16 +330,16 @@ func TestLinkPowerManagement(t *testing.T) {
 	cfg := config.Default()
 	cfg.Links.SleepAfter = 100 * sim.Nanosecond
 	cfg.Links.WakeLatency = 20 * sim.Nanosecond
-	l := NewLink(cfg.Links)
+	l := newLink(cfg.Links)
 	// First packet: pipe starts awake at time 0... after an initial idle
 	// gap longer than SleepAfter it is asleep and pays the wake latency.
-	first := l.SendRequest(500*sim.Nanosecond, 80)
+	first, _ := l.sendRequest(500*sim.Nanosecond, 80)
 	ser := sim.Time(80 * 1_000_000_000_000 / cfg.Links.BytesPerSecond())
 	want := 500*sim.Nanosecond + cfg.Links.WakeLatency + ser + cfg.Links.PropDelay
 	if first != want {
 		t.Fatalf("woken packet arrives at %v, want %v", first, want)
 	}
-	s := l.Stats()
+	s := l.stats()
 	if s.Wakes != 1 {
 		t.Fatalf("wakes = %d, want 1", s.Wakes)
 	}
@@ -346,19 +347,19 @@ func TestLinkPowerManagement(t *testing.T) {
 		t.Fatalf("slept = %v, want 400ns", s.ReqSlept)
 	}
 	// A back-to-back packet pays no wake latency.
-	second := l.SendRequest(first-cfg.Links.PropDelay, 80)
+	second, _ := l.sendRequest(first-cfg.Links.PropDelay, 80)
 	if second != first+ser {
 		t.Fatalf("warm packet arrives at %v, want %v", second, first+ser)
 	}
-	if l.Stats().Wakes != 1 {
+	if l.stats().Wakes != 1 {
 		t.Fatal("warm packet counted a wake")
 	}
 }
 
 func TestLinkPowerDisabledByDefault(t *testing.T) {
-	l := NewLink(config.Default().Links)
-	l.SendRequest(10*sim.Microsecond, 80)
-	if s := l.Stats(); s.Wakes != 0 || s.ReqSlept != 0 {
+	l := newLink(config.Default().Links)
+	l.sendRequest(10*sim.Microsecond, 80)
+	if s := l.stats(); s.Wakes != 0 || s.ReqSlept != 0 {
 		t.Fatalf("default links slept: %+v", s)
 	}
 }
@@ -369,7 +370,7 @@ func TestVaultIngressPortSerializes(t *testing.T) {
 		cfg.Links.VaultPortGBps = gbps
 		eng := sim.NewEngine()
 		cube := NewCube(eng, cfg, prefetch.None)
-		m := cube.Mapping()
+		m := cube.mapping
 		// Eight writes (80-byte packets) into ONE vault, different banks:
 		// with an ingress bound they serialize at the port.
 		var last sim.Time

@@ -97,49 +97,37 @@ type Link struct {
 	resp *pipe
 }
 
-// NewLink builds a link from the configuration.
-func NewLink(l config.Links) *Link {
+// newLink builds a link from the configuration.
+func newLink(l config.Links) *Link {
 	return &Link{req: newPipe(l), resp: newPipe(l)}
 }
 
-// Instrument publishes the link's packets as EvLinkFlit trace events
+// instrument publishes the link's packets as EvLinkFlit trace events
 // tagged with id. tr may be nil.
-func (l *Link) Instrument(tr *obs.Tracer, id int) {
+func (l *Link) instrument(tr *obs.Tracer, id int) {
 	l.req.tr, l.req.linkID, l.req.dir = tr, int32(id), 0
 	l.resp.tr, l.resp.linkID, l.resp.dir = tr, int32(id), 1
 }
 
-// SetFaults attaches the fault injector's per-direction CRC sites to this
+// setFaults attaches the fault injector's per-direction CRC sites to this
 // link (id is the link number). A nil injector detaches injection. Call
 // before the simulation starts.
-func (l *Link) SetFaults(inj *fault.Injector, id int) {
+func (l *Link) setFaults(inj *fault.Injector, id int) {
 	l.req.faults = inj.Link(id, 0)
 	l.resp.faults = inj.Link(id, 1)
 }
 
-// SendRequest transmits a request packet of n bytes at time at; the result
-// is its arrival time at the cube.
-func (l *Link) SendRequest(at sim.Time, n int) sim.Time {
-	d, _ := l.req.send(at, n)
-	return d
-}
-
-// SendResponse transmits a response packet of n bytes at time at; the
-// result is its arrival time at the processor-side controller.
-func (l *Link) SendResponse(at sim.Time, n int) sim.Time {
-	d, _ := l.resp.send(at, n)
-	return d
-}
-
-// SendRequestTimed is SendRequest plus the retransmission time folded
-// into the delivery (for latency attribution).
-func (l *Link) SendRequestTimed(at sim.Time, n int) (delivery, retry sim.Time) {
+// sendRequest transmits a request packet of n bytes at time at; delivery
+// is its arrival time at the cube, and retry the retransmission time
+// folded into it (for latency attribution).
+func (l *Link) sendRequest(at sim.Time, n int) (delivery, retry sim.Time) {
 	return l.req.send(at, n)
 }
 
-// SendResponseTimed is SendResponse plus the retransmission time folded
-// into the delivery (for latency attribution).
-func (l *Link) SendResponseTimed(at sim.Time, n int) (delivery, retry sim.Time) {
+// sendResponse transmits a response packet of n bytes at time at; delivery
+// is its arrival time at the processor-side controller, and retry the
+// retransmission time folded into it.
+func (l *Link) sendResponse(at sim.Time, n int) (delivery, retry sim.Time) {
 	return l.resp.send(at, n)
 }
 
@@ -152,8 +140,8 @@ type LinkStats struct {
 	Wakes                  uint64
 }
 
-// Stats returns the link's counters.
-func (l *Link) Stats() LinkStats {
+// stats returns the link's counters.
+func (l *Link) stats() LinkStats {
 	return LinkStats{
 		ReqPackets:  l.req.packets.Value(),
 		ReqBytes:    l.req.bytes.Value(),

@@ -36,12 +36,10 @@ type Mapping struct {
 	vaultBits uint
 	bankBits  uint
 	rowBits   uint
-	lineBytes uint64
 	linesMask uint64
 	vaultMask uint64
 	bankMask  uint64
 	rowMask   uint64
-	capacity  uint64
 }
 
 // NewMapping derives the mapping from the configuration.
@@ -53,21 +51,13 @@ func NewMapping(cfg config.Config) Mapping {
 		vaultBits: uint(bits.TrailingZeros64(uint64(cfg.HMC.Vaults))),
 		bankBits:  uint(bits.TrailingZeros64(uint64(cfg.HMC.Banks()))),
 		rowBits:   uint(bits.TrailingZeros64(uint64(cfg.HMC.RowsPerBank))),
-		lineBytes: uint64(cfg.L3.LineBytes),
 	}
 	m.linesMask = 1<<m.lineBits - 1
 	m.vaultMask = 1<<m.vaultBits - 1
 	m.bankMask = 1<<m.bankBits - 1
 	m.rowMask = 1<<m.rowBits - 1
-	m.capacity = uint64(cfg.HMC.CapacityBytes())
 	return m
 }
-
-// Capacity returns the cube capacity in bytes.
-func (m Mapping) Capacity() uint64 { return m.capacity }
-
-// Scheme returns the interleave in use.
-func (m Mapping) Scheme() config.AddressInterleave { return m.scheme }
 
 // Decode splits a byte address into its location. Addresses beyond the
 // cube capacity wrap (the row field simply truncates), matching how real
@@ -135,9 +125,4 @@ func (m Mapping) Encode(loc Location) Address {
 	}
 	a = a<<m.lineBits | uint64(loc.Line)
 	return Address(a << m.lineShift)
-}
-
-// LineAddress truncates an address to its cache-line base.
-func (m Mapping) LineAddress(addr Address) Address {
-	return addr &^ Address(m.lineBytes-1)
 }

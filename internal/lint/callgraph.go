@@ -91,9 +91,6 @@ func dedupSorted(list []string) []string {
 	return out
 }
 
-// Impls returns the implementations of one interface method symbol.
-func (g *CallGraph) Impls(ifaceMethod string) []string { return g.impls[ifaceMethod] }
-
 // callees resolves one call site to the function symbols it may reach.
 func (g *CallGraph) callees(c CallSite) []string {
 	if c.Iface {

@@ -22,7 +22,7 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	g := BuildCallGraph(prog, sums)
 
 	const method = "camps/internal/prefetch.(Engine).OnDemandServed"
-	impls := g.Impls(method)
+	impls := g.impls[method]
 	for _, engine := range []string{"(campsEngine)", "(baseEngine)", "(noneEngine)", "(hybridEngine)"} {
 		found := false
 		for _, impl := range impls {
@@ -32,7 +32,7 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("Impls(%s) missing %s implementation; got %v", method, engine, impls)
+			t.Errorf("impls[%s] missing %s implementation; got %v", method, engine, impls)
 		}
 	}
 

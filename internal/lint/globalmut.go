@@ -5,8 +5,8 @@ import "sort"
 // runtimePkgs are the packages whose exported functions run during a
 // simulation or while serving campaigns: the simulation set plus the
 // public root package and the orchestration layers. Anything one of
-// these can reach executes after init — on the paths the parallel
-// engine will run concurrently.
+// these can reach executes after init, on the paths that exp.Run's
+// parallel cells and campserve's jobs run concurrently (DESIGN.md §9).
 var runtimePkgs = func() map[string]bool {
 	m := map[string]bool{
 		"camps":              true,

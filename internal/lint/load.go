@@ -48,18 +48,6 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// LoadPackages loads, parses, and type-checks every package matching
-// patterns, resolving go commands relative to dir ("" = current
-// directory). It returns only the packages matched by the patterns; use
-// LoadProgram when whole-program facts or the call graph are needed.
-func LoadPackages(dir string, patterns []string) ([]*Package, error) {
-	prog, err := LoadProgram(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return prog.Targets(), nil
-}
-
 // LoadProgram loads, parses, and type-checks the whole program reached
 // from the packages matching patterns, resolving go commands relative to
 // dir ("" = current directory). It shells out to `go list -export -json

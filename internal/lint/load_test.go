@@ -6,10 +6,11 @@ import (
 )
 
 func TestLoadPackagesTypeChecksFromSource(t *testing.T) {
-	pkgs, err := LoadPackages(filepath.Join("..", ".."), []string{"./internal/obs"})
+	prog, err := LoadProgram(filepath.Join("..", ".."), []string{"./internal/obs"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pkgs := prog.Targets()
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
@@ -29,7 +30,7 @@ func TestLoadPackagesTypeChecksFromSource(t *testing.T) {
 }
 
 func TestLoadPackagesBadPattern(t *testing.T) {
-	if _, err := LoadPackages(filepath.Join("..", ".."), []string{"./does/not/exist"}); err == nil {
+	if _, err := LoadProgram(filepath.Join("..", ".."), []string{"./does/not/exist"}); err == nil {
 		t.Fatal("expected an error for a nonexistent package pattern")
 	}
 }

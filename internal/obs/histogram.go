@@ -79,9 +79,6 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the total of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Max returns the largest sample, or 0 with no samples.
 func (h *Histogram) Max() uint64 { return h.max }
 

@@ -138,8 +138,8 @@ func TestHistogramNegativeClamp(t *testing.T) {
 	if h.Count() != 2 {
 		t.Fatalf("count = %d, want 2", h.Count())
 	}
-	if h.Max() != 0 || h.Sum() != 0 {
-		t.Errorf("max = %d sum = %v, want 0/0", h.Max(), h.Sum())
+	if h.Max() != 0 || h.sum != 0 {
+		t.Errorf("max = %d sum = %v, want 0/0", h.Max(), h.sum)
 	}
 	if got := h.Quantile(0.99); got != 0 {
 		t.Errorf("quantile of all-negative samples = %v, want 0", got)

@@ -127,10 +127,10 @@ func (r *Registry) Snapshot(tag string, atPs int64) Snapshot {
 	return s
 }
 
-// WriteSnapshotsJSONL writes one JSON object per snapshot, one per line
+// writeSnapshotsJSONL writes one JSON object per snapshot, one per line
 // (map keys are emitted sorted by encoding/json, so output is
 // deterministic).
-func WriteSnapshotsJSONL(w io.Writer, snaps []Snapshot) error {
+func writeSnapshotsJSONL(w io.Writer, snaps []Snapshot) error {
 	enc := json.NewEncoder(w)
 	for i := range snaps {
 		if err := enc.Encode(&snaps[i]); err != nil {
@@ -177,7 +177,7 @@ func NewSuite(traceCap int) *Suite {
 // the ledger with the prefetch engine driving the run. Idempotent.
 func (s *Suite) EnableAttribution(scheme string) {
 	if s.Spans == nil {
-		s.Spans = NewSpanSet(0)
+		s.Spans = newSpanSet(0)
 		s.Spans.register(s.Registry, s.Tracer)
 	}
 	if s.Ledger == nil {
@@ -218,5 +218,5 @@ func (s *Suite) Snapshots() []Snapshot { return s.snaps }
 
 // WriteMetrics writes the accumulated snapshots as JSONL.
 func (s *Suite) WriteMetrics(w io.Writer) error {
-	return WriteSnapshotsJSONL(w, s.snaps)
+	return writeSnapshotsJSONL(w, s.snaps)
 }

@@ -79,7 +79,7 @@ func TestWriteSnapshotsJSONL(t *testing.T) {
 	r.CounterFunc("x", func() uint64 { return 3 })
 	snaps := []Snapshot{r.Snapshot("epoch", 1000), r.Snapshot("final", 2000)}
 	var buf bytes.Buffer
-	if err := WriteSnapshotsJSONL(&buf, snaps); err != nil {
+	if err := writeSnapshotsJSONL(&buf, snaps); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

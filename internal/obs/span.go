@@ -60,15 +60,6 @@ func (c Cause) String() string {
 	return fmt.Sprintf("cause-%d", uint8(c))
 }
 
-// Causes returns every cause in charging order, for report rendering.
-func Causes() []Cause {
-	out := make([]Cause, causeCount)
-	for i := range out {
-		out[i] = Cause(i)
-	}
-	return out
-}
-
 // Metric names the attribution layer registers. They are exported
 // constants so the statsreg lint rule can verify every span.*/pf.* name
 // is a compile-time literal (no dynamic fmt.Sprintf names).
@@ -97,10 +88,6 @@ var causeMetricNames = [causeCount]string{
 	CauseService:      "span.service_ps",
 	CausePFBufferHit:  "span.pfbuffer_hit_ps",
 }
-
-// CauseMetricName returns the registered counter name for a cause's
-// accumulated picoseconds (e.g. "span.bank_conflict_ps").
-func CauseMetricName(c Cause) string { return causeMetricNames[c] }
 
 // spanRec is one pooled span record. Records are recycled through a free
 // list exactly like the engine's eventNode pool: the generation counter
@@ -159,8 +146,8 @@ type SpanSet struct {
 	tr        *Tracer
 }
 
-// NewSpanSet returns a span set with capacity preallocated records.
-func NewSpanSet(capacity int) *SpanSet {
+// newSpanSet returns a span set with capacity preallocated records.
+func newSpanSet(capacity int) *SpanSet {
 	if capacity <= 0 {
 		capacity = 256
 	}
@@ -329,38 +316,6 @@ func (s *SpanSet) Unstage() SpanRef {
 	ref := s.staged
 	s.staged = SpanRef{}
 	return ref
-}
-
-// Started returns spans opened so far.
-func (s *SpanSet) Started() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.started
-}
-
-// Retired returns spans retired so far.
-func (s *SpanSet) Retired() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.retired
-}
-
-// Active returns spans currently in flight.
-func (s *SpanSet) Active() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.started - s.retired
-}
-
-// CausePs returns the picoseconds folded so far for one cause.
-func (s *SpanSet) CausePs(c Cause) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.causePs[c]
 }
 
 // VaultConflictPs returns the per-vault bank-conflict heatmap (index =

@@ -9,7 +9,7 @@ import (
 // span's cause segments sum exactly to its end-to-end latency, and the
 // set-wide totals preserve that identity.
 func TestSpanCauseSumEqualsE2E(t *testing.T) {
-	s := NewSpanSet(4)
+	s := newSpanSet(4)
 	ref := s.Begin(1000)
 	s.Advance(ref, CauseFaultRetry, 50)
 	s.AdvanceTo(ref, CauseLink, 1300)
@@ -18,7 +18,7 @@ func TestSpanCauseSumEqualsE2E(t *testing.T) {
 	s.AdvanceTo(ref, CauseBankConflict, 2600)
 	s.Retire(ref, CauseService, 3000)
 
-	if got := s.Retired(); got != 1 {
+	if got := s.retired; got != 1 {
 		t.Fatalf("retired = %d, want 1", got)
 	}
 	wantE2E := uint64(3000 - 1000)
@@ -35,7 +35,7 @@ func TestSpanCauseSumEqualsE2E(t *testing.T) {
 	}
 	var sum uint64
 	for c, w := range want {
-		if got := s.CausePs(c); got != w {
+		if got := s.causePs[c]; got != w {
 			t.Errorf("CausePs(%v) = %d, want %d", c, got, w)
 		}
 		sum += w
@@ -64,17 +64,14 @@ func TestSpanNilAndZeroRefSafe(t *testing.T) {
 	if nilSet.Unstage().Valid() {
 		t.Error("nil set unstaged a valid ref")
 	}
-	if nilSet.Started() != 0 || nilSet.Retired() != 0 || nilSet.Active() != 0 {
-		t.Error("nil set counted something")
-	}
 	if nilSet.CheckInvariant() != nil || nilSet.Summary() != nil || nilSet.VaultConflictPs() != nil {
 		t.Error("nil set produced non-nil results")
 	}
 
-	s := NewSpanSet(2)
+	s := newSpanSet(2)
 	s.Advance(SpanRef{}, CauseQueue, 10)
 	s.Retire(SpanRef{}, CauseQueue, 10)
-	if s.Started() != 0 || s.Retired() != 0 || s.e2eTotal != 0 {
+	if s.started != 0 || s.retired != 0 || s.e2eTotal != 0 {
 		t.Error("zero ref mutated the set")
 	}
 }
@@ -83,21 +80,21 @@ func TestSpanNilAndZeroRefSafe(t *testing.T) {
 // the old generation-counted ref no longer resolves — advancing or
 // re-retiring through it must not corrupt the new occupant.
 func TestSpanStaleRefIgnored(t *testing.T) {
-	s := NewSpanSet(1)
+	s := newSpanSet(1)
 	old := s.Begin(100)
 	s.Retire(old, CauseService, 200)
 
 	fresh := s.Begin(500) // recycles the same slot
 	s.Advance(old, CauseQueue, 1000)
 	s.Retire(old, CauseQueue, 9999)
-	if s.Retired() != 1 {
-		t.Fatalf("stale retire counted: retired = %d, want 1", s.Retired())
+	if s.retired != 1 {
+		t.Fatalf("stale retire counted: retired = %d, want 1", s.retired)
 	}
 	s.Retire(fresh, CauseService, 600)
-	if got := s.CausePs(CauseService); got != 100+100 {
+	if got := s.causePs[CauseService]; got != 100+100 {
 		t.Errorf("service ps = %d, want 200", got)
 	}
-	if got := s.CausePs(CauseQueue); got != 0 {
+	if got := s.causePs[CauseQueue]; got != 0 {
 		t.Errorf("stale ref charged %d ps of queue time", got)
 	}
 	if err := s.CheckInvariant(); err != nil {
@@ -108,13 +105,13 @@ func TestSpanStaleRefIgnored(t *testing.T) {
 // TestSpanAdvanceToMonotone: AdvanceTo charges only forward progress, so
 // independently computed segment boundaries can never double-charge.
 func TestSpanAdvanceToMonotone(t *testing.T) {
-	s := NewSpanSet(1)
+	s := newSpanSet(1)
 	ref := s.Begin(1000)
 	s.AdvanceTo(ref, CauseLink, 1500)
 	s.AdvanceTo(ref, CauseXbar, 1200) // behind the cursor: no-op
 	s.AdvanceTo(ref, CauseXbar, 1500) // at the cursor: no-op
 	s.Retire(ref, CauseService, 1600)
-	if got := s.CausePs(CauseXbar); got != 0 {
+	if got := s.causePs[CauseXbar]; got != 0 {
 		t.Errorf("backwards AdvanceTo charged %d ps", got)
 	}
 	if got := s.e2eTotal; got != 600 {
@@ -126,7 +123,7 @@ func TestSpanAdvanceToMonotone(t *testing.T) {
 // begin/advance/retire traffic allocation-free, matching the engine's
 // eventNode discipline.
 func TestSpanZeroAllocSteadyState(t *testing.T) {
-	s := NewSpanSet(8)
+	s := newSpanSet(8)
 	at := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		at += 100
@@ -143,7 +140,7 @@ func TestSpanZeroAllocSteadyState(t *testing.T) {
 // TestSpanStageUnstage: the synchronous handoff slot holds exactly one
 // ref and empties on claim.
 func TestSpanStageUnstage(t *testing.T) {
-	s := NewSpanSet(2)
+	s := newSpanSet(2)
 	ref := s.Begin(10)
 	s.Stage(ref)
 	if got := s.Unstage(); got != ref {
@@ -158,7 +155,7 @@ func TestSpanStageUnstage(t *testing.T) {
 // TestSpanVaultHeatmap: conflict picoseconds fold into the span's vault
 // at retirement; the heatmap grows on demand.
 func TestSpanVaultHeatmap(t *testing.T) {
-	s := NewSpanSet(2)
+	s := newSpanSet(2)
 	ref := s.Begin(0)
 	s.SetVault(ref, 5)
 	s.AdvanceTo(ref, CauseBankConflict, 300)
@@ -182,7 +179,7 @@ func TestSpanVaultHeatmap(t *testing.T) {
 // cause — the record the Chrome trace export renders as a duration slice.
 func TestSpanRetireEmitsTraceEvent(t *testing.T) {
 	tr := NewTracer(4)
-	s := NewSpanSet(1)
+	s := newSpanSet(1)
 	s.register(nil, tr)
 	ref := s.Begin(2000)
 	s.SetVault(ref, 7)
@@ -207,7 +204,7 @@ func TestSpanRetireEmitsTraceEvent(t *testing.T) {
 // snapshots.
 func TestSpanMetricsRegistered(t *testing.T) {
 	reg := NewRegistry()
-	s := NewSpanSet(1)
+	s := newSpanSet(1)
 	s.register(reg, nil)
 	ref := s.Begin(0)
 	s.AdvanceTo(ref, CauseQueue, 70)
@@ -223,11 +220,11 @@ func TestSpanMetricsRegistered(t *testing.T) {
 	if got := snap.Counter(MetricSpanE2EPs); got != 100 {
 		t.Errorf("%s = %d, want 100", MetricSpanE2EPs, got)
 	}
-	if got := snap.Counter(CauseMetricName(CauseQueue)); got != 70 {
-		t.Errorf("%s = %d, want 70", CauseMetricName(CauseQueue), got)
+	if got := snap.Counter(causeMetricNames[CauseQueue]); got != 70 {
+		t.Errorf("%s = %d, want 70", causeMetricNames[CauseQueue], got)
 	}
-	for _, c := range Causes() {
-		name := CauseMetricName(c)
+	for c := Cause(0); c < causeCount; c++ {
+		name := causeMetricNames[c]
 		if !strings.HasPrefix(name, "span.") || !strings.HasSuffix(name, "_ps") {
 			t.Errorf("cause metric %q breaks the span.*_ps convention", name)
 		}
@@ -243,7 +240,7 @@ func TestSpanMetricsRegistered(t *testing.T) {
 // TestSpanCheckInvariantDetectsDrift: a corrupted cause total trips the
 // sum-equals-e2e invariant.
 func TestSpanCheckInvariantDetectsDrift(t *testing.T) {
-	s := NewSpanSet(1)
+	s := newSpanSet(1)
 	ref := s.Begin(0)
 	s.Retire(ref, CauseService, 100)
 	s.causePs[CauseQueue] += 1 // simulate an accounting bug
@@ -260,7 +257,7 @@ func TestSpanCheckInvariantDetectsDrift(t *testing.T) {
 // TestSpanSummary: the exported summary carries shares and means that
 // reflect the folded totals.
 func TestSpanSummary(t *testing.T) {
-	s := NewSpanSet(2)
+	s := newSpanSet(2)
 	for i := 0; i < 2; i++ {
 		ref := s.Begin(int64(i) * 1000)
 		s.AdvanceTo(ref, CauseQueue, int64(i)*1000+60)

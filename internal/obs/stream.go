@@ -15,7 +15,7 @@ import (
 //
 // Frames follow the SSE wire format: `event: <tag>` followed by a
 // `data:` line holding the snapshot as one JSON object (the same shape
-// WriteSnapshotsJSONL emits). A bounded backlog is replayed to late
+// writeSnapshotsJSONL emits). A bounded backlog is replayed to late
 // subscribers so a client attaching after the run finished still sees
 // the most recent epochs; slow subscribers drop frames rather than
 // stalling the simulation.

@@ -99,8 +99,8 @@ func (t EventType) String() string {
 	return fmt.Sprintf("event-%d", uint8(t))
 }
 
-// Category returns the export category (Chrome trace "cat" field).
-func (t EventType) Category() string {
+// category returns the export category (Chrome trace "cat" field).
+func (t EventType) category() string {
 	if int(t) < len(evCats) {
 		return evCats[t]
 	}
@@ -269,7 +269,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		ce := chromeEvent{
 			Name:  ev.Type.String(),
-			Cat:   ev.Type.Category(),
+			Cat:   ev.Type.category(),
 			Phase: "i",
 			TsUs:  float64(ev.At) / 1e6, // ps -> us
 			Pid:   0,

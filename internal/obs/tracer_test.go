@@ -63,7 +63,7 @@ func TestEventTypeNames(t *testing.T) {
 		if ty.String() == "" || strings.HasPrefix(ty.String(), "event-") {
 			t.Errorf("event type %d has no name", ty)
 		}
-		if ty.Category() == "" || ty.Category() == "other" {
+		if ty.category() == "" || ty.category() == "other" {
 			t.Errorf("event type %v has no category", ty)
 		}
 	}

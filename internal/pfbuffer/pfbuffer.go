@@ -174,9 +174,6 @@ func (b *Buffer) Entries() int { return len(b.entries) }
 // Len returns the number of valid rows currently resident.
 func (b *Buffer) Len() int { return b.nValid }
 
-// Policy returns the replacement policy in use.
-func (b *Buffer) Policy() Policy { return b.policy }
-
 // Stats returns a copy of the accumulated statistics. Call Flush first for
 // end-of-simulation accuracy accounting.
 func (b *Buffer) Stats() Stats { return b.stats }
@@ -433,26 +430,4 @@ func (b *Buffer) CheckInvariant() error {
 		return fmt.Errorf("pfbuffer: %d valid entries but occupancy count %d", valid, b.nValid)
 	}
 	return nil
-}
-
-// Recencies returns the recency values of all valid entries; exposed for
-// invariant checking in tests.
-func (b *Buffer) Recencies() []int {
-	var out []int
-	for _, t := range b.tags {
-		if t.recency >= 0 {
-			out = append(out, t.recency)
-		}
-	}
-	return out
-}
-
-// Utilization returns the distinct-line count of a resident row and whether
-// it is resident.
-func (b *Buffer) Utilization(id RowID) (int, bool) {
-	i := b.find(id)
-	if i < 0 {
-		return 0, false
-	}
-	return b.entries[i].util(), true
 }

@@ -38,8 +38,8 @@ func TestLookupMissThenInsertHit(t *testing.T) {
 	if s.Hits != 1 || s.Misses != 1 || s.Inserts != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if u, ok := b.Utilization(id); !ok || u != 1 {
-		t.Fatalf("utilization = %d,%v; want 1,true", u, ok)
+	if i := b.find(id); i < 0 || b.entries[i].util() != 1 {
+		t.Fatalf("row resident at %d; want utilization 1", i)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestDistinctLineUtilization(t *testing.T) {
 	for _, line := range []int{5, 5, 5, 2, 2} {
 		b.Lookup(id, line, false, 0)
 	}
-	if u, _ := b.Utilization(id); u != 2 {
+	if u := b.entries[b.find(id)].util(); u != 2 {
 		t.Fatalf("utilization = %d, want 2 (distinct lines only)", u)
 	}
 	if b.Stats().LinesUseful != 2 {
@@ -258,11 +258,22 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+// recencies returns the recency values of all valid entries.
+func (b *Buffer) recencies() []int {
+	var out []int
+	for _, t := range b.tags {
+		if t.recency >= 0 {
+			out = append(out, t.recency)
+		}
+	}
+	return out
+}
+
 // Invariant: after any operation sequence the recency values of valid
 // entries are a permutation of 0..len-1 (§3.2: MRU holds n-1, LRU holds 0).
 func checkRecencyPermutation(t *testing.T, b *Buffer) {
 	t.Helper()
-	rs := b.Recencies()
+	rs := b.recencies()
 	sort.Ints(rs)
 	for i, r := range rs {
 		if r != i {
@@ -346,7 +357,7 @@ func TestQuickOperationSequences(t *testing.T) {
 			if b.Len() > b.Entries() {
 				return false
 			}
-			rs := b.Recencies()
+			rs := b.recencies()
 			seen := map[int]bool{}
 			for _, r := range rs {
 				if r < 0 || r >= b.Len() || seen[r] {

@@ -225,8 +225,8 @@ func TestBufferMatchesEntryReference(t *testing.T) {
 					if err := b.CheckInvariant(); err != nil {
 						t.Fatalf("op %d: %v", op, err)
 					}
-					if !slices.Equal(b.Recencies(), ref.recencies()) {
-						t.Fatalf("op %d: recencies %v, reference %v", op, b.Recencies(), ref.recencies())
+					if !slices.Equal(b.recencies(), ref.recencies()) {
+						t.Fatalf("op %d: recencies %v, reference %v", op, b.recencies(), ref.recencies())
 					}
 					if op%5000 == 4999 {
 						if got, want := b.Flush(), ref.flush(); !slices.Equal(got, want) {

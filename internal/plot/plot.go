@@ -94,48 +94,3 @@ func Bars(t *stats.Table, opts Options) string {
 	}
 	return sb.String()
 }
-
-// Column renders a single column of the table: one bar per row. Handy for
-// per-mix series like Figure 5's CAMPS-MOD speedups.
-func Column(t *stats.Table, col int, opts Options) string {
-	opts.applyDefaults()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s — %s\n", t.Title, t.Columns[col])
-	maxAbs := 0.0
-	for r := 0; r < t.Rows(); r++ {
-		v := t.Value(r, col)
-		if opts.UseBaseline {
-			v -= opts.Baseline
-		}
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	if maxAbs == 0 {
-		maxAbs = 1
-	}
-	labelW := 0
-	for r := 0; r < t.Rows(); r++ {
-		if len(t.RowLabel(r)) > labelW {
-			labelW = len(t.RowLabel(r))
-		}
-	}
-	for r := 0; r < t.Rows(); r++ {
-		v := t.Value(r, col)
-		d := v
-		if opts.UseBaseline {
-			d -= opts.Baseline
-		}
-		n := int(math.Round(math.Abs(d) / maxAbs * float64(opts.Width)))
-		fmt.Fprintf(&sb, "  %-*s ", labelW, t.RowLabel(r))
-		switch {
-		case opts.UseBaseline && d < 0:
-			fmt.Fprintf(&sb, "%s| %.*f\n", strings.Repeat("<", n), opts.Precision, v)
-		case opts.UseBaseline:
-			fmt.Fprintf(&sb, "|%s %.*f\n", strings.Repeat(">", n), opts.Precision, v)
-		default:
-			fmt.Fprintf(&sb, "%s %.*f\n", strings.Repeat("#", n), opts.Precision, v)
-		}
-	}
-	return sb.String()
-}

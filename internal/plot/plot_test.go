@@ -63,26 +63,3 @@ func TestBarsAllZero(t *testing.T) {
 		t.Fatalf("zero row mis-rendered:\n%s", out)
 	}
 }
-
-func TestColumn(t *testing.T) {
-	out := Column(sample(), 1, Options{Width: 6})
-	if !strings.Contains(out, "demo figure — BB") {
-		t.Fatalf("column header missing:\n%s", out)
-	}
-	if !strings.Contains(out, "HM1") || !strings.Contains(out, "LM1") {
-		t.Fatalf("row labels missing:\n%s", out)
-	}
-	if !strings.Contains(out, strings.Repeat("#", 6)+" 2.000") {
-		t.Fatalf("column max bar wrong:\n%s", out)
-	}
-}
-
-func TestColumnBaseline(t *testing.T) {
-	tb := &stats.Table{Title: "t", Columns: []string{"S"}}
-	tb.AddRow("a", 1.2)
-	tb.AddRow("b", 0.9)
-	out := Column(tb, 0, Options{Width: 10, Baseline: 1.0, UseBaseline: true})
-	if !strings.Contains(out, ">") || !strings.Contains(out, "<") {
-		t.Fatalf("baseline directions missing:\n%s", out)
-	}
-}

@@ -53,10 +53,6 @@ func newASD(ctx Context) *asdEngine {
 	return e
 }
 
-// Depth returns the current prefetch depth (1 = confirmed row only,
-// 2 = plus its successor).
-func (e *asdEngine) Depth() int { return e.depth }
-
 func (e *asdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []Fetch {
 	b := req.Bank
 	if state != dram.RowHit || e.lastRow[b] != req.Row {

@@ -38,10 +38,6 @@ func newBestOffset(cfg config.BestOffset, ctx Context) *boEngine {
 	return e
 }
 
-// BestOffsetRows exposes the active offset for tests and ablations
-// (0 = prefetch disabled).
-func (e *boEngine) BestOffsetRows() int64 { return e.best }
-
 func (e *boEngine) rrIndex(k int64) int {
 	return int(mix64(uint64(k)) & uint64(len(e.rr)-1))
 }

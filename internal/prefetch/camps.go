@@ -33,8 +33,8 @@ type campsEngine struct {
 func newCAMPS(cfg config.CAMPS, ctx Context) *campsEngine {
 	return &campsEngine{
 		ctx:       ctx,
-		rut:       NewRUT(ctx.Banks),
-		ct:        NewCT(cfg.CTEntries),
+		rut:       newRUT(ctx.Banks),
+		ct:        newCT(cfg.CTEntries),
 		threshold: cfg.UtilThreshold,
 	}
 }
@@ -42,10 +42,10 @@ func newCAMPS(cfg config.CAMPS, ctx Context) *campsEngine {
 func (e *campsEngine) OnDemandServed(req Request, state dram.RowState, displacedRow int64) []Fetch {
 	switch state {
 	case dram.RowHit:
-		util := e.rut.Track(req.Bank, req.Row, req.Line)
+		util := e.rut.track(req.Bank, req.Row, req.Line)
 		if util >= e.threshold {
-			touched := e.rut.Bitmap(req.Bank)
-			e.rut.Clear(req.Bank)
+			touched := e.rut.bitmap(req.Bank)
+			e.rut.clear(req.Bank)
 			return e.fetch(req, touched)
 		}
 		return nil
@@ -53,7 +53,7 @@ func (e *campsEngine) OnDemandServed(req Request, state dram.RowState, displaced
 	case dram.RowConflict:
 		// The open row was displaced to serve this request: its RUT entry
 		// (row plus utilization bitmap) moves to the conflict table.
-		if displaced, touched, ok := e.rut.Displace(req.Bank); ok {
+		if displaced, touched, ok := e.rut.displace(req.Bank); ok {
 			e.ct.Insert(req.Bank, displaced, touched)
 		} else if displacedRow != dram.NoRow {
 			// The displaced row was not under RUT profiling (e.g. it was
@@ -76,11 +76,11 @@ func (e *campsEngine) onNewRow(req Request) []Fetch {
 		// utilization, per the CT's stored row-utilization information.
 		return e.fetch(req, touched|1<<uint(req.Line))
 	}
-	util := e.rut.Track(req.Bank, req.Row, req.Line)
+	util := e.rut.track(req.Bank, req.Row, req.Line)
 	if util >= e.threshold {
 		// Degenerate configuration (threshold 1): fetch immediately.
-		touched := e.rut.Bitmap(req.Bank)
-		e.rut.Clear(req.Bank)
+		touched := e.rut.bitmap(req.Bank)
+		e.rut.clear(req.Bank)
 		return e.fetch(req, touched)
 	}
 	return nil
@@ -96,16 +96,13 @@ func (e *campsEngine) OnBufferHit(Request) {}
 
 func (e *campsEngine) OnEviction(pfbuffer.Eviction) {}
 
-// CTLen exposes the conflict-table occupancy for tests and ablations.
-func (e *campsEngine) CTLen() int { return e.ct.Len() }
-
 // CheckInvariant validates the engine's tables: CT occupancy within
 // capacity and its LRU list and index consistent with each other, the RUT
 // sized one entry per bank, and every tracked bitmap within the vault's
 // lines-per-row mask. It implements the optional invariant-checking
 // interface the vault controller probes for.
 func (e *campsEngine) CheckInvariant() error {
-	if n, c := e.ct.Len(), e.ct.Capacity(); n > c {
+	if n, c := e.ct.Len(), e.ct.capacity(); n > c {
 		return fmt.Errorf("prefetch: CT holds %d entries over capacity %d", n, c)
 	}
 	if err := e.ct.check(); err != nil {

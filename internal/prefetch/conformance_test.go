@@ -214,7 +214,7 @@ func TestEngineSteadyStateAllocatesNothing(t *testing.T) {
 			}
 			if n := mallocs(4000, func() {
 				req, _, _ := demands.demand()
-				e.OnEviction(pfbuffer.Eviction{ID: req.RowID(), Used: true, Util: 4})
+				e.OnEviction(pfbuffer.Eviction{ID: pfbuffer.RowID{Bank: req.Bank, Row: req.Row}, Used: true, Util: 4})
 			}); n != 0 {
 				t.Errorf("4000 OnEviction calls allocate %d times, want 0", n)
 			}

@@ -186,11 +186,11 @@ func TestCAMPSUtilizationTrigger(t *testing.T) {
 		t.Fatalf("no fetch at util 4: %+v", f)
 	}
 	// RUT entry cleared after the fetch.
-	if u := NewRUT(16).Util(2); u != 0 {
+	if u := newRUT(16).entries[2].util(); u != 0 {
 		t.Fatalf("fresh RUT should be 0, got %d", u)
 	}
-	if e.rut.Util(2) != 0 {
-		t.Fatalf("RUT not cleared after fetch: util=%d", e.rut.Util(2))
+	if e.rut.entries[2].util() != 0 {
+		t.Fatalf("RUT not cleared after fetch: util=%d", e.rut.entries[2].util())
 	}
 }
 
@@ -217,8 +217,8 @@ func TestCAMPSConflictPath(t *testing.T) {
 	if f := e.OnDemandServed(Request{Bank: 0, Row: 200, Line: 0}, dram.RowConflict, 100); len(f) != 0 {
 		t.Fatalf("fetch on first conflict: %+v", f)
 	}
-	if e.CTLen() != 1 {
-		t.Fatalf("CT len = %d, want 1", e.CTLen())
+	if e.ct.Len() != 1 {
+		t.Fatalf("CT len = %d, want 1", e.ct.Len())
 	}
 	// Row 100 comes back (conflicting with 200): it IS in the CT -> fetch
 	// it whole, remove from CT.
@@ -227,8 +227,8 @@ func TestCAMPSConflictPath(t *testing.T) {
 		t.Fatalf("conflict-prone row not fetched: %+v", f)
 	}
 	// Row 100 gone from CT; row 200 entered it when displaced.
-	if e.CTLen() != 1 {
-		t.Fatalf("CT len after fetch = %d, want 1 (row 200)", e.CTLen())
+	if e.ct.Len() != 1 {
+		t.Fatalf("CT len after fetch = %d, want 1 (row 200)", e.ct.Len())
 	}
 }
 
@@ -238,8 +238,8 @@ func TestCAMPSConflictWithUntrackedDisplacedRow(t *testing.T) {
 	// A conflict whose displaced row was never in the RUT (e.g. opened by a
 	// writeback) still lands in the CT via the displacedRow argument.
 	e.OnDemandServed(Request{Bank: 1, Row: 50, Line: 0}, dram.RowConflict, 49)
-	if e.CTLen() != 1 {
-		t.Fatalf("CT len = %d, want 1", e.CTLen())
+	if e.ct.Len() != 1 {
+		t.Fatalf("CT len = %d, want 1", e.ct.Len())
 	}
 	f := e.OnDemandServed(Request{Bank: 1, Row: 49, Line: 0}, dram.RowConflict, 50)
 	if len(f) != 1 || f[0].Row != 49 {
@@ -316,16 +316,16 @@ func TestMMDDegreeAdaptation(t *testing.T) {
 	cfg.MMD.TouchThreshold = 2
 	cfg.MMD.EpochRequests = 4
 	e := newMMD(cfg.MMD, testCtx(nil))
-	if e.Degree() != 1 {
-		t.Fatalf("initial degree = %d, want 1", e.Degree())
+	if e.degree != 1 {
+		t.Fatalf("initial degree = %d, want 1", e.degree)
 	}
 	if e.EpochRequests() != 4 {
 		t.Fatalf("EpochRequests = %d, want 4", e.EpochRequests())
 	}
 	// An epoch of entirely useful evictions: degree rises.
 	e.OnEpoch(EpochStats{UsefulTimely: 6, UsefulLate: 2})
-	if e.Degree() != 2 {
-		t.Fatalf("degree after useful epoch = %d, want 2", e.Degree())
+	if e.degree != 2 {
+		t.Fatalf("degree after useful epoch = %d, want 2", e.degree)
 	}
 	// At degree 2, a confirmed row also fetches its successor, precharged
 	// after the copy.
@@ -336,13 +336,13 @@ func TestMMDDegreeAdaptation(t *testing.T) {
 	}
 	// An epoch of useless evictions: degree falls.
 	e.OnEpoch(EpochStats{EvictedUnused: 8})
-	if e.Degree() != 1 {
-		t.Fatalf("degree after useless epoch = %d, want 1", e.Degree())
+	if e.degree != 1 {
+		t.Fatalf("degree after useless epoch = %d, want 1", e.degree)
 	}
 	// OnEviction is inert — classification happens in the vault controller.
 	e.OnEviction(pfbuffer.Eviction{Used: false})
-	if e.Degree() != 1 {
-		t.Fatalf("OnEviction changed degree to %d", e.Degree())
+	if e.degree != 1 {
+		t.Fatalf("OnEviction changed degree to %d", e.degree)
 	}
 }
 
@@ -366,11 +366,11 @@ func TestMMDZeroDegreeFetchesNothingAndProbes(t *testing.T) {
 	cfg.MMD.TouchThreshold = 2
 	e := newMMD(cfg.MMD, testCtx(nil))
 	// Drive accuracy to zero across epochs until degree hits 0.
-	for i := 0; i < 10 && e.Degree() > 0; i++ {
+	for i := 0; i < 10 && e.degree > 0; i++ {
 		e.OnEpoch(EpochStats{EvictedUnused: 1})
 	}
-	if e.Degree() != 0 {
-		t.Fatalf("degree = %d, want 0", e.Degree())
+	if e.degree != 0 {
+		t.Fatalf("degree = %d, want 0", e.degree)
 	}
 	// A zero-degree engine must not fetch even for a confirmed row.
 	e.OnDemandServed(Request{Bank: 0, Row: 5, Line: 0}, dram.RowMiss, dram.NoRow)
@@ -379,8 +379,8 @@ func TestMMDZeroDegreeFetchesNothingAndProbes(t *testing.T) {
 	}
 	// With no evictions arriving, the next epoch probes back to degree 1.
 	e.OnEpoch(EpochStats{})
-	if e.Degree() != 1 {
-		t.Fatalf("degree after probe epoch = %d, want 1", e.Degree())
+	if e.degree != 1 {
+		t.Fatalf("degree after probe epoch = %d, want 1", e.degree)
 	}
 }
 
@@ -425,8 +425,8 @@ func TestASDIgnoresNonMonotonicAccess(t *testing.T) {
 
 func TestASDDepthAdaptsToLongEpisodes(t *testing.T) {
 	e := newASD(testCtx(nil))
-	if e.Depth() != 1 {
-		t.Fatalf("initial depth = %d", e.Depth())
+	if e.depth != 1 {
+		t.Fatalf("initial depth = %d", e.depth)
 	}
 	// Feed asdEpoch long episodes (full 16-line sweeps).
 	for ep := 0; ep < asdEpoch+1; ep++ {
@@ -436,8 +436,8 @@ func TestASDDepthAdaptsToLongEpisodes(t *testing.T) {
 			e.OnDemandServed(Request{Bank: 0, Row: row, Line: l}, dram.RowHit, dram.NoRow)
 		}
 	}
-	if e.Depth() != 2 {
-		t.Fatalf("depth after long episodes = %d, want 2", e.Depth())
+	if e.depth != 2 {
+		t.Fatalf("depth after long episodes = %d, want 2", e.depth)
 	}
 	// At depth 2 a confirmation also fetches the successor row.
 	e.OnDemandServed(Request{Bank: 3, Row: 100, Line: 0}, dram.RowMiss, dram.NoRow)
@@ -452,8 +452,8 @@ func TestASDDepthAdaptsToLongEpisodes(t *testing.T) {
 		e.OnDemandServed(Request{Bank: 1, Row: row, Line: 0}, dram.RowConflict, row-1)
 		e.OnDemandServed(Request{Bank: 1, Row: row, Line: 1}, dram.RowHit, dram.NoRow)
 	}
-	if e.Depth() != 1 {
-		t.Fatalf("depth after short episodes = %d, want 1", e.Depth())
+	if e.depth != 1 {
+		t.Fatalf("depth after short episodes = %d, want 1", e.depth)
 	}
 }
 

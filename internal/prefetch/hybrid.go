@@ -76,7 +76,7 @@ func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 		e.owner[i] = ownerEntry{key: -1, cand: -1}
 	}
 	for _, name := range names {
-		s, ok := Lookup(name)
+		s, ok := lookup(name)
 		if !ok || s == Hybrid {
 			continue
 		}
@@ -99,15 +99,6 @@ func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 		e.winner = 0
 	}
 	return e
-}
-
-// Winner exposes the live winner's name for tests and ablations
-// ("" while observing or disabled).
-func (e *hybridEngine) Winner() string {
-	if e.winner < 0 {
-		return ""
-	}
-	return e.cands[e.winner].name
 }
 
 func (e *hybridEngine) slot(k int64) int {

@@ -34,26 +34,22 @@ func newMMD(cfg config.MMD, ctx Context) *mmdEngine {
 		ctx:    ctx,
 		cfg:    cfg,
 		degree: 1,
-		touch:  NewRUT(ctx.Banks),
+		touch:  newRUT(ctx.Banks),
 		out:    make([]Fetch, 0, cfg.MaxDegree),
 	}
 }
 
-// Degree returns the current prefetch degree (exported for tests and the
-// ablation benches).
-func (e *mmdEngine) Degree() int { return e.degree }
-
 func (e *mmdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []Fetch {
 	if state != dram.RowHit {
 		// A new row occupies the row buffer; restart its touch history.
-		e.touch.Displace(req.Bank)
+		e.touch.displace(req.Bank)
 	}
-	util := e.touch.Track(req.Bank, req.Row, req.Line)
+	util := e.touch.track(req.Bank, req.Row, req.Line)
 	if e.degree == 0 || util < e.cfg.TouchThreshold {
 		return nil
 	}
-	touched := e.touch.Bitmap(req.Bank)
-	e.touch.Clear(req.Bank)
+	touched := e.touch.bitmap(req.Bank)
+	e.touch.clear(req.Bank)
 	// The confirmed row itself: copied but left open (open-page policy;
 	// MMD is not conflict-aware).
 	e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: false, Touched: touched})

@@ -117,11 +117,11 @@ func TestBestOffsetLearnsStride(t *testing.T) {
 	// A pure stride-3 activation stream: offset 3 is the first candidate
 	// (in round-robin order) whose RR probes keep hitting, so it reaches
 	// ScoreMax and is elected.
-	for i := int64(0); i < 200 && e.BestOffsetRows() != 3; i++ {
+	for i := int64(0); i < 200 && e.best != 3; i++ {
 		e.OnDemandServed(Request{Bank: 0, Row: 3 * i}, dram.RowMiss, dram.NoRow)
 	}
-	if e.BestOffsetRows() != 3 {
-		t.Fatalf("offset after stride-3 stream = %d, want 3", e.BestOffsetRows())
+	if e.best != 3 {
+		t.Fatalf("offset after stride-3 stream = %d, want 3", e.best)
 	}
 	f := e.OnDemandServed(Request{Bank: 0, Row: 600}, dram.RowMiss, dram.NoRow)
 	if len(f) != 1 || f[0].Row != 603 || !f[0].CloseAfter {
@@ -138,18 +138,26 @@ func TestBestOffsetDisablesOnBadScore(t *testing.T) {
 	for i := int64(0); i < int64(len(boOffsets)); i++ {
 		e.OnDemandServed(Request{Bank: 0, Row: 100 * (i + 1) * (i + 1)}, dram.RowMiss, dram.NoRow)
 	}
-	if e.BestOffsetRows() != 0 {
-		t.Fatalf("offset after scoreless round = %d, want 0 (disabled)", e.BestOffsetRows())
+	if e.best != 0 {
+		t.Fatalf("offset after scoreless round = %d, want 0 (disabled)", e.best)
 	}
 	if f := e.OnDemandServed(Request{Bank: 0, Row: 7}, dram.RowMiss, dram.NoRow); len(f) != 0 {
 		t.Fatalf("disabled engine fetched: %+v", f)
 	}
 }
 
+// winner names e's live winner ("" while observing or disabled).
+func winner(e *hybridEngine) string {
+	if e.winner < 0 {
+		return ""
+	}
+	return e.cands[e.winner].name
+}
+
 func TestHybridWarmStartsOnFirstCandidate(t *testing.T) {
 	cfg := config.Default()
 	e := newHybrid(cfg, testCtx(fakeQueue{}))
-	if got := e.Winner(); got != "MMD" {
+	if got := winner(e); got != "MMD" {
 		t.Fatalf("warm-start winner = %q, want the first configured candidate (MMD)", got)
 	}
 	if e.EpochRequests() != cfg.Hybrid.EpochRequests {
@@ -161,7 +169,7 @@ func TestHybridIssuesOnlyWinnersFetches(t *testing.T) {
 	cfg := config.Default()
 	cfg.Hybrid.Candidates = []string{"NONE", "BASE"}
 	e := newHybrid(cfg, testCtx(nil))
-	if got := e.Winner(); got != "NONE" {
+	if got := winner(e); got != "NONE" {
 		t.Fatalf("winner = %q, want NONE", got)
 	}
 	// BASE would fetch every demand, but NONE holds the buffer: nothing is
@@ -182,7 +190,7 @@ func TestHybridElectsCreditedCandidate(t *testing.T) {
 		e.OnDemandServed(Request{Bank: 0, Row: 42}, dram.RowMiss, dram.NoRow)
 	}
 	e.OnEpoch(EpochStats{Demands: 10})
-	if got := e.Winner(); got != "BASE" {
+	if got := winner(e); got != "BASE" {
 		t.Fatalf("winner after credited epoch = %q, want BASE", got)
 	}
 	f := e.OnDemandServed(Request{Bank: 0, Row: 42}, dram.RowMiss, dram.NoRow)
@@ -198,7 +206,7 @@ func TestHybridDisablesWhenNoCandidateScores(t *testing.T) {
 	// NONE never predicts, so after an epoch no score is positive and the
 	// hybrid degrades to issuing nothing (winner -1).
 	e.OnEpoch(EpochStats{Demands: 5})
-	if got := e.Winner(); got != "" {
+	if got := winner(e); got != "" {
 		t.Fatalf("winner with no positive score = %q, want disabled", got)
 	}
 	if f := e.OnDemandServed(Request{Bank: 0, Row: 3}, dram.RowMiss, dram.NoRow); len(f) != 0 {

@@ -40,9 +40,6 @@ type Request struct {
 	Write bool
 }
 
-// RowID returns the row the request targets.
-func (r Request) RowID() pfbuffer.RowID { return pfbuffer.RowID{Bank: r.Bank, Row: r.Row} }
-
 // Fetch directs the vault controller to bring a whole row into the
 // prefetch buffer.
 type Fetch struct {
@@ -126,7 +123,7 @@ type EpochObserver interface {
 
 // New constructs the scheme's engine using the given configuration and
 // vault context. It panics on a scheme outside the table; use
-// Lookup/ParseScheme to validate names first.
+// ParseScheme to validate names first.
 func New(s Scheme, cfg config.Config, ctx Context) Engine {
 	if s == Hybrid {
 		return newHybrid(cfg, ctx)

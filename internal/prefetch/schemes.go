@@ -50,7 +50,7 @@ const (
 type Descriptor struct {
 	// Name is the canonical spelling (String, CLI help, error text).
 	Name string
-	// Aliases are additional accepted spellings (Lookup/ParseScheme).
+	// Aliases are additional accepted spellings (ParseScheme).
 	Aliases []string
 	// Policy is the prefetch-buffer replacement policy the engine needs.
 	Policy pfbuffer.Policy
@@ -103,10 +103,10 @@ var schemes = [...]Descriptor{
 // Valid reports whether s names an engine of the table.
 func (s Scheme) Valid() bool { return s >= 0 && int(s) < len(schemes) }
 
-// Lookup resolves a scheme name (canonical or alias, case-insensitive).
+// lookup resolves a scheme name (canonical or alias, case-insensitive).
 // It scans the table, so it belongs on parse and construction paths,
 // never on a per-event one.
-func Lookup(name string) (Scheme, bool) {
+func lookup(name string) (Scheme, bool) {
 	for i := range schemes {
 		if strings.EqualFold(name, schemes[i].Name) {
 			return Scheme(i), true
@@ -121,7 +121,7 @@ func Lookup(name string) (Scheme, bool) {
 }
 
 // Describe returns the scheme's descriptor; it panics on a value outside
-// the table (use Lookup to validate names first).
+// the table (use ParseScheme to validate names first).
 func Describe(s Scheme) Descriptor {
 	if !s.Valid() {
 		panic(fmt.Sprintf("prefetch: unknown scheme %d", int(s)))
@@ -162,7 +162,7 @@ func (s Scheme) String() string {
 // case-insensitively) to its Scheme value. The error for an unknown name
 // enumerates every canonical name, sorted.
 func ParseScheme(name string) (Scheme, error) {
-	if s, ok := Lookup(name); ok {
+	if s, ok := lookup(name); ok {
 		return s, nil
 	}
 	return 0, fmt.Errorf("prefetch: unknown scheme %q (registered: %s)",
@@ -181,7 +181,7 @@ func sortedNames() []string {
 // hybrid itself. camps.RunContext calls this alongside config.Validate.
 func ValidateConfig(cfg config.Config) error {
 	for _, name := range cfg.Hybrid.Candidates {
-		s, ok := Lookup(name)
+		s, ok := lookup(name)
 		if !ok {
 			return fmt.Errorf("prefetch: hybrid candidate %q is not a registered engine (registered: %s)",
 				name, strings.Join(sortedNames(), ", "))

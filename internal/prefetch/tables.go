@@ -23,20 +23,20 @@ type RUT struct {
 	entries []rutEntry
 }
 
-// NewRUT returns a RUT for the given bank count.
-func NewRUT(banks int) *RUT {
+// newRUT returns a RUT for the given bank count.
+func newRUT(banks int) *RUT {
 	if banks <= 0 {
 		panic("prefetch: RUT needs at least one bank")
 	}
 	return &RUT{entries: make([]rutEntry, banks)}
 }
 
-// Track begins (or continues) profiling row in bank's entry and records a
+// track begins (or continues) profiling row in bank's entry and records a
 // reference to line. It returns the distinct-line count after the access.
 // Tracking a different row than the one resident replaces the entry; the
 // caller is responsible for moving the displaced row to the CT first via
-// Displace.
-func (r *RUT) Track(bank int, row int64, line int) int {
+// displace.
+func (r *RUT) track(bank int, row int64, line int) int {
 	e := &r.entries[bank]
 	if !e.valid || e.row != row {
 		*e = rutEntry{row: row, valid: true}
@@ -45,31 +45,16 @@ func (r *RUT) Track(bank int, row int64, line int) int {
 	return e.util()
 }
 
-// Row returns the row being profiled for bank and whether one is tracked.
-func (r *RUT) Row(bank int) (int64, bool) {
-	e := &r.entries[bank]
-	return e.row, e.valid
-}
+// bitmap returns the referenced-line bitmap for bank's tracked row.
+func (r *RUT) bitmap(bank int) uint64 { return r.entries[bank].touched }
 
-// Util returns the distinct-line count for bank's tracked row (0 if none).
-func (r *RUT) Util(bank int) int {
-	e := &r.entries[bank]
-	if !e.valid {
-		return 0
-	}
-	return e.util()
-}
+// clear drops bank's entry (after its row has been fetched to the buffer).
+func (r *RUT) clear(bank int) { r.entries[bank] = rutEntry{} }
 
-// Bitmap returns the referenced-line bitmap for bank's tracked row.
-func (r *RUT) Bitmap(bank int) uint64 { return r.entries[bank].touched }
-
-// Clear drops bank's entry (after its row has been fetched to the buffer).
-func (r *RUT) Clear(bank int) { r.entries[bank] = rutEntry{} }
-
-// Displace removes and returns the row tracked for bank along with its
+// displace removes and returns the row tracked for bank along with its
 // referenced-line bitmap, if any; used when a row-buffer conflict replaces
 // the open row (the displaced entry moves to the CT, §3.1).
-func (r *RUT) Displace(bank int) (row int64, touched uint64, ok bool) {
+func (r *RUT) displace(bank int) (row int64, touched uint64, ok bool) {
 	e := &r.entries[bank]
 	if !e.valid {
 		return 0, 0, false
@@ -105,8 +90,8 @@ type ctSlot struct {
 	prev, next int32 // LRU neighbours (prev toward LRU); next chains the free list
 }
 
-// NewCT returns a conflict table with the given capacity.
-func NewCT(capacity int) *CT {
+// newCT returns a conflict table with the given capacity.
+func newCT(capacity int) *CT {
 	if capacity <= 0 {
 		panic("prefetch: CT needs positive capacity")
 	}
@@ -126,8 +111,8 @@ func NewCT(capacity int) *CT {
 // Len returns the number of resident entries.
 func (c *CT) Len() int { return c.n }
 
-// Capacity returns the table capacity.
-func (c *CT) Capacity() int { return len(c.slots) }
+// capacity returns the table capacity.
+func (c *CT) capacity() int { return len(c.slots) }
 
 // Insert records a displaced row (with its referenced-line bitmap) as the
 // MRU entry, evicting the LRU entry if the table is full. Re-inserting a

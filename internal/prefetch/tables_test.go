@@ -11,70 +11,68 @@ import (
 )
 
 func TestRUTTrackDistinctLines(t *testing.T) {
-	r := NewRUT(4)
-	if u := r.Track(0, 9, 3); u != 1 {
+	r := newRUT(4)
+	if u := r.track(0, 9, 3); u != 1 {
 		t.Fatalf("first track util = %d, want 1", u)
 	}
-	if u := r.Track(0, 9, 3); u != 1 {
+	if u := r.track(0, 9, 3); u != 1 {
 		t.Fatalf("repeat line util = %d, want 1 (distinct lines)", u)
 	}
-	if u := r.Track(0, 9, 5); u != 2 {
+	if u := r.track(0, 9, 5); u != 2 {
 		t.Fatalf("second line util = %d, want 2", u)
 	}
-	row, ok := r.Row(0)
-	if !ok || row != 9 {
-		t.Fatalf("Row(0) = %d,%v", row, ok)
+	if e := r.entries[0]; !e.valid || e.row != 9 {
+		t.Fatalf("entry 0 = %+v, want row 9", e)
 	}
-	if r.Util(0) != 2 {
-		t.Fatalf("Util(0) = %d", r.Util(0))
+	if u := r.entries[0].util(); u != 2 {
+		t.Fatalf("util(0) = %d", u)
 	}
 }
 
 func TestRUTReplaceOnDifferentRow(t *testing.T) {
-	r := NewRUT(2)
-	r.Track(1, 5, 0)
-	r.Track(1, 5, 1)
-	if u := r.Track(1, 6, 0); u != 1 {
+	r := newRUT(2)
+	r.track(1, 5, 0)
+	r.track(1, 5, 1)
+	if u := r.track(1, 6, 0); u != 1 {
 		t.Fatalf("util after row change = %d, want 1", u)
 	}
-	row, _ := r.Row(1)
-	if row != 6 {
+	if row := r.entries[1].row; row != 6 {
 		t.Fatalf("tracked row = %d, want 6", row)
 	}
 }
 
 func TestRUTClearAndDisplace(t *testing.T) {
-	r := NewRUT(2)
-	r.Track(0, 3, 0)
-	r.Clear(0)
-	if _, ok := r.Row(0); ok {
+	r := newRUT(2)
+	r.track(0, 3, 0)
+	r.clear(0)
+	if r.entries[0].valid {
 		t.Fatal("entry survived Clear")
 	}
-	if _, _, ok := r.Displace(0); ok {
+	if _, _, ok := r.displace(0); ok {
 		t.Fatal("Displace on empty entry returned ok")
 	}
-	r.Track(0, 4, 1)
-	r.Track(0, 4, 3)
-	row, touched, ok := r.Displace(0)
+	r.track(0, 4, 1)
+	r.track(0, 4, 3)
+	row, touched, ok := r.displace(0)
 	if !ok || row != 4 {
 		t.Fatalf("Displace = %d,%v", row, ok)
 	}
 	if touched != (1<<1 | 1<<3) {
 		t.Fatalf("displaced bitmap = %#x, want lines 1 and 3", touched)
 	}
-	if _, ok := r.Row(0); ok {
+	if r.entries[0].valid {
 		t.Fatal("entry survived Displace")
 	}
 }
 
 func TestRUTBanksIndependent(t *testing.T) {
-	r := NewRUT(3)
-	r.Track(0, 1, 0)
-	r.Track(1, 2, 0)
-	r.Track(2, 3, 0)
+	r := newRUT(3)
+	r.track(0, 1, 0)
+	r.track(1, 2, 0)
+	r.track(2, 3, 0)
 	for bank, want := range []int64{1, 2, 3} {
-		if row, ok := r.Row(bank); !ok || row != want {
-			t.Fatalf("bank %d tracks %d, want %d", bank, row, want)
+		if e := r.entries[bank]; !e.valid || e.row != want {
+			t.Fatalf("bank %d tracks %d, want %d", bank, e.row, want)
 		}
 	}
 }
@@ -82,16 +80,16 @@ func TestRUTBanksIndependent(t *testing.T) {
 func TestNewRUTValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewRUT(0) did not panic")
+			t.Fatal("newRUT(0) did not panic")
 		}
 	}()
-	NewRUT(0)
+	newRUT(0)
 }
 
 func TestCTInsertContainsRemove(t *testing.T) {
-	ct := NewCT(4)
-	if ct.Capacity() != 4 {
-		t.Fatalf("capacity = %d", ct.Capacity())
+	ct := newCT(4)
+	if ct.capacity() != 4 {
+		t.Fatalf("capacity = %d", ct.capacity())
 	}
 	ct.Insert(0, 10, 0)
 	ct.Insert(1, 20, 0)
@@ -110,7 +108,7 @@ func TestCTInsertContainsRemove(t *testing.T) {
 }
 
 func TestCTLRUEviction(t *testing.T) {
-	ct := NewCT(2)
+	ct := newCT(2)
 	ct.Insert(0, 1, 0)
 	ct.Insert(0, 2, 0)
 	ct.Insert(0, 1, 0) // refresh 1 -> LRU is now 2
@@ -127,7 +125,7 @@ func TestCTLRUEviction(t *testing.T) {
 }
 
 func TestCTDuplicateInsertDoesNotGrow(t *testing.T) {
-	ct := NewCT(4)
+	ct := newCT(4)
 	for i := 0; i < 10; i++ {
 		ct.Insert(2, 7, 0)
 	}
@@ -138,7 +136,7 @@ func TestCTDuplicateInsertDoesNotGrow(t *testing.T) {
 
 func TestCTNeverExceedsCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ct := NewCT(8)
+	ct := newCT(8)
 	for i := 0; i < 10000; i++ {
 		switch rng.Intn(3) {
 		case 0, 1:
@@ -146,8 +144,8 @@ func TestCTNeverExceedsCapacity(t *testing.T) {
 		case 2:
 			ct.Remove(rng.Intn(16), int64(rng.Intn(100)))
 		}
-		if ct.Len() > ct.Capacity() {
-			t.Fatalf("CT overflowed: %d > %d", ct.Len(), ct.Capacity())
+		if ct.Len() > ct.capacity() {
+			t.Fatalf("CT overflowed: %d > %d", ct.Len(), ct.capacity())
 		}
 	}
 }
@@ -155,14 +153,14 @@ func TestCTNeverExceedsCapacity(t *testing.T) {
 func TestNewCTValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewCT(0) did not panic")
+			t.Fatal("newCT(0) did not panic")
 		}
 	}()
-	NewCT(0)
+	newCT(0)
 }
 
 func TestCTStoresAndMergesBitmaps(t *testing.T) {
-	ct := NewCT(4)
+	ct := newCT(4)
 	ct.Insert(0, 9, 0b0011)
 	ct.Insert(0, 9, 0b1100) // refresh merges utilization info
 	touched, ok := ct.Remove(0, 9)
@@ -193,7 +191,7 @@ func lruOrder(ct *CT) []ctEntry {
 // stay resident in LRU order, and inserting allocates nothing.
 func TestCTInsertKeepsCapacity(t *testing.T) {
 	const capacity = 10
-	ct := NewCT(capacity)
+	ct := newCT(capacity)
 	for i := 0; i < 10*capacity; i++ {
 		ct.Insert(i%16, int64(i), 0)
 	}
@@ -281,7 +279,7 @@ func TestCTMatchesReferenceLRU(t *testing.T) {
 	for capacity := 1; capacity <= 8; capacity++ {
 		for _, pool := range []string{"random", "colliding"} {
 			t.Run(fmt.Sprintf("cap%d-%s", capacity, pool), func(t *testing.T) {
-				ct := NewCT(capacity)
+				ct := newCT(capacity)
 				ref := &refCT{cap: capacity, entries: []ctEntry{}}
 				keys := collidingCTKeys(ct, 2*capacity+2)
 				rng := rand.New(rand.NewSource(int64(capacity)))
@@ -419,7 +417,7 @@ const (
 func ctTraffic(n int, seed int64) []ctOp {
 	const history = 64
 	rng := rand.New(rand.NewSource(seed))
-	ct := NewCT(32)
+	ct := newCT(32)
 	open := make([]int64, ctTrafficBanks)
 	hist := make([][history]int64, ctTrafficBanks)
 	acts := make([]int, ctTrafficBanks)
@@ -461,7 +459,7 @@ func ctTraffic(n int, seed int64) []ctOp {
 // paper's 32-entry table, its Insert/Remove mix, Remove hit rate and row
 // reuse match the HM1 measurement above, and no Insert finds its row.
 func TestConflictTableTrafficShape(t *testing.T) {
-	ct := NewCT(32)
+	ct := newCT(32)
 	inserted := map[int64]bool{}
 	var inserts, removes, hits, reused int
 	for _, o := range ctTraffic(200_000, 1) {
@@ -504,7 +502,7 @@ func TestConflictTableTrafficShape(t *testing.T) {
 // Removes that miss, and the Inserts evict from a full table.
 func BenchmarkConflictTable(b *testing.B) {
 	ops := ctTraffic(1<<12, 7)
-	ct := NewCT(32)
+	ct := newCT(32)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

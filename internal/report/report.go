@@ -305,7 +305,7 @@ func Markdown(results []exp.CellResult, title string) string {
 	sb.WriteByte('\n')
 
 	for _, fig := range figs {
-		sb.WriteString(MarkdownTable(fig))
+		sb.WriteString(markdownTable(fig))
 		sb.WriteByte('\n')
 	}
 
@@ -322,8 +322,8 @@ func Markdown(results []exp.CellResult, title string) string {
 	return sb.String()
 }
 
-// MarkdownTable renders one stats.Table as a Markdown table with a heading.
-func MarkdownTable(t *stats.Table) string {
+// markdownTable renders one stats.Table as a Markdown table with a heading.
+func markdownTable(t *stats.Table) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "## %s\n\n", t.Title)
 	sb.WriteString("| workload |")

@@ -80,7 +80,7 @@ func TestMarkdownReport(t *testing.T) {
 func TestMarkdownTable(t *testing.T) {
 	tb := &stats.Table{Title: "Figure X", Columns: []string{"A", "B"}}
 	tb.AddRow("r1", 1, 2)
-	md := MarkdownTable(tb)
+	md := markdownTable(tb)
 	for _, want := range []string{"## Figure X", "| workload | A | B |", "| r1 | 1.0000 | 2.0000 |"} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("missing %q in:\n%s", want, md)
@@ -132,7 +132,7 @@ func TestSummaryQuotesSeedMeans(t *testing.T) {
 		"| CAMPS-MOD speedup over MMD (avg) | +8.7% | +20.0% |",
 		"| HM | +24.9% | +20.0% |",
 		"(mean of 2 seeds)",
-		MarkdownTable(Figures(both)[0]),
+		markdownTable(Figures(both)[0]),
 	} {
 		if !strings.Contains(md, want) {
 			t.Fatalf("2-seed report missing %q:\n%s", want, md)

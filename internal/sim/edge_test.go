@@ -51,20 +51,11 @@ func TestClockConversionOverflowPanics(t *testing.T) {
 	NewClock(2999).Cycles(1<<63 - 1)
 }
 
-func TestRunForNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunFor(-1) did not panic")
-		}
-	}()
-	NewEngine().RunFor(-1)
-}
-
 func TestRunUntilPastDeadlineIsNoop(t *testing.T) {
 	eng := NewEngine()
 	fired := false
 	eng.At(5, func() { fired = true })
-	eng.RunFor(10)
+	eng.RunUntil(10)
 	if !fired || eng.Now() != 10 {
 		t.Fatalf("setup: fired=%v now=%v", fired, eng.Now())
 	}

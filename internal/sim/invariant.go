@@ -47,7 +47,7 @@ type Checker struct {
 
 // NewChecker arms a checker on eng with the given interval. Two built-in
 // invariants are always registered: monotone-clock (engine time never
-// moves backwards between checks) and event-queue (Engine.CheckQueue);
+// moves backwards between checks) and event-queue (Engine.checkQueue);
 // add model-level invariants with Register before the simulation runs.
 func NewChecker(eng *Engine, interval Time) *Checker {
 	c := &Checker{eng: eng, last: eng.Now()}
@@ -56,7 +56,7 @@ func NewChecker(eng *Engine, interval Time) *Checker {
 			return fmt.Errorf("clock moved backwards: %v after %v", now, c.last)
 		}
 		return nil
-	}}, Invariant{Name: "event-queue", Check: eng.CheckQueue})
+	}}, Invariant{Name: "event-queue", Check: eng.checkQueue})
 	c.ticker = NewDaemonTicker(eng, interval, c.run)
 	return c
 }
@@ -79,7 +79,7 @@ func (c *Checker) run() {
 	for _, iv := range c.inv {
 		if err := iv.Check(); err != nil {
 			c.err = &InvariantError{Name: iv.Name, At: c.eng.Now(), Err: err}
-			c.ticker.Stop()
+			c.ticker.stop()
 			c.eng.Halt()
 			return
 		}
@@ -105,16 +105,13 @@ func (c *Checker) Err() error {
 	return c.err
 }
 
-// Stop cancels future checks.
-func (c *Checker) Stop() { c.ticker.Stop() }
-
-// CheckQueue verifies the structure of the pending queue: the ring's
+// checkQueue verifies the structure of the pending queue: the ring's
 // occupancy bits match its non-empty buckets; each bucket is in (when, seq)
 // order with consistent back-links; each ring node sits in its own bucket,
-// within one revolution of now; the nodes found add up to Pending(); and
+// within one revolution of now; the nodes found add up to pending(); and
 // the far heap keeps the heap property with correct positions. It is
-// read-only and O(ringSize + Pending()).
-func (e *Engine) CheckQueue() error {
+// read-only and O(ringSize + pending()).
+func (e *Engine) checkQueue() error {
 	nowBucket := e.now >> ringShift
 	ringN, nonDaemon := 0, 0
 	for s := range e.ring {
@@ -147,7 +144,7 @@ func (e *Engine) CheckQueue() error {
 		}
 	}
 	if ringN != e.ringN {
-		return fmt.Errorf("ring holds %d events, count says %d (Pending %d, far heap %d)", ringN, e.ringN, e.Pending(), len(e.heap))
+		return fmt.Errorf("ring holds %d events, count says %d (Pending %d, far heap %d)", ringN, e.ringN, e.pending(), len(e.heap))
 	}
 	for i, nd := range e.heap {
 		switch {

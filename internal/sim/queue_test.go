@@ -150,13 +150,13 @@ func (h *diffHarness) compare(op string) {
 			h.t.Fatalf("after %s: fire %d is event %d, reference %d", op, i, h.fired[i], h.ref.fired[i])
 		}
 	}
-	if got, want := h.eng.Pending(), len(h.ref.pending); got != want {
+	if got, want := h.eng.pending(), len(h.ref.pending); got != want {
 		h.t.Fatalf("after %s: Pending() = %d, reference %d", op, got, want)
 	}
 	if got, want := h.eng.Now(), h.ref.now; got != want {
 		h.t.Fatalf("after %s: Now() = %v, reference %v", op, got, want)
 	}
-	if err := h.eng.CheckQueue(); err != nil {
+	if err := h.eng.checkQueue(); err != nil {
 		h.t.Fatalf("after %s: %v", op, err)
 	}
 }
@@ -219,7 +219,7 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 					continue
 				}
 				id := rng.Intn(len(h.handles))
-				got := h.eng.Cancel(h.handles[id])
+				got := h.eng.cancel(h.handles[id])
 				want := h.ref.cancel(id)
 				if got != want {
 					t.Fatalf("trial %d: Cancel(event %d) = %v, reference %v", trial, id, got, want)
@@ -243,7 +243,7 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 				h.compare("RunUntil")
 			}
 		}
-		for h.eng.Pending() > 0 {
+		for h.eng.pending() > 0 {
 			h.step()
 			h.compare("drain")
 		}
@@ -273,7 +273,7 @@ func TestCheckQueueCatchesCorruption(t *testing.T) {
 		eng.At(far, fn)
 		eng.At(far+1, fn)
 		eng.At(far+2, fn)
-		if err := eng.CheckQueue(); err != nil {
+		if err := eng.checkQueue(); err != nil {
 			t.Fatalf("intact queue: %v", err)
 		}
 		return eng
@@ -310,7 +310,7 @@ func TestCheckQueueCatchesCorruption(t *testing.T) {
 	for _, tc := range cases {
 		eng := build()
 		tc.corrupt(eng)
-		err := eng.CheckQueue()
+		err := eng.checkQueue()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckQueue() = %v, want an error mentioning %q", tc.name, err, tc.want)
 		}

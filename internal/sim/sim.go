@@ -157,8 +157,8 @@ func mulDivBias(a, b int64, bias uint64, c int64) int64 {
 // freely. The zero Event is not scheduled. Handles are generation-checked
 // against the engine's pooled event nodes, so a stale handle — one whose
 // event already fired or was cancelled, even if the underlying node now
-// carries a newer event — reports Scheduled() == false and cancels as a
-// no-op instead of touching the new occupant.
+// carries a newer event — is no longer pending and cancels as a no-op
+// instead of touching the new occupant.
 type Event struct {
 	n   *eventNode
 	gen uint64
@@ -184,21 +184,6 @@ type eventNode struct {
 	prev, next *eventNode
 }
 
-// When returns the time the event is scheduled for, or 0 if the handle is
-// stale (already fired or cancelled).
-func (e Event) When() Time {
-	if !e.Scheduled() {
-		return 0
-	}
-	return e.n.when
-}
-
-// Scheduled reports whether the event is still pending. A stale handle
-// never reports true, even if its node has been recycled for a new event.
-func (e Event) Scheduled() bool {
-	return e.n != nil && e.n.gen == e.gen && e.n.idx >= 0
-}
-
 // nodeChunk is how many event nodes are allocated at once when the free
 // list runs dry; steady-state scheduling allocates nothing.
 const nodeChunk = 128
@@ -214,7 +199,7 @@ const (
 	ringWords = ringSize / 64
 
 	// inRing is eventNode.idx for a node queued in the ring. It is
-	// non-negative, so Scheduled needs no second test.
+	// non-negative, so a pending check needs no second test.
 	inRing = math.MaxInt32
 )
 
@@ -249,8 +234,8 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return e.ringN + len(e.heap) }
+// pending returns the number of events still scheduled.
+func (e *Engine) pending() int { return e.ringN + len(e.heap) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug, and silently reordering time would make
@@ -354,10 +339,10 @@ func (e *Engine) After(d Time, fn func()) Event {
 	return e.At(e.now+d, fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
+// cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event — including a stale handle whose node now holds
 // a newer event — is a no-op and returns false.
-func (e *Engine) Cancel(ev Event) bool {
+func (e *Engine) cancel(ev Event) bool {
 	nd := ev.n
 	if nd == nil || nd.gen != ev.gen || nd.idx < 0 {
 		return false
@@ -439,18 +424,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	if !e.halted && e.now < deadline {
 		e.now = deadline
 	}
-}
-
-// RunFor advances the simulation by d picoseconds. RunFor(0) fires events
-// scheduled for the current instant and leaves Now() unchanged. A
-// negative duration panics, matching After: running time backwards always
-// indicates a model bug (it used to fall through RunUntil's loops as a
-// silent no-op).
-func (e *Engine) RunFor(d Time) {
-	if d < 0 {
-		panic("sim: negative duration")
-	}
-	e.RunUntil(e.now + d)
 }
 
 // The pending queue has two parts, ordered together by (when, seq). An

@@ -10,6 +10,12 @@ import (
 
 // toCycles converts a duration to whole elapsed cycles (floor), the
 // inverse the tests check Cycles against.
+// scheduled reports whether the event is still pending. A stale handle
+// never reports true, even if its node has been recycled for a new event.
+func (e Event) scheduled() bool {
+	return e.n != nil && e.n.gen == e.gen && e.n.idx >= 0
+}
+
 func toCycles(c Clock, d Time) int64 { return mulDivBias(int64(d), int64(c.den), 0, int64(c.num)) }
 
 // nextEdge is the earliest time >= t that falls on a clock edge.
@@ -184,16 +190,16 @@ func TestEngineCancel(t *testing.T) {
 	eng := NewEngine()
 	fired := false
 	ev := eng.At(10, func() { fired = true })
-	if !ev.Scheduled() {
+	if !ev.scheduled() {
 		t.Fatal("freshly scheduled event reports not scheduled")
 	}
-	if !eng.Cancel(ev) {
+	if !eng.cancel(ev) {
 		t.Fatal("Cancel returned false for pending event")
 	}
-	if ev.Scheduled() {
+	if ev.scheduled() {
 		t.Fatal("cancelled event still reports scheduled")
 	}
-	if eng.Cancel(ev) {
+	if eng.cancel(ev) {
 		t.Fatal("double cancel returned true")
 	}
 	eng.Run()
@@ -204,10 +210,10 @@ func TestEngineCancel(t *testing.T) {
 
 func TestEngineCancelZero(t *testing.T) {
 	eng := NewEngine()
-	if eng.Cancel(Event{}) {
+	if eng.cancel(Event{}) {
 		t.Fatal("Cancel of zero Event returned true")
 	}
-	if (Event{}).Scheduled() {
+	if (Event{}).scheduled() {
 		t.Fatal("zero Event reports scheduled")
 	}
 }
@@ -219,20 +225,17 @@ func TestEngineStaleHandleAfterFire(t *testing.T) {
 	eng := NewEngine()
 	ev := eng.At(10, func() {})
 	eng.Run()
-	if ev.Scheduled() {
+	if ev.scheduled() {
 		t.Fatal("fired event still reports scheduled")
 	}
 	// Reuse the pooled node for a new event. With chunked pooling the node
 	// just recycled is on top of the free list, so this occupies it.
 	fired := false
 	ev2 := eng.At(20, func() { fired = true })
-	if ev.Scheduled() {
+	if ev.scheduled() {
 		t.Fatal("stale handle reports scheduled after node reuse")
 	}
-	if ev.When() != 0 {
-		t.Fatalf("stale handle When() = %v, want 0", ev.When())
-	}
-	if eng.Cancel(ev) {
+	if eng.cancel(ev) {
 		t.Fatal("stale handle cancelled the node's new occupant")
 	}
 	eng.Run()
@@ -246,18 +249,18 @@ func TestEngineStaleHandleAfterFire(t *testing.T) {
 func TestEngineStaleHandleAfterCancel(t *testing.T) {
 	eng := NewEngine()
 	ev := eng.At(10, func() { t.Fatal("cancelled event fired") })
-	if !eng.Cancel(ev) {
+	if !eng.cancel(ev) {
 		t.Fatal("cancel failed")
 	}
 	fired := false
 	ev2 := eng.At(10, func() { fired = true })
-	if ev.Scheduled() {
+	if ev.scheduled() {
 		t.Fatal("cancelled handle reports scheduled after node reuse")
 	}
-	if eng.Cancel(ev) {
+	if eng.cancel(ev) {
 		t.Fatal("double cancel through a stale handle succeeded")
 	}
-	if !ev2.Scheduled() {
+	if !ev2.scheduled() {
 		t.Fatal("fresh handle on the recycled node reports not scheduled")
 	}
 	eng.Run()
@@ -292,8 +295,8 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	mixed := func() {
 		now := eng.Now()
 		eng.At(now+steadyDeltas[i%len(steadyDeltas)], fn)
-		eng.Cancel(eng.At(now+steadyDeltas[(i+7)%len(steadyDeltas)], fn))
-		eng.Cancel(eng.AtDaemon(now+far+Time(i), fn))
+		eng.cancel(eng.At(now+steadyDeltas[(i+7)%len(steadyDeltas)], fn))
+		eng.cancel(eng.AtDaemon(now+far+Time(i), fn))
 		if i%16 == 0 {
 			eng.AtDaemon(now+far, fn)
 			eng.Step()
@@ -327,12 +330,12 @@ func TestEngineRunUntil(t *testing.T) {
 	if eng.Now() != 25 {
 		t.Fatalf("time after RunUntil(25) = %v, want 25", eng.Now())
 	}
-	if eng.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", eng.Pending())
+	if eng.pending() != 2 {
+		t.Fatalf("pending = %d, want 2", eng.pending())
 	}
-	eng.RunFor(10)
+	eng.RunUntil(eng.Now() + 10)
 	if len(fired) != 3 || eng.Now() != 35 {
-		t.Fatalf("RunFor(10): fired=%v now=%v", fired, eng.Now())
+		t.Fatalf("RunUntil(now+10): fired=%v now=%v", fired, eng.Now())
 	}
 }
 
@@ -347,8 +350,8 @@ func TestEngineRunUntilBeforeFirstEvent(t *testing.T) {
 	if eng.Now() != 50 {
 		t.Fatalf("time advanced to %v, want the deadline 50", eng.Now())
 	}
-	if eng.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", eng.Pending())
+	if eng.pending() != 1 {
+		t.Fatalf("pending = %d, want 1", eng.pending())
 	}
 	eng.Run()
 	if !fired || eng.Now() != 100 {
@@ -385,16 +388,16 @@ func TestEngineRunForZero(t *testing.T) {
 	var fired []int
 	eng.At(eng.Now(), func() {
 		fired = append(fired, 1)
-		// Nested same-instant work also falls inside RunFor(0).
+		// Nested same-instant work also falls inside RunUntil(now).
 		eng.At(eng.Now(), func() { fired = append(fired, 2) })
 	})
 	eng.At(eng.Now()+1, func() { fired = append(fired, 3) })
-	eng.RunFor(0)
+	eng.RunUntil(eng.Now())
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 2 {
-		t.Fatalf("RunFor(0) fired %v, want the two now-instant events", fired)
+		t.Fatalf("RunUntil(now) fired %v, want the two now-instant events", fired)
 	}
 	if eng.Now() != 5 {
-		t.Fatalf("RunFor(0) moved time to %v, want 5", eng.Now())
+		t.Fatalf("RunUntil(now) moved time to %v, want 5", eng.Now())
 	}
 }
 
@@ -477,7 +480,7 @@ func TestEngineCancelProperty(t *testing.T) {
 		for _, r := range recs {
 			if rng.Intn(2) == 0 {
 				r.cancelled = true
-				if !eng.Cancel(r.ev) {
+				if !eng.cancel(r.ev) {
 					t.Fatal("cancel of pending event failed")
 				}
 			}
@@ -504,9 +507,9 @@ func TestEngineCancelProperty(t *testing.T) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	eng := NewEngine()
 	var ticks []Time
-	tk := NewTicker(eng, 100, func() { ticks = append(ticks, eng.Now()) })
+	tk := NewDaemonTicker(eng, 100, func() { ticks = append(ticks, eng.Now()) })
 	eng.RunUntil(550)
-	tk.Stop()
+	tk.stop()
 	want := []Time{100, 200, 300, 400, 500}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
@@ -526,10 +529,10 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	eng := NewEngine()
 	count := 0
 	var tk *Ticker
-	tk = NewTicker(eng, 10, func() {
+	tk = NewDaemonTicker(eng, 10, func() {
 		count++
 		if count == 2 {
-			tk.Stop()
+			tk.stop()
 		}
 	})
 	eng.RunUntil(1000)
@@ -558,8 +561,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng.At(Time(i), fn)
-		if eng.Pending() > 1024 {
-			for eng.Pending() > 0 {
+		if eng.pending() > 1024 {
+			for eng.pending() > 0 {
 				eng.Step()
 			}
 		}
@@ -590,7 +593,7 @@ const steadyPending = 190
 // and returns the index of the next delay to use.
 func fillSteady(eng *Engine, fn func()) int {
 	i := 0
-	for eng.Pending() < steadyPending {
+	for eng.pending() < steadyPending {
 		eng.At(eng.Now()+steadyDeltas[i%len(steadyDeltas)], fn)
 		i++
 	}
@@ -676,7 +679,7 @@ func TestRunWithOnlyDaemonEventsReturnsImmediately(t *testing.T) {
 	if fired {
 		t.Fatal("daemon event fired with no non-daemon work")
 	}
-	if eng.Pending() != 1 {
+	if eng.pending() != 1 {
 		t.Fatal("daemon event should remain queued")
 	}
 }
@@ -695,7 +698,7 @@ func TestRunUntilFiresDaemonEvents(t *testing.T) {
 func TestCancelDaemonEvent(t *testing.T) {
 	eng := NewEngine()
 	ev := eng.AtDaemon(10, func() {})
-	if !eng.Cancel(ev) {
+	if !eng.cancel(ev) {
 		t.Fatal("cancel of daemon event failed")
 	}
 	eng.At(20, func() {})
@@ -711,7 +714,7 @@ func TestDaemonTickerFiresWithoutExtendingRun(t *testing.T) {
 	tk := NewDaemonTicker(eng, 100, func() { ticks = append(ticks, eng.Now()) })
 	eng.At(250, func() {}) // non-daemon work keeps the run alive to 250
 	eng.Run()              // must stop at 250, not tick forever
-	tk.Stop()
+	tk.stop()
 	want := []Time{100, 200}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
@@ -773,7 +776,7 @@ func TestHaltWatcherNeverExtendsRun(t *testing.T) {
 func TestHaltWatcherStop(t *testing.T) {
 	eng := NewEngine()
 	w := NewHaltWatcher(eng, 100, func() bool { return true })
-	w.Stop()
+	w.stop()
 	eng.At(250, func() {})
 	eng.Run()
 	if eng.Halted() {

@@ -1,37 +1,26 @@
 package sim
 
-// Ticker invokes a callback on every edge of a clock until stopped.
-// It is used for periodic maintenance work such as DRAM refresh windows
-// and epoch-based feedback in prefetchers.
+// Ticker invokes a callback on every edge of a clock until stopped. Its
+// ticks ride the daemon queue: they fire while other (non-daemon) work
+// keeps the simulation alive but never extend it. RunContext's epoch
+// snapshot, the halt watcher and the invariant checker use it, so
+// observing and checking a run can never change when it ends.
 type Ticker struct {
 	eng      *Engine
 	interval Time
 	fn       func()
 	ev       Event
 	stopped  bool
-	daemon   bool
 	tick     func() // rearm closure, built once
 }
 
-// NewTicker schedules fn every interval picoseconds, first firing one
-// interval from now.
-func NewTicker(eng *Engine, interval Time, fn func()) *Ticker {
-	return newTicker(eng, interval, fn, false)
-}
-
-// NewDaemonTicker is NewTicker with daemon scheduling: ticks fire while
-// other (non-daemon) work keeps the simulation alive but never extend it.
-// It is the epoch hook used for periodic observability snapshots —
-// metrics collection must not change when a simulation ends.
+// NewDaemonTicker schedules fn every interval picoseconds on the daemon
+// queue, first firing one interval from now.
 func NewDaemonTicker(eng *Engine, interval Time, fn func()) *Ticker {
-	return newTicker(eng, interval, fn, true)
-}
-
-func newTicker(eng *Engine, interval Time, fn func(), daemon bool) *Ticker {
 	if interval <= 0 {
 		panic("sim: ticker interval must be positive")
 	}
-	t := &Ticker{eng: eng, interval: interval, fn: fn, daemon: daemon}
+	t := &Ticker{eng: eng, interval: interval, fn: fn}
 	t.tick = func() {
 		if t.stopped {
 			return
@@ -46,17 +35,13 @@ func newTicker(eng *Engine, interval Time, fn func(), daemon bool) *Ticker {
 }
 
 func (t *Ticker) arm() {
-	if t.daemon {
-		t.ev = t.eng.AtDaemon(t.eng.Now()+t.interval, t.tick)
-	} else {
-		t.ev = t.eng.After(t.interval, t.tick)
-	}
+	t.ev = t.eng.AtDaemon(t.eng.Now()+t.interval, t.tick)
 }
 
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
+// stop cancels future ticks.
+func (t *Ticker) stop() {
 	t.stopped = true
-	t.eng.Cancel(t.ev)
+	t.eng.cancel(t.ev)
 }
 
 // NewHaltWatcher arms a daemon ticker that polls cond every interval of
@@ -64,14 +49,14 @@ func (t *Ticker) Stop() {
 // It is the cancellation hook for externally-driven shutdown (for example
 // a context.Context): the poll rides the daemon queue, so it never extends
 // a simulation that drains naturally, and a cancelled run stops within one
-// interval of simulated time. The returned ticker can be stopped early.
+// interval of simulated time.
 func NewHaltWatcher(eng *Engine, interval Time, cond func() bool) *Ticker {
 	var t *Ticker
-	t = newTicker(eng, interval, func() {
+	t = NewDaemonTicker(eng, interval, func() {
 		if cond() {
 			eng.Halt()
-			t.Stop()
+			t.stop()
 		}
-	}, true)
+	})
 	return t
 }

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -25,9 +24,6 @@ func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // MarshalJSON encodes the counter as its bare value, so result structs
 // that embed counters round-trip through checkpoint files.
@@ -59,9 +55,6 @@ func (a *LatencyAccum) Observe(v float64) {
 // Count returns the number of samples.
 func (a LatencyAccum) Count() uint64 { return a.count }
 
-// Sum returns the total of all samples.
-func (a LatencyAccum) Sum() float64 { return a.sum }
-
 // Mean returns the average sample, or 0 with no samples.
 func (a LatencyAccum) Mean() float64 {
 	if a.count == 0 {
@@ -69,12 +62,6 @@ func (a LatencyAccum) Mean() float64 {
 	}
 	return a.sum / float64(a.count)
 }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (a LatencyAccum) Min() float64 { return a.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (a LatencyAccum) Max() float64 { return a.max }
 
 // Merge folds another accumulator into this one.
 func (a *LatencyAccum) Merge(b LatencyAccum) {
@@ -157,12 +144,6 @@ func (h *Histogram) Observe(v float64) {
 // Total returns the number of samples.
 func (h *Histogram) Total() uint64 { return h.total }
 
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 { return h.buckets[i] }
-
-// Overflow returns the number of samples above the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.overflow }
-
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) using
 // bucket upper edges. A quantile past the last bucket reports the largest
 // sample, so the bound stays finite (and JSON-encodable).
@@ -213,30 +194,12 @@ func Mean(vs []float64) float64 {
 	return sum / float64(len(vs))
 }
 
-// Speedup returns the normalized speedup of ipc over baseline, computed as
-// the paper does: the ratio of geometric means of per-core IPCs.
-func Speedup(ipc, baseline []float64) float64 {
-	b := GeoMean(baseline)
-	if b == 0 {
-		return 0
-	}
-	return GeoMean(ipc) / b
-}
-
 // Ratio returns a/b, or 0 when b is 0.
 func Ratio(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
 	return a / b
-}
-
-// PercentChange returns (newv-oldv)/oldv*100, or 0 when oldv is 0.
-func PercentChange(oldv, newv float64) float64 {
-	if oldv == 0 {
-		return 0
-	}
-	return (newv - oldv) / oldv * 100
 }
 
 // Table formats labelled rows of float columns as an aligned text table,
@@ -331,10 +294,4 @@ func (t *Table) ColumnMean(col int) float64 {
 		vs = append(vs, r.values[col])
 	}
 	return Mean(vs)
-}
-
-// SortRows orders rows by label; used to keep parallel experiment output
-// deterministic regardless of completion order.
-func (t *Table) SortRows(less func(a, b string) bool) {
-	sort.SliceStable(t.rows, func(i, j int) bool { return less(t.rows[i].label, t.rows[j].label) })
 }

@@ -87,6 +87,15 @@ func TestAnalyzeEmptyAndInvalid(t *testing.T) {
 	}
 }
 
+// records reads the next n records of g.
+func records(g *Generator, n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i], _ = g.Next()
+	}
+	return recs
+}
+
 func TestAnalyzeGeneratorMatchesProfileIntent(t *testing.T) {
 	// A stream-dominated profile should show long row episodes; a
 	// conflict-dominated one should show short episodes.
@@ -94,8 +103,8 @@ func TestAnalyzeGeneratorMatchesProfileIntent(t *testing.T) {
 	streamy.Streams = 1 // one stream: global episodes reflect its sweeps
 	streamy.StreamProb = 0.95
 	streamy.ConflictProb = 0
-	ga := MustGenerator(streamy, 0, 3)
-	sa, err := Analyze(NewLimit(ga, 20000), 64, 1024, 0)
+	ga := mustGenerator(t, streamy, 0, 3)
+	sa, err := Analyze(NewSliceReader(records(ga, 20000)), 64, 1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +112,8 @@ func TestAnalyzeGeneratorMatchesProfileIntent(t *testing.T) {
 	conflicty := testProfile()
 	conflicty.StreamProb = 0
 	conflicty.ConflictProb = 0.95
-	gb := MustGenerator(conflicty, 0, 3)
-	sb, err := Analyze(NewLimit(gb, 20000), 64, 1024, 0)
+	gb := mustGenerator(t, conflicty, 0, 3)
+	sb, err := Analyze(NewSliceReader(records(gb, 20000)), 64, 1024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,8 @@ type CompactReader struct {
 	header bool
 }
 
-// NewCompactReader wraps r.
-func NewCompactReader(r io.Reader) *CompactReader {
+// newCompactReader wraps r.
+func newCompactReader(r io.Reader) *CompactReader {
 	return &CompactReader{r: bufio.NewReader(r)}
 }
 
@@ -141,9 +141,9 @@ func OpenReader(r io.Reader) (Reader, error) {
 	}
 	switch {
 	case [8]byte(magic) == fileMagic:
-		return NewFileReader(br), nil
+		return newFileReader(br), nil
 	case [8]byte(magic) == compactMagic:
-		return NewCompactReader(br), nil
+		return newCompactReader(br), nil
 	default:
 		return nil, fmt.Errorf("trace: unrecognized magic %q", magic)
 	}

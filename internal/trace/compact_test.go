@@ -27,7 +27,7 @@ func TestCompactRoundTrip(t *testing.T) {
 	if w.Count() != uint64(len(want)) {
 		t.Fatalf("count = %d", w.Count())
 	}
-	r := NewCompactReader(&buf)
+	r := newCompactReader(&buf)
 	for i, wr := range want {
 		got, err := r.Next()
 		if err != nil {
@@ -43,7 +43,7 @@ func TestCompactRoundTrip(t *testing.T) {
 }
 
 func TestCompactIsSmallerForStreams(t *testing.T) {
-	g := MustGenerator(testProfile(), 0, 9)
+	g := mustGenerator(t, testProfile(), 0, 9)
 	var v1, v2 bytes.Buffer
 	w1 := NewWriter(&v1)
 	w2 := NewCompactWriter(&v2)
@@ -65,7 +65,7 @@ func TestCompactIsSmallerForStreams(t *testing.T) {
 
 func TestCompactRejectsBadInput(t *testing.T) {
 	// Bad magic.
-	if _, err := NewCompactReader(bytes.NewReader([]byte("XXXXXXXXYY"))).Next(); err == nil {
+	if _, err := newCompactReader(bytes.NewReader([]byte("XXXXXXXXYY"))).Next(); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	// Corrupt flags.
@@ -75,7 +75,7 @@ func TestCompactRejectsBadInput(t *testing.T) {
 	_ = w.Flush()
 	data := buf.Bytes()
 	data[len(data)-1] = 0x7E
-	if _, err := NewCompactReader(bytes.NewReader(data)).Next(); err == nil {
+	if _, err := newCompactReader(bytes.NewReader(data)).Next(); err == nil {
 		t.Fatal("corrupt flags accepted")
 	}
 	// Truncated mid-record.
@@ -84,7 +84,7 @@ func TestCompactRejectsBadInput(t *testing.T) {
 	_ = w2.Write(Record{Gap: 300, Addr: 1 << 30})
 	_ = w2.Flush()
 	trunc := buf2.Bytes()[:buf2.Len()-2]
-	r := NewCompactReader(bytes.NewReader(trunc))
+	r := newCompactReader(bytes.NewReader(trunc))
 	if _, err := r.Next(); err == nil {
 		t.Fatal("truncated record accepted")
 	}

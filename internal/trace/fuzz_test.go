@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func FuzzCompactDecode(f *testing.F) {
 	f.Add(append([]byte("CAMPSTR2"), big[:n]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewCompactReader(bytes.NewReader(data))
+		r := newCompactReader(bytes.NewReader(data))
 		var recs []Record
 		for {
 			rec, err := r.Next()
@@ -70,7 +71,7 @@ func FuzzCompactDecode(f *testing.F) {
 		if w.Count() != uint64(len(recs)) {
 			t.Fatalf("writer count %d, want %d", w.Count(), len(recs))
 		}
-		r2 := NewCompactReader(&buf)
+		r2 := newCompactReader(&buf)
 		for i, want := range recs {
 			got, err := r2.Next()
 			if err != nil {
@@ -82,6 +83,46 @@ func FuzzCompactDecode(f *testing.F) {
 		}
 		if _, err := r2.Next(); !errors.Is(err, io.EOF) {
 			t.Fatalf("round trip: trailing record where EOF expected (err=%v)", err)
+		}
+	})
+}
+
+// FuzzGeneratorStreams builds a profile from the fuzz input. Every
+// profile Validate accepts must give a generator, and reading it through
+// NextAccess must walk the same stream as Next: the same addresses and
+// directions, and the same generator state afterwards. The functional
+// warmup relies on that to hand a warmed generator to the timed run.
+func FuzzGeneratorStreams(f *testing.F) {
+	p := testProfile()
+	f.Add(p.FootprintBytes, p.GapMean, p.ReadFrac, int8(p.Streams), p.StreamProb, p.StrideBytes,
+		p.ConflictProb, int8(p.ConflictStreams), p.ConflictStride, p.LineBytes, uint64(77))
+	f.Add(p.FootprintBytes, 1000.0, p.ReadFrac, int8(p.Streams), p.StreamProb, p.StrideBytes,
+		p.ConflictProb, int8(p.ConflictStreams), p.ConflictStride, p.LineBytes, uint64(77))
+	f.Fuzz(func(t *testing.T, footprint int64, gapMean, readFrac float64, streams int8,
+		streamProb float64, stride int64, conflictProb float64, conflictStreams int8,
+		conflictStride, lineBytes int64, seed uint64) {
+		p := Profile{
+			Name: "fuzz", FootprintBytes: footprint, GapMean: gapMean, ReadFrac: readFrac,
+			Streams: int(streams), StreamProb: streamProb, StrideBytes: stride,
+			ConflictProb: conflictProb, ConflictStreams: int(conflictStreams),
+			ConflictStride: conflictStride, LineBytes: lineBytes,
+		}
+		if p.Validate() != nil {
+			return
+		}
+		g, err := NewGenerator(p, 0, seed)
+		if err != nil {
+			t.Fatalf("NewGenerator rejected a profile Validate accepts: %v", err)
+		}
+		fast := g.Clone()
+		for i := 0; i < 256; i++ {
+			want, _ := g.Next()
+			if addr, write := fast.NextAccess(); addr != want.Addr || write != want.Write {
+				t.Fatalf("%+v, record %d: NextAccess = (%#x, %v), Next = %+v", p, i, addr, write, want)
+			}
+		}
+		if !reflect.DeepEqual(g, fast) {
+			t.Fatalf("%+v: generators differ after the same records", p)
 		}
 	})
 }

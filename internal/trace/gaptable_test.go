@@ -139,7 +139,10 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	for _, bp := range benchProfiles(b) {
 		bp := bp
 		b.Run(bp.name, func(b *testing.B) {
-			g := trace.MustGenerator(bp.p, 0, 1)
+			g, err := trace.NewGenerator(bp.p, 0, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -155,7 +158,10 @@ func BenchmarkGeneratorNextAccess(b *testing.B) {
 	for _, bp := range benchProfiles(b) {
 		bp := bp
 		b.Run(bp.name, func(b *testing.B) {
-			g := trace.MustGenerator(bp.p, 0, 1)
+			g, err := trace.NewGenerator(bp.p, 0, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

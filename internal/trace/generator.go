@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Profile parameterizes a synthetic benchmark's memory behaviour. The knobs
 // map onto the properties that drive the CAMPS mechanisms:
@@ -36,6 +39,8 @@ func (p Profile) Validate() error {
 	switch {
 	case p.FootprintBytes <= 0:
 		return fmt.Errorf("trace: profile %q: footprint must be positive", p.Name)
+	case math.IsNaN(p.GapMean) || math.IsInf(p.GapMean, 0) || p.GapMean < 0:
+		return fmt.Errorf("trace: profile %q: gap mean must be finite and non-negative", p.Name)
 	case p.ReadFrac < 0 || p.ReadFrac > 1:
 		return fmt.Errorf("trace: profile %q: read fraction outside [0,1]", p.Name)
 	case p.Streams <= 0:
@@ -58,7 +63,7 @@ func (p Profile) Validate() error {
 
 // Generator produces an endless, deterministic reference stream for one
 // core following a Profile. It implements Reader but never returns io.EOF;
-// wrap it in a Limit for finite runs.
+// the core that reads it stops after its instruction budget.
 type Generator struct {
 	p       Profile
 	rng     *RNG
@@ -109,15 +114,6 @@ func (g *Generator) Clone() *Generator {
 	cp.streams = append([]uint64(nil), g.streams...)
 	cp.group = append([]uint64(nil), g.group...)
 	return &cp
-}
-
-// MustGenerator is NewGenerator for known-good profiles.
-func MustGenerator(p Profile, base uint64, seed uint64) *Generator {
-	g, err := NewGenerator(p, base, seed)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // Next implements Reader; it never fails.

@@ -47,24 +47,6 @@ func (r *SliceReader) Next() (Record, error) {
 	return rec, nil
 }
 
-// Limit caps an underlying reader at n records.
-type Limit struct {
-	r    Reader
-	left int64
-}
-
-// NewLimit returns a reader that yields at most n records from r.
-func NewLimit(r Reader, n int64) *Limit { return &Limit{r: r, left: n} }
-
-// Next implements Reader.
-func (l *Limit) Next() (Record, error) {
-	if l.left <= 0 {
-		return Record{}, io.EOF
-	}
-	l.left--
-	return l.r.Next()
-}
-
 // File format: magic, version, then fixed 13-byte little-endian records
 // (gap uint32, addr uint64, flags uint8).
 
@@ -123,8 +105,8 @@ type FileReader struct {
 	header bool
 }
 
-// NewFileReader wraps r.
-func NewFileReader(r io.Reader) *FileReader { return &FileReader{r: bufio.NewReader(r)} }
+// newFileReader wraps r.
+func newFileReader(r io.Reader) *FileReader { return &FileReader{r: bufio.NewReader(r)} }
 
 // Next implements Reader.
 func (fr *FileReader) Next() (Record, error) {

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-func TestSliceReaderAndLimit(t *testing.T) {
+func TestSliceReader(t *testing.T) {
 	recs := []Record{{Gap: 1, Addr: 64}, {Gap: 2, Addr: 128, Write: true}, {Gap: 3, Addr: 192}}
-	r := NewLimit(NewSliceReader(recs), 2)
+	r := NewSliceReader(recs)
 	var got []Record
 	for {
 		rec, err := r.Next()
@@ -23,7 +23,7 @@ func TestSliceReaderAndLimit(t *testing.T) {
 		}
 		got = append(got, rec)
 	}
-	if len(got) != 2 || got[0] != recs[0] || got[1] != recs[1] {
+	if !reflect.DeepEqual(got, recs) {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if w.Count() != 3 {
 		t.Fatalf("count = %d", w.Count())
 	}
-	fr := NewFileReader(&buf)
+	fr := newFileReader(&buf)
 	for i, wantRec := range want {
 		got, err := fr.Next()
 		if err != nil {
@@ -68,14 +68,14 @@ func TestFileReaderEmptyFileHasHeader(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fr := NewFileReader(&buf)
+	fr := newFileReader(&buf)
 	if _, err := fr.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty trace should EOF cleanly, got %v", err)
 	}
 }
 
 func TestFileReaderRejectsBadMagic(t *testing.T) {
-	fr := NewFileReader(bytes.NewReader([]byte("NOTATRACE_____")))
+	fr := newFileReader(bytes.NewReader([]byte("NOTATRACE_____")))
 	if _, err := fr.Next(); err == nil {
 		t.Fatal("bad magic accepted")
 	}
@@ -87,7 +87,7 @@ func TestFileReaderRejectsTruncation(t *testing.T) {
 	_ = w.Write(Record{Addr: 64})
 	_ = w.Flush()
 	data := buf.Bytes()[:buf.Len()-3] // chop the last record
-	fr := NewFileReader(bytes.NewReader(data))
+	fr := newFileReader(bytes.NewReader(data))
 	if _, err := fr.Next(); err == nil {
 		t.Fatal("truncated record accepted")
 	}
@@ -100,7 +100,7 @@ func TestFileReaderRejectsCorruptFlags(t *testing.T) {
 	_ = w.Flush()
 	data := buf.Bytes()
 	data[len(data)-1] = 0xFF
-	fr := NewFileReader(bytes.NewReader(data))
+	fr := newFileReader(bytes.NewReader(data))
 	if _, err := fr.Next(); err == nil {
 		t.Fatal("corrupt flags accepted")
 	}
@@ -191,9 +191,19 @@ func testProfile() Profile {
 	}
 }
 
+// mustGenerator is NewGenerator for the tests' known-good profiles.
+func mustGenerator(tb testing.TB, p Profile, base, seed uint64) *Generator {
+	tb.Helper()
+	g, err := NewGenerator(p, base, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
-	g1 := MustGenerator(testProfile(), 0, 77)
-	g2 := MustGenerator(testProfile(), 0, 77)
+	g1 := mustGenerator(t, testProfile(), 0, 77)
+	g2 := mustGenerator(t, testProfile(), 0, 77)
 	for i := 0; i < 5000; i++ {
 		a, _ := g1.Next()
 		b, _ := g2.Next()
@@ -206,10 +216,10 @@ func TestGeneratorDeterminism(t *testing.T) {
 // NextAccess yields Next's addresses and directions and leaves the
 // generator where Next would, with and without instruction gaps.
 func TestGeneratorNextAccessMatchesNext(t *testing.T) {
-	for _, gapMean := range []float64{0, 3} {
+	for _, gapMean := range []float64{0, 3, 1000} {
 		p := testProfile()
 		p.GapMean = gapMean
-		g := MustGenerator(p, 1<<30, 77)
+		g := mustGenerator(t, p, 1<<30, 77)
 		fast := g.Clone()
 		for i := 0; i < 5000; i++ {
 			want, _ := g.Next()
@@ -232,7 +242,7 @@ func TestGeneratorNextMatchesLog1pReference(t *testing.T) {
 	for _, gapMean := range []float64{3, 1000} {
 		p := testProfile()
 		p.GapMean = gapMean
-		g := MustGenerator(p, 0, 77)
+		g := mustGenerator(t, p, 0, 77)
 		if tabled := g.gaps != nil; tabled != (gapMean < 1000) {
 			t.Fatalf("GapMean %g: gap table present = %v", gapMean, tabled)
 		}
@@ -258,7 +268,7 @@ func TestGeneratorStreamWrapsModuloFootprint(t *testing.T) {
 	p.Streams, p.StreamProb, p.ConflictProb = 1, 1, 0
 	p.StrideBytes = 3*p.FootprintBytes + 192
 	const base = 1 << 30
-	g := MustGenerator(p, base, 7)
+	g := mustGenerator(t, p, base, 7)
 	off, fp := g.streams[0], uint64(p.FootprintBytes)
 	for i := 0; i < 100_000; i++ {
 		addr, _ := g.NextAccess()
@@ -272,7 +282,7 @@ func TestGeneratorStreamWrapsModuloFootprint(t *testing.T) {
 func TestGeneratorAddressProperties(t *testing.T) {
 	p := testProfile()
 	base := uint64(1) << 30
-	g := MustGenerator(p, base, 5)
+	g := mustGenerator(t, p, base, 5)
 	reads, writes := 0, 0
 	for i := 0; i < 20000; i++ {
 		rec, err := g.Next()
@@ -304,7 +314,7 @@ func TestGeneratorStreamsSweepRows(t *testing.T) {
 	p.Streams = 1
 	p.StreamProb = 1.0
 	p.ConflictProb = 0
-	g := MustGenerator(p, 0, 3)
+	g := mustGenerator(t, p, 0, 3)
 	prev, _ := g.Next()
 	for i := 0; i < 100; i++ {
 		rec, _ := g.Next()
@@ -321,7 +331,7 @@ func TestGeneratorConflictGroupCollidesInBank(t *testing.T) {
 	p.ConflictProb = 1.0
 	p.StreamProb = 0.0
 	p.FootprintBytes = 8 << 20
-	g := MustGenerator(p, 0, 11)
+	g := mustGenerator(t, p, 0, 11)
 	// Conflict-group members stay one bank stride apart: at every point the
 	// active positions pairwise differ by a multiple of ConflictStride
 	// modulo at most one line of skew per member, so all observed
@@ -360,7 +370,7 @@ func TestGeneratorConflictGroupAdvances(t *testing.T) {
 	p.ConflictProb = 1.0
 	p.StreamProb = 0.0
 	p.ConflictStreams = 1 // single member: strictly sequential
-	g := MustGenerator(p, 0, 3)
+	g := mustGenerator(t, p, 0, 3)
 	prev, _ := g.Next()
 	for i := 0; i < 50; i++ {
 		rec, _ := g.Next()
@@ -394,8 +404,36 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
+// A gap mean must be a finite, non-negative number: Next and NextAccess
+// only agree on how many draws a gap takes for those.
+func TestProfileValidate(t *testing.T) {
+	cases := []struct {
+		gapMean float64
+		ok      bool
+	}{
+		{3, true},
+		{0, true},
+		{1000, true},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-1, false},
+	}
+	for _, tc := range cases {
+		p := testProfile()
+		p.GapMean = tc.gapMean
+		err := p.Validate()
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("GapMean %g rejected: %v", tc.gapMean, err)
+		case !tc.ok && (err == nil || err.Error() != `trace: profile "test": gap mean must be finite and non-negative`):
+			t.Errorf("GapMean %g: Validate() = %v, want the gap-mean error", tc.gapMean, err)
+		}
+	}
+}
+
 func TestGeneratorClone(t *testing.T) {
-	g := MustGenerator(testProfile(), 0, 77)
+	g := mustGenerator(t, testProfile(), 0, 77)
 	for i := 0; i < 1000; i++ {
 		g.Next()
 	}

@@ -324,12 +324,6 @@ func (c *Controller) chargeWait(ref obs.SpanRef, b int, arrived, now sim.Time) {
 	c.spans.AdvanceTo(ref, obs.CauseQueue, int64(now))
 }
 
-// ID returns the vault number.
-func (c *Controller) ID() int { return c.id }
-
-// Scheme returns the active prefetch scheme.
-func (c *Controller) Scheme() prefetch.Scheme { return c.scheme }
-
 // tickEpoch advances the engine's feedback epoch by one demand request,
 // closing the epoch — hand over and reset the accumulated stats — when the
 // period is reached. Called immediately before each OnDemandServed, so the

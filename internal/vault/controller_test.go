@@ -216,7 +216,7 @@ func TestServiceTimeBufferRecheck(t *testing.T) {
 		t.Fatal("service-time buffer re-check never hit")
 	}
 	// Only the first request should have touched the bank.
-	if got := s.BankAccesses(); got != 1 {
+	if got := s.bankAccesses(); got != 1 {
 		t.Fatalf("bank accesses = %d, want 1", got)
 	}
 }
@@ -353,7 +353,7 @@ func TestDeterminism(t *testing.T) {
 			line := i % 16
 			c.Submit(Request{Bank: bank, Row: row, Line: line,
 				Write: i%5 == 0, Done: func(at sim.Time) { last = at }})
-			eng.RunFor(sim.Time(1000 * (i % 3)))
+			eng.RunUntil(eng.Now() + sim.Time(1000*(i%3)))
 		}
 		eng.Run()
 		return last, c.Stats().RowConflicts.Value(), c.Stats().FetchesIssued.Value()
@@ -412,7 +412,7 @@ func TestAllSchemesRunEndToEnd(t *testing.T) {
 				c.Submit(Request{Bank: bank, Row: row, Line: line,
 					Write: i%4 == 3, Done: func(sim.Time) { completed++ }})
 				if i%10 == 0 {
-					eng.RunFor(50_000)
+					eng.RunUntil(eng.Now() + 50_000)
 				}
 			}
 			eng.Run()
@@ -439,7 +439,7 @@ func TestCheckInvariantCoversSchedulerCache(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.Submit(Request{Bank: i % 5, Row: int64(i % 3), Line: i % 16, Write: i%4 == 0})
 	}
-	eng.RunFor(20_000)
+	eng.RunUntil(eng.Now() + 20_000)
 	if c.workMask == 0 {
 		t.Fatal("no queued work left to check; submit more")
 	}

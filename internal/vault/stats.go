@@ -48,15 +48,15 @@ type Stats struct {
 	BankOps dram.Ops
 }
 
-// BankAccesses returns the number of demand requests serviced by banks.
-func (s *Stats) BankAccesses() uint64 {
+// bankAccesses returns the number of demand requests serviced by banks.
+func (s *Stats) bankAccesses() uint64 {
 	return s.RowHits.Value() + s.RowMisses.Value() + s.RowConflicts.Value()
 }
 
 // ConflictRate returns row-buffer conflicts as a fraction of demand bank
 // accesses (Figure 6's metric).
 func (s *Stats) ConflictRate() float64 {
-	total := s.BankAccesses()
+	total := s.bankAccesses()
 	if total == 0 {
 		return 0
 	}

@@ -24,7 +24,7 @@ func TestSingleBankHammer(t *testing.T) {
 				c.Submit(Request{Bank: 5, Row: row, Line: line,
 					Write: i%7 == 6, Done: func(sim.Time) { completed++ }})
 				if i%16 == 0 {
-					eng.RunFor(100_000)
+					eng.RunUntil(eng.Now() + 100_000)
 				}
 			}
 			eng.Run()
@@ -110,7 +110,7 @@ func TestTinyBufferChurn(t *testing.T) {
 		c.Submit(Request{Bank: i % 16, Row: int64(i), Line: 0,
 			Done: func(sim.Time) { completed++ }})
 		if i%8 == 0 {
-			eng.RunFor(100_000)
+			eng.RunUntil(eng.Now() + 100_000)
 		}
 	}
 	eng.Run()

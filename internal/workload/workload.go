@@ -131,15 +131,6 @@ func Names() []string {
 	return out
 }
 
-// Get returns a benchmark by name.
-func Get(name string) (Benchmark, error) {
-	b, ok := benchmarks[name]
-	if !ok {
-		return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
-	}
-	return b, nil
-}
-
 // Mix is one eight-core multiprogrammed workload of Table II.
 type Mix struct {
 	ID         string
@@ -192,14 +183,6 @@ func MixByID(id string) (Mix, error) {
 		}
 	}
 	return Mix{}, &UnknownMixError{ID: id}
-}
-
-// Group returns the mix family ("HM", "LM" or "MX").
-func (m Mix) Group() string {
-	if len(m.ID) < 2 {
-		return m.ID
-	}
-	return m.ID[:2]
 }
 
 // CoreRegion is the physical-address partition given to each core so

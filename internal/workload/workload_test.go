@@ -9,9 +9,9 @@ import (
 
 func TestAllBenchmarksValidate(t *testing.T) {
 	for _, name := range Names() {
-		b, err := Get(name)
-		if err != nil {
-			t.Fatalf("Get(%q): %v", name, err)
+		b, ok := benchmarks[name]
+		if !ok {
+			t.Fatalf("benchmark %q listed but missing", name)
 		}
 		if err := b.Profile.Validate(); err != nil {
 			t.Errorf("benchmark %s: %v", name, err)
@@ -26,7 +26,7 @@ func TestAllBenchmarksValidate(t *testing.T) {
 }
 
 func TestGetUnknown(t *testing.T) {
-	if _, err := Get("perlbench"); err == nil {
+	if _, err := GetAny("perlbench"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -45,7 +45,7 @@ func TestMixesMatchTableII(t *testing.T) {
 			t.Errorf("mix %s has %d cores, want 8", m.ID, len(m.Benchmarks))
 		}
 		for _, b := range m.Benchmarks {
-			if _, err := Get(b); err != nil {
+			if _, ok := benchmarks[b]; !ok {
 				t.Errorf("mix %s references unknown benchmark %s", m.ID, b)
 			}
 		}
@@ -71,14 +71,14 @@ func TestMixClassesAreConsistent(t *testing.T) {
 	for _, m := range Mixes() {
 		hm, lm := 0, 0
 		for _, name := range m.Benchmarks {
-			b, _ := Get(name)
+			b := benchmarks[name]
 			if b.Class == HighIntensity {
 				hm++
 			} else {
 				lm++
 			}
 		}
-		switch m.Group() {
+		switch m.ID[:2] {
 		case "HM":
 			if hm != 8 {
 				t.Errorf("%s should be all HM, got %d HM / %d LM", m.ID, hm, lm)
@@ -92,7 +92,7 @@ func TestMixClassesAreConsistent(t *testing.T) {
 				t.Errorf("%s should be 4 HM + 4 LM, got %d HM / %d LM", m.ID, hm, lm)
 			}
 		default:
-			t.Errorf("unexpected group %q", m.Group())
+			t.Errorf("unexpected group %q", m.ID[:2])
 		}
 	}
 }
@@ -168,7 +168,7 @@ func TestFootprintsMatchIntensityClasses(t *testing.T) {
 	// HM benchmarks must vastly exceed a core's shared-L3 slice (2 MiB);
 	// LM benchmarks must be within an order of magnitude of it.
 	for _, name := range Names() {
-		b, _ := Get(name)
+		b := benchmarks[name]
 		if b.Class == HighIntensity && b.Profile.FootprintBytes < 64*mib {
 			t.Errorf("%s: HM footprint %d too small to defeat the L3", name, b.Profile.FootprintBytes)
 		}
@@ -191,7 +191,7 @@ func TestMixGenerationFitsCube(t *testing.T) {
 		t.Fatalf("core regions (%d) do not tile the 4GiB cube", 8*CoreRegion)
 	}
 	for _, name := range Names() {
-		b, _ := Get(name)
+		b := benchmarks[name]
 		if b.Profile.FootprintBytes > CoreRegion {
 			t.Errorf("%s footprint exceeds its core region", name)
 		}
@@ -212,7 +212,7 @@ func TestExtensionBenchmarksValidate(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 		// Extensions must not leak into the Table II set.
-		if _, err := Get(name); err == nil {
+		if _, ok := benchmarks[name]; ok {
 			t.Errorf("%s leaked into the paper's benchmark table", name)
 		}
 	}
