@@ -76,7 +76,7 @@ func TestAttributionEndToEnd(t *testing.T) {
 
 	// Attribution totals surface as registry metrics too.
 	last := suite.Snapshots()[len(suite.Snapshots())-1]
-	if got := last.Counter(obs.MetricSpanRetired); got != sum.SpansRetired {
+	if got := last.Counters[obs.MetricSpanRetired]; got != sum.SpansRetired {
 		t.Errorf("%s = %d, want %d", obs.MetricSpanRetired, got, sum.SpansRetired)
 	}
 	if hs, ok := last.Histograms[obs.MetricSpanE2EHist]; !ok || hs.Count == 0 {

@@ -376,7 +376,7 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 	// The shared L3 MSHR file sits between the cores and the cube: it
 	// coalesces concurrent misses to one line and bounds distinct
 	// outstanding fetches.
-	mshrs := cache.NewMSHRFile(eng, cubeMemory{cube: cube}, rc.System.L3.MSHRs)
+	mshrs := cache.NewMSHRFile(eng, cubeMemory{cube: cube}, rc.System.L3MSHRs)
 	var mem cpu.Memory = mshrs
 	if rc.Obs.AttributionEnabled() {
 		// Per-request attribution spans: opened at the MSHR, charged along

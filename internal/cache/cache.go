@@ -194,9 +194,9 @@ type Victim struct {
 	Valid bool
 }
 
-// InstallPrefetched installs a line brought in by a core-side prefetcher;
+// installPrefetched installs a line brought in by a core-side prefetcher;
 // its first demand hit counts toward prefetch usefulness.
-func (l *Level) InstallPrefetched(addr uint64) Victim {
+func (l *Level) installPrefetched(addr uint64) Victim {
 	l.prefInstalled.Inc()
 	return l.put(addr, false, true)
 }
@@ -354,9 +354,12 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	return &cp
 }
 
-// Instrument registers the hierarchy's hit/miss counters with the
-// observability registry under the cache.* namespace (private levels are
-// aggregated across cores at snapshot time).
+// Instrument registers the hierarchy's counters with the observability
+// registry under the cache.* namespace (private levels are aggregated
+// across cores at snapshot time): hits, misses, evictions of valid lines
+// and the dirty ones among them, and for L2 and L3, the two levels the
+// core-side prefetcher fills, prefetched lines installed and those a
+// demand access later hit.
 func (h *Hierarchy) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -364,13 +367,23 @@ func (h *Hierarchy) Instrument(reg *obs.Registry) {
 	for _, l := range h.l1 {
 		reg.CounterFunc("cache.l1_hits", l.hits.Value)
 		reg.CounterFunc("cache.l1_misses", l.misses.Value)
+		reg.CounterFunc("cache.l1_evictions", l.evicts.Value)
+		reg.CounterFunc("cache.l1_writebacks", l.wbacks.Value)
 	}
 	for _, l := range h.l2 {
 		reg.CounterFunc("cache.l2_hits", l.hits.Value)
 		reg.CounterFunc("cache.l2_misses", l.misses.Value)
+		reg.CounterFunc("cache.l2_evictions", l.evicts.Value)
+		reg.CounterFunc("cache.l2_writebacks", l.wbacks.Value)
+		reg.CounterFunc("cache.l2_prefetch_installs", l.prefInstalled.Value)
+		reg.CounterFunc("cache.l2_prefetch_useful", l.prefUseful.Value)
 	}
 	reg.CounterFunc("cache.l3_hits", h.l3.hits.Value)
 	reg.CounterFunc("cache.l3_misses", h.l3.misses.Value)
+	reg.CounterFunc("cache.l3_evictions", h.l3.evicts.Value)
+	reg.CounterFunc("cache.l3_writebacks", h.l3.wbacks.Value)
+	reg.CounterFunc("cache.l3_prefetch_installs", h.l3.prefInstalled.Value)
+	reg.CounterFunc("cache.l3_prefetch_useful", h.l3.prefUseful.Value)
 }
 
 // Result describes how an access resolved.
@@ -462,10 +475,10 @@ func (h *Hierarchy) writeback(res *Result, addr uint64) {
 // AddressLimit.
 func (h *Hierarchy) InstallPrefetched(core int, addr uint64) []uint64 {
 	var res Result
-	if v := h.l3.InstallPrefetched(addr); v.Dirty {
+	if v := h.l3.installPrefetched(addr); v.Dirty {
 		h.writeback(&res, v.Addr)
 	}
-	if v := h.l2[core].InstallPrefetched(addr); v.Dirty {
+	if v := h.l2[core].installPrefetched(addr); v.Dirty {
 		h.spill(&res, h.l3, nil, v.Addr)
 	}
 	return res.Writebacks

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"camps/internal/config"
+	"camps/internal/obs"
 	"camps/internal/workload"
 )
 
@@ -17,7 +18,6 @@ func tinyLevel(ways int) *Level {
 		Ways:       ways,
 		LineBytes:  64,
 		HitLatency: 2,
-		MSHRs:      4,
 	})
 }
 
@@ -114,7 +114,7 @@ func TestVictimAddressReconstruction(t *testing.T) {
 func TestPackedLineWordAtLimit(t *testing.T) {
 	lvl := config.CacheLevel{
 		SizeBytes: 2 * 2 * config.MinCacheLineBytes, Ways: 2, // 2 sets
-		LineBytes: config.MinCacheLineBytes, HitLatency: 1, MSHRs: 1,
+		LineBytes: config.MinCacheLineBytes, HitLatency: 1,
 	}
 	l := newLevel(lvl)
 	limit := uint64(1) << (config.CacheTagBits + 1 + 3)
@@ -136,7 +136,7 @@ func TestPackedLineWordAtLimit(t *testing.T) {
 		t.Fatalf("%#x not resident", addr)
 		return 0
 	}
-	l.InstallPrefetched(hi)
+	l.installPrefetched(hi)
 	l.put(lo, true, false)
 	if !l.Contains(hi) || !l.Contains(lo) || l.Contains(near) || l.Contains(far) {
 		t.Fatal("residency wrong at the tag limit")
@@ -175,7 +175,7 @@ func TestNewLevelRejectsSubWordLines(t *testing.T) {
 			t.Fatalf("newLevel(4-byte lines) panicked with %v, want %q", r, config.ErrCacheLine)
 		}
 	}()
-	newLevel(config.CacheLevel{SizeBytes: 64, Ways: 2, LineBytes: 4, HitLatency: 1, MSHRs: 1})
+	newLevel(config.CacheLevel{SizeBytes: 64, Ways: 2, LineBytes: 4, HitLatency: 1})
 }
 
 // refLRU is a reference true-LRU cache kept as one MRU-first list per
@@ -249,7 +249,7 @@ func (r *refLRU) install(addr uint64, dirty, pref bool) Victim {
 }
 
 // TestLevelMatchesReferenceLRU drives random Lookup / Install /
-// InstallPrefetched streams through a Level and through refLRU: every
+// installPrefetched streams through a Level and through refLRU: every
 // hit, victim (address, dirty bit) and prefetch-usefulness count must
 // agree, and so must the dirty bit of every resident line at the end.
 // The single-set cases push one set's one-byte clock past its wrap many
@@ -270,7 +270,7 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			l := newLevel(config.CacheLevel{
 				SizeBytes: int64(tc.ways * tc.sets * 64), Ways: tc.ways,
-				LineBytes: 64, HitLatency: 1, MSHRs: 1,
+				LineBytes: 64, HitLatency: 1,
 			})
 			ref := newRefLRU(tc.ways, tc.sets)
 			rng := rand.New(rand.NewSource(int64(tc.ways*131 + tc.sets)))
@@ -289,8 +289,8 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 						t.Fatalf("op %d: put(%#x) victim %+v, reference %+v", op, addr, got, want)
 					}
 				default:
-					if got, want := l.InstallPrefetched(addr), ref.install(addr, false, true); got != want {
-						t.Fatalf("op %d: InstallPrefetched(%#x) victim %+v, reference %+v", op, addr, got, want)
+					if got, want := l.installPrefetched(addr), ref.install(addr, false, true); got != want {
+						t.Fatalf("op %d: installPrefetched(%#x) victim %+v, reference %+v", op, addr, got, want)
 					}
 				}
 				if l.clock[0] < clock {
@@ -366,9 +366,9 @@ func TestHierarchyL2AndL3Hits(t *testing.T) {
 func TestHierarchyWritebackSurfacesAtMemory(t *testing.T) {
 	cfg := config.Default()
 	// Shrink L3 so we can force dirty evictions quickly.
-	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2, MSHRs: 4}
-	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6, MSHRs: 4}
-	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 1, LineBytes: 64, HitLatency: 20, MSHRs: 4, Shared: true}
+	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2}
+	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6}
+	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 1, LineBytes: 64, HitLatency: 20}
 	h := NewHierarchy(cfg)
 
 	h.Access(0, 0, true) // dirty line 0 in L1
@@ -387,6 +387,51 @@ func TestHierarchyWritebackSurfacesAtMemory(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("dirty line 0 never surfaced as a memory writeback (got %v)", wbs)
+	}
+}
+
+// TestHierarchyInstrumentReportsLevelCounters: every counter a level
+// keeps reaches the registry, summed over the cores' private levels. L1
+// is never filled by the core-side prefetcher, so it has no prefetch
+// counters.
+func TestHierarchyInstrumentReportsLevelCounters(t *testing.T) {
+	cfg := config.Default()
+	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2}
+	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6}
+	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatency: 20}
+	h := NewHierarchy(cfg)
+	reg := obs.NewRegistry()
+	h.Instrument(reg)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		core, addr := i%2, uint64(rng.Intn(32))*64
+		if i%4 == 0 {
+			h.InstallPrefetched(core, addr)
+		} else {
+			h.Access(core, addr, i%3 == 0)
+		}
+	}
+	want := make(map[string]uint64)
+	for name, levels := range map[string][]*Level{"l1": h.l1, "l2": h.l2, "l3": {h.l3}} {
+		for _, l := range levels {
+			want["cache."+name+"_hits"] += l.hits.Value()
+			want["cache."+name+"_misses"] += l.misses.Value()
+			want["cache."+name+"_evictions"] += l.evicts.Value()
+			want["cache."+name+"_writebacks"] += l.wbacks.Value()
+			if name != "l1" {
+				want["cache."+name+"_prefetch_installs"] += l.prefInstalled.Value()
+				want["cache."+name+"_prefetch_useful"] += l.prefUseful.Value()
+			}
+		}
+	}
+	got := reg.Snapshot("t", 0).Counters
+	for name, w := range want {
+		if w == 0 {
+			t.Errorf("%s: the traffic never moved it", name)
+		}
+		if got[name] != w {
+			t.Errorf("%s = %d, want %d", name, got[name], w)
+		}
 	}
 }
 
@@ -440,9 +485,9 @@ func TestHierarchyFootprintDrivesMissRate(t *testing.T) {
 // victims cascade on most accesses.
 func writebackConfig() config.Config {
 	cfg := config.Default()
-	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2, MSHRs: 4}
-	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6, MSHRs: 4}
-	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 1, LineBytes: 64, HitLatency: 20, MSHRs: 4, Shared: true}
+	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2}
+	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6}
+	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 1, LineBytes: 64, HitLatency: 20}
 	return cfg
 }
 
@@ -545,10 +590,10 @@ func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
 // refInstallPrefetched is InstallPrefetched written with plain Level calls.
 func refInstallPrefetched(h *Hierarchy, core int, addr uint64) []uint64 {
 	var wbs []uint64
-	if v := h.l3.InstallPrefetched(addr); v.Valid && v.Dirty {
+	if v := h.l3.installPrefetched(addr); v.Valid && v.Dirty {
 		wbs = append(wbs, v.Addr)
 	}
-	if v := h.l2[core].InstallPrefetched(addr); v.Valid && v.Dirty && !h.l3.lookup(v.Addr, true) {
+	if v := h.l2[core].installPrefetched(addr); v.Valid && v.Dirty && !h.l3.lookup(v.Addr, true) {
 		if v3 := h.l3.put(v.Addr, true, false); v3.Valid && v3.Dirty {
 			wbs = append(wbs, v3.Addr)
 		}
@@ -569,7 +614,7 @@ func TestAccessMatchesPerLevelReference(t *testing.T) {
 			cfg := config.Default()
 			cfg.Processor.Cores = 2
 			lvl := func(sets int, lat int64) config.CacheLevel {
-				return config.CacheLevel{SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: lat, MSHRs: 4}
+				return config.CacheLevel{SizeBytes: int64(sets * ways * 64), Ways: ways, LineBytes: 64, HitLatency: lat}
 			}
 			cfg.L1, cfg.L2, cfg.L3 = lvl(2, 2), lvl(4, 6), lvl(4, 20)
 			h, ref := NewHierarchy(cfg), NewHierarchy(cfg)
@@ -757,9 +802,9 @@ func counters(h *Hierarchy) []uint64 {
 func TestHierarchyCloneIsIndependent(t *testing.T) {
 	// Small associative levels, so LRU order and set clocks decide victims.
 	cfg := config.Default()
-	cfg.L1 = config.CacheLevel{SizeBytes: 256, Ways: 2, LineBytes: 64, HitLatency: 2, MSHRs: 4}
-	cfg.L2 = config.CacheLevel{SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatency: 6, MSHRs: 4}
-	cfg.L3 = config.CacheLevel{SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: 20, MSHRs: 4, Shared: true}
+	cfg.L1 = config.CacheLevel{SizeBytes: 256, Ways: 2, LineBytes: 64, HitLatency: 2}
+	cfg.L2 = config.CacheLevel{SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatency: 6}
+	cfg.L3 = config.CacheLevel{SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: 20}
 	h := NewHierarchy(cfg)
 	rng := rand.New(rand.NewSource(9))
 	step := func(h *Hierarchy, core int, addr uint64, write, pref bool) Result {

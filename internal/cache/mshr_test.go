@@ -316,7 +316,7 @@ func TestStrideDetectorValidation(t *testing.T) {
 
 func TestLevelPrefetchUsefulness(t *testing.T) {
 	l := tinyLevel(2)
-	l.InstallPrefetched(0)
+	l.installPrefetched(0)
 	if l.prefInstalled.Value() != 1 {
 		t.Fatal("install not counted")
 	}

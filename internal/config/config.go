@@ -32,8 +32,6 @@ type CacheLevel struct {
 	Ways       int
 	LineBytes  int
 	HitLatency int64 // in CPU cycles
-	MSHRs      int
-	Shared     bool
 }
 
 // DRAMTiming holds per-bank timing constraints in DRAM bus cycles.
@@ -130,11 +128,16 @@ type HMC struct {
 	RowBytes      int // row buffer size
 	RowsPerBank   int
 	FreqMHz       int64 // DRAM bus clock (DDR3-1600 -> 800 MHz)
-	ReadQueue     int
-	WriteQueue    int
-	PagePolicy    PagePolicy
-	Scheduler     SchedPolicy
-	Interleave    AddressInterleave
+	// ReadQueue is Table I's read-queue depth. The vault controller does
+	// not bound its read queue, so no simulation reads it; only
+	// perfbench's vault microbenchmark does, as the number of reads it
+	// keeps outstanding. WriteQueue sets the write-drain watermarks (3/4
+	// and 1/4 of it) and bounds nothing either.
+	ReadQueue  int
+	WriteQueue int
+	PagePolicy PagePolicy
+	Scheduler  SchedPolicy
+	Interleave AddressInterleave
 	// TSVGBps bounds the per-vault TSV data path used by whole-row
 	// transfers (prefetch fetches and writebacks), in GB/s. 0 models the
 	// paper's premise of effectively unlimited internal bandwidth; finite
@@ -145,11 +148,6 @@ type HMC struct {
 
 // Banks returns the number of banks in one vault.
 func (h HMC) Banks() int { return h.Layers * h.BanksPerLayer }
-
-// CapacityBytes returns the total cube capacity.
-func (h HMC) CapacityBytes() int64 {
-	return int64(h.Vaults) * int64(h.Banks()) * int64(h.RowsPerBank) * int64(h.RowBytes)
-}
 
 // Links describes the processor-to-cube serial links.
 type Links struct {
@@ -259,10 +257,14 @@ type Hybrid struct {
 
 // Config is the full simulated-system configuration.
 type Config struct {
-	Processor  Processor
-	L1         CacheLevel
-	L2         CacheLevel
-	L3         CacheLevel
+	Processor Processor
+	L1        CacheLevel
+	L2        CacheLevel
+	L3        CacheLevel
+	// L3MSHRs bounds the misses the shared L3 keeps outstanding to the
+	// cube. L1 and L2 need no bound of their own: Processor.WindowSize
+	// caps each core's outstanding L1 misses.
+	L3MSHRs    int
 	HMC        HMC
 	Links      Links
 	PFBuffer   PFBuffer
@@ -283,9 +285,10 @@ func Default() Config {
 			IssueWidth: 4,
 			WindowSize: 8,
 		},
-		L1: CacheLevel{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, HitLatency: 2, MSHRs: 8},
-		L2: CacheLevel{SizeBytes: 256 << 10, Ways: 4, LineBytes: 64, HitLatency: 6, MSHRs: 16},
-		L3: CacheLevel{SizeBytes: 16 << 20, Ways: 16, LineBytes: 64, HitLatency: 20, MSHRs: 64, Shared: true},
+		L1:      CacheLevel{SizeBytes: 32 << 10, Ways: 2, LineBytes: 64, HitLatency: 2},
+		L2:      CacheLevel{SizeBytes: 256 << 10, Ways: 4, LineBytes: 64, HitLatency: 6},
+		L3:      CacheLevel{SizeBytes: 16 << 20, Ways: 16, LineBytes: 64, HitLatency: 20},
+		L3MSHRs: 64,
 		HMC: HMC{
 			Vaults:        32,
 			Layers:        8,
@@ -388,7 +391,6 @@ func (c Config) Validate() error {
 			sets := lvl.l.SizeBytes / int64(lvl.l.Ways) / int64(lvl.l.LineBytes)
 			check(sets > 0 && isPow2(sets), "config: %s set count %d must be a power of two", lvl.name, sets)
 		}
-		check(lvl.l.MSHRs > 0, "config: %s MSHR count must be positive", lvl.name)
 		if lvl.l.Ways > MaxCacheWays {
 			errs = append(errs, fmt.Errorf("%w: %s has %d ways, at most %d",
 				ErrCacheWays, lvl.name, lvl.l.Ways, MaxCacheWays))
@@ -398,6 +400,7 @@ func (c Config) Validate() error {
 				ErrCacheLine, lvl.name, lvl.l.LineBytes, MinCacheLineBytes))
 		}
 	}
+	check(c.L3MSHRs > 0, "config: L3 MSHR count must be positive")
 	check(c.L1.LineBytes == c.L2.LineBytes && c.L2.LineBytes == c.L3.LineBytes,
 		"config: cache line sizes must match across levels")
 	check(isPow2(int64(c.HMC.Vaults)), "config: vault count must be a power of two")

@@ -18,8 +18,8 @@ func TestDefaultMatchesTableI(t *testing.T) {
 	if c.L2.SizeBytes != 256<<10 || c.L2.Ways != 4 || c.L2.HitLatency != 6 {
 		t.Errorf("L2 = %+v, want 256KB 4-way 6cyc", c.L2)
 	}
-	if c.L3.SizeBytes != 16<<20 || c.L3.Ways != 16 || c.L3.HitLatency != 20 || !c.L3.Shared {
-		t.Errorf("L3 = %+v, want 16MB 16-way 20cyc shared", c.L3)
+	if c.L3.SizeBytes != 16<<20 || c.L3.Ways != 16 || c.L3.HitLatency != 20 || c.L3MSHRs != 64 {
+		t.Errorf("L3 = %+v with %d MSHRs, want 16MB 16-way 20cyc with 64", c.L3, c.L3MSHRs)
 	}
 	if c.L3.LineBytes != 64 {
 		t.Errorf("line = %d, want 64", c.L3.LineBytes)
@@ -60,7 +60,8 @@ func TestDefaultValidates(t *testing.T) {
 func TestCapacity(t *testing.T) {
 	c := Default()
 	want := int64(4) << 30 // 32 vaults * 16 banks * 8192 rows * 1KB
-	if got := c.HMC.CapacityBytes(); got != want {
+	h := c.HMC
+	if got := int64(h.Vaults) * int64(h.Banks()) * int64(h.RowsPerBank) * int64(h.RowBytes); got != want {
 		t.Fatalf("capacity = %d, want %d", got, want)
 	}
 }
@@ -95,6 +96,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"zero threshold", func(c *Config) { c.CAMPS.UtilThreshold = 0 }, "threshold"},
 		{"mmd thresholds", func(c *Config) { c.MMD.LowAccuracy = 0.9 }, "MMD"},
 		{"zero queue", func(c *Config) { c.HMC.ReadQueue = 0 }, "queue"},
+		{"zero L3 MSHRs", func(c *Config) { c.L3MSHRs = 0 }, "MSHR"},
 		{"zero ghb width", func(c *Config) { c.GHB.Width = 0 }, "GHB"},
 		{"zero sisb degree", func(c *Config) { c.SISB.Degree = 0 }, "SISB"},
 		{"zero bo rounds", func(c *Config) { c.BestOffset.RoundMax = 0 }, "best-offset"},

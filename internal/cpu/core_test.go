@@ -147,9 +147,9 @@ func TestFinishOnTraceEOFBeforeBudget(t *testing.T) {
 func TestWritebacksReachMemory(t *testing.T) {
 	cfg := config.Default()
 	// Tiny caches force dirty evictions quickly.
-	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2, MSHRs: 4}
-	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6, MSHRs: 4}
-	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 1, LineBytes: 64, HitLatency: 20, MSHRs: 4, Shared: true}
+	cfg.L1 = config.CacheLevel{SizeBytes: 128, Ways: 1, LineBytes: 64, HitLatency: 2}
+	cfg.L2 = config.CacheLevel{SizeBytes: 256, Ways: 1, LineBytes: 64, HitLatency: 6}
+	cfg.L3 = config.CacheLevel{SizeBytes: 512, Ways: 1, LineBytes: 64, HitLatency: 20}
 	eng := sim.NewEngine()
 	h := cache.NewHierarchy(cfg)
 	mem := &fakeMem{eng: eng, latency: 10 * sim.Nanosecond}

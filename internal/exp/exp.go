@@ -345,7 +345,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, Stats, 
 				st.Completed++
 				var serr error
 				if store != nil {
-					serr = store.Append(recordOf(c, cr))
+					serr = store.write(recordOf(c, cr))
 				}
 				mu.Unlock()
 				if serr != nil {

@@ -340,8 +340,8 @@ func TestCheckpointBlackoutCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if st.Len() != 1 {
-		t.Fatalf("checkpoint holds %d records, want 1", st.Len())
+	if len(st.done) != 1 {
+		t.Fatalf("checkpoint holds %d records, want 1", len(st.done))
 	}
 }
 

@@ -211,8 +211,8 @@ func TestCrashMidCheckpointWriteThenResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 8 {
-		t.Fatalf("store has %d records, want 8", s.Len())
+	if len(s.done) != 8 {
+		t.Fatalf("store has %d records, want 8", len(s.done))
 	}
 }
 

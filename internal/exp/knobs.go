@@ -27,9 +27,7 @@ var knobTable = []Knob{
 	{"vaults", "vault count (power of two)",
 		func(sys *camps.SystemConfig, v int64) { sys.HMC.Vaults = int(v) }},
 	{"mshrs", "shared L3 MSHR entries",
-		func(sys *camps.SystemConfig, v int64) { sys.L3.MSHRs = int(v) }},
-	{"readq", "vault read-queue depth",
-		func(sys *camps.SystemConfig, v int64) { sys.HMC.ReadQueue = int(v) }},
+		func(sys *camps.SystemConfig, v int64) { sys.L3MSHRs = int(v) }},
 	{"port", "vault crossbar ingress port GB/s (0 = unbounded)",
 		func(sys *camps.SystemConfig, v int64) { sys.Links.VaultPortGBps = v }},
 	{"l2pf", "core-side L2 stride prefetch degree (0 = off)",

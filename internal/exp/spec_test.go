@@ -144,6 +144,8 @@ func TestSpecRejects(t *testing.T) {
 		{"unknown mix", func(s *Spec) { s.Mixes = []string{"HM1", "ZZ9"} }, `mix "ZZ9": `},
 		{"unknown scheme", func(s *Spec) { s.Schemes = []string{"nope"} }, `scheme "nope": `},
 		{"unknown knob", func(s *Spec) { s.Knob, s.Values = "l3size", []int64{1} }, `unknown knob "l3size"`},
+		// readq set HMC.ReadQueue, which the vault controller never read.
+		{"deleted readq knob", func(s *Spec) { s.Knob, s.Values = "readq", []int64{1, 32} }, `unknown knob "readq"`},
 		{"knob without values", func(s *Spec) { s.Knob = "ct" }, "knob sweep needs values"},
 		{"values without knob", func(s *Spec) { s.Values = []int64{8} }, "values without a knob"},
 		{"bad faults", func(s *Spec) { s.Faults = "linkcrc=banana" }, "faults: "},

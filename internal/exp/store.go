@@ -90,12 +90,9 @@ func (s *Store) Done() map[string]Record {
 	return out
 }
 
-// Len returns the number of records in the store.
-func (s *Store) Len() int { return len(s.done) }
-
-// Append durably writes one record: it is visible to a subsequent
-// OpenStore as soon as Append returns.
-func (s *Store) Append(rec Record) error {
+// write durably writes one record: it is visible to a subsequent
+// OpenStore as soon as write returns.
+func (s *Store) write(rec Record) error {
 	if err := s.log.Append(rec); err != nil {
 		return err
 	}

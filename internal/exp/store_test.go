@@ -24,12 +24,12 @@ func TestStoreAppendAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
-		if err := s.Append(testRecord(seed)); err != nil {
+		if err := s.write(testRecord(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.done) != 3 {
+		t.Fatalf("len = %d", len(s.done))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestStoreResultsRoundTripCounters(t *testing.T) {
 	rec := testRecord(1)
 	rec.Results.VaultStats.RowConflicts.Add(77)
 	rec.Results.BufferStats.FirstUseDelay.Observe(123)
-	if err := s.Append(rec); err != nil {
+	if err := s.write(rec); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -91,8 +91,8 @@ func TestStoreTornFinalLineIsRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Append(testRecord(1))
-	s.Append(testRecord(2))
+	s.write(testRecord(1))
+	s.write(testRecord(2))
 	s.Close()
 
 	// Simulate a crash mid-append: a truncated trailing record.
@@ -107,11 +107,11 @@ func TestStoreTornFinalLineIsRepaired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 2 {
-		t.Fatalf("len after torn append = %d, want 2", s2.Len())
+	if len(s2.done) != 2 {
+		t.Fatalf("len after torn append = %d, want 2", len(s2.done))
 	}
 	// The torn bytes must be truncated away so the next append is clean.
-	if err := s2.Append(testRecord(3)); err != nil {
+	if err := s2.write(testRecord(3)); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -120,8 +120,8 @@ func TestStoreTornFinalLineIsRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	if s3.Len() != 3 {
-		t.Fatalf("len after repair+append = %d, want 3", s3.Len())
+	if len(s3.done) != 3 {
+		t.Fatalf("len after repair+append = %d, want 3", len(s3.done))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestStoreCompact(t *testing.T) {
 		for seed := uint64(1); seed <= 4; seed++ {
 			rec := testRecord(seed)
 			rec.Attempt = round + 1 // newest round must survive compaction
-			if err := s.Append(rec); err != nil {
+			if err := s.write(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -176,7 +176,7 @@ func TestStoreCompact(t *testing.T) {
 	}
 
 	// The store stays live: appends after Compact land in the new file.
-	if err := s.Append(testRecord(5)); err != nil {
+	if err := s.write(testRecord(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -188,8 +188,8 @@ func TestStoreCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 5 {
-		t.Fatalf("reloaded %d records, want 5", s2.Len())
+	if len(s2.done) != 5 {
+		t.Fatalf("reloaded %d records, want 5", len(s2.done))
 	}
 	if got := s2.Done()["HM1/CAMPS-MOD/seed=2"].Attempt; got != 3 {
 		t.Fatalf("compaction kept attempt %d, want the latest (3)", got)
@@ -220,7 +220,7 @@ func TestStoreCreateSyncsParentDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(1)); err != nil {
+	if err := s.write(testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -231,8 +231,8 @@ func TestStoreCreateSyncsParentDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("reloaded %d records, want 1", s2.Len())
+	if len(s2.done) != 1 {
+		t.Fatalf("reloaded %d records, want 1", len(s2.done))
 	}
 }
 
@@ -243,7 +243,7 @@ func TestStoreEmptyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Len() != 0 {
-		t.Fatalf("fresh store has %d records", s.Len())
+	if len(s.done) != 0 {
+		t.Fatalf("fresh store has %d records", len(s.done))
 	}
 }

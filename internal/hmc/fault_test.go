@@ -14,7 +14,7 @@ import (
 func issueBatch(cube *Cube, eng *sim.Engine, n int) float64 {
 	m := cube.mapping
 	for i := 0; i < n; i++ {
-		addr := m.Encode(Location{Vault: i % 32, Bank: i % 16, Row: int64(i % 64), Line: i % 16})
+		addr := m.encode(Location{Vault: i % 32, Bank: i % 16, Row: int64(i % 64), Line: i % 16})
 		cube.Access(addr, false, nil)
 	}
 	eng.Run()
@@ -91,7 +91,7 @@ func TestCubeBankBlackoutsCounted(t *testing.T) {
 	// Hammer one bank long enough to cross several windows.
 	m := cube.mapping
 	for i := 0; i < 400; i++ {
-		cube.Access(m.Encode(Location{Vault: 0, Bank: 0, Row: int64(i % 128)}), false, nil)
+		cube.Access(m.encode(Location{Vault: 0, Bank: 0, Row: int64(i % 128)}), false, nil)
 	}
 	eng.Run()
 	if inj.Counts().BankBlackouts == 0 {
@@ -140,7 +140,7 @@ func TestInvariantCheckerCatchesAccountingBug(t *testing.T) {
 
 	m := cube.mapping
 	for i := 0; i < 64; i++ {
-		cube.Access(m.Encode(Location{Vault: i % 32, Row: int64(i)}), false, nil)
+		cube.Access(m.encode(Location{Vault: i % 32, Row: int64(i)}), false, nil)
 	}
 	// The bug: a read counted as issued that never enters the pipeline.
 	eng.At(500*sim.Nanosecond, func() { cube.reads.Inc() })

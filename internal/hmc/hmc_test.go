@@ -1,6 +1,7 @@
 package hmc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -44,13 +45,18 @@ func TestMappingDecodeKnownAddresses(t *testing.T) {
 	}
 }
 
+// capacity returns the cube's size in bytes.
+func capacity(h config.HMC) uint64 {
+	return uint64(h.Vaults) * uint64(h.Banks()) * uint64(h.RowsPerBank) * uint64(h.RowBytes)
+}
+
 func TestMappingRoundTrip(t *testing.T) {
 	cfg := config.Default()
 	m := NewMapping(cfg)
 	prop := func(raw uint64) bool {
-		addr := Address(raw % uint64(cfg.HMC.CapacityBytes()))
+		addr := Address(raw % capacity(cfg.HMC))
 		loc := m.Decode(addr)
-		return m.Encode(loc) == addr&^Address(cfg.L3.LineBytes-1)
+		return m.encode(loc) == addr&^Address(cfg.L3.LineBytes-1)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -66,10 +72,10 @@ func TestMappingEncodeValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Encode(%+v) did not panic", loc)
+					t.Fatalf("encode(%+v) did not panic", loc)
 				}
 			}()
-			m.Encode(loc)
+			m.encode(loc)
 		}()
 	}
 }
@@ -159,7 +165,7 @@ func TestCubeRoutesToCorrectVault(t *testing.T) {
 	eng := sim.NewEngine()
 	cube := NewCube(eng, cfg, prefetch.CAMPS)
 	m := cube.mapping
-	addr := m.Encode(Location{Vault: 7, Bank: 3, Row: 99, Line: 5})
+	addr := m.encode(Location{Vault: 7, Bank: 3, Row: 99, Line: 5})
 	cube.Access(addr, false, nil)
 	eng.Run()
 	if got := cube.Vault(7).Stats().DemandReads.Value(); got != 1 {
@@ -190,7 +196,7 @@ func TestCubeParallelVaultsFasterThanSingleVault(t *testing.T) {
 			} else {
 				loc = Location{Vault: i % 32, Bank: i % 16, Row: int64(i)}
 			}
-			cube.Access(m.Encode(loc), false, func(at sim.Time) {
+			cube.Access(m.encode(loc), false, func(at sim.Time) {
 				if at > last {
 					last = at
 				}
@@ -274,9 +280,9 @@ func TestMappingVariantsRoundTrip(t *testing.T) {
 				t.Fatalf("scheme = %v", m.scheme)
 			}
 			prop := func(raw uint64) bool {
-				addr := Address(raw % uint64(cfg.HMC.CapacityBytes()))
+				addr := Address(raw % capacity(cfg.HMC))
 				loc := m.Decode(addr)
-				return m.Encode(loc) == addr&^Address(cfg.L3.LineBytes-1)
+				return m.encode(loc) == addr&^Address(cfg.L3.LineBytes-1)
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 				t.Fatal(err)
@@ -289,7 +295,7 @@ func TestMappingVariantsRoundTrip(t *testing.T) {
 					Vault: int(next(32)), Bank: int(next(16)),
 					Row: int64(next(8192)), Line: int(next(16)),
 				}
-				if got := m.Decode(m.Encode(loc)); got != loc {
+				if got := m.Decode(m.encode(loc)); got != loc {
 					t.Fatalf("%v: %+v -> %+v", scheme, loc, got)
 				}
 			}
@@ -375,7 +381,7 @@ func TestVaultIngressPortSerializes(t *testing.T) {
 		// with an ingress bound they serialize at the port.
 		var last sim.Time
 		for i := 0; i < 8; i++ {
-			addr := m.Encode(Location{Vault: 3, Bank: i, Row: 1})
+			addr := m.encode(Location{Vault: 3, Bank: i, Row: 1})
 			cube.Access(addr, false, func(at sim.Time) {
 				if at > last {
 					last = at
@@ -390,4 +396,41 @@ func TestVaultIngressPortSerializes(t *testing.T) {
 	if bound <= free {
 		t.Fatalf("ingress port had no effect: %v vs %v", bound, free)
 	}
+}
+
+// encode reassembles a location into the lowest byte address of its line,
+// the inverse of Decode the tests build their addresses with.
+func (m Mapping) encode(loc Location) Address {
+	if loc.Vault < 0 || uint64(loc.Vault) > m.vaultMask {
+		panic(fmt.Sprintf("hmc: vault %d out of range", loc.Vault))
+	}
+	if loc.Bank < 0 || uint64(loc.Bank) > m.bankMask {
+		panic(fmt.Sprintf("hmc: bank %d out of range", loc.Bank))
+	}
+	if loc.Row < 0 || uint64(loc.Row) > m.rowMask {
+		panic(fmt.Sprintf("hmc: row %d out of range", loc.Row))
+	}
+	if loc.Line < 0 || uint64(loc.Line) > m.linesMask {
+		panic(fmt.Sprintf("hmc: line %d out of range", loc.Line))
+	}
+	row := uint64(loc.Row)
+	vlt := uint64(loc.Vault)
+	bank := uint64(loc.Bank)
+	var a uint64
+	switch m.scheme {
+	case config.RoRaVaBaCo:
+		a = row
+		a = a<<m.vaultBits | vlt
+		a = a<<m.bankBits | bank
+	case config.VaultXOR:
+		a = row
+		a = a<<m.bankBits | bank
+		a = a<<m.vaultBits | (vlt ^ (row & m.vaultMask))
+	default:
+		a = row
+		a = a<<m.bankBits | bank
+		a = a<<m.vaultBits | vlt
+	}
+	a = a<<m.lineBits | uint64(loc.Line)
+	return Address(a << m.lineShift)
 }

@@ -5,7 +5,6 @@
 package hmc
 
 import (
-	"fmt"
 	"math/bits"
 
 	"camps/internal/config"
@@ -89,40 +88,4 @@ func (m Mapping) Decode(addr Address) Location {
 		row = a & m.rowMask
 	}
 	return Location{Vault: int(vlt), Bank: int(bank), Row: int64(row), Line: int(line)}
-}
-
-// Encode reassembles a location into the lowest byte address of its line.
-func (m Mapping) Encode(loc Location) Address {
-	if loc.Vault < 0 || uint64(loc.Vault) > m.vaultMask {
-		panic(fmt.Sprintf("hmc: vault %d out of range", loc.Vault))
-	}
-	if loc.Bank < 0 || uint64(loc.Bank) > m.bankMask {
-		panic(fmt.Sprintf("hmc: bank %d out of range", loc.Bank))
-	}
-	if loc.Row < 0 || uint64(loc.Row) > m.rowMask {
-		panic(fmt.Sprintf("hmc: row %d out of range", loc.Row))
-	}
-	if loc.Line < 0 || uint64(loc.Line) > m.linesMask {
-		panic(fmt.Sprintf("hmc: line %d out of range", loc.Line))
-	}
-	row := uint64(loc.Row)
-	vlt := uint64(loc.Vault)
-	bank := uint64(loc.Bank)
-	var a uint64
-	switch m.scheme {
-	case config.RoRaVaBaCo:
-		a = row
-		a = a<<m.vaultBits | vlt
-		a = a<<m.bankBits | bank
-	case config.VaultXOR:
-		a = row
-		a = a<<m.bankBits | bank
-		a = a<<m.vaultBits | (vlt ^ (row & m.vaultMask))
-	default:
-		a = row
-		a = a<<m.bankBits | bank
-		a = a<<m.vaultBits | vlt
-	}
-	a = a<<m.lineBits | uint64(loc.Line)
-	return Address(a << m.lineShift)
 }

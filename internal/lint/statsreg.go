@@ -130,7 +130,7 @@ func checkFuncMetrics(pass *Pass, fd *ast.FuncDecl) {
 	// Pass 2: a metric is fine if any use lets it reach a registry or an
 	// owner — it is passed as an argument, returned, stored into a
 	// structure, or reassigned from a Registry getter. Only metrics whose
-	// every use is a local method call (h.Observe, c.Inc) are reported.
+	// every use is a local method call (h.ObserveInt) are reported.
 	escaped := map[types.Object]bool{}
 	inspectStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		id, ok := n.(*ast.Ident)

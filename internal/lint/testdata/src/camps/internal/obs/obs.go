@@ -6,8 +6,8 @@ type Histogram struct{ n uint64 }
 
 func NewHistogram() *Histogram { return &Histogram{} }
 
-func (h *Histogram) Observe(v float64) { h.n++ }
-func (h *Histogram) Count() uint64     { return h.n }
+func (h *Histogram) ObserveInt(v int64) { h.n++ }
+func (h *Histogram) Count() uint64      { return h.n }
 
 type Registry struct{}
 

@@ -12,35 +12,35 @@ import (
 
 func BadLocalHistogram() {
 	h := obs.NewHistogram() // want `obs.Histogram created but never registered`
-	h.Observe(1)
-	h.Observe(2)
+	h.ObserveInt(1)
+	h.ObserveInt(2)
 }
 
 func BadLocalLiteral() uint64 {
 	h := &obs.Histogram{} // want `obs.Histogram created but never registered`
-	h.Observe(1)
+	h.ObserveInt(1)
 	return h.Count()
 }
 
 func BadLocalNew() {
 	h := new(obs.Histogram) // want `obs.Histogram created but never registered`
-	h.Observe(4.2)
+	h.ObserveInt(4)
 }
 
 func GoodFromRegistry(r *obs.Registry) {
 	h := r.Histogram("vault.latency_ps")
-	h.Observe(1)
+	h.ObserveInt(1)
 }
 
 func GoodReturned() *obs.Histogram {
 	h := obs.NewHistogram()
-	h.Observe(1)
+	h.ObserveInt(1)
 	return h
 }
 
 func GoodPassedOn(r *obs.Registry) {
 	h := &obs.Histogram{}
-	h.Observe(1)
+	h.ObserveInt(1)
 	r.CounterFunc("vault.requests", h.Count) // method value hands the histogram to the registry
 }
 
@@ -56,18 +56,18 @@ func GoodConditional(r *obs.Registry, enabled bool) {
 	if enabled {
 		h = r.Histogram("exp.cell_wall_ms")
 	}
-	h.Observe(1)
+	h.ObserveInt(1)
 }
 
 func BadReassignedCreation() {
 	h := obs.NewHistogram() // want `obs.Histogram created but never registered`
 	h = obs.NewHistogram()
-	h.Observe(1)
+	h.ObserveInt(1)
 }
 
 func AllowedDirective() {
 	h := obs.NewHistogram() //lint:allow-unregistered scratch accumulator, merged into the suite by hand
-	h.Observe(1)
+	h.ObserveInt(1)
 }
 
 // --- metric-name constancy ---
@@ -77,18 +77,18 @@ func AllowedDirective() {
 const goodName = "vault.row_hits"
 
 func GoodLiteralNames(r *obs.Registry) {
-	r.Histogram("vault.latency_ps").Observe(1)
+	r.Histogram("vault.latency_ps").ObserveInt(1)
 	r.CounterFunc("vault.misses", func() uint64 { return 0 })
 	r.GaugeFunc("vault.depth", func() float64 { return 0 })
 }
 
 func GoodNamedConstant(r *obs.Registry) {
-	r.Histogram(goodName).Observe(1)
-	r.Histogram(goodName + "_total").Observe(1) // constant concatenation is still constant
+	r.Histogram(goodName).ObserveInt(1)
+	r.Histogram(goodName + "_total").ObserveInt(1) // constant concatenation is still constant
 }
 
 func BadSprintfName(r *obs.Registry, vault int) {
-	r.Histogram(fmt.Sprintf("vault%d.hits", vault)).Observe(1) // want `metric name passed to Registry.Histogram is not a compile-time constant`
+	r.Histogram(fmt.Sprintf("vault%d.hits", vault)).ObserveInt(1) // want `metric name passed to Registry.Histogram is not a compile-time constant`
 }
 
 func BadVariableName(r *obs.Registry, name string) {
@@ -96,7 +96,7 @@ func BadVariableName(r *obs.Registry, name string) {
 }
 
 func BadConcatenatedName(r *obs.Registry, suffix string) {
-	r.Histogram("span." + suffix).Observe(1) // want `metric name passed to Registry.Histogram is not a compile-time constant`
+	r.Histogram("span." + suffix).ObserveInt(1) // want `metric name passed to Registry.Histogram is not a compile-time constant`
 }
 
 func AllowedDynamicName(r *obs.Registry, name string) {

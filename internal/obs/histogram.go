@@ -10,7 +10,7 @@ import (
 // recorded exactly; above that, each octave [2^k, 2^(k+1)) splits into
 // 2^subBits equal-width buckets, bounding the relative quantile error at
 // 2^-subBits (12.5% with subBits = 3) while keeping the whole structure a
-// fixed array — Observe never allocates.
+// fixed array — ObserveInt never allocates.
 const (
 	subBits = 3
 	subCnt  = 1 << subBits
@@ -43,7 +43,7 @@ func bucketIndex(v uint64) int {
 }
 
 // bucketUpper returns the largest sample value that lands in bucket i,
-// the upper edge Quantile reports.
+// the upper edge quantile reports.
 func bucketUpper(i int) uint64 {
 	if i < subCnt {
 		return uint64(i)
@@ -68,32 +68,18 @@ func (h *Histogram) ObserveInt(v int64) {
 	h.buckets[bucketIndex(u)]++
 }
 
-// Observe records one float sample (truncated toward zero).
-func (h *Histogram) Observe(v float64) {
-	if v < 0 {
-		v = 0
-	}
-	h.ObserveInt(int64(v))
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Mean returns the average sample, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
+// mean returns the average sample, or 0 with no samples.
+func (h *Histogram) mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
 }
 
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1): the
+// quantile returns an upper bound on the q-quantile (0 < q <= 1): the
 // upper edge of the bucket containing the target sample, clamped at the
 // observed maximum. With no samples it returns 0.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}

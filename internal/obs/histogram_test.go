@@ -96,7 +96,7 @@ func TestHistogramRelativeError(t *testing.T) {
 	for _, q := range []float64{0.50, 0.90, 0.95, 0.99, 1.0} {
 		idx := int(math.Ceil(q*float64(len(samples)))) - 1
 		exact := float64(samples[idx])
-		got := h.Quantile(q)
+		got := h.quantile(q)
 		if got < exact {
 			t.Errorf("q=%.2f: estimate %.0f below exact %.0f", q, got, exact)
 		}
@@ -111,20 +111,20 @@ func TestHistogramRelativeError(t *testing.T) {
 // order statistic (ceil(q*n)-th smallest).
 func TestHistogramSmallCounts(t *testing.T) {
 	h := NewHistogram()
-	if got := h.Quantile(0.5); got != 0 {
+	if got := h.quantile(0.5); got != 0 {
 		t.Errorf("empty histogram Quantile(0.5) = %v, want 0", got)
 	}
 	for _, v := range []int64{3, 1, 2} {
 		h.ObserveInt(v)
 	}
 	// Exact buckets below subCnt: the median of {1,2,3} must be exactly 2.
-	if got := h.Quantile(0.5); got != 2 {
+	if got := h.quantile(0.5); got != 2 {
 		t.Errorf("median of {1,2,3} = %v, want 2", got)
 	}
-	if got := h.Quantile(1.0); got != 3 {
+	if got := h.quantile(1.0); got != 3 {
 		t.Errorf("max quantile = %v, want 3", got)
 	}
-	if got := h.Mean(); got != 2 {
+	if got := h.mean(); got != 2 {
 		t.Errorf("mean = %v, want 2", got)
 	}
 }
@@ -134,14 +134,14 @@ func TestHistogramSmallCounts(t *testing.T) {
 func TestHistogramNegativeClamp(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveInt(-100)
-	h.Observe(-3.5)
-	if h.Count() != 2 {
-		t.Fatalf("count = %d, want 2", h.Count())
+	h.ObserveInt(-3)
+	if h.count != 2 {
+		t.Fatalf("count = %d, want 2", h.count)
 	}
-	if h.Max() != 0 || h.sum != 0 {
-		t.Errorf("max = %d sum = %v, want 0/0", h.Max(), h.sum)
+	if h.max != 0 || h.sum != 0 {
+		t.Errorf("max = %d sum = %v, want 0/0", h.max, h.sum)
 	}
-	if got := h.Quantile(0.99); got != 0 {
+	if got := h.quantile(0.99); got != 0 {
 		t.Errorf("quantile of all-negative samples = %v, want 0", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestHistogramNegativeClamp(t *testing.T) {
 func TestHistogramQuantileClamp(t *testing.T) {
 	h := NewHistogram()
 	h.ObserveInt(1000) // bucket upper edge is above 1000
-	if got := h.Quantile(0.99); got != 1000 {
+	if got := h.quantile(0.99); got != 1000 {
 		t.Errorf("single-sample quantile = %v, want clamped 1000", got)
 	}
 }

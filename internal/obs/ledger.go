@@ -50,9 +50,9 @@ type PrefetchLedger struct {
 	perVault [][outcomeCount]uint64
 }
 
-// NewPrefetchLedger returns a ledger labeled with the prefetch engine
+// newPrefetchLedger returns a ledger labeled with the prefetch engine
 // driving the run (e.g. "CAMPS-MOD").
-func NewPrefetchLedger(scheme string) *PrefetchLedger {
+func newPrefetchLedger(scheme string) *PrefetchLedger {
 	return &PrefetchLedger{scheme: scheme}
 }
 
@@ -83,22 +83,6 @@ func (l *PrefetchLedger) Record(vault int, o PrefetchOutcome) {
 	l.perVault[vault][o]++
 }
 
-// Total returns the count recorded for one outcome.
-func (l *PrefetchLedger) Total(o PrefetchOutcome) uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.totals[o]
-}
-
-// Scheme returns the prefetch engine label the ledger was created with.
-func (l *PrefetchLedger) Scheme() string {
-	if l == nil {
-		return ""
-	}
-	return l.scheme
-}
-
 // LedgerVault is one vault's outcome counts in a LedgerSummary.
 type LedgerVault struct {
 	Vault          int    `json:"vault"`
@@ -126,9 +110,9 @@ func (s *LedgerSummary) Classified() uint64 {
 	return s.UsefulTimely + s.UsefulLate + s.EvictedUnused + s.ConflictVictim
 }
 
-// Summary folds the ledger into an exportable report. Vaults with no
+// summary folds the ledger into an exportable report. Vaults with no
 // classified prefetches are elided.
-func (l *PrefetchLedger) Summary() *LedgerSummary {
+func (l *PrefetchLedger) summary() *LedgerSummary {
 	if l == nil {
 		return nil
 	}

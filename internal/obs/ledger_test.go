@@ -8,7 +8,7 @@ import (
 // TestLedgerRecordAndSummary: outcomes accumulate per engine and per
 // vault, and the summary elides vaults with nothing classified.
 func TestLedgerRecordAndSummary(t *testing.T) {
-	l := NewPrefetchLedger("CAMPS-MOD")
+	l := newPrefetchLedger("CAMPS-MOD")
 	l.Record(0, UsefulTimely)
 	l.Record(0, UsefulTimely)
 	l.Record(0, UsefulLate)
@@ -16,17 +16,16 @@ func TestLedgerRecordAndSummary(t *testing.T) {
 	l.Record(3, ConflictVictim)
 	l.Record(-1, ConflictVictim) // totals only, no vault row
 
-	if got := l.Total(UsefulTimely); got != 2 {
-		t.Errorf("UsefulTimely = %d, want 2", got)
+	s := l.summary()
+	if s.UsefulTimely != 2 {
+		t.Errorf("UsefulTimely = %d, want 2", s.UsefulTimely)
 	}
-	if got := l.Total(ConflictVictim); got != 2 {
-		t.Errorf("ConflictVictim = %d, want 2", got)
+	if s.ConflictVictim != 2 {
+		t.Errorf("ConflictVictim = %d, want 2", s.ConflictVictim)
 	}
-	if got := l.Scheme(); got != "CAMPS-MOD" {
-		t.Errorf("Scheme = %q", got)
+	if s.Scheme != "CAMPS-MOD" {
+		t.Errorf("Scheme = %q", s.Scheme)
 	}
-
-	s := l.Summary()
 	if s.Classified() != 6 {
 		t.Errorf("Classified = %d, want 6", s.Classified())
 	}
@@ -43,7 +42,7 @@ func TestLedgerRecordAndSummary(t *testing.T) {
 func TestLedgerNilSafe(t *testing.T) {
 	var l *PrefetchLedger
 	l.Record(0, UsefulTimely)
-	if l.Total(UsefulTimely) != 0 || l.Scheme() != "" || l.Summary() != nil {
+	if l.summary() != nil {
 		t.Error("nil ledger produced data")
 	}
 	var s *LedgerSummary
@@ -56,7 +55,7 @@ func TestLedgerNilSafe(t *testing.T) {
 // counters under their literal names.
 func TestLedgerMetricsRegistered(t *testing.T) {
 	reg := NewRegistry()
-	l := NewPrefetchLedger("MMD")
+	l := newPrefetchLedger("MMD")
 	l.register(reg)
 	l.Record(1, UsefulTimely)
 	l.Record(1, UsefulLate)
@@ -70,7 +69,7 @@ func TestLedgerMetricsRegistered(t *testing.T) {
 		MetricPFUnused:       1,
 		MetricPFConflict:     0,
 	} {
-		if got := snap.Counter(name); got != want {
+		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}

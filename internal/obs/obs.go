@@ -89,9 +89,6 @@ type Snapshot struct {
 	Histograms map[string]HistSummary `json:"histograms,omitempty"`
 }
 
-// Counter returns a counter's value from the snapshot (0 if absent).
-func (s Snapshot) Counter(name string) uint64 { return s.Counters[name] }
-
 // Snapshot evaluates every metric. Reader functions run here, never on
 // the hot path; multiple registrations of one name are summed.
 func (r *Registry) Snapshot(tag string, atPs int64) Snapshot {
@@ -115,12 +112,12 @@ func (r *Registry) Snapshot(tag string, atPs int64) Snapshot {
 		s.Histograms = make(map[string]HistSummary, len(r.hists))
 		for name, h := range r.hists {
 			s.Histograms[name] = HistSummary{
-				Count: h.Count(),
-				Mean:  h.Mean(),
-				P50:   h.Quantile(0.50),
-				P95:   h.Quantile(0.95),
-				P99:   h.Quantile(0.99),
-				Max:   float64(h.Max()),
+				Count: h.count,
+				Mean:  h.mean(),
+				P50:   h.quantile(0.50),
+				P95:   h.quantile(0.95),
+				P99:   h.quantile(0.99),
+				Max:   float64(h.max),
 			}
 		}
 	}
@@ -181,7 +178,7 @@ func (s *Suite) EnableAttribution(scheme string) {
 		s.Spans.register(s.Registry, s.Tracer)
 	}
 	if s.Ledger == nil {
-		s.Ledger = NewPrefetchLedger(scheme)
+		s.Ledger = newPrefetchLedger(scheme)
 		s.Ledger.register(s.Registry)
 	}
 }
@@ -197,8 +194,8 @@ func (s *Suite) Attribution() *AttributionSummary {
 	if s == nil || s.Spans == nil {
 		return nil
 	}
-	sum := s.Spans.Summary()
-	sum.Ledger = s.Ledger.Summary()
+	sum := s.Spans.summary()
+	sum.Ledger = s.Ledger.summary()
 	return sum
 }
 

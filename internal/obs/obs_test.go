@@ -33,7 +33,7 @@ func TestAdditiveRegistration(t *testing.T) {
 	if s.AtPs != 123 || s.Tag != "t" {
 		t.Errorf("snapshot header = %d/%q", s.AtPs, s.Tag)
 	}
-	if got := s.Counter("vault.hits"); got != 60 {
+	if got := s.Counters["vault.hits"]; got != 60 {
 		t.Errorf("vault.hits = %d, want 60", got)
 	}
 	if got := s.Gauges["vault.queue"]; got != 4.0 {
@@ -42,7 +42,7 @@ func TestAdditiveRegistration(t *testing.T) {
 
 	// Later snapshots re-read the functions.
 	vaultHits[0] = 100
-	if got := r.Snapshot("t2", 456).Counter("vault.hits"); got != 150 {
+	if got := r.Snapshot("t2", 456).Counters["vault.hits"]; got != 150 {
 		t.Errorf("after mutation vault.hits = %d, want 150", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestWriteSnapshotsJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &s); err != nil {
 		t.Fatalf("line 1 not valid JSON: %v", err)
 	}
-	if s.AtPs != 2000 || s.Tag != "final" || s.Counter("x") != 3 {
+	if s.AtPs != 2000 || s.Tag != "final" || s.Counters["x"] != 3 {
 		t.Errorf("round-tripped snapshot = %+v", s)
 	}
 }
@@ -114,9 +114,9 @@ func TestSuite(t *testing.T) {
 	if len(snaps) != 2 {
 		t.Fatalf("got %d snapshots, want 2", len(snaps))
 	}
-	if snaps[0].Counter("n") != 1 || snaps[1].Counter("n") != 2 {
+	if snaps[0].Counters["n"] != 1 || snaps[1].Counters["n"] != 2 {
 		t.Errorf("snapshot counters = %d, %d; want 1, 2",
-			snaps[0].Counter("n"), snaps[1].Counter("n"))
+			snaps[0].Counters["n"], snaps[1].Counters["n"])
 	}
 	var buf bytes.Buffer
 	if err := s.WriteMetrics(&buf); err != nil {
@@ -136,7 +136,7 @@ func TestSuiteTracerDroppedCounter(t *testing.T) {
 		s.Tracer.Emit(Event{At: int64(i), Type: EvEpoch, Vault: -1})
 	}
 	snap := s.Registry.Snapshot("t", 0)
-	if got := snap.Counter(MetricTracerDropped); got != 3 {
+	if got := snap.Counters[MetricTracerDropped]; got != 3 {
 		t.Errorf("%s = %d, want 3 (5 emitted into a 2-slot ring)", MetricTracerDropped, got)
 	}
 	if got := s.Tracer.Dropped(); got != 3 {

@@ -318,15 +318,6 @@ func (s *SpanSet) Unstage() SpanRef {
 	return ref
 }
 
-// VaultConflictPs returns the per-vault bank-conflict heatmap (index =
-// vault id; vaults that never retired a span may be absent).
-func (s *SpanSet) VaultConflictPs() []uint64 {
-	if s == nil {
-		return nil
-	}
-	return s.vaultConflictPs
-}
-
 // CheckInvariant validates the attribution accounting: retired spans
 // never exceed started ones, the free list matches the live count, and
 // the per-cause totals sum exactly to the end-to-end total — i.e. every
@@ -377,8 +368,8 @@ type AttributionSummary struct {
 	Ledger          *LedgerSummary   `json:"ledger,omitempty"`
 }
 
-// Summary folds the set's totals into an exportable report.
-func (s *SpanSet) Summary() *AttributionSummary {
+// summary folds the set's totals into an exportable report.
+func (s *SpanSet) summary() *AttributionSummary {
 	if s == nil {
 		return nil
 	}

@@ -64,7 +64,7 @@ func TestSpanNilAndZeroRefSafe(t *testing.T) {
 	if nilSet.Unstage().Valid() {
 		t.Error("nil set unstaged a valid ref")
 	}
-	if nilSet.CheckInvariant() != nil || nilSet.Summary() != nil || nilSet.VaultConflictPs() != nil {
+	if nilSet.CheckInvariant() != nil || nilSet.summary() != nil {
 		t.Error("nil set produced non-nil results")
 	}
 
@@ -165,7 +165,7 @@ func TestSpanVaultHeatmap(t *testing.T) {
 	s.SetVault(ref, 2)
 	s.Retire(ref, CauseService, 1100) // no conflict time
 
-	hm := s.VaultConflictPs()
+	hm := s.vaultConflictPs
 	if len(hm) != 6 {
 		t.Fatalf("heatmap length = %d, want 6", len(hm))
 	}
@@ -211,16 +211,16 @@ func TestSpanMetricsRegistered(t *testing.T) {
 	s.Retire(ref, CauseService, 100)
 
 	snap := reg.Snapshot("t", 0)
-	if got := snap.Counter(MetricSpanStarted); got != 1 {
+	if got := snap.Counters[MetricSpanStarted]; got != 1 {
 		t.Errorf("%s = %d, want 1", MetricSpanStarted, got)
 	}
-	if got := snap.Counter(MetricSpanRetired); got != 1 {
+	if got := snap.Counters[MetricSpanRetired]; got != 1 {
 		t.Errorf("%s = %d, want 1", MetricSpanRetired, got)
 	}
-	if got := snap.Counter(MetricSpanE2EPs); got != 100 {
+	if got := snap.Counters[MetricSpanE2EPs]; got != 100 {
 		t.Errorf("%s = %d, want 100", MetricSpanE2EPs, got)
 	}
-	if got := snap.Counter(causeMetricNames[CauseQueue]); got != 70 {
+	if got := snap.Counters[causeMetricNames[CauseQueue]]; got != 70 {
 		t.Errorf("%s = %d, want 70", causeMetricNames[CauseQueue], got)
 	}
 	for c := Cause(0); c < causeCount; c++ {
@@ -263,7 +263,7 @@ func TestSpanSummary(t *testing.T) {
 		s.AdvanceTo(ref, CauseQueue, int64(i)*1000+60)
 		s.Retire(ref, CauseService, int64(i)*1000+100)
 	}
-	sum := s.Summary()
+	sum := s.summary()
 	if sum.SpansStarted != 2 || sum.SpansRetired != 2 || sum.E2ETotalPs != 200 {
 		t.Fatalf("summary header = %+v", sum)
 	}

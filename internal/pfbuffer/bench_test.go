@@ -69,8 +69,8 @@ func TestBufferTrafficShape(t *testing.T) {
 	if rate < 0.20 || rate > 0.26 {
 		t.Fatalf("hit rate %.3f, want 0.20..0.26", rate)
 	}
-	if b.Len() != b.Entries() {
-		t.Fatalf("%d of %d entries resident", b.Len(), b.Entries())
+	if b.nValid != len(b.entries) {
+		t.Fatalf("%d of %d entries resident", b.nValid, len(b.entries))
 	}
 }
 

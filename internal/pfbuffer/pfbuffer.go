@@ -168,12 +168,6 @@ func New(entries, linesPerRow int, policy Policy) *Buffer {
 	}
 }
 
-// Entries returns the buffer capacity in rows.
-func (b *Buffer) Entries() int { return len(b.entries) }
-
-// Len returns the number of valid rows currently resident.
-func (b *Buffer) Len() int { return b.nValid }
-
 // Stats returns a copy of the accumulated statistics. Call Flush first for
 // end-of-simulation accuracy accounting.
 func (b *Buffer) Stats() Stats { return b.stats }

@@ -53,8 +53,8 @@ func TestDuplicateInsertIgnored(t *testing.T) {
 	if b.Stats().Inserts != 1 {
 		t.Fatalf("duplicate insert counted: %d", b.Stats().Inserts)
 	}
-	if b.Len() != 1 {
-		t.Fatalf("len = %d, want 1", b.Len())
+	if b.nValid != 1 {
+		t.Fatalf("len = %d, want 1", b.nValid)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestFlushReturnsDirtyRows(t *testing.T) {
 	if len(evs) != 2 || evs[0].ID != clean || evs[0].Dirty || evs[1].ID != dirty || !evs[1].Dirty {
 		t.Fatalf("flush returned %+v, want the clean row, then the dirty row flagged Dirty", evs)
 	}
-	if b.Len() != 0 {
+	if b.nValid != 0 {
 		t.Fatal("buffer not empty after flush")
 	}
 	if b.Stats().Evictions != 2 {
@@ -297,7 +297,7 @@ func TestRecencyPermutationInvariant(t *testing.T) {
 				b.drop(id)
 			}
 			checkRecencyPermutation(t, b)
-			if b.Len() > b.Entries() {
+			if b.nValid > len(b.entries) {
 				t.Fatal("buffer overfull")
 			}
 		}
@@ -322,8 +322,8 @@ func TestCountingInvariants(t *testing.T) {
 	if s.Hits+s.Misses != lookups {
 		t.Fatalf("hits %d + misses %d != lookups %d", s.Hits, s.Misses, lookups)
 	}
-	if s.Inserts-s.Evictions != uint64(b.Len()) {
-		t.Fatalf("inserts %d - evictions %d != resident %d", s.Inserts, s.Evictions, b.Len())
+	if s.Inserts-s.Evictions != uint64(b.nValid) {
+		t.Fatalf("inserts %d - evictions %d != resident %d", s.Inserts, s.Evictions, b.nValid)
 	}
 }
 
@@ -354,13 +354,13 @@ func TestQuickOperationSequences(t *testing.T) {
 			case 2:
 				b.drop(id)
 			}
-			if b.Len() > b.Entries() {
+			if b.nValid > len(b.entries) {
 				return false
 			}
 			rs := b.recencies()
 			seen := map[int]bool{}
 			for _, r := range rs {
-				if r < 0 || r >= b.Len() || seen[r] {
+				if r < 0 || r >= b.nValid || seen[r] {
 					return false
 				}
 				seen[r] = true
@@ -368,7 +368,7 @@ func TestQuickOperationSequences(t *testing.T) {
 		}
 		s := b.Stats()
 		return s.Hits+s.Misses == lookups &&
-			s.Inserts-s.Evictions == uint64(b.Len())
+			s.Inserts-s.Evictions == uint64(b.nValid)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

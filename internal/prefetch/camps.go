@@ -54,11 +54,11 @@ func (e *campsEngine) OnDemandServed(req Request, state dram.RowState, displaced
 		// The open row was displaced to serve this request: its RUT entry
 		// (row plus utilization bitmap) moves to the conflict table.
 		if displaced, touched, ok := e.rut.displace(req.Bank); ok {
-			e.ct.Insert(req.Bank, displaced, touched)
+			e.ct.insert(req.Bank, displaced, touched)
 		} else if displacedRow != dram.NoRow {
 			// The displaced row was not under RUT profiling (e.g. it was
 			// opened by a writeback); it still conflicted.
-			e.ct.Insert(req.Bank, displacedRow, 0)
+			e.ct.insert(req.Bank, displacedRow, 0)
 		}
 		return e.onNewRow(req)
 
@@ -69,7 +69,7 @@ func (e *campsEngine) OnDemandServed(req Request, state dram.RowState, displaced
 
 // onNewRow handles a row that was just activated for this request.
 func (e *campsEngine) onNewRow(req Request) []Fetch {
-	if touched, ok := e.ct.Remove(req.Bank, req.Row); ok {
+	if touched, ok := e.ct.remove(req.Bank, req.Row); ok {
 		// Recently displaced and accessed again: conflict-prone. Fetch it
 		// whole and precharge; do not profile it further. The lines it
 		// accumulated before displacement seed the buffer entry's
@@ -102,7 +102,7 @@ func (e *campsEngine) OnEviction(pfbuffer.Eviction) {}
 // lines-per-row mask. It implements the optional invariant-checking
 // interface the vault controller probes for.
 func (e *campsEngine) CheckInvariant() error {
-	if n, c := e.ct.Len(), e.ct.capacity(); n > c {
+	if n, c := e.ct.len(), e.ct.capacity(); n > c {
 		return fmt.Errorf("prefetch: CT holds %d entries over capacity %d", n, c)
 	}
 	if err := e.ct.check(); err != nil {

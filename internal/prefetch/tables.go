@@ -108,16 +108,16 @@ func newCT(capacity int) *CT {
 	return c
 }
 
-// Len returns the number of resident entries.
-func (c *CT) Len() int { return c.n }
+// len returns the number of resident entries.
+func (c *CT) len() int { return c.n }
 
 // capacity returns the table capacity.
 func (c *CT) capacity() int { return len(c.slots) }
 
-// Insert records a displaced row (with its referenced-line bitmap) as the
+// insert records a displaced row (with its referenced-line bitmap) as the
 // MRU entry, evicting the LRU entry if the table is full. Re-inserting a
 // resident row refreshes its recency and merges the bitmaps.
-func (c *CT) Insert(bank int, row int64, touched uint64) {
+func (c *CT) insert(bank int, row int64, touched uint64) {
 	key := rowKey(bank, row)
 	if v, ok := c.index.get(key); ok {
 		s := int32(v)
@@ -139,15 +139,9 @@ func (c *CT) Insert(bank int, row int64, touched uint64) {
 	c.n++
 }
 
-// Contains reports residency without changing recency.
-func (c *CT) Contains(bank int, row int64) bool {
-	_, ok := c.index.get(rowKey(bank, row))
-	return ok
-}
-
-// Remove deletes the entry if present, returning its referenced-line
+// remove deletes the entry if present, returning its referenced-line
 // bitmap and whether it was resident.
-func (c *CT) Remove(bank int, row int64) (uint64, bool) {
+func (c *CT) remove(bank int, row int64) (uint64, bool) {
 	v, ok := c.index.delete(rowKey(bank, row))
 	if !ok {
 		return 0, false
@@ -191,7 +185,7 @@ func (c *CT) pushMRU(s int32) {
 	c.tail = s
 }
 
-// check verifies the table's internal consistency: the LRU list holds Len
+// check verifies the table's internal consistency: the LRU list holds len()
 // distinct keys, each found through the index at exactly its own slot, and
 // the index holds no other keys. It walks every structure, so it belongs
 // in invariant checks, not on the hot path.
@@ -214,7 +208,7 @@ func (c *CT) check() error {
 		return fmt.Errorf("prefetch: CT MRU is slot %d, list ends at %d", c.tail, last)
 	}
 	if listed != c.n {
-		return fmt.Errorf("prefetch: CT LRU list holds %d entries, Len %d", listed, c.n)
+		return fmt.Errorf("prefetch: CT LRU list holds %d entries, len %d", listed, c.n)
 	}
 	if indexed := c.index.count(); indexed != c.n {
 		return fmt.Errorf("prefetch: CT index holds %d keys, Len %d", indexed, c.n)

@@ -10,6 +10,12 @@ import (
 	"camps/internal/config"
 )
 
+// contains reports residency without changing recency.
+func (c *CT) contains(bank int, row int64) bool {
+	_, ok := c.index.get(rowKey(bank, row))
+	return ok
+}
+
 func TestRUTTrackDistinctLines(t *testing.T) {
 	r := newRUT(4)
 	if u := r.track(0, 9, 3); u != 1 {
@@ -91,46 +97,46 @@ func TestCTInsertContainsRemove(t *testing.T) {
 	if ct.capacity() != 4 {
 		t.Fatalf("capacity = %d", ct.capacity())
 	}
-	ct.Insert(0, 10, 0)
-	ct.Insert(1, 20, 0)
-	if !ct.Contains(0, 10) || !ct.Contains(1, 20) || ct.Contains(0, 20) {
+	ct.insert(0, 10, 0)
+	ct.insert(1, 20, 0)
+	if !ct.contains(0, 10) || !ct.contains(1, 20) || ct.contains(0, 20) {
 		t.Fatal("containment wrong")
 	}
-	if _, ok := ct.Remove(0, 10); !ok {
+	if _, ok := ct.remove(0, 10); !ok {
 		t.Fatal("remove of resident entry failed")
 	}
-	if _, ok := ct.Remove(0, 10); ok {
+	if _, ok := ct.remove(0, 10); ok {
 		t.Fatal("double remove succeeded")
 	}
-	if ct.Len() != 1 {
-		t.Fatalf("len = %d, want 1", ct.Len())
+	if ct.len() != 1 {
+		t.Fatalf("len = %d, want 1", ct.len())
 	}
 }
 
 func TestCTLRUEviction(t *testing.T) {
 	ct := newCT(2)
-	ct.Insert(0, 1, 0)
-	ct.Insert(0, 2, 0)
-	ct.Insert(0, 1, 0) // refresh 1 -> LRU is now 2
-	ct.Insert(0, 3, 0) // evicts 2
-	if ct.Contains(0, 2) {
+	ct.insert(0, 1, 0)
+	ct.insert(0, 2, 0)
+	ct.insert(0, 1, 0) // refresh 1 -> LRU is now 2
+	ct.insert(0, 3, 0) // evicts 2
+	if ct.contains(0, 2) {
 		t.Fatal("LRU entry 2 should have been evicted")
 	}
-	if !ct.Contains(0, 1) || !ct.Contains(0, 3) {
+	if !ct.contains(0, 1) || !ct.contains(0, 3) {
 		t.Fatal("resident set wrong after LRU eviction")
 	}
-	if ct.Len() != 2 {
-		t.Fatalf("len = %d, want 2", ct.Len())
+	if ct.len() != 2 {
+		t.Fatalf("len = %d, want 2", ct.len())
 	}
 }
 
 func TestCTDuplicateInsertDoesNotGrow(t *testing.T) {
 	ct := newCT(4)
 	for i := 0; i < 10; i++ {
-		ct.Insert(2, 7, 0)
+		ct.insert(2, 7, 0)
 	}
-	if ct.Len() != 1 {
-		t.Fatalf("duplicate inserts grew table to %d", ct.Len())
+	if ct.len() != 1 {
+		t.Fatalf("duplicate inserts grew table to %d", ct.len())
 	}
 }
 
@@ -140,12 +146,12 @@ func TestCTNeverExceedsCapacity(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		switch rng.Intn(3) {
 		case 0, 1:
-			ct.Insert(rng.Intn(16), int64(rng.Intn(100)), 0)
+			ct.insert(rng.Intn(16), int64(rng.Intn(100)), 0)
 		case 2:
-			ct.Remove(rng.Intn(16), int64(rng.Intn(100)))
+			ct.remove(rng.Intn(16), int64(rng.Intn(100)))
 		}
-		if ct.Len() > ct.capacity() {
-			t.Fatalf("CT overflowed: %d > %d", ct.Len(), ct.capacity())
+		if ct.len() > ct.capacity() {
+			t.Fatalf("CT overflowed: %d > %d", ct.len(), ct.capacity())
 		}
 	}
 }
@@ -161,9 +167,9 @@ func TestNewCTValidates(t *testing.T) {
 
 func TestCTStoresAndMergesBitmaps(t *testing.T) {
 	ct := newCT(4)
-	ct.Insert(0, 9, 0b0011)
-	ct.Insert(0, 9, 0b1100) // refresh merges utilization info
-	touched, ok := ct.Remove(0, 9)
+	ct.insert(0, 9, 0b0011)
+	ct.insert(0, 9, 0b1100) // refresh merges utilization info
+	touched, ok := ct.remove(0, 9)
 	if !ok || touched != 0b1111 {
 		t.Fatalf("CT bitmap = %#b,%v; want merged 0b1111", touched, ok)
 	}
@@ -178,7 +184,7 @@ type ctEntry struct {
 
 // lruOrder walks ct's LRU list, least recently used first.
 func lruOrder(ct *CT) []ctEntry {
-	out := make([]ctEntry, 0, ct.Len())
+	out := make([]ctEntry, 0, ct.len())
 	for s := ct.head; s >= 0; s = ct.slots[s].next {
 		e := &ct.slots[s]
 		out = append(out, ctEntry{rowKeyBank(e.key), rowKeyRow(e.key), e.touched})
@@ -193,10 +199,10 @@ func TestCTInsertKeepsCapacity(t *testing.T) {
 	const capacity = 10
 	ct := newCT(capacity)
 	for i := 0; i < 10*capacity; i++ {
-		ct.Insert(i%16, int64(i), 0)
+		ct.insert(i%16, int64(i), 0)
 	}
-	if ct.Len() != capacity {
-		t.Fatalf("Len = %d after %d inserts, want %d", ct.Len(), 10*capacity, capacity)
+	if ct.len() != capacity {
+		t.Fatalf("Len = %d after %d inserts, want %d", ct.len(), 10*capacity, capacity)
 	}
 	// The most recent capacity rows stay resident, oldest first.
 	order := lruOrder(ct)
@@ -211,7 +217,7 @@ func TestCTInsertKeepsCapacity(t *testing.T) {
 	}
 	row := int64(10 * capacity)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		ct.Insert(int(row%16), row, 0)
+		ct.insert(int(row%16), row, 0)
 		row++
 	}); allocs != 0 {
 		t.Fatalf("CT.Insert allocates %.1f times per call, want 0", allocs)
@@ -295,22 +301,22 @@ func TestCTMatchesReferenceLRU(t *testing.T) {
 					switch rng.Intn(4) {
 					case 0, 1:
 						touched := uint64(1) << uint(rng.Intn(16))
-						ct.Insert(bank, row, touched)
+						ct.insert(bank, row, touched)
 						ref.insert(bank, row, touched)
 					case 2:
-						got, gotOK := ct.Remove(bank, row)
+						got, gotOK := ct.remove(bank, row)
 						want, wantOK := ref.remove(bank, row)
 						if got != want || gotOK != wantOK {
 							t.Fatalf("op %d: Remove(%d,%d) = %#x,%v, reference %#x,%v",
 								op, bank, row, got, gotOK, want, wantOK)
 						}
 					default:
-						if got, want := ct.Contains(bank, row), ref.find(bank, row) >= 0; got != want {
+						if got, want := ct.contains(bank, row), ref.find(bank, row) >= 0; got != want {
 							t.Fatalf("op %d: Contains(%d,%d) = %v, reference %v", op, bank, row, got, want)
 						}
 					}
-					if ct.Len() != len(ref.entries) {
-						t.Fatalf("op %d: Len = %d, reference %d", op, ct.Len(), len(ref.entries))
+					if ct.len() != len(ref.entries) {
+						t.Fatalf("op %d: Len = %d, reference %d", op, ct.len(), len(ref.entries))
 					}
 					if got := lruOrder(ct); !reflect.DeepEqual(got, ref.entries) {
 						t.Fatalf("op %d: LRU order %v, reference %v", op, got, ref.entries)
@@ -343,7 +349,7 @@ func TestCTCheckCatchesCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newCAMPS(config.Default().CAMPS, testCtx(nil))
 			for row := int64(0); row < 40; row++ {
-				e.ct.Insert(int(row%4), row, 1)
+				e.ct.insert(int(row%4), row, 1)
 			}
 			if err := e.CheckInvariant(); err != nil {
 				t.Fatalf("intact table: %v", err)
@@ -370,7 +376,7 @@ func TestHybridChecksCandidateTables(t *testing.T) {
 		t.Fatalf("intact tables: %v", err)
 	}
 	for _, c := range h.cands {
-		if ce, ok := c.eng.(*campsEngine); ok && ce.ct.Len() > 0 {
+		if ce, ok := c.eng.(*campsEngine); ok && ce.ct.len() > 0 {
 			ce.ct.n++
 			err := h.CheckInvariant()
 			if err == nil || !strings.Contains(err.Error(), c.name) {
@@ -430,7 +436,7 @@ func ctTraffic(n int, seed int64) []ctOp {
 		b := rng.Intn(ctTrafficBanks)
 		if open[b] >= 0 {
 			ops = append(ops, ctOp{bank: b, row: open[b], insert: true})
-			ct.Insert(b, open[b], 0)
+			ct.insert(b, open[b], 0)
 		}
 		var row int64
 		switch u := rng.Float64(); {
@@ -443,7 +449,7 @@ func ctTraffic(n int, seed int64) []ctOp {
 			next++
 		}
 		ops = append(ops, ctOp{bank: b, row: row})
-		_, hit := ct.Remove(b, row)
+		_, hit := ct.remove(b, row)
 		if !hit && rng.Float64() < ctTrafficStayOpen {
 			open[b] = row
 		} else {
@@ -465,10 +471,10 @@ func TestConflictTableTrafficShape(t *testing.T) {
 	for _, o := range ctTraffic(200_000, 1) {
 		key := rowKey(o.bank, o.row)
 		if o.insert {
-			if ct.Contains(o.bank, o.row) {
+			if ct.contains(o.bank, o.row) {
 				t.Fatalf("Insert of resident bank %d row %d; the engine removes a row on activation", o.bank, o.row)
 			}
-			ct.Insert(o.bank, o.row, 0)
+			ct.insert(o.bank, o.row, 0)
 			inserted[key] = true
 			inserts++
 			continue
@@ -477,7 +483,7 @@ func TestConflictTableTrafficShape(t *testing.T) {
 		if inserted[key] {
 			reused++
 		}
-		if _, ok := ct.Remove(o.bank, o.row); ok {
+		if _, ok := ct.remove(o.bank, o.row); ok {
 			hits++
 		}
 	}
@@ -508,9 +514,9 @@ func BenchmarkConflictTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := &ops[i&(len(ops)-1)]
 		if o.insert {
-			ct.Insert(o.bank, o.row, 1<<uint(i&15))
+			ct.insert(o.bank, o.row, 1<<uint(i&15))
 		} else {
-			ct.Remove(o.bank, o.row)
+			ct.remove(o.bank, o.row)
 		}
 	}
 }

@@ -146,8 +146,7 @@ type metrics struct {
 }
 
 // Server is the simulation-as-a-service daemon. Construct with New,
-// serve with Run; the HTTP surface is also available via Handler for
-// embedding.
+// serve with Run.
 type Server struct {
 	cfg     Config
 	sysHash string
@@ -365,10 +364,6 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux = mux
 }
-
-// Handler returns the daemon's HTTP surface (for embedding or tests);
-// Run serves it with lifecycle management.
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // errorBody is the JSON shape of every non-2xx response.
 type errorBody struct {

@@ -141,9 +141,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[i]++
 }
 
-// Total returns the number of samples.
-func (h *Histogram) Total() uint64 { return h.total }
-
 // Quantile returns an upper bound on the q-quantile (0 < q <= 1) using
 // bucket upper edges. A quantile past the last bucket reports the largest
 // sample, so the bound stays finite (and JSON-encodable).

@@ -58,8 +58,8 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{0, 5, 15, 35, 100, -2} {
 		h.Observe(v)
 	}
-	if h.Total() != 6 {
-		t.Fatalf("total = %d, want 6", h.Total())
+	if h.total != 6 {
+		t.Fatalf("total = %d, want 6", h.total)
 	}
 	if h.buckets[0] != 3 { // 0, 5, and clamped -2
 		t.Fatalf("bucket 0 = %d, want 3", h.buckets[0])

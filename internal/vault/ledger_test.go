@@ -22,8 +22,9 @@ func TestLedgerClassifiesEveryRow(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	c := New(eng, cfg, prefetch.Base, 7)
-	lg := obs.NewPrefetchLedger("TEST")
-	c.AttachAttribution(nil, lg)
+	suite := obs.NewSuite(0)
+	suite.EnableAttribution("TEST")
+	c.AttachAttribution(nil, suite.Ledger)
 	row := func(r int64) pfbuffer.RowID { return pfbuffer.RowID{Bank: 0, Row: r} }
 
 	// Row 1 is used before any demand queued for it: timely.
@@ -44,14 +45,10 @@ func TestLedgerClassifiesEveryRow(t *testing.T) {
 	eng.Run()
 	c.Flush()
 
-	for o, want := range map[obs.PrefetchOutcome]uint64{
-		obs.UsefulTimely: 1, obs.UsefulLate: 1, obs.EvictedUnused: 4,
-	} {
-		if got := lg.Total(o); got != want {
-			t.Errorf("%v = %d, want %d", o, got, want)
-		}
+	sum := suite.Attribution().Ledger
+	if sum.UsefulTimely != 1 || sum.UsefulLate != 1 || sum.EvictedUnused != 4 {
+		t.Errorf("timely/late/unused = %d/%d/%d, want 1/1/4", sum.UsefulTimely, sum.UsefulLate, sum.EvictedUnused)
 	}
-	sum := lg.Summary()
 	if len(sum.Vaults) != 1 || sum.Vaults[0].Vault != 7 {
 		t.Fatalf("vault rows = %+v, want exactly vault 7", sum.Vaults)
 	}
@@ -66,15 +63,16 @@ func TestLedgerClassifiesEveryRow(t *testing.T) {
 // leaves its later use timely.
 func TestLedgerMarkLateAbsentRow(t *testing.T) {
 	eng, c := newVault(t, smallCfg(), prefetch.Base)
-	lg := obs.NewPrefetchLedger("TEST")
-	c.AttachAttribution(nil, lg)
+	suite := obs.NewSuite(0)
+	suite.EnableAttribution("TEST")
+	c.AttachAttribution(nil, suite.Ledger)
 	id := pfbuffer.RowID{Bank: 0, Row: 1}
 	c.buffer.MarkLate(pfbuffer.RowID{Bank: 0, Row: 9})
 	c.insertFetched(id, 0, 0)
 	c.buffer.Lookup(id, 0, false, 5)
 	eng.Run()
 	c.Flush()
-	if got := lg.Total(obs.UsefulTimely); got != 1 {
+	if got := suite.Attribution().Ledger.UsefulTimely; got != 1 {
 		t.Errorf("useful_timely = %d, want 1 (MarkLate on absent row leaked)", got)
 	}
 }

@@ -51,17 +51,18 @@ func TestRunWithObservability(t *testing.T) {
 	}
 
 	// The registry aggregates must agree with the run's own results.
-	if got := last.Counter("vault.row_conflicts"); got != res.RowConflicts {
+	if got := last.Counters["vault.row_conflicts"]; got != res.RowConflicts {
 		t.Errorf("vault.row_conflicts = %d, want %d from Results", got, res.RowConflicts)
 	}
-	if got := last.Counter("vault.buffer_hits"); got != res.VaultStats.BufferHits.Value() {
+	if got := last.Counters["vault.buffer_hits"]; got != res.VaultStats.BufferHits.Value() {
 		t.Errorf("vault.buffer_hits = %d, want %d", got, res.VaultStats.BufferHits.Value())
 	}
 	for _, name := range []string{
 		"vault.demand_reads", "vault.row_hits", "vault.fetches_issued",
-		"pfbuffer.hits", "cache.l1_hits", "cpu.instructions", "hmc.reads",
+		"pfbuffer.hits", "cache.l1_hits", "cache.l3_evictions", "cache.l3_writebacks",
+		"cpu.instructions", "hmc.reads",
 	} {
-		if last.Counter(name) == 0 {
+		if last.Counters[name] == 0 {
 			t.Errorf("counter %s = 0 after a full run", name)
 		}
 	}

@@ -17,8 +17,8 @@ import (
 // hands its cells clones, so every cell's export must equal a fresh
 // camps.RunContext of the same configuration byte for byte. The grid
 // covers every scheme with faults off and on; the sweeps cover
-// a cube-only knob, whose cells share one state, and an L3 knob, whose
-// cells must not.
+// a cube-only knob and the L3 MSHR count, whose cells share one state,
+// and the L3 size, whose cells must not.
 func TestCampaignWarmSharingMatchesFreshRuns(t *testing.T) {
 	var mixes []workload.Mix
 	for _, id := range []string{"HM1", "MX1", "LM2"} {
@@ -38,6 +38,11 @@ func TestCampaignWarmSharingMatchesFreshRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mshrSpec := exp.Spec{Mixes: []string{"MX1"}, Schemes: []string{"CAMPS-MOD"}, Knob: "mshrs", Values: []int64{4, 64}}
+	mshrs, _, err := mshrSpec.Expand(exp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// l3size is not a knob of the table, so its cells are written out.
 	var l3 []exp.Cell
 	for _, v := range []int64{512 << 10, 1 << 20, 16 << 20} {
@@ -52,6 +57,7 @@ func TestCampaignWarmSharingMatchesFreshRuns(t *testing.T) {
 		{"grid/clean", grid, camps.FaultSpec{}},
 		{"grid/faulted", grid, faulted},
 		{"sweep/tsv", tsv, camps.FaultSpec{}},
+		{"sweep/mshrs", mshrs, camps.FaultSpec{}},
 		{"sweep/l3", l3, camps.FaultSpec{}},
 	}
 	for _, tc := range cases {
@@ -101,6 +107,27 @@ func TestCampaignWarmSharingMatchesFreshRuns(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmKeyIgnoresL3MSHRs: a run builds its L3 MSHR file after the
+// functional warmup, so runs that differ only in the MSHR count share a
+// warm key, and an mshrs sweep warms up once. The L3 geometry shapes the
+// warmed hierarchy and splits the key.
+func TestWarmKeyIgnoresL3MSHRs(t *testing.T) {
+	key := func(apply func(*camps.SystemConfig)) camps.WarmKey {
+		rc := quick("MX1", camps.CAMPSMOD)
+		rc.System = camps.DefaultSystem()
+		apply(&rc.System)
+		return rc.WarmKey()
+	}
+	few := key(func(sys *camps.SystemConfig) { sys.L3MSHRs = 4 })
+	many := key(func(sys *camps.SystemConfig) { sys.L3MSHRs = 64 })
+	if few != many {
+		t.Error("WarmKey differs between 4 and 64 L3 MSHRs")
+	}
+	if smaller := key(func(sys *camps.SystemConfig) { sys.L3.SizeBytes = 1 << 20 }); smaller == many {
+		t.Error("WarmKey is equal for a 1 MB and a 16 MB L3")
 	}
 }
 
