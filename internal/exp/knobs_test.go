@@ -38,10 +38,11 @@ var knobRuns = map[string]struct {
 	"hybrid.epoch": {camps.HYBRID, 16},
 }
 
-// TestKnobTable pins the sweepable dimensions campsweep -list prints and
-// checks that every knob moves a short HM1 run's Results under a scheme
-// that reads it: a knob whose config field nothing reads would sweep
-// identical rows.
+// TestKnobTable pins the sweepable dimensions campsweep -list prints,
+// checks that every knob moves the configuration, each differently (so no
+// knob is wired to another's field), and that every knob moves a short HM1
+// run's Results under a scheme that reads it: a knob whose config field
+// nothing reads would sweep identical rows.
 func TestKnobTable(t *testing.T) {
 	want := []string{
 		"bo.rounds", "bo.rr", "buffer", "ct", "ghb.degree", "ghb.width",
@@ -62,6 +63,19 @@ func TestKnobTable(t *testing.T) {
 	}
 	if len(knobTable) != len(want) {
 		t.Errorf("knobTable has %d entries for %d names: a name is duplicated", len(knobTable), len(want))
+	}
+	applied := make([]camps.SystemConfig, len(want))
+	for i, n := range want {
+		applied[i] = camps.DefaultSystem()
+		knobs[n].Apply(&applied[i], 7)
+		if reflect.DeepEqual(applied[i], camps.DefaultSystem()) {
+			t.Errorf("%s.Apply(7) left the default config unchanged", n)
+		}
+		for j := 0; j < i; j++ {
+			if reflect.DeepEqual(applied[i], applied[j]) {
+				t.Errorf("%s and %s produce the same config", want[j], n)
+			}
+		}
 	}
 
 	mix, err := workload.MixByID("HM1")

@@ -25,11 +25,28 @@ type CallGraph struct {
 // of the program and binds them to the summaries.
 func BuildCallGraph(prog *Program, sums *SummarySet) *CallGraph {
 	g := &CallGraph{sums: sums, impls: make(map[string][]string)}
+	implementations(prog, nil, func(m, impl *types.Func) {
+		mSym, iSym := funcSym(m), funcSym(impl)
+		if mSym != "" && iSym != "" {
+			g.impls[mSym] = append(g.impls[mSym], iSym)
+		}
+	})
+	for sym, list := range g.impls {
+		sort.Strings(list)
+		g.impls[sym] = dedupSorted(list)
+	}
+	return g
+}
 
+// implementations calls visit(m, impl) for every method m of the named
+// interfaces declared in the module, and of extra, and every method impl
+// of a named concrete type declared in the module that implements m's
+// interface.
+func implementations(prog *Program, extra []*types.Interface, visit func(m, impl *types.Func)) {
 	// Collect every named type declared in the module: concrete types
 	// are implementation candidates, interface types dispatch targets.
 	var concrete []types.Type
-	var ifaces []*types.Named
+	ifaces := extra
 	for _, pkg := range prog.Pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -41,9 +58,9 @@ func BuildCallGraph(prog *Program, sums *SummarySet) *CallGraph {
 			if !ok {
 				continue
 			}
-			if types.IsInterface(named) {
-				if named.Underlying().(*types.Interface).NumMethods() > 0 {
-					ifaces = append(ifaces, named)
+			if it, ok := named.Underlying().(*types.Interface); ok {
+				if it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
 				}
 			} else {
 				concrete = append(concrete, named)
@@ -51,8 +68,7 @@ func BuildCallGraph(prog *Program, sums *SummarySet) *CallGraph {
 		}
 	}
 
-	for _, iface := range ifaces {
-		it := iface.Underlying().(*types.Interface)
+	for _, it := range ifaces {
 		for _, t := range concrete {
 			// Pointer receivers are in *T's method set; value receivers
 			// in both. Checking *T covers either spelling.
@@ -62,23 +78,12 @@ func BuildCallGraph(prog *Program, sums *SummarySet) *CallGraph {
 			for i := 0; i < it.NumMethods(); i++ {
 				m := it.Method(i)
 				obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, m.Pkg(), m.Name())
-				impl, ok := obj.(*types.Func)
-				if !ok {
-					continue
+				if impl, ok := obj.(*types.Func); ok {
+					visit(m, impl)
 				}
-				mSym, iSym := funcSym(m), funcSym(impl)
-				if mSym == "" || iSym == "" {
-					continue
-				}
-				g.impls[mSym] = append(g.impls[mSym], iSym)
 			}
 		}
 	}
-	for sym, list := range g.impls {
-		sort.Strings(list)
-		g.impls[sym] = dedupSorted(list)
-	}
-	return g
 }
 
 func dedupSorted(list []string) []string {

@@ -59,8 +59,10 @@ var surfaceExclusions = map[string]string{
 // TestExportedSurfaceHasCallers loads the module's non-test files and
 // fails on every exported func or method under internal/ that no code in
 // another package uses, unless surfaceExclusions names it. A method that
-// satisfies an interface the program can see is used through that
-// interface and is not reported. Generic methods count the uses of their
+// implements an interface declared in the module, or one calledInterfaces
+// lists, is used through that interface and is not reported; a method
+// that matches only some other standard-library interface (an unused
+// Close or Write, say) is. Generic methods count the uses of their
 // instantiations. Unused exclusions fail too, so the table stays exact.
 func TestExportedSurfaceHasCallers(t *testing.T) {
 	prog, err := LoadProgram(filepath.Join("..", ".."), []string{"./..."})
@@ -75,7 +77,8 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 			}
 		}
 	}
-	ifaces := visibleInterfaces(prog)
+	implemented := make(map[*types.Func]bool)
+	implementations(prog, calledInterfaces(prog), func(_, impl *types.Func) { implemented[impl] = true })
 
 	var unused []string
 	excluded := make(map[string]bool)
@@ -91,7 +94,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 					continue
 				}
 				fn := pkg.Info.Defs[fd.Name].(*types.Func)
-				if used[fn] || satisfiesInterface(fn, ifaces) {
+				if used[fn] || implemented[fn] {
 					continue
 				}
 				name := rel + "." + fn.Name()
@@ -120,31 +123,31 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	}
 }
 
-// visibleInterfaces returns the interface types the program can see: the
-// named interfaces declared in its packages and in every package they
-// import, error, and the interface literals its own code spells out.
-func visibleInterfaces(prog *Program) []*types.Interface {
+// stdInterfaces are the standard-library interfaces the program hands its
+// values to and the library then calls methods through: fmt and
+// encoding/json look for the first three, and LoadProgram gives go/types
+// an Importer.
+var stdInterfaces = []struct{ pkg, name string }{
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"go/types", "Importer"},
+}
+
+// calledInterfaces returns the interfaces, beyond the module's named
+// ones, that a method can be used through although no module code calls
+// it by name: error, stdInterfaces, and the interface literals the
+// module's code spells out, such as a type assertion's
+// interface{ CheckInvariant() error } or a function-local interface type.
+func calledInterfaces(prog *Program) []*types.Interface {
 	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
-	seen := make(map[*types.Package]bool)
+	pkgs := make(map[string]*types.Package)
 	var visit func(p *types.Package)
 	visit = func(p *types.Package) {
-		if seen[p] {
+		if pkgs[p.Path()] != nil {
 			return
 		}
-		seen[p] = true
-		scope := p.Scope()
-		for _, n := range scope.Names() {
-			tn, ok := scope.Lookup(n).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() > 0 {
-				continue
-			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-				out = append(out, it)
-			}
-		}
+		pkgs[p.Path()] = p
 		for _, imp := range p.Imports() {
 			visit(imp)
 		}
@@ -157,29 +160,12 @@ func visibleInterfaces(prog *Program) []*types.Interface {
 			}
 		}
 	}
-	return out
-}
-
-// satisfiesInterface reports whether fn is a method its receiver type
-// needs to implement one of ifaces.
-func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	named := receiverName(recv.Type())
-	if named.TypeParams().Len() > 0 {
-		return false
-	}
-	ptr := types.NewPointer(named)
-	for _, it := range ifaces {
-		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == fn.Name() && types.Implements(ptr, it) {
-				return true
-			}
+	for _, si := range stdInterfaces {
+		if p := pkgs[si.pkg]; p != nil {
+			out = append(out, p.Scope().Lookup(si.name).Type().Underlying().(*types.Interface))
 		}
 	}
-	return false
+	return out
 }
 
 // receiverName returns the named type of a method receiver, T or *T.

@@ -102,7 +102,7 @@ func (e *campsEngine) OnEviction(pfbuffer.Eviction) {}
 // lines-per-row mask. It implements the optional invariant-checking
 // interface the vault controller probes for.
 func (e *campsEngine) CheckInvariant() error {
-	if n, c := e.ct.len(), e.ct.capacity(); n > c {
+	if n, c := e.ct.size(), e.ct.capacity(); n > c {
 		return fmt.Errorf("prefetch: CT holds %d entries over capacity %d", n, c)
 	}
 	if err := e.ct.check(); err != nil {

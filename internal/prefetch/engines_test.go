@@ -217,8 +217,8 @@ func TestCAMPSConflictPath(t *testing.T) {
 	if f := e.OnDemandServed(Request{Bank: 0, Row: 200, Line: 0}, dram.RowConflict, 100); len(f) != 0 {
 		t.Fatalf("fetch on first conflict: %+v", f)
 	}
-	if e.ct.len() != 1 {
-		t.Fatalf("CT len = %d, want 1", e.ct.len())
+	if e.ct.size() != 1 {
+		t.Fatalf("CT len = %d, want 1", e.ct.size())
 	}
 	// Row 100 comes back (conflicting with 200): it IS in the CT -> fetch
 	// it whole, remove from CT.
@@ -227,8 +227,8 @@ func TestCAMPSConflictPath(t *testing.T) {
 		t.Fatalf("conflict-prone row not fetched: %+v", f)
 	}
 	// Row 100 gone from CT; row 200 entered it when displaced.
-	if e.ct.len() != 1 {
-		t.Fatalf("CT len after fetch = %d, want 1 (row 200)", e.ct.len())
+	if e.ct.size() != 1 {
+		t.Fatalf("CT len after fetch = %d, want 1 (row 200)", e.ct.size())
 	}
 }
 
@@ -238,8 +238,8 @@ func TestCAMPSConflictWithUntrackedDisplacedRow(t *testing.T) {
 	// A conflict whose displaced row was never in the RUT (e.g. opened by a
 	// writeback) still lands in the CT via the displacedRow argument.
 	e.OnDemandServed(Request{Bank: 1, Row: 50, Line: 0}, dram.RowConflict, 49)
-	if e.ct.len() != 1 {
-		t.Fatalf("CT len = %d, want 1", e.ct.len())
+	if e.ct.size() != 1 {
+		t.Fatalf("CT len = %d, want 1", e.ct.size())
 	}
 	f := e.OnDemandServed(Request{Bank: 1, Row: 49, Line: 0}, dram.RowConflict, 50)
 	if len(f) != 1 || f[0].Row != 49 {

@@ -108,8 +108,8 @@ func newCT(capacity int) *CT {
 	return c
 }
 
-// len returns the number of resident entries.
-func (c *CT) len() int { return c.n }
+// size returns the number of resident entries.
+func (c *CT) size() int { return c.n }
 
 // capacity returns the table capacity.
 func (c *CT) capacity() int { return len(c.slots) }
@@ -208,10 +208,10 @@ func (c *CT) check() error {
 		return fmt.Errorf("prefetch: CT MRU is slot %d, list ends at %d", c.tail, last)
 	}
 	if listed != c.n {
-		return fmt.Errorf("prefetch: CT LRU list holds %d entries, len %d", listed, c.n)
+		return fmt.Errorf("prefetch: CT LRU list holds %d entries, size %d", listed, c.n)
 	}
 	if indexed := c.index.count(); indexed != c.n {
-		return fmt.Errorf("prefetch: CT index holds %d keys, Len %d", indexed, c.n)
+		return fmt.Errorf("prefetch: CT index holds %d keys, size %d", indexed, c.n)
 	}
 	return nil
 }

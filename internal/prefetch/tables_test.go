@@ -108,8 +108,8 @@ func TestCTInsertContainsRemove(t *testing.T) {
 	if _, ok := ct.remove(0, 10); ok {
 		t.Fatal("double remove succeeded")
 	}
-	if ct.len() != 1 {
-		t.Fatalf("len = %d, want 1", ct.len())
+	if ct.size() != 1 {
+		t.Fatalf("len = %d, want 1", ct.size())
 	}
 }
 
@@ -125,8 +125,8 @@ func TestCTLRUEviction(t *testing.T) {
 	if !ct.contains(0, 1) || !ct.contains(0, 3) {
 		t.Fatal("resident set wrong after LRU eviction")
 	}
-	if ct.len() != 2 {
-		t.Fatalf("len = %d, want 2", ct.len())
+	if ct.size() != 2 {
+		t.Fatalf("len = %d, want 2", ct.size())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestCTDuplicateInsertDoesNotGrow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ct.insert(2, 7, 0)
 	}
-	if ct.len() != 1 {
-		t.Fatalf("duplicate inserts grew table to %d", ct.len())
+	if ct.size() != 1 {
+		t.Fatalf("duplicate inserts grew table to %d", ct.size())
 	}
 }
 
@@ -150,8 +150,8 @@ func TestCTNeverExceedsCapacity(t *testing.T) {
 		case 2:
 			ct.remove(rng.Intn(16), int64(rng.Intn(100)))
 		}
-		if ct.len() > ct.capacity() {
-			t.Fatalf("CT overflowed: %d > %d", ct.len(), ct.capacity())
+		if ct.size() > ct.capacity() {
+			t.Fatalf("CT overflowed: %d > %d", ct.size(), ct.capacity())
 		}
 	}
 }
@@ -184,7 +184,7 @@ type ctEntry struct {
 
 // lruOrder walks ct's LRU list, least recently used first.
 func lruOrder(ct *CT) []ctEntry {
-	out := make([]ctEntry, 0, ct.len())
+	out := make([]ctEntry, 0, ct.size())
 	for s := ct.head; s >= 0; s = ct.slots[s].next {
 		e := &ct.slots[s]
 		out = append(out, ctEntry{rowKeyBank(e.key), rowKeyRow(e.key), e.touched})
@@ -201,8 +201,8 @@ func TestCTInsertKeepsCapacity(t *testing.T) {
 	for i := 0; i < 10*capacity; i++ {
 		ct.insert(i%16, int64(i), 0)
 	}
-	if ct.len() != capacity {
-		t.Fatalf("Len = %d after %d inserts, want %d", ct.len(), 10*capacity, capacity)
+	if ct.size() != capacity {
+		t.Fatalf("size = %d after %d inserts, want %d", ct.size(), 10*capacity, capacity)
 	}
 	// The most recent capacity rows stay resident, oldest first.
 	order := lruOrder(ct)
@@ -220,7 +220,7 @@ func TestCTInsertKeepsCapacity(t *testing.T) {
 		ct.insert(int(row%16), row, 0)
 		row++
 	}); allocs != 0 {
-		t.Fatalf("CT.Insert allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("CT.insert allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -275,11 +275,11 @@ func collidingCTKeys(ct *CT, n int) []ctEntry {
 }
 
 // TestCTMatchesReferenceLRU drives the indexed CT and the reference slice
-// with the same seeded Insert/Remove/Contains stream over a key space a
+// with the same seeded insert/remove/contains stream over a key space a
 // little larger than the table, and compares residency, merged bitmaps
 // and LRU order after every operation. One key pool is tiny and random;
 // the other piles every key onto two index homes at opposite ends of the
-// index, so eviction and Remove exercise backward-shift delete across the
+// index, so eviction and remove exercise backward-shift delete across the
 // wrap.
 func TestCTMatchesReferenceLRU(t *testing.T) {
 	for capacity := 1; capacity <= 8; capacity++ {
@@ -307,16 +307,16 @@ func TestCTMatchesReferenceLRU(t *testing.T) {
 						got, gotOK := ct.remove(bank, row)
 						want, wantOK := ref.remove(bank, row)
 						if got != want || gotOK != wantOK {
-							t.Fatalf("op %d: Remove(%d,%d) = %#x,%v, reference %#x,%v",
+							t.Fatalf("op %d: remove(%d,%d) = %#x,%v, reference %#x,%v",
 								op, bank, row, got, gotOK, want, wantOK)
 						}
 					default:
 						if got, want := ct.contains(bank, row), ref.find(bank, row) >= 0; got != want {
-							t.Fatalf("op %d: Contains(%d,%d) = %v, reference %v", op, bank, row, got, want)
+							t.Fatalf("op %d: contains(%d,%d) = %v, reference %v", op, bank, row, got, want)
 						}
 					}
-					if ct.len() != len(ref.entries) {
-						t.Fatalf("op %d: Len = %d, reference %d", op, ct.len(), len(ref.entries))
+					if ct.size() != len(ref.entries) {
+						t.Fatalf("op %d: size = %d, reference %d", op, ct.size(), len(ref.entries))
 					}
 					if got := lruOrder(ct); !reflect.DeepEqual(got, ref.entries) {
 						t.Fatalf("op %d: LRU order %v, reference %v", op, got, ref.entries)
@@ -376,7 +376,7 @@ func TestHybridChecksCandidateTables(t *testing.T) {
 		t.Fatalf("intact tables: %v", err)
 	}
 	for _, c := range h.cands {
-		if ce, ok := c.eng.(*campsEngine); ok && ce.ct.len() > 0 {
+		if ce, ok := c.eng.(*campsEngine); ok && ce.ct.size() > 0 {
 			ce.ct.n++
 			err := h.CheckInvariant()
 			if err == nil || !strings.Contains(err.Error(), c.name) {
@@ -388,8 +388,8 @@ func TestHybridChecksCandidateTables(t *testing.T) {
 	t.Fatal("no CAMPS candidate with a populated CT")
 }
 
-// ctOp is one conflict-table call as campsEngine issues it: an Insert of
-// the row a conflict displaced, or the Remove every activation makes.
+// ctOp is one conflict-table call as campsEngine issues it: an insert of
+// the row a conflict displaced, or the remove every activation makes.
 type ctOp struct {
 	bank   int
 	row    int64
@@ -398,11 +398,11 @@ type ctOp struct {
 
 // The CT traffic of HM1 under CAMPS-MOD (the default system, 20k warmup
 // references, 200k measured instructions per core), counted over all 32
-// vaults' tables: 0.77 Inserts per Remove, since 77% of activations
-// displace an open row; 7.4% of Removes find their row; and no Insert
+// vaults' tables: 0.77 inserts per remove, since 77% of activations
+// displace an open row; 7.4% of removes find their row; and no insert
 // finds its row resident, because every activation removed it first.
 // MX1 measured the same to within 0.02. In vault 0's table, 34% of
-// Removes name a row that some earlier Insert displaced, most of them
+// removes name a row that some earlier insert displaced, most of them
 // long since evicted, and the hits are rows reached again soon after
 // displacement: half within two activations of their bank.
 const (
@@ -414,9 +414,9 @@ const (
 
 // ctTraffic returns n CT calls in campsEngine's pattern over a synthetic
 // activation stream shaped like the measured one. Each activation picks a
-// bank, Inserts the bank's open row if one is open, then Removes the row
+// bank, inserts the bank's open row if one is open, then removes the row
 // it activates: one of the bank's last few rows (ctTrafficNearShare), an
-// older one of its last 64 (ctTrafficFarShare) or a fresh row. A Remove
+// older one of its last 64 (ctTrafficFarShare) or a fresh row. A remove
 // that hits leaves the bank precharged, as the engine's whole-row fetch
 // does; otherwise the row stays open with probability ctTrafficStayOpen,
 // standing in for the utilization-threshold fetches that close it.
@@ -462,8 +462,8 @@ func ctTraffic(n int, seed int64) []ctOp {
 }
 
 // The benchmark's traffic keeps the shape it claims: replayed on the
-// paper's 32-entry table, its Insert/Remove mix, Remove hit rate and row
-// reuse match the HM1 measurement above, and no Insert finds its row.
+// paper's 32-entry table, its insert/remove mix, remove hit rate and row
+// reuse match the HM1 measurement above, and no insert finds its row.
 func TestConflictTableTrafficShape(t *testing.T) {
 	ct := newCT(32)
 	inserted := map[int64]bool{}
@@ -472,7 +472,7 @@ func TestConflictTableTrafficShape(t *testing.T) {
 		key := rowKey(o.bank, o.row)
 		if o.insert {
 			if ct.contains(o.bank, o.row) {
-				t.Fatalf("Insert of resident bank %d row %d; the engine removes a row on activation", o.bank, o.row)
+				t.Fatalf("insert of resident bank %d row %d; the engine removes a row on activation", o.bank, o.row)
 			}
 			ct.insert(o.bank, o.row, 0)
 			inserted[key] = true
@@ -493,9 +493,9 @@ func TestConflictTableTrafficShape(t *testing.T) {
 		lo, want float64
 		hi       float64
 	}{
-		{"Inserts per Remove", float64(inserts) / float64(removes), 0.72, 0.77, 0.82},
-		{"Remove hit rate", float64(hits) / float64(removes), 0.06, 0.074, 0.09},
-		{"Removes of a displaced row", float64(reused) / float64(removes), 0.28, 0.34, 0.40},
+		{"inserts per remove", float64(inserts) / float64(removes), 0.72, 0.77, 0.82},
+		{"remove hit rate", float64(hits) / float64(removes), 0.06, 0.074, 0.09},
+		{"removes of a displaced row", float64(reused) / float64(removes), 0.28, 0.34, 0.40},
 	} {
 		if c.got < c.lo || c.got > c.hi {
 			t.Errorf("%s = %.3f, measured %.3f on HM1", c.name, c.got, c.want)
@@ -505,7 +505,7 @@ func TestConflictTableTrafficShape(t *testing.T) {
 
 // BenchmarkConflictTable measures one CT call at the paper's 32-entry
 // capacity on ctTraffic, campsEngine's call pattern: most calls are
-// Removes that miss, and the Inserts evict from a full table.
+// removes that miss, and the inserts evict from a full table.
 func BenchmarkConflictTable(b *testing.B) {
 	ops := ctTraffic(1<<12, 7)
 	ct := newCT(32)
