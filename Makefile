@@ -82,13 +82,16 @@ lint-tools:
 # external bytes: the checkpoint store and the job journal (one shared
 # JSONL log loader), the compact trace format, and the fault-spec grammar;
 # plus the synthetic generator, whose NextAccess must walk Next's stream
-# for every profile Validate accepts.
+# for every profile Validate accepts, and the run's config checks, which
+# must turn every mutated hardware config into a typed error or a clean
+# run.
 fuzz-smoke:
 	$(GO) test ./internal/exp -run=^$$ -fuzz=FuzzStoreRepair -fuzztime=10s
 	$(GO) test ./internal/serve -run=^$$ -fuzz=FuzzJournalRepair -fuzztime=10s
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzCompactDecode -fuzztime=10s
 	$(GO) test ./internal/trace -run=^$$ -fuzz=FuzzGeneratorStreams -fuzztime=10s
 	$(GO) test ./internal/fault -run=^$$ -fuzz=FuzzParseSpec -fuzztime=10s
+	$(GO) test . -run=^$$ -fuzz=FuzzRunConfig -fuzztime=10s
 
 # End-to-end degraded-memory smoke: a full campsim run with every fault
 # class at a nonzero rate and the invariant checker armed. Exercises the

@@ -41,7 +41,6 @@ import (
 
 // Level is one set-associative cache.
 type Level struct {
-	sets      int
 	ways      int
 	lineShift uint
 	setShift  uint // log2(sets): a line address's set bits
@@ -87,7 +86,6 @@ func newLevel(cfg config.CacheLevel) *Level {
 		panic(fmt.Sprintf("%v: %d-byte lines, at least %d", config.ErrCacheLine, cfg.LineBytes, config.MinCacheLineBytes))
 	}
 	return &Level{
-		sets:      sets,
 		ways:      cfg.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setShift:  uint(bits.TrailingZeros64(uint64(sets))),
@@ -187,11 +185,13 @@ func (l *Level) Contains(addr uint64) bool {
 	return hit
 }
 
-// Victim describes a line displaced by a fill.
+// Victim describes a line displaced by a fill: its address and whether a
+// writeback must carry it down. A put that displaces nothing returns the
+// zero Victim, and only the level's eviction counter moves on a clean
+// victim, so callers act on Dirty alone.
 type Victim struct {
 	Addr  uint64
 	Dirty bool
-	Valid bool
 }
 
 // installPrefetched installs a line brought in by a core-side prefetcher;
@@ -233,7 +233,6 @@ func (l *Level) fill(s slot, dirty, prefetched bool) Victim {
 		victim = Victim{
 			Addr:  l.reconstruct(s.set, old>>tagShift),
 			Dirty: old&stDirty != 0,
-			Valid: true,
 		}
 		l.evicts.Inc()
 		if victim.Dirty {
@@ -314,7 +313,6 @@ func AddressLimit(cfg config.Config) uint64 {
 type Hierarchy struct {
 	l1, l2 []*Level
 	l3     *Level
-	cfg    config.Config
 	limit  uint64 // AddressLimit(cfg): the first address a level cannot tag
 
 	l3MissPerCore []stats.Counter
@@ -327,7 +325,7 @@ type Hierarchy struct {
 
 // NewHierarchy builds the stack for cfg.Processor.Cores cores.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, l3: newLevel(cfg.L3), limit: AddressLimit(cfg)}
+	h := &Hierarchy{l3: newLevel(cfg.L3), limit: AddressLimit(cfg)}
 	h.l1 = make([]*Level, cfg.Processor.Cores)
 	h.l2 = make([]*Level, cfg.Processor.Cores)
 	h.l3MissPerCore = make([]stats.Counter, cfg.Processor.Cores)

@@ -12,6 +12,14 @@ import (
 	"camps/internal/workload"
 )
 
+// putCounted installs addr as put does and also reports whether the fill
+// displaced a valid line, which the level's eviction counter records.
+func putCounted(l *Level, addr uint64, dirty bool) (Victim, bool) {
+	before := l.evicts.Value()
+	v := l.put(addr, dirty, false)
+	return v, l.evicts.Value() > before
+}
+
 func tinyLevel(ways int) *Level {
 	return newLevel(config.CacheLevel{
 		SizeBytes:  int64(ways * 4 * 64), // 4 sets
@@ -51,8 +59,8 @@ func TestLevelLRUEviction(t *testing.T) {
 	l.put(a, false, false)
 	l.put(b, false, false)
 	l.lookup(a, false) // a MRU, b LRU
-	v := l.put(c, false, false)
-	if !v.Valid || v.Addr != b {
+	v, evicted := putCounted(l, c, false)
+	if !evicted || v.Addr != b {
 		t.Fatalf("evicted %+v, want line %#x", v, b)
 	}
 	if !l.Contains(a) || !l.Contains(c) || l.Contains(b) {
@@ -64,8 +72,8 @@ func TestLevelDirtyEviction(t *testing.T) {
 	l := tinyLevel(1)
 	l.put(0, false, false)
 	l.lookup(0, true) // dirty via write hit
-	v := l.put(256, false, false)
-	if !v.Valid || !v.Dirty || v.Addr != 0 {
+	v, evicted := putCounted(l, 256, false)
+	if !evicted || !v.Dirty || v.Addr != 0 {
 		t.Fatalf("dirty eviction = %+v", v)
 	}
 	if l.wbacks.Value() != 1 {
@@ -81,16 +89,14 @@ func TestLevelDirtyEviction(t *testing.T) {
 func TestLevelInstallExistingRefreshes(t *testing.T) {
 	l := tinyLevel(2)
 	l.put(0, false, false)
-	v := l.put(0, true, false) // refresh + dirty
-	if v.Valid {
+	if _, evicted := putCounted(l, 0, true); evicted { // refresh + dirty
 		t.Fatal("reinstall evicted something")
 	}
-	v2 := l.put(256, false, false)
-	if v2.Valid {
+	if _, evicted := putCounted(l, 256, false); evicted {
 		t.Fatal("install into free way evicted")
 	}
-	v3 := l.put(512, false, false) // evicts LRU = line 256? No: 0 refreshed first, then 256 -> LRU is 0.
-	if !v3.Valid || v3.Addr != 0 || !v3.Dirty {
+	v3, evicted := putCounted(l, 512, false) // evicts LRU = line 256? No: 0 refreshed first, then 256 -> LRU is 0.
+	if !evicted || v3.Addr != 0 || !v3.Dirty {
 		t.Fatalf("evicted %+v, want dirty line 0", v3)
 	}
 }
@@ -100,8 +106,8 @@ func TestVictimAddressReconstruction(t *testing.T) {
 	addr := uint64(0xABCD00) // set = (0xABCD00>>6)&3
 	l.put(addr, false, false)
 	conflict := addr + 256 // same set, different tag (4 sets * 64B)
-	v := l.put(conflict, false, false)
-	if !v.Valid || v.Addr != addr {
+	v, evicted := putCounted(l, conflict, false)
+	if !evicted || v.Addr != addr {
 		t.Fatalf("reconstructed victim %#x, want %#x", v.Addr, addr)
 	}
 }
@@ -159,8 +165,8 @@ func TestPackedLineWordAtLimit(t *testing.T) {
 		t.Fatalf("tag-0 line word %#x after the clock wrapped", w)
 	}
 	l.lookup(lo, false) // hi becomes LRU
-	v := l.put(near, false, false)
-	if !v.Valid || !v.Dirty || v.Addr != hi {
+	v, evicted := putCounted(l, near, false)
+	if !evicted || !v.Dirty || v.Addr != hi {
 		t.Fatalf("victim %+v, want dirty %#x", v, hi)
 	}
 	if !l.Contains(near) || l.Contains(hi) {
@@ -184,6 +190,7 @@ type refLRU struct {
 	ways, sets int
 	lists      [][]refLine
 	useful     int
+	evicts     int
 }
 
 type refLine struct {
@@ -241,7 +248,8 @@ func (r *refLRU) install(addr uint64, dirty, pref bool) Victim {
 	l := r.lists[set]
 	if len(l) == r.ways {
 		old := l[len(l)-1]
-		v = Victim{Addr: old.line << 6, Dirty: old.dirty, Valid: true}
+		v = Victim{Addr: old.line << 6, Dirty: old.dirty}
+		r.evicts++
 		l = l[:len(l)-1]
 	}
 	r.lists[set] = append([]refLine{{line: addr >> 6, dirty: dirty, pref: pref}}, l...)
@@ -250,7 +258,7 @@ func (r *refLRU) install(addr uint64, dirty, pref bool) Victim {
 
 // TestLevelMatchesReferenceLRU drives random Lookup / Install /
 // installPrefetched streams through a Level and through refLRU: every
-// hit, victim (address, dirty bit) and prefetch-usefulness count must
+// hit, victim (address, dirty bit), eviction and prefetch-usefulness count must
 // agree, and so must the dirty bit of every resident line at the end.
 // The single-set cases push one set's one-byte clock past its wrap many
 // times, exercising the recency renumbering.
@@ -292,6 +300,9 @@ func TestLevelMatchesReferenceLRU(t *testing.T) {
 					if got, want := l.installPrefetched(addr), ref.install(addr, false, true); got != want {
 						t.Fatalf("op %d: installPrefetched(%#x) victim %+v, reference %+v", op, addr, got, want)
 					}
+				}
+				if got := int(l.evicts.Value()); got != ref.evicts {
+					t.Fatalf("op %d: %d evictions, reference %d", op, got, ref.evicts)
 				}
 				if l.clock[0] < clock {
 					wraps++
@@ -554,7 +565,7 @@ func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
 		if lvl.lookup(addr, true) {
 			return
 		}
-		if v := lvl.put(addr, true, false); v.Valid && v.Dirty {
+		if v := lvl.put(addr, true, false); v.Dirty {
 			if len(next) == 0 {
 				res.Writebacks = append(res.Writebacks, v.Addr)
 			} else {
@@ -563,7 +574,7 @@ func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
 		}
 	}
 	fill := func(lvl *Level, next []*Level, dirty bool) {
-		if v := lvl.put(addr, dirty, false); v.Valid && v.Dirty {
+		if v := lvl.put(addr, dirty, false); v.Dirty {
 			absorb(next[0], next[1:], v.Addr)
 		}
 	}
@@ -577,7 +588,7 @@ func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
 		if !l3.lookup(addr, false) {
 			res.Level = 4
 			h.l3MissPerCore[core].Inc()
-			if v := l3.put(addr, false, false); v.Valid && v.Dirty {
+			if v := l3.put(addr, false, false); v.Dirty {
 				res.Writebacks = append(res.Writebacks, v.Addr)
 			}
 		}
@@ -590,11 +601,11 @@ func refAccess(h *Hierarchy, core int, addr uint64, write bool) Result {
 // refInstallPrefetched is InstallPrefetched written with plain Level calls.
 func refInstallPrefetched(h *Hierarchy, core int, addr uint64) []uint64 {
 	var wbs []uint64
-	if v := h.l3.installPrefetched(addr); v.Valid && v.Dirty {
+	if v := h.l3.installPrefetched(addr); v.Dirty {
 		wbs = append(wbs, v.Addr)
 	}
-	if v := h.l2[core].installPrefetched(addr); v.Valid && v.Dirty && !h.l3.lookup(v.Addr, true) {
-		if v3 := h.l3.put(v.Addr, true, false); v3.Valid && v3.Dirty {
+	if v := h.l2[core].installPrefetched(addr); v.Dirty && !h.l3.lookup(v.Addr, true) {
+		if v3 := h.l3.put(v.Addr, true, false); v3.Dirty {
 			wbs = append(wbs, v3.Addr)
 		}
 	}

@@ -413,6 +413,12 @@ func (c Config) Validate() error {
 	check(isPow2(int64(c.HMC.RowsPerBank)), "config: rows per bank must be a power of two")
 	check(c.HMC.RowBytes >= c.L3.LineBytes, "config: row must hold at least one cache line")
 	check(c.HMC.ReadQueue > 0 && c.HMC.WriteQueue > 0, "config: vault queues must be positive")
+	check(c.HMC.PagePolicy == OpenPage || c.HMC.PagePolicy == ClosedPage,
+		"config: unknown page policy %d", c.HMC.PagePolicy)
+	check(c.HMC.Scheduler == FRFCFS || c.HMC.Scheduler == FCFS,
+		"config: unknown scheduler %d", c.HMC.Scheduler)
+	check(c.HMC.Interleave >= RoRaBaVaCo && c.HMC.Interleave <= VaultXOR,
+		"config: unknown address interleave %d", c.HMC.Interleave)
 	t := c.HMC.Timing
 	check(t.TRCD > 0 && t.TRP > 0 && t.TCL > 0 && t.TBL > 0 && t.TRAS > 0,
 		"config: core DRAM timing parameters must be positive")

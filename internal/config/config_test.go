@@ -97,6 +97,9 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"mmd thresholds", func(c *Config) { c.MMD.LowAccuracy = 0.9 }, "MMD"},
 		{"zero queue", func(c *Config) { c.HMC.ReadQueue = 0 }, "queue"},
 		{"zero L3 MSHRs", func(c *Config) { c.L3MSHRs = 0 }, "MSHR"},
+		{"unknown page policy", func(c *Config) { c.HMC.PagePolicy = 2 }, "page policy"},
+		{"unknown scheduler", func(c *Config) { c.HMC.Scheduler = -1 }, "scheduler"},
+		{"unknown interleave", func(c *Config) { c.HMC.Interleave = 3 }, "interleave"},
 		{"zero ghb width", func(c *Config) { c.GHB.Width = 0 }, "GHB"},
 		{"zero sisb degree", func(c *Config) { c.SISB.Degree = 0 }, "SISB"},
 		{"zero bo rounds", func(c *Config) { c.BestOffset.RoundMax = 0 }, "best-offset"},

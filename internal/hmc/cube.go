@@ -18,7 +18,7 @@ import (
 // controllers. It is the component the cache hierarchy talks to.
 type Cube struct {
 	eng     *sim.Engine
-	cfg     config.Config
+	banks   int // banks per vault, for the fault sites
 	mapping Mapping
 	vaults  []*vault.Controller
 	links   []*Link
@@ -61,7 +61,7 @@ type Cube struct {
 func NewCube(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme) *Cube {
 	c := &Cube{
 		eng:       eng,
-		cfg:       cfg,
+		banks:     cfg.HMC.Banks(),
 		mapping:   NewMapping(cfg),
 		vaults:    make([]*vault.Controller, cfg.HMC.Vaults),
 		links:     make([]*Link, cfg.Links.Count),
@@ -143,7 +143,7 @@ func (c *Cube) SetFaults(inj *fault.Injector) {
 	}
 	c.vsites = make([]*fault.VaultSite, len(c.vaults))
 	for i, v := range c.vaults {
-		site := inj.Vault(i, c.cfg.HMC.Banks())
+		site := inj.Vault(i, c.banks)
 		c.vsites[i] = site
 		v.SetFaults(site)
 	}

@@ -111,11 +111,14 @@ func TestPipeSerializationAndBackpressure(t *testing.T) {
 		t.Fatalf("response direction shares request bandwidth: %v vs %v", resp, first)
 	}
 	s := l.stats()
-	if s.ReqPackets != 2 || s.ReqBytes != 160 || s.RespPackets != 1 {
+	if s.ReqBytes != 160 || s.RespBytes != 80 {
 		t.Fatalf("link stats = %+v", s)
 	}
-	if s.ReqBusy != 2*wantSer {
-		t.Fatalf("req busy = %v, want %v", s.ReqBusy, 2*wantSer)
+	// The two packets held the request lanes for two serializations and
+	// no longer: a packet sent as they free goes out at once.
+	third, _ := l.sendRequest(2*wantSer, 80)
+	if third != second+wantSer {
+		t.Fatalf("packet sent as the lanes free arrives at %v, want %v", third, second+wantSer)
 	}
 }
 
@@ -233,13 +236,14 @@ func TestCubeFlushAndAggregates(t *testing.T) {
 	if bs.Inserts == 0 {
 		t.Fatal("BASE inserted nothing into prefetch buffers")
 	}
+	// 56 header-only read requests and 8 writes carrying a line.
 	ls := cube.LinkStats()
 	total := uint64(0)
 	for _, s := range ls {
-		total += s.ReqPackets
+		total += s.ReqBytes
 	}
-	if total != 64 {
-		t.Fatalf("links carried %d request packets, want 64", total)
+	if want := uint64(64*cfg.Links.HeaderBytes + 8*cfg.L3.LineBytes); total != want {
+		t.Fatalf("links carried %d request bytes, want %d", total, want)
 	}
 }
 
@@ -345,28 +349,29 @@ func TestLinkPowerManagement(t *testing.T) {
 	if first != want {
 		t.Fatalf("woken packet arrives at %v, want %v", first, want)
 	}
-	s := l.stats()
-	if s.Wakes != 1 {
-		t.Fatalf("wakes = %d, want 1", s.Wakes)
-	}
-	if s.ReqSlept != 500*sim.Nanosecond-100*sim.Nanosecond {
+	slept := 500*sim.Nanosecond - 100*sim.Nanosecond
+	if s := l.stats(); s.ReqSlept != slept {
 		t.Fatalf("slept = %v, want 400ns", s.ReqSlept)
 	}
-	// A back-to-back packet pays no wake latency.
+	// A back-to-back packet pays no wake latency and adds no sleep.
 	second, _ := l.sendRequest(first-cfg.Links.PropDelay, 80)
 	if second != first+ser {
 		t.Fatalf("warm packet arrives at %v, want %v", second, first+ser)
 	}
-	if l.stats().Wakes != 1 {
-		t.Fatal("warm packet counted a wake")
+	if s := l.stats(); s.ReqSlept != slept {
+		t.Fatalf("warm packet slept: %v, want %v", s.ReqSlept, slept)
 	}
 }
 
 func TestLinkPowerDisabledByDefault(t *testing.T) {
-	l := newLink(config.Default().Links)
-	l.sendRequest(10*sim.Microsecond, 80)
-	if s := l.stats(); s.Wakes != 0 || s.ReqSlept != 0 {
+	lc := config.Default().Links
+	l := newLink(lc)
+	at, _ := l.sendRequest(10*sim.Microsecond, 80)
+	if s := l.stats(); s.ReqSlept != 0 {
 		t.Fatalf("default links slept: %+v", s)
+	}
+	if want := 10*sim.Microsecond + l.req.serTime(80) + lc.PropDelay; at != want {
+		t.Fatalf("packet after a long idle gap arrives at %v, want %v (no wake latency)", at, want)
 	}
 }
 

@@ -24,11 +24,8 @@ type pipe struct {
 	sleepAfter sim.Time
 	wakeLat    sim.Time
 
-	packets stats.Counter
-	bytes   stats.Counter
-	busy    sim.Time // accumulated serialization time, for utilization
-	slept   sim.Time // accumulated time in the low-power state
-	wakes   stats.Counter
+	bytes stats.Counter
+	slept sim.Time // accumulated time in the low-power state
 
 	// Observability (nil unless Link.Instrument was called): every packet
 	// is published as an EvLinkFlit stamped with the link id and direction.
@@ -71,7 +68,6 @@ func (p *pipe) send(at sim.Time, n int) (delivery, retry sim.Time) {
 	if p.sleepAfter > 0 && start-p.nextFree > p.sleepAfter {
 		// The pipe slept from sleepAfter past its last activity until now.
 		p.slept += start - p.nextFree - p.sleepAfter
-		p.wakes.Inc()
 		start += p.wakeLat
 	}
 	ser := p.serTime(n)
@@ -83,9 +79,7 @@ func (p *pipe) send(at sim.Time, n int) (delivery, retry sim.Time) {
 		ser += retry
 	}
 	p.nextFree = start + ser
-	p.packets.Inc()
 	p.bytes.Add(uint64(n))
-	p.busy += ser
 	p.tr.Emit(obs.Event{At: int64(start), Type: obs.EvLinkFlit, Vault: p.linkID, Bank: p.dir, Arg: int64(n)})
 	return start + ser + p.prop, retry
 }
@@ -131,26 +125,19 @@ func (l *Link) sendResponse(at sim.Time, n int) (delivery, retry sim.Time) {
 	return l.resp.send(at, n)
 }
 
-// LinkStats summarizes one link's traffic.
+// LinkStats summarizes one link's traffic for the energy model: the
+// bytes each direction carried and the time it spent asleep.
 type LinkStats struct {
-	ReqPackets, ReqBytes   uint64
-	RespPackets, RespBytes uint64
-	ReqBusy, RespBusy      sim.Time
-	ReqSlept, RespSlept    sim.Time
-	Wakes                  uint64
+	ReqBytes, RespBytes uint64
+	ReqSlept, RespSlept sim.Time
 }
 
 // stats returns the link's counters.
 func (l *Link) stats() LinkStats {
 	return LinkStats{
-		ReqPackets:  l.req.packets.Value(),
-		ReqBytes:    l.req.bytes.Value(),
-		RespPackets: l.resp.packets.Value(),
-		RespBytes:   l.resp.bytes.Value(),
-		ReqBusy:     l.req.busy,
-		RespBusy:    l.resp.busy,
-		ReqSlept:    l.req.slept,
-		RespSlept:   l.resp.slept,
-		Wakes:       l.req.wakes.Value() + l.resp.wakes.Value(),
+		ReqBytes:  l.req.bytes.Value(),
+		RespBytes: l.resp.bytes.Value(),
+		ReqSlept:  l.req.slept,
+		RespSlept: l.resp.slept,
 	}
 }

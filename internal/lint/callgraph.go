@@ -104,30 +104,23 @@ func (g *CallGraph) callees(c CallSite) []string {
 	return []string{c.Callee}
 }
 
-// step records how a function was first reached: from which caller,
-// through which call site.
-type step struct {
-	from string
-	site CallSite
-}
-
 // Reachable walks the graph breadth-first from the entry symbols and
-// returns, for every reached symbol, the step that first reached it
-// (entries map to a zero step). stop, when non-nil, prunes the walk:
+// returns, for every reached symbol, the caller that first reached it
+// (entries map to ""). stop, when non-nil, prunes the walk:
 // a symbol for which stop returns true is still *reached* (its own
 // facts count) but its callees are not followed — that is how analyzers
 // declare approved boundary interfaces. The walk is deterministic:
 // entries are sorted, and call sites expand in summary order.
-func (g *CallGraph) Reachable(entries []string, stop func(sym string) bool) map[string]step {
+func (g *CallGraph) Reachable(entries []string, stop func(sym string) bool) map[string]string {
 	sorted := append([]string(nil), entries...)
 	sort.Strings(sorted)
-	reached := make(map[string]step)
+	reached := make(map[string]string)
 	queue := make([]string, 0, len(sorted))
 	for _, e := range sorted {
 		if _, ok := reached[e]; ok {
 			continue
 		}
-		reached[e] = step{}
+		reached[e] = ""
 		queue = append(queue, e)
 	}
 	for len(queue) > 0 {
@@ -145,7 +138,7 @@ func (g *CallGraph) Reachable(entries []string, stop func(sym string) bool) map[
 				if _, ok := reached[callee]; ok {
 					continue
 				}
-				reached[callee] = step{from: sym, site: c}
+				reached[callee] = sym
 				queue = append(queue, callee)
 			}
 		}
@@ -155,15 +148,10 @@ func (g *CallGraph) Reachable(entries []string, stop func(sym string) bool) map[
 
 // pathTo renders the call chain that reached sym, entry-first, e.g.
 // "camps/internal/sim.Run → camps/internal/knob.Set".
-func pathTo(reached map[string]step, sym string) string {
+func pathTo(reached map[string]string, sym string) string {
 	var chain []string
-	for cur := sym; ; {
+	for cur := sym; cur != ""; cur = reached[cur] {
 		chain = append(chain, shortSym(cur))
-		st, ok := reached[cur]
-		if !ok || st.from == "" {
-			break
-		}
-		cur = st.from
 	}
 	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
 		chain[i], chain[j] = chain[j], chain[i]

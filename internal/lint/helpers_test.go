@@ -216,12 +216,21 @@ func loadTestProgram(t *testing.T, root string) *Program {
 		}
 	}
 
-	prog := &Program{Fset: fset, ByPath: make(map[string]*Package, len(ti.done))}
+	prog := &Program{}
 	for _, pkg := range ti.done {
 		prog.Pkgs = append(prog.Pkgs, pkg)
-		prog.ByPath[pkg.Path] = pkg
 	}
 	return prog
+}
+
+// pkgByPath returns prog's package with the given import path, or nil.
+func pkgByPath(prog *Program, path string) *Package {
+	for _, pkg := range prog.Pkgs {
+		if pkg.Path == path {
+			return pkg
+		}
+	}
+	return nil
 }
 
 type wantExpectation struct {

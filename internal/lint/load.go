@@ -39,7 +39,6 @@ type Package struct {
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	Export     string
@@ -65,7 +64,7 @@ type listPkg struct {
 func LoadProgram(dir string, patterns []string) (*Program, error) {
 	args := append([]string{
 		"list", "-export",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard,DepOnly,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error",
 		"-deps", "--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -116,7 +115,7 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 	})
 	imp := &programImporter{gc: gc, byPath: byPath}
 
-	prog := &Program{Fset: fset, ByPath: byPath}
+	prog := &Program{}
 	for _, t := range module {
 		files := make([]*ast.File, 0, len(t.GoFiles))
 		for _, name := range t.GoFiles {

@@ -15,14 +15,14 @@ func TestLoadProgramSharedObjectIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vault := prog.ByPath["camps/internal/vault"]
+	vault := pkgByPath(prog, "camps/internal/vault")
 	if vault == nil {
 		t.Fatal("vault package not loaded")
 	}
 	if !vault.Target {
 		t.Error("matched package should be a target")
 	}
-	pf := prog.ByPath["camps/internal/prefetch"]
+	pf := pkgByPath(prog, "camps/internal/prefetch")
 	if pf == nil {
 		t.Fatal("dependency camps/internal/prefetch not in the program closure")
 	}
@@ -62,7 +62,7 @@ func TestLoadProgramSharedObjectIdentity(t *testing.T) {
 // the line below, nowhere else.
 func TestProgramSuppression(t *testing.T) {
 	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "detflow", "src"))
-	util := prog.ByPath["camps/internal/util"]
+	util := pkgByPath(prog, "camps/internal/util")
 	if util == nil {
 		t.Fatal("util package not loaded")
 	}

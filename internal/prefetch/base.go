@@ -11,11 +11,8 @@ import (
 // constantly, and — as §5.2 notes — row-buffer conflicts disappear because
 // the bank is always closed behind the copy.
 type baseEngine struct {
-	ctx Context
 	out []Fetch // borrowed OnDemandServed result
 }
-
-func newBase(ctx Context) *baseEngine { return &baseEngine{ctx: ctx} }
 
 func (e *baseEngine) OnDemandServed(req Request, _ dram.RowState, _ int64) []Fetch {
 	e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true,

@@ -64,8 +64,6 @@ func drive(e Engine, ctx Context, seed uint64, events int) []Fetch {
 		if eo, ok := e.(EpochObserver); ok && i%257 == 256 {
 			eo.OnEpoch(EpochStats{
 				Demands:       200,
-				BufferHits:    rng.next() % 50,
-				FetchesIssued: rng.next() % 40,
 				UsefulTimely:  rng.next() % 20,
 				UsefulLate:    rng.next() % 5,
 				EvictedUnused: rng.next() % 20,

@@ -130,7 +130,7 @@ func TestNewConstructsEveryScheme(t *testing.T) {
 }
 
 func TestBaseFetchesEveryDemand(t *testing.T) {
-	e := newBase(testCtx(nil))
+	e := &baseEngine{}
 	for _, state := range []dram.RowState{dram.RowHit, dram.RowMiss, dram.RowConflict} {
 		f := e.OnDemandServed(Request{Bank: 3, Row: 7, Line: 2}, state, dram.NoRow)
 		if len(f) != 1 || f[0].Bank != 3 || f[0].Row != 7 || !f[0].CloseAfter {

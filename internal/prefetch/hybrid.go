@@ -22,7 +22,6 @@ import (
 // When no candidate scores above zero the hybrid issues nothing — it
 // degrades to NONE rather than prefetch on stale evidence.
 type hybridEngine struct {
-	ctx    Context
 	epoch  int
 	cands  []hybridCand
 	winner int // index into cands; -1 = observing / disabled
@@ -67,7 +66,6 @@ func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 		}
 	}
 	e := &hybridEngine{
-		ctx:    ctx,
 		epoch:  cfg.Hybrid.EpochRequests,
 		winner: -1,
 		owner:  make([]ownerEntry, cfg.Hybrid.ShadowEntries),

@@ -99,9 +99,7 @@ type Engine interface {
 // ledger's taxonomy (obs.PrefetchOutcome) but are tracked by the controller
 // itself, so they are available whether or not attribution is enabled.
 type EpochStats struct {
-	Demands       uint64 // demand requests served from banks this epoch
-	BufferHits    uint64 // demand requests served by the prefetch buffer
-	FetchesIssued uint64 // row fetches the controller started
+	Demands uint64 // demand requests served from banks this epoch
 
 	UsefulTimely    uint64 // evicted rows used, resident before first demand
 	UsefulLate      uint64 // evicted rows used, but a demand beat the fill

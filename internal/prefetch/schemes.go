@@ -65,7 +65,7 @@ type Descriptor struct {
 var schemes = [...]Descriptor{
 	// Fetch the whole row on first access, precharge after.
 	Base: {Name: "BASE", Policy: pfbuffer.LRU,
-		New: func(_ config.Config, ctx Context) Engine { return newBase(ctx) }},
+		New: func(config.Config, Context) Engine { return &baseEngine{} }},
 	// Fetch a row once >= 2 reads for it are queued.
 	BaseHit: {Name: "BASE-HIT", Policy: pfbuffer.LRU,
 		New: func(_ config.Config, ctx Context) Engine { return newBaseHit(ctx) }},

@@ -62,15 +62,13 @@ func (s *Server) startOne(ctx context.Context) bool {
 		s.mu.Unlock()
 		return false
 	}
-	tn := s.tenantLocked(j.tenant)
-	slots := tn.cellSlots()
+	slots := s.tenantLocked(j.tenant).cellSlots()
 	jctx, cancel := context.WithCancel(ctx)
 	if !j.deadline.IsZero() {
 		jctx, cancel = context.WithDeadline(ctx, j.deadline)
 	}
 	j.cancel = cancel
 	j.state = StateRunning
-	tn.running++
 	s.activeJobs++
 	rec := jobRecord{Seq: j.seq, ID: j.id, Tenant: j.tenant, State: StateRunning, Cells: j.cells}
 	if err := s.journal.append(rec); err != nil {
@@ -137,7 +135,6 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 	defer func() {
 		s.mu.Lock()
 		s.activeJobs--
-		s.tenantLocked(j.tenant).running--
 		s.mu.Unlock()
 		s.kickDone()
 		s.kick()

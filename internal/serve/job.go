@@ -142,9 +142,8 @@ type job struct {
 	cached    int   // cells served from the result cache
 	ticks     int64 // cumulative simulated picoseconds charged to the tenant
 
-	submitted time.Time
-	lastBeat  time.Time // last heartbeat (or submission)
-	deadline  time.Time // zero when the spec set no deadline
+	lastBeat time.Time // last heartbeat (or submission)
+	deadline time.Time // zero when the spec set no deadline
 
 	// cancel tears down the running job's context; nil unless running.
 	cancel       context.CancelFunc

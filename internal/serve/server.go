@@ -240,7 +240,7 @@ func (s *Server) recover() error {
 		j := &job{
 			id: rec.ID, seq: rec.Seq, tenant: rec.Tenant,
 			state: rec.State, reason: rec.Reason, cells: rec.Cells,
-			submitted: now, lastBeat: now,
+			lastBeat: now,
 		}
 		if rec.Spec != nil {
 			j.spec = *rec.Spec
@@ -297,7 +297,7 @@ func (s *Server) tenantLocked(name string) *tenant {
 	tn, ok := s.tenants[name]
 	if !ok {
 		q := s.cfg.Tenants[name].withDefaults(s.cfg.DefaultQuota)
-		tn = &tenant{name: name, quota: q}
+		tn = &tenant{quota: q}
 		s.tenants[name] = tn
 	}
 	return tn
@@ -467,15 +467,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	j := &job{
-		id:        fmt.Sprintf("j%06d", s.seq),
-		seq:       s.seq,
-		tenant:    spec.Tenant,
-		spec:      spec,
-		state:     StateQueued,
-		cells:     spec.CellCount(),
-		submitted: now,
-		lastBeat:  now,
-		stream:    obs.NewStreamServer(),
+		id:       fmt.Sprintf("j%06d", s.seq),
+		seq:      s.seq,
+		tenant:   spec.Tenant,
+		spec:     spec,
+		state:    StateQueued,
+		cells:    spec.CellCount(),
+		lastBeat: now,
+		stream:   obs.NewStreamServer(),
 	}
 	if spec.DeadlineMS > 0 {
 		j.deadline = now.Add(time.Duration(spec.DeadlineMS) * time.Millisecond)

@@ -39,12 +39,10 @@ func (q Quota) withDefaults(def Quota) Quota {
 // tenant is the runtime state for one tenant. Counters are guarded by
 // the server mutex; slots is a semaphore drained by worker goroutines.
 type tenant struct {
-	name  string
 	quota Quota
 
-	queued  int // jobs in the wait queue
-	running int // jobs currently executing
-	ticks   int64
+	queued int // jobs in the wait queue
+	ticks  int64
 
 	// slots is the in-flight-cell semaphore (capacity
 	// quota.MaxInFlightCells); nil until the first job runs.

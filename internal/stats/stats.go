@@ -108,12 +108,12 @@ func (a *LatencyAccum) UnmarshalJSON(b []byte) error {
 
 // Histogram is a fixed-bucket histogram with a configurable bucket width.
 type Histogram struct {
-	width    float64
-	buckets  []uint64
-	overflow uint64
-	total    uint64
+	width   float64
+	buckets []uint64
+	total   uint64 // samples, the overflowed ones included
 	// max is the largest overflowed sample, and so the largest sample
-	// whenever overflow > 0 — the only case in which Quantile reads it.
+	// whenever a sample overflowed — the only case in which Quantile
+	// reads it.
 	max float64
 }
 
@@ -134,7 +134,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := int(v / h.width)
 	if i >= len(h.buckets) {
-		h.overflow++
 		h.max = max(h.max, v)
 		return
 	}

@@ -67,8 +67,12 @@ func TestHistogram(t *testing.T) {
 	if h.buckets[1] != 1 || h.buckets[3] != 1 {
 		t.Fatalf("buckets = [%d %d %d %d]", h.buckets[0], h.buckets[1], h.buckets[2], h.buckets[3])
 	}
-	if h.overflow != 1 {
-		t.Fatalf("overflow = %d, want 1", h.overflow)
+	var inBuckets uint64
+	for _, n := range h.buckets {
+		inBuckets += n
+	}
+	if overflow := h.total - inBuckets; overflow != 1 {
+		t.Fatalf("overflow = %d, want 1", overflow)
 	}
 	if q := h.Quantile(0.5); q != 10 {
 		t.Fatalf("median = %g, want 10", q)

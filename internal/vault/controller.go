@@ -49,9 +49,7 @@ type pending struct {
 // Controller is one vault's controller.
 type Controller struct {
 	eng    *sim.Engine
-	cfg    config.Config
 	id     int
-	scheme prefetch.Scheme
 	banks  []*dram.Bank
 	busy   []sim.Time // per-bank: time the current job releases the bank
 	buffer *pfbuffer.Buffer
@@ -111,6 +109,13 @@ type Controller struct {
 	minRefresh    sim.Time // min(nextRefresh), recomputed by runRefresh
 	refreshWakeAt sim.Time // time of the vault's single armed refresh wake
 	draining      bool     // write-drain mode latch
+
+	// The config values the scheduler reads, fixed in New: the write-drain
+	// watermarks (3/4 and 1/4 of HMC.WriteQueue), the scheduling and page
+	// policies, and whether clean buffer evictions skip the writeback.
+	drainHigh, drainLow int
+	frfcfs, closedPage  bool
+	writebackDirtyOnly  bool
 
 	pfHitLat  sim.Time
 	lines     int
@@ -173,9 +178,7 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	}
 	c := &Controller{
 		eng:         eng,
-		cfg:         cfg,
 		id:          id,
-		scheme:      scheme,
 		banks:       make([]*dram.Bank, nbanks),
 		busy:        make([]sim.Time, nbanks),
 		buffer:      pfbuffer.New(cfg.PFBuffer.Entries(), cfg.LinesPerRow(), prefetch.Describe(scheme).Policy),
@@ -189,6 +192,12 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 		storeCount:  make([]int, nbanks),
 		fetchCount:  make([]int, nbanks),
 		fetchQ:      make([]prefetch.Fetch, 0, 4*nbanks),
+
+		drainHigh:          cfg.HMC.WriteQueue * 3 / 4,
+		drainLow:           cfg.HMC.WriteQueue / 4,
+		frfcfs:             cfg.HMC.Scheduler == config.FRFCFS,
+		closedPage:         cfg.HMC.PagePolicy == config.ClosedPage,
+		writebackDirtyOnly: cfg.PFBuffer.WritebackDirtyOnly,
 	}
 	c.scheduleFn = c.schedule
 	c.landFillFn = c.landFill
@@ -343,13 +352,6 @@ func (c *Controller) tickEpoch() {
 	c.epochAcc.Demands++
 }
 
-// noteBufferHit feeds a prefetch-buffer hit into the epoch accumulator.
-func (c *Controller) noteBufferHit() {
-	if c.epochObs != nil {
-		c.epochAcc.BufferHits++
-	}
-}
-
 // feedEviction classifies a prefetched row's final outcome — used and
 // never late is timely, used is late, untouched is unused — into the
 // efficacy ledger and the epoch accumulator, and forwards the eviction to
@@ -418,7 +420,6 @@ func (c *Controller) Submit(req Request) {
 	id := pfbuffer.RowID{Bank: req.Bank, Row: req.Row}
 	if c.buffer.Lookup(id, req.Line, req.Write, now) {
 		c.stats.BufferHits.Inc()
-		c.noteBufferHit()
 		c.emit(obs.EvPrefetchHit, now, req.Bank, req.Row, int64(req.Line))
 		c.pf.OnBufferHit(prefetch.Request{Bank: req.Bank, Row: req.Row, Line: req.Line, Write: req.Write})
 		c.spans.AdvanceTo(req.Span, obs.CausePFBufferHit, int64(now+c.pfHitLat))
@@ -517,11 +518,9 @@ func (c *Controller) enqueueFetches(fs []prefetch.Fetch) {
 // updateDrainMode latches write draining above the high watermark and
 // releases it below the low watermark.
 func (c *Controller) updateDrainMode() {
-	high := c.cfg.HMC.WriteQueue * 3 / 4
-	low := c.cfg.HMC.WriteQueue / 4
-	if len(c.writeQ) >= high {
+	if len(c.writeQ) >= c.drainHigh {
 		c.draining = true
-	} else if len(c.writeQ) <= low {
+	} else if len(c.writeQ) <= c.drainLow {
 		c.draining = false
 	}
 }
@@ -735,7 +734,6 @@ func (c *Controller) takeRead(b int, now sim.Time) (pending, bool) {
 		id := pfbuffer.RowID{Bank: p.req.Bank, Row: p.req.Row}
 		if c.buffer.Lookup(id, p.req.Line, p.req.Write, now) {
 			c.stats.BufferHits.Inc()
-			c.noteBufferHit()
 			c.emit(obs.EvPrefetchHit, now, p.req.Bank, p.req.Row, int64(p.req.Line))
 			c.pf.OnBufferHit(prefetch.Request{Bank: p.req.Bank, Row: p.req.Row, Line: p.req.Line, Write: p.req.Write})
 			c.chargeWait(p.req.Span, b, p.arrived, now)
@@ -765,7 +763,7 @@ func (c *Controller) takeWrite(b int) (pending, bool) {
 // request; -1 if none target b.
 func (c *Controller) pickQueued(q []pending, b int) int {
 	open := c.banks[b].OpenRow()
-	frfcfs := c.cfg.HMC.Scheduler == config.FRFCFS && open != dram.NoRow
+	frfcfs := c.frfcfs && open != dram.NoRow
 	oldest := -1
 	for i := range q {
 		if q[i].req.Bank != b {
@@ -888,7 +886,7 @@ func (c *Controller) runRead(b int, now sim.Time, p pending) {
 // autoPrecharge closes the row after a demand access under the closed-page
 // policy (after any inline fetch has used it).
 func (c *Controller) autoPrecharge(b int, row int64) {
-	if c.cfg.HMC.PagePolicy != config.ClosedPage {
+	if !c.closedPage {
 		return
 	}
 	bank := c.banks[b]
@@ -909,7 +907,6 @@ func (c *Controller) runWrite(b int, now sim.Time, p pending) {
 	id := pfbuffer.RowID{Bank: p.req.Bank, Row: p.req.Row}
 	if c.buffer.Lookup(id, p.req.Line, true, now) {
 		c.stats.BufferHits.Inc()
-		c.noteBufferHit()
 		c.emit(obs.EvPrefetchHit, now, p.req.Bank, p.req.Row, int64(p.req.Line))
 		c.pf.OnBufferHit(prefetch.Request{Bank: p.req.Bank, Row: p.req.Row, Line: p.req.Line, Write: true})
 		c.schedule()
@@ -967,9 +964,6 @@ func (c *Controller) runInlineFetch(b int, f prefetch.Fetch) {
 		c.busy[b] = release
 	}
 	c.stats.FetchesIssued.Inc()
-	if c.epochObs != nil {
-		c.epochAcc.FetchesIssued++
-	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 1)
 	c.scheduleFill(end, id, f.Touched)
 }
@@ -994,9 +988,6 @@ func (c *Controller) runFetch(b int, now sim.Time, f prefetch.Fetch) bool {
 	}
 	c.busy[b] = release
 	c.stats.FetchesIssued.Inc()
-	if c.epochObs != nil {
-		c.epochAcc.FetchesIssued++
-	}
 	c.emit(obs.EvPrefetchIssue, start, b, f.Row, 0)
 	c.scheduleFill(end, id, f.Touched)
 	c.armWake(b, true)
@@ -1114,7 +1105,7 @@ func (c *Controller) runRefresh(b int, now sim.Time) {
 func (c *Controller) onEviction(ev pfbuffer.Eviction) {
 	c.emit(obs.EvPrefetchEvict, c.eng.Now(), ev.ID.Bank, ev.ID.Row, int64(ev.Util))
 	c.feedEviction(ev)
-	if ev.Dirty || !c.cfg.PFBuffer.WritebackDirtyOnly {
+	if ev.Dirty || !c.writebackDirtyOnly {
 		c.storeQ = append(c.storeQ, ev.ID)
 		c.storeCount[ev.ID.Bank]++
 		c.noteWork(ev.ID.Bank)
