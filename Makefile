@@ -58,11 +58,11 @@ serve-smoke:
 	$(GO) run ./cmd/campserve -smoke >/dev/null
 
 # campslint enforces the determinism/concurrency invariants (see
-# docs/LINTING.md); -allow-budget holds the //lint:allow-* count to the
-# committed .campslint-budget baseline. staticcheck and govulncheck run
-# when installed (`make lint-tools`), and always in CI.
+# docs/LINTING.md) and reports every finding: there is no suppression
+# comment. staticcheck and govulncheck run when installed
+# (`make lint-tools`), and always in CI.
 lint:
-	$(GO) run ./cmd/campslint -allow-budget ./...
+	$(GO) run ./cmd/campslint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -105,7 +105,10 @@ func main() {
 		seedList[i] = *seed + uint64(i)
 	}
 	cells := exp.Grid(workload.Mixes(), camps.Schemes(), seedList)
-	results, _, err := exp.Run(context.Background(), cells, opts)
+	results, stats, err := exp.Run(context.Background(), cells, opts)
+	if !*quiet {
+		log.Print(stats)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

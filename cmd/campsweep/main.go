@@ -142,6 +142,7 @@ func main() {
 	defer stop()
 
 	results, stats, err := exp.Run(ctx, cells, opts)
+	log.Print(stats)
 
 	fmt.Printf("# sweep %s on %s under %v (%d instr/core, seed %d)\n",
 		*name, cells[0].Mix.ID, cells[0].Scheme, *instr, cells[0].Seed)
@@ -159,8 +160,7 @@ func main() {
 
 	if err != nil {
 		if errors.Is(err, context.Canceled) && *out != "" {
-			log.Printf("interrupted after %d/%d cells; rerun with -resume -out %s to finish",
-				stats.Completed+stats.Resumed, len(cells), *out)
+			log.Printf("interrupted; rerun with -resume -out %s to finish", *out)
 		}
 		log.Fatal(err)
 	}

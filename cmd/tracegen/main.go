@@ -1,6 +1,6 @@
 // Command tracegen writes a synthetic benchmark trace to a file in the
-// binary trace format, for inspection or replay through campsim-style
-// custom runs.
+// compact (varint-delta v2) trace format, for inspection or replay through
+// campsim -trace.
 //
 // Usage:
 //
@@ -29,7 +29,6 @@ func main() {
 		out     = flag.String("o", "", "output file (default <bench>.trace)")
 		seed    = flag.Uint64("seed", 1, "generator seed")
 		base    = flag.Uint64("base", 0, "base physical address")
-		compact = flag.Bool("compact", false, "write the varint-delta v2 format (~4x smaller)")
 		list    = flag.Bool("list", false, "list available benchmarks and exit")
 		version = flag.Bool("version", false, "print build information and exit")
 	)
@@ -77,15 +76,7 @@ func main() {
 		os.Remove(path)
 		log.Fatalf(format, args...)
 	}
-	type recordWriter interface {
-		Write(trace.Record) error
-		Flush() error
-		Count() uint64
-	}
-	var w recordWriter = trace.NewWriter(f)
-	if *compact {
-		w = trace.NewCompactWriter(f)
-	}
+	w := trace.NewCompactWriter(f)
 	for i := int64(0); i < *n; i++ {
 		rec, err := gen.Next()
 		if err != nil {

@@ -213,6 +213,13 @@ type Stats struct {
 	WarmWaits uint64
 }
 
+// String names every counter on one line, for a campaign's closing
+// report.
+func (s Stats) String() string {
+	return fmt.Sprintf("cells: %d completed, %d resumed, %d failed, %d cancelled; %d attempts started, %d retried, %d warm waits",
+		s.Completed, s.Resumed, s.Failed, s.Cancelled, s.Started, s.Retried, s.WarmWaits)
+}
+
 // ErrDuplicateCell reports two cells with the same Key in one campaign,
 // which would make the checkpoint ambiguous.
 var ErrDuplicateCell = errors.New("exp: duplicate cell key")

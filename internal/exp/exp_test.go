@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -446,5 +448,20 @@ func TestRunCancelledGrid(t *testing.T) {
 	_, _, err := Run(ctx, realGrid(t), Options{WarmupRefs: 2_000, MeasureInstr: 10_000})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// Stats.String names every counter, each with its own value.
+func TestStatsStringNamesEveryCounter(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(101 + i))
+	}
+	got := s.String()
+	for i := 0; i < v.NumField(); i++ {
+		if !strings.Contains(got, fmt.Sprint(101+i)) {
+			t.Errorf("Stats.String() = %q, missing %s (%d)", got, v.Type().Field(i).Name, 101+i)
+		}
 	}
 }

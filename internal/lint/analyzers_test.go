@@ -2,7 +2,6 @@ package lint
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -21,7 +20,7 @@ func TestSimDeterminismIgnoresNonSimPackages(t *testing.T) {
 	// import path is clean: package identity, not file content, selects
 	// the rule.
 	pkg := loadTestPackage(t, "camps/internal/exp")
-	if ds := RunAnalyzer(SimDeterminism, pkg); len(ds) != 0 {
+	if ds := runAnalyzer(SimDeterminism, pkg); len(ds) != 0 {
 		t.Fatalf("expected no findings outside simulation packages, got %v", ds)
 	}
 }
@@ -38,7 +37,7 @@ func TestCtxThreadIgnoresNonOrchestrationPackages(t *testing.T) {
 	// maporder's package path is outside the orchestration set, so even
 	// its exported functions are exempt from ctx threading.
 	pkg := loadTestPackage(t, "maporder")
-	if ds := RunAnalyzer(CtxThread, pkg); len(ds) != 0 {
+	if ds := runAnalyzer(CtxThread, pkg); len(ds) != 0 {
 		t.Fatalf("expected no ctxthread findings outside orchestration packages, got %v", ds)
 	}
 }
@@ -47,25 +46,10 @@ func TestTickArith(t *testing.T) {
 	runWantTest(t, TickArith, "tickarith")
 }
 
-func TestStatsReg(t *testing.T) {
-	runWantTest(t, StatsReg, "statsreg")
-}
-
 func TestGlobalMutProgram(t *testing.T) {
 	runProgramWantTest(t, GlobalMut, filepath.Join("testdata", "prog", "globalmut", "src"))
 }
 
 func TestDetFlowProgram(t *testing.T) {
 	runProgramWantTest(t, DetFlow, filepath.Join("testdata", "prog", "detflow", "src"))
-}
-
-func TestCheckDirectivesFlagsUnknownNames(t *testing.T) {
-	pkg := loadTestPackage(t, "directives")
-	ds := CheckDirectives(pkg, All())
-	if len(ds) != 1 {
-		t.Fatalf("expected exactly one unknown-directive finding, got %v", ds)
-	}
-	if got := ds[0].Message; !strings.Contains(got, "allow-wallclok") {
-		t.Fatalf("finding should name the misspelled directive, got %q", got)
-	}
 }

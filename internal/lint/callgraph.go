@@ -21,9 +21,9 @@ type CallGraph struct {
 	impls map[string][]string
 }
 
-// BuildCallGraph indexes interface implementations across every package
+// buildCallGraph indexes interface implementations across every package
 // of the program and binds them to the summaries.
-func BuildCallGraph(prog *Program, sums *SummarySet) *CallGraph {
+func buildCallGraph(prog *Program, sums *SummarySet) *CallGraph {
 	g := &CallGraph{sums: sums, impls: make(map[string][]string)}
 	implementations(prog, nil, func(m, impl *types.Func) {
 		mSym, iSym := funcSym(m), funcSym(impl)
@@ -104,14 +104,14 @@ func (g *CallGraph) callees(c CallSite) []string {
 	return []string{c.Callee}
 }
 
-// Reachable walks the graph breadth-first from the entry symbols and
+// reachable walks the graph breadth-first from the entry symbols and
 // returns, for every reached symbol, the caller that first reached it
 // (entries map to ""). stop, when non-nil, prunes the walk:
 // a symbol for which stop returns true is still *reached* (its own
 // facts count) but its callees are not followed — that is how analyzers
 // declare approved boundary interfaces. The walk is deterministic:
 // entries are sorted, and call sites expand in summary order.
-func (g *CallGraph) Reachable(entries []string, stop func(sym string) bool) map[string]string {
+func (g *CallGraph) reachable(entries []string, stop func(sym string) bool) map[string]string {
 	sorted := append([]string(nil), entries...)
 	sort.Strings(sorted)
 	reached := make(map[string]string)
@@ -129,7 +129,7 @@ func (g *CallGraph) Reachable(entries []string, stop func(sym string) bool) map[
 		if stop != nil && stop(sym) {
 			continue
 		}
-		fn := g.sums.Func(sym)
+		fn := g.sums.lookup(sym)
 		if fn == nil {
 			continue // outside the program (stdlib)
 		}

@@ -14,12 +14,12 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module call graph in -short mode")
 	}
-	prog, err := LoadProgram(filepath.Join("..", ".."), []string{"./internal/vault"})
+	prog, err := loadProgram(filepath.Join("..", ".."), []string{"./internal/vault"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := Summarize(prog)
-	g := BuildCallGraph(prog, sums)
+	sums := summarizeProgram(prog)
+	g := buildCallGraph(prog, sums)
 
 	const method = "camps/internal/prefetch.(Engine).OnDemandServed"
 	impls := g.impls[method]
@@ -56,14 +56,14 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 }
 
 // TestReachableStopPrunesButReaches pins the boundary semantics of
-// Reachable: a stopped symbol is reached (its own facts count) but its
+// reachable: a stopped symbol is reached (its own facts count) but its
 // callees are not followed.
 func TestReachableStopPrunesButReaches(t *testing.T) {
 	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "callgraph", "src"))
-	sums := Summarize(prog)
-	g := BuildCallGraph(prog, sums)
+	sums := summarizeProgram(prog)
+	g := buildCallGraph(prog, sums)
 
-	reached := g.Reachable([]string{"camps/internal/vault.(Controller).Submit"}, func(sym string) bool {
+	reached := g.reachable([]string{"camps/internal/vault.(Controller).Submit"}, func(sym string) bool {
 		return symPkg(sym) == "camps/internal/sim"
 	})
 	if _, ok := reached["camps/internal/sim.Post"]; !ok {

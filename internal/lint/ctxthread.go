@@ -18,13 +18,11 @@ var ctxPackages = map[string]bool{
 
 // CtxThread flags exported functions in orchestration packages that
 // launch goroutines or hard-code context.Background()/TODO() instead of
-// accepting a context.Context. A deliberate context-free compatibility
-// wrapper carries //lint:allow-noctx <reason>.
+// accepting a context.Context.
 var CtxThread = &Analyzer{
-	Name:  "ctxthread",
-	Doc:   "flag exported orchestration functions that spawn work without accepting a context.Context",
-	Allow: "noctx",
-	Run:   runCtxThread,
+	Name: "ctxthread",
+	Doc:  "flag exported orchestration functions that spawn work without accepting a context.Context",
+	Run:  runCtxThread,
 }
 
 func runCtxThread(pass *Pass) {
@@ -61,8 +59,8 @@ func checkCtxFreeFunc(pass *Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			pass.Reportf(n.Pos(),
-				"exported %s launches a goroutine but accepts no context.Context: callers cannot cancel it; add a ctx parameter (or //lint:allow-noctx <reason>)",
+			pass.reportf(n.Pos(),
+				"exported %s launches a goroutine but accepts no context.Context: callers cannot cancel it; add a ctx parameter",
 				fd.Name.Name)
 		case *ast.CallExpr:
 			for _, arg := range n.Args {
@@ -72,8 +70,8 @@ func checkCtxFreeFunc(pass *Pass, fd *ast.FuncDecl) {
 				}
 				cf := funcOf(pass.Info, ac.Fun)
 				if isPkgFunc(cf, "context", "Background") || isPkgFunc(cf, "context", "TODO") {
-					pass.Reportf(arg.Pos(),
-						"exported %s passes context.%s but accepts no context.Context: accept and propagate the caller's ctx (or //lint:allow-noctx <reason>)",
+					pass.reportf(arg.Pos(),
+						"exported %s passes context.%s but accepts no context.Context: accept and propagate the caller's ctx",
 						fd.Name.Name, cf.Name())
 				}
 			}

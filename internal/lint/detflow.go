@@ -18,13 +18,10 @@ import (
 // that is transitively tainted, naming the chain down to the root
 // source. Within simulation packages the source itself is already
 // flagged (by simdeterminism, or by the boundary call site of the
-// helper's own package), so only boundary crossings are reported — a
-// suppressed source (//lint:allow-wallclock with a reason) suppresses
-// the whole downstream cascade.
+// helper's own package), so only boundary crossings are reported.
 var DetFlow = &Analyzer{
 	Name:       "detflow",
 	Doc:        "propagate nondeterminism taint along the call graph into simulation packages",
-	Allow:      "detflow",
 	RunProgram: runDetFlow,
 }
 
@@ -59,20 +56,13 @@ func runDetFlow(pass *ProgramPass) {
 		}
 	}
 
-	// Seed with direct sources, honoring suppressions at the source:
-	// an allowed wall-clock read (reasoned directive) must not taint
-	// its callers.
+	// Seed with direct sources: a function's first source names its taint.
 	taints := make(map[string]*taintInfo)
 	var queue []string
 	for _, fn := range all {
-		for _, src := range fn.Sources {
-			if pass.Prog.suppressedAt(src.Pos, "detflow", "wallclock", "maporder") {
-				continue
-			}
-			if taints[fn.Sym] == nil {
-				taints[fn.Sym] = &taintInfo{src: src}
-				queue = append(queue, fn.Sym)
-			}
+		if len(fn.Sources) > 0 && taints[fn.Sym] == nil {
+			taints[fn.Sym] = &taintInfo{src: fn.Sources[0]}
+			queue = append(queue, fn.Sym)
 		}
 	}
 	for len(queue) > 0 {
@@ -98,12 +88,12 @@ func runDetFlow(pass *ProgramPass) {
 				if t == nil {
 					continue
 				}
-				cf := pass.Sums.Func(callee)
+				cf := pass.Sums.lookup(callee)
 				if cf == nil || simPackages[cf.Pkg] {
 					continue // stdlib, or flagged in its own package
 				}
-				pass.Report(c.Pos,
-					"call from simulation package %s reaches a nondeterminism source: %s; hoist the source out of the simulation path or seed it explicitly (or //lint:allow-detflow <reason>)",
+				pass.report(c.Pos,
+					"call from simulation package %s reaches a nondeterminism source: %s; hoist the source out of the simulation path or seed it explicitly",
 					fn.Pkg, nondetChain(taints, callee))
 				break // one report per call site, even with several tainted impls
 			}

@@ -7,8 +7,8 @@ type SummarySet struct {
 	funcs map[string]*FuncSummary // symbol index over every package
 }
 
-// Summarize computes the summary of every package in the program.
-func Summarize(prog *Program) *SummarySet {
+// summarizeProgram computes the summary of every package in the program.
+func summarizeProgram(prog *Program) *SummarySet {
 	set := &SummarySet{ByPkg: make(map[string]*PackageSummary, len(prog.Pkgs))}
 	for _, pkg := range prog.Pkgs {
 		set.ByPkg[pkg.Path] = summarize(pkg)
@@ -22,7 +22,7 @@ func Summarize(prog *Program) *SummarySet {
 	return set
 }
 
-// Func returns the summary of one function symbol, or nil.
-func (s *SummarySet) Func(sym string) *FuncSummary {
+// lookup returns the summary of one function symbol, or nil.
+func (s *SummarySet) lookup(sym string) *FuncSummary {
 	return s.funcs[sym]
 }

@@ -29,7 +29,6 @@ var runtimePkgs = func() map[string]bool {
 var GlobalMut = &Analyzer{
 	Name:       "globalmut",
 	Doc:        "forbid package-level writes reachable from simulation or serving paths (init only)",
-	Allow:      "globalmut",
 	RunProgram: runGlobalMut,
 }
 
@@ -47,7 +46,7 @@ func runGlobalMut(pass *ProgramPass) {
 			}
 		}
 	}
-	reached := pass.Graph.Reachable(entries, nil)
+	reached := pass.Graph.reachable(entries, nil)
 
 	syms := make([]string, 0, len(reached))
 	for sym := range reached {
@@ -55,13 +54,13 @@ func runGlobalMut(pass *ProgramPass) {
 	}
 	sort.Strings(syms)
 	for _, sym := range syms {
-		fn := pass.Sums.Func(sym)
+		fn := pass.Sums.lookup(sym)
 		if fn == nil || fn.IsInit {
 			continue
 		}
 		for _, w := range fn.Writes {
-			pass.Report(w.Pos,
-				"package-level %s written outside init: %s is reachable from runtime path %s; mutable globals may only be written during init (or //lint:allow-globalmut <reason>)",
+			pass.report(w.Pos,
+				"package-level %s written outside init: %s is reachable from runtime path %s; mutable globals may only be written during init",
 				shortSym(w.Target), shortSym(sym), pathTo(reached, sym))
 		}
 	}

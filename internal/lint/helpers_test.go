@@ -122,7 +122,7 @@ func (ti *testImporter) check(path, dir string) (*types.Package, []*ast.File, *t
 		}
 		files = append(files, f)
 	}
-	info := NewInfo()
+	info := newInfo()
 	conf := types.Config{Importer: ti}
 	pkg, err := conf.Check(path, ti.fset, files, info)
 	if err != nil {
@@ -141,7 +141,7 @@ func (ti *testImporter) check(path, dir string) (*types.Package, []*ast.File, *t
 }
 
 // loadTestPackage type-checks testdata/src/<importPath> into a Package
-// ready for RunAnalyzer.
+// ready for runAnalyzer.
 func loadTestPackage(t *testing.T, importPath string) *Package {
 	t.Helper()
 	exports := stdlibExports(t)
@@ -169,7 +169,7 @@ func loadTestPackage(t *testing.T, importPath string) *Package {
 
 // loadTestProgram type-checks every package found under root (a
 // testdata/prog/<name>/src directory) into a Program in dependency
-// order, ready for Summarize/BuildCallGraph/RunProgramAnalyzer. All
+// order, ready for summarizeProgram/buildCallGraph/runProgramAnalyzer. All
 // packages are marked as targets.
 func loadTestProgram(t *testing.T, root string) *Program {
 	t.Helper()
@@ -285,7 +285,7 @@ func parseWants(comment string) []string {
 func runWantTest(t *testing.T, a *Analyzer, importPath string) {
 	t.Helper()
 	pkg := loadTestPackage(t, importPath)
-	checkWants(t, []*Package{pkg}, RunAnalyzer(a, pkg))
+	checkWants(t, []*Package{pkg}, runAnalyzer(a, pkg))
 }
 
 // runProgramWantTest runs one whole-program analyzer over the multi-
@@ -294,9 +294,9 @@ func runWantTest(t *testing.T, a *Analyzer, importPath string) {
 func runProgramWantTest(t *testing.T, a *Analyzer, root string) {
 	t.Helper()
 	prog := loadTestProgram(t, root)
-	sums := Summarize(prog)
-	graph := BuildCallGraph(prog, sums)
-	checkWants(t, prog.Pkgs, RunProgramAnalyzer(a, prog, sums, graph))
+	sums := summarizeProgram(prog)
+	graph := buildCallGraph(prog, sums)
+	checkWants(t, prog.Pkgs, runProgramAnalyzer(a, prog, sums, graph))
 }
 
 // checkWants matches diagnostics against the want comments of the given

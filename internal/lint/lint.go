@@ -17,13 +17,9 @@
 // repository has no third-party dependencies and the lint layer keeps it
 // that way.
 //
-// Findings are suppressed with a directive comment carrying a mandatory
-// reason, e.g.
-//
-//	t0 := time.Now() //lint:allow-wallclock coarse progress logging only
-//
-// A directive applies to its own line and the line directly below it; a
-// directive without a reason is itself a finding.
+// Every finding is reported: there is no suppression comment. A finding
+// is fixed by changing the code, or by changing an analyzer's scope (such
+// as simPackages) in a reviewed diff.
 package lint
 
 import (
@@ -32,24 +28,20 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant check. Exactly one of Run (a
 // per-package check) and RunProgram (a whole-program check over the
 // facts layer and call graph) is set.
 type Analyzer struct {
-	// Name identifies the analyzer in output and in the -only flag.
+	// Name identifies the analyzer in output.
 	Name string
-	// Doc is a one-line description shown by -list.
+	// Doc is a one-line description shown in the usage text.
 	Doc string
-	// Allow is the directive suffix that suppresses this analyzer's
-	// findings: //lint:allow-<Allow> <reason>.
-	Allow string
-	// Run reports findings on one package through pass.Reportf.
+	// Run reports findings on one package through pass.reportf.
 	Run func(pass *Pass)
 	// RunProgram reports findings across the whole program through
-	// pass.Report; it sees every module package via the summaries and
+	// pass.report; it sees every module package via the summaries and
 	// the call graph.
 	RunProgram func(pass *ProgramPass)
 }
@@ -76,8 +68,8 @@ type Pass struct {
 	diags []Diagnostic
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
@@ -97,9 +89,9 @@ type ProgramPass struct {
 	diags []Diagnostic
 }
 
-// Report records a finding at an already-resolved position (facts carry
+// report records a finding at an already-resolved position (facts carry
 // token.Position, not token.Pos — they survive serialization).
-func (p *ProgramPass) Report(pos token.Position, format string, args ...any) {
+func (p *ProgramPass) report(pos token.Position, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
@@ -107,82 +99,9 @@ func (p *ProgramPass) Report(pos token.Position, format string, args ...any) {
 	})
 }
 
-// RunProgramAnalyzer applies one whole-program analyzer and returns its
-// findings with directives applied program-wide: a reasoned
-// //lint:allow-<name> next to a finding suppresses it even when the
-// finding sits in a dependency package, and a reasonless directive in a
-// target package is itself a finding.
-func RunProgramAnalyzer(a *Analyzer, prog *Program, sums *SummarySet, graph *CallGraph) []Diagnostic {
-	pass := &ProgramPass{Analyzer: a, Prog: prog, Sums: sums, Graph: graph}
-	a.RunProgram(pass)
-
-	var out []Diagnostic
-	for _, d := range pass.diags {
-		if !prog.suppressedAt(d.Pos, a.Allow) {
-			out = append(out, d)
-		}
-	}
-	for _, pkg := range prog.Targets() {
-		for _, dir := range parseDirectives(pkg.Fset, pkg.Files) {
-			if dir.name == a.Allow && dir.reason == "" {
-				out = append(out, Diagnostic{
-					Pos:      pkg.Fset.Position(dir.pos),
-					Analyzer: a.Name,
-					Message: fmt.Sprintf("lint:allow-%s directive needs a reason: //lint:allow-%s <why this is safe>",
-						a.Allow, a.Allow),
-				})
-			}
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// directive is one parsed //lint:allow-<name> <reason> comment.
-type directive struct {
-	name   string
-	reason string
-	file   string
-	line   int
-	pos    token.Pos
-}
-
-const directivePrefix = "//lint:allow-"
-
-// parseDirectives extracts every lint directive from the package's
-// comments. The reason is cut at any nested "//" so that a trailing
-// comment (such as a test's want clause) is not mistaken for a reason.
-func parseDirectives(fset *token.FileSet, files []*ast.File) []directive {
-	var out []directive
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, directivePrefix) {
-					continue
-				}
-				rest := c.Text[len(directivePrefix):]
-				name, reason, _ := strings.Cut(rest, " ")
-				if i := strings.Index(reason, "//"); i >= 0 {
-					reason = reason[:i]
-				}
-				pos := fset.Position(c.Pos())
-				out = append(out, directive{
-					name:   name,
-					reason: strings.TrimSpace(reason),
-					file:   pos.Filename,
-					line:   pos.Line,
-					pos:    c.Pos(),
-				})
-			}
-		}
-	}
-	return out
-}
-
-// RunAnalyzer applies one analyzer to one loaded package and returns its
-// findings with directives applied: suppressed findings are dropped, and
-// a directive for this analyzer that lacks a reason is reported.
-func RunAnalyzer(a *Analyzer, pkg *Package) []Diagnostic {
+// runAnalyzer applies one per-package analyzer to one loaded package
+// and returns its findings.
+func runAnalyzer(a *Analyzer, pkg *Package) []Diagnostic {
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
@@ -191,59 +110,15 @@ func RunAnalyzer(a *Analyzer, pkg *Package) []Diagnostic {
 		Info:     pkg.Info,
 	}
 	a.Run(pass)
-
-	dirs := parseDirectives(pkg.Fset, pkg.Files)
-	var out []Diagnostic
-	for _, d := range pass.diags {
-		suppressed := false
-		for _, dir := range dirs {
-			if dir.name == a.Allow && dir.reason != "" && dir.file == d.Pos.Filename &&
-				(d.Pos.Line == dir.line || d.Pos.Line == dir.line+1) {
-				suppressed = true
-				break
-			}
-		}
-		if !suppressed {
-			out = append(out, d)
-		}
-	}
-	for _, dir := range dirs {
-		if dir.name == a.Allow && dir.reason == "" {
-			out = append(out, Diagnostic{
-				Pos:      pkg.Fset.Position(dir.pos),
-				Analyzer: a.Name,
-				Message: fmt.Sprintf("lint:allow-%s directive needs a reason: //lint:allow-%s <why this is safe>",
-					a.Allow, a.Allow),
-			})
-		}
-	}
-	sortDiagnostics(out)
-	return out
+	return pass.diags
 }
 
-// CheckDirectives reports directives whose name matches no analyzer, so
-// a typo like //lint:allow-wallclok cannot silently suppress nothing.
-func CheckDirectives(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	known := make(map[string]bool, len(analyzers))
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Allow] = true
-		names = append(names, "allow-"+a.Allow)
-	}
-	sort.Strings(names)
-	var out []Diagnostic
-	for _, dir := range parseDirectives(pkg.Fset, pkg.Files) {
-		if !known[dir.name] {
-			out = append(out, Diagnostic{
-				Pos:      pkg.Fset.Position(dir.pos),
-				Analyzer: "campslint",
-				Message: fmt.Sprintf("unknown directive lint:allow-%s (known directives: %s)",
-					dir.name, strings.Join(names, ", ")),
-			})
-		}
-	}
-	sortDiagnostics(out)
-	return out
+// runProgramAnalyzer applies one whole-program analyzer and returns its
+// findings.
+func runProgramAnalyzer(a *Analyzer, prog *Program, sums *SummarySet, graph *CallGraph) []Diagnostic {
+	pass := &ProgramPass{Analyzer: a, Prog: prog, Sums: sums, Graph: graph}
+	a.RunProgram(pass)
+	return pass.diags
 }
 
 func sortDiagnostics(ds []Diagnostic) {

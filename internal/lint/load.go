@@ -17,7 +17,7 @@ import (
 	"strings"
 )
 
-// Package is one type-checked package under analysis. LoadProgram
+// Package is one type-checked package under analysis. loadProgram
 // produces these from the build system; tests construct them directly
 // from testdata sources.
 type Package struct {
@@ -47,7 +47,7 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// LoadProgram loads, parses, and type-checks the whole program reached
+// loadProgram loads, parses, and type-checks the whole program reached
 // from the packages matching patterns, resolving go commands relative to
 // dir ("" = current directory). It shells out to `go list -export -json
 // -deps` exactly once per call — the single build-system round trip of a
@@ -61,7 +61,7 @@ type listPkg struct {
 // object as its definition in another, which is what the facts layer and
 // the call graph key on. Only the standard library and the current
 // module are involved — no external tooling.
-func LoadProgram(dir string, patterns []string) (*Program, error) {
+func loadProgram(dir string, patterns []string) (*Program, error) {
 	args := append([]string{
 		"list", "-export",
 		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error",
@@ -130,7 +130,7 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 			}
 			files = append(files, f)
 		}
-		info := NewInfo()
+		info := newInfo()
 		conf := types.Config{Importer: imp}
 		tpkg, terr := conf.Check(t.ImportPath, fset, files, info)
 		if terr != nil {
@@ -150,7 +150,7 @@ func LoadProgram(dir string, patterns []string) (*Program, error) {
 	return prog, nil
 }
 
-// programImporter resolves imports during LoadProgram: module packages
+// programImporter resolves imports during loadProgram: module packages
 // come from the already-source-checked set (dependency order guarantees
 // they exist), the standard library from export data.
 type programImporter struct {
@@ -165,8 +165,8 @@ func (pi *programImporter) Import(path string) (*types.Package, error) {
 	return pi.gc.Import(path)
 }
 
-// NewInfo allocates a types.Info with every map the analyzers consult.
-func NewInfo() *types.Info {
+// newInfo allocates a types.Info with every map the analyzers consult.
+func newInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

@@ -6,11 +6,11 @@ import (
 )
 
 func TestLoadPackagesTypeChecksFromSource(t *testing.T) {
-	prog, err := LoadProgram(filepath.Join("..", ".."), []string{"./internal/obs"})
+	prog, err := loadProgram(filepath.Join("..", ".."), []string{"./internal/obs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := prog.Targets()
+	pkgs := prog.targets()
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
@@ -30,7 +30,7 @@ func TestLoadPackagesTypeChecksFromSource(t *testing.T) {
 }
 
 func TestLoadPackagesBadPattern(t *testing.T) {
-	if _, err := LoadProgram(filepath.Join("..", ".."), []string{"./does/not/exist"}); err == nil {
+	if _, err := loadProgram(filepath.Join("..", ".."), []string{"./does/not/exist"}); err == nil {
 		t.Fatal("expected an error for a nonexistent package pattern")
 	}
 }

@@ -13,10 +13,9 @@ import (
 // tables. Map-to-map transforms, aggregations, and sorted-afterwards key
 // collection are all fine.
 var MapOrder = &Analyzer{
-	Name:  "maporder",
-	Doc:   "flag map iteration whose order leaks into slices, writers, or report output",
-	Allow: "maporder",
-	Run:   runMapOrder,
+	Name: "maporder",
+	Doc:  "flag map iteration whose order leaks into slices, writers, or report output",
+	Run:  runMapOrder,
 }
 
 // ioWriterIface is a structural io.Writer, built locally so the analyzer
@@ -80,7 +79,7 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, fn ast.Node) {
 				if sortedAfter(pass.Info, fn, rs, obj) {
 					continue
 				}
-				pass.Reportf(n.Pos(),
+				pass.reportf(n.Pos(),
 					"appends to %s while ranging over a map: iteration order is randomized and leaks into the slice; sort %s afterwards or iterate sorted keys",
 					id.Name, id.Name)
 			}
@@ -107,13 +106,13 @@ func reportOrderedSink(pass *Pass, call *ast.CallExpr) {
 	if sig != nil && sig.Recv() == nil {
 		switch {
 		case fn.Pkg().Path() == "fmt" && (fn.Name() == "Fprint" || fn.Name() == "Fprintf" || fn.Name() == "Fprintln"):
-			pass.Reportf(call.Pos(),
+			pass.reportf(call.Pos(),
 				"fmt.%s inside range over a map: output order is nondeterministic; collect and sort keys first", fn.Name())
 		case fn.Pkg().Path() == "fmt" && (fn.Name() == "Print" || fn.Name() == "Printf" || fn.Name() == "Println"):
-			pass.Reportf(call.Pos(),
+			pass.reportf(call.Pos(),
 				"fmt.%s inside range over a map: stdout order is nondeterministic; collect and sort keys first", fn.Name())
 		case fn.Pkg().Path() == "io" && fn.Name() == "WriteString":
-			pass.Reportf(call.Pos(),
+			pass.reportf(call.Pos(),
 				"io.WriteString inside range over a map: output order is nondeterministic; collect and sort keys first")
 		}
 		return
@@ -127,18 +126,18 @@ func reportOrderedSink(pass *Pass, call *ast.CallExpr) {
 	switch fn.Name() {
 	case "Write", "WriteString", "WriteByte", "WriteRune":
 		if implementsWriter(recv) {
-			pass.Reportf(call.Pos(),
+			pass.reportf(call.Pos(),
 				"%s.%s inside range over a map: write order is nondeterministic; collect and sort keys first",
 				types.TypeString(recv, types.RelativeTo(pass.Pkg)), fn.Name())
 		}
 	case "Encode":
 		if namedType(recv, "encoding/json", "Encoder") {
-			pass.Reportf(call.Pos(),
+			pass.reportf(call.Pos(),
 				"json.Encoder.Encode inside range over a map: record order is nondeterministic; collect and sort keys first")
 		}
 	case "AddRow":
 		if namedType(recv, "camps/internal/stats", "Table") {
-			pass.Reportf(call.Pos(),
+			pass.reportf(call.Pos(),
 				"stats.Table.AddRow inside range over a map: report row order is nondeterministic; iterate sorted keys")
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // at a call site in one package is the same object as its definition in
 // another.
 func TestLoadProgramSharedObjectIdentity(t *testing.T) {
-	prog, err := LoadProgram(filepath.Join("..", ".."), []string{"./internal/vault"})
+	prog, err := loadProgram(filepath.Join("..", ".."), []string{"./internal/vault"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +43,9 @@ func TestLoadProgramSharedObjectIdentity(t *testing.T) {
 		t.Error("vault should import camps/internal/prefetch")
 	}
 
-	targets := prog.Targets()
+	targets := prog.targets()
 	if len(targets) != 1 || targets[0].Path != "camps/internal/vault" {
-		t.Errorf("Targets() = %v, want exactly camps/internal/vault", targets)
+		t.Errorf("targets() = %v, want exactly camps/internal/vault", targets)
 	}
 
 	idx := make(map[string]int)
@@ -54,37 +54,5 @@ func TestLoadProgramSharedObjectIdentity(t *testing.T) {
 	}
 	if idx["camps/internal/prefetch"] > idx["camps/internal/vault"] {
 		t.Error("Pkgs not in dependency order: prefetch must precede vault")
-	}
-}
-
-// TestProgramSuppression pins the program-wide directive index: a
-// reasoned directive in a dependency package suppresses at its line and
-// the line below, nowhere else.
-func TestProgramSuppression(t *testing.T) {
-	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "detflow", "src"))
-	util := pkgByPath(prog, "camps/internal/util")
-	if util == nil {
-		t.Fatal("util package not loaded")
-	}
-	// The allow-wallclock directive sits on the time.Now line inside
-	// Allowed; find it through the package's own directives.
-	dirs := parseDirectives(util.Fset, util.Files)
-	if len(dirs) != 1 || dirs[0].name != "wallclock" {
-		t.Fatalf("want exactly one wallclock directive in util, got %v", dirs)
-	}
-	pos := util.Fset.Position(dirs[0].pos)
-	if !prog.suppressedAt(pos, "wallclock") {
-		t.Error("directive line should be suppressed for its own name")
-	}
-	if !prog.suppressedAt(pos, "detflow", "wallclock") {
-		t.Error("suppression should hold for any of the queried names")
-	}
-	if prog.suppressedAt(pos, "detflow") {
-		t.Error("a wallclock directive must not suppress detflow alone")
-	}
-	two := pos
-	two.Line += 2
-	if prog.suppressedAt(two, "wallclock") {
-		t.Error("suppression must not reach two lines below the directive")
 	}
 }

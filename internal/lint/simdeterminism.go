@@ -53,10 +53,9 @@ var randConstructors = map[string]bool{
 // SimDeterminism forbids wall-clock reads and global math/rand use in
 // simulation packages.
 var SimDeterminism = &Analyzer{
-	Name:  "simdeterminism",
-	Doc:   "forbid time.Now/time.Since and global math/rand in simulation packages",
-	Allow: "wallclock",
-	Run:   runSimDeterminism,
+	Name: "simdeterminism",
+	Doc:  "forbid time.Now/time.Since and global math/rand in simulation packages",
+	Run:  runSimDeterminism,
 }
 
 func runSimDeterminism(pass *Pass) {
@@ -79,13 +78,13 @@ func runSimDeterminism(pass *Pass) {
 			switch fn.Pkg().Path() {
 			case "time":
 				if wallClockFuncs[fn.Name()] {
-					pass.Reportf(sel.Pos(),
-						"time.%s in simulation package %s: wall-clock reads break run-to-run determinism; use sim.Engine time, or //lint:allow-wallclock <reason>",
+					pass.reportf(sel.Pos(),
+						"time.%s in simulation package %s: wall-clock reads break run-to-run determinism; use sim.Engine time",
 						fn.Name(), pass.Pkg.Path())
 				}
 			case "math/rand", "math/rand/v2":
 				if !randConstructors[fn.Name()] {
-					pass.Reportf(sel.Pos(),
+					pass.reportf(sel.Pos(),
 						"global %s.%s in simulation package %s: process-global RNG state breaks run-to-run determinism; use trace.RNG or an explicitly seeded rand.New",
 						fn.Pkg().Path(), fn.Name(), pass.Pkg.Path())
 				}

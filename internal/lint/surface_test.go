@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"path/filepath"
 	"reflect"
@@ -16,22 +17,6 @@ import (
 // module uses them, each with its reason. Keys are the package path below
 // camps/internal/, then the receiver type for a method, then the name.
 var surfaceExclusions = map[string]string{
-	// The framework API mirrors go/analysis, so analyzers and the
-	// commands that run them read like the upstream ones.
-	"lint.All":                 "go/analysis framework API",
-	"lint.LoadProgram":         "go/analysis framework API",
-	"lint.Program.Targets":     "go/analysis framework API",
-	"lint.NewInfo":             "go/analysis framework API",
-	"lint.RunAnalyzer":         "go/analysis framework API",
-	"lint.RunProgramAnalyzer":  "go/analysis framework API",
-	"lint.Summarize":           "go/analysis framework API",
-	"lint.SummarySet.Func":     "go/analysis framework API",
-	"lint.BuildCallGraph":      "go/analysis framework API",
-	"lint.CallGraph.Reachable": "go/analysis framework API",
-	"lint.CheckDirectives":     "go/analysis framework API",
-	"lint.Pass.Reportf":        "go/analysis framework API",
-	"lint.ProgramPass.Report":  "go/analysis framework API",
-
 	// errors.Is and errors.As find these through interface literals of
 	// package errors, which the program does not spell out.
 	"sim.InvariantError.Unwrap":   "errors.Is unwraps through it",
@@ -49,7 +34,6 @@ var surfaceExclusions = map[string]string{
 	"obs.NewTracer":         "the fault tests record a run's events",
 	"obs.Tracer.Events":     "the root and fault tests read recorded events",
 	"obs.StreamServer.Addr": "the root -serve-metrics test finds the ephemeral port StartStream bound",
-	"obs.NewHistogram":      "campslint's statsreg analyzer checks calls of it",
 	"trace.NewRNG":          "simdeterminism's diagnostic tells simulation packages to use trace.RNG",
 	"trace.RNG.Intn":        "simdeterminism's diagnostic tells simulation packages to use trace.RNG",
 	"trace.RNG.Int63n":      "simdeterminism's diagnostic tells simulation packages to use trace.RNG",
@@ -67,7 +51,7 @@ var surfaceExclusions = map[string]string{
 // Close or Write, say) is. Generic methods count the uses of their
 // instantiations. Unused exclusions fail too, so the table stays exact.
 func TestExportedSurfaceHasCallers(t *testing.T) {
-	prog, err := LoadProgram(filepath.Join("..", ".."), []string{"./..."})
+	prog, err := loadProgram(filepath.Join("..", ".."), []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +109,78 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	}
 }
 
+// registryNameMethods are the obs.Registry methods whose first argument
+// is a metric name.
+var registryNameMethods = map[string]bool{"Histogram": true, "CounterFunc": true, "GaugeFunc": true}
+
+// TestMetricsComeFromRegistry loads the module's non-test files and fails
+// on a metric that can drop out of the epoch snapshots or the metric
+// namespace unnoticed: a name passed to Registry.Histogram, CounterFunc or
+// GaugeFunc that is not a compile-time constant, and an obs.Histogram
+// built outside internal/obs (a composite literal, new, or a non-pointer
+// variable, field or parameter), which no registry snapshots. Every
+// histogram comes from Registry.Histogram; counters and gauges are
+// registered as reader functions. internal/obs itself, which implements
+// the registry and names its per-cause histograms from a table of
+// literals, is not checked.
+func TestMetricsComeFromRegistry(t *testing.T) {
+	prog, err := loadProgram(filepath.Join("..", ".."), []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const obsPath = "camps/internal/obs"
+	isHistogram := func(t types.Type) bool { // by value, not *obs.Histogram
+		_, ptr := t.(*types.Pointer)
+		return !ptr && namedType(t, obsPath, "Histogram")
+	}
+	var findings []string
+	for _, pkg := range prog.Pkgs {
+		if pkg.Path == obsPath {
+			continue
+		}
+		report := func(pos token.Pos, msg string) {
+			findings = append(findings, pkg.Fset.Position(pos).String()+": "+msg)
+		}
+		for _, obj := range pkg.Info.Defs {
+			if v, ok := obj.(*types.Var); ok && isHistogram(v.Type()) {
+				report(v.Pos(), v.Name()+" holds an obs.Histogram by value: take a *obs.Histogram from Registry.Histogram")
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if isHistogram(pkg.Info.TypeOf(n)) {
+						report(n.Pos(), "obs.Histogram literal: take it from Registry.Histogram")
+					}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) == 1 {
+						if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "new" && isHistogram(pkg.Info.TypeOf(n.Args[0])) {
+							report(n.Pos(), "new(obs.Histogram): take it from Registry.Histogram")
+						}
+					}
+					fn := funcOf(pkg.Info, n.Fun)
+					if fn == nil || !registryNameMethods[fn.Name()] || len(n.Args) == 0 {
+						break
+					}
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil && namedType(recv.Type(), obsPath, "Registry") &&
+						pkg.Info.Types[n.Args[0]].Value == nil {
+						report(n.Args[0].Pos(), "metric name passed to Registry."+fn.Name()+" is not a compile-time constant: use a string literal or named constant")
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(findings)
+	for _, msg := range findings {
+		t.Error(msg)
+	}
+}
+
 // stdInterfaces are the standard-library interfaces the program hands its
 // values to and the library then calls methods through: fmt and
-// encoding/json look for the first three, and LoadProgram gives go/types
+// encoding/json look for the first three, and loadProgram gives go/types
 // an Importer.
 var stdInterfaces = []struct{ pkg, name string }{
 	{"fmt", "Stringer"},
@@ -186,7 +239,6 @@ func receiverName(t types.Type) *types.Named {
 var fieldExclusions = map[string]string{
 	// perfbench is a module of its own, so its uses are not loaded.
 	"prefetch.Request.Write": "perfbench's vault and prefetch layer benchmarks set it",
-	"exp.Stats":              "the campaign report Run returns: perfbench reads Retried, and the exp tests check retry, failure and cancellation accounting through the rest",
 
 	"report.key": "a map key, read through ==",
 
@@ -210,7 +262,7 @@ var fieldExclusions = map[string]string{
 // move a hot struct's fields. Unused exclusions fail too, so the table
 // stays exact.
 func TestStructFieldsAreRead(t *testing.T) {
-	prog, err := LoadProgram(filepath.Join("..", ".."), []string{"./..."})
+	prog, err := loadProgram(filepath.Join("..", ".."), []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}

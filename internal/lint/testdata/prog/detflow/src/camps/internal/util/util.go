@@ -21,8 +21,3 @@ func Keys(m map[string]int) []string {
 	}
 	return out
 }
-
-// Allowed is suppressed at the source, so callers stay clean.
-func Allowed() int64 {
-	return time.Now().UnixNano() //lint:allow-wallclock coarse logging helper, never on result paths
-}

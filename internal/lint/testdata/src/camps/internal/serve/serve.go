@@ -1,8 +1,7 @@
 // Golden file for the ctxthread analyzer: camps/internal/serve is an
 // orchestration package, so exported functions that spawn goroutines or
 // hard-code context.Background/TODO without accepting a context are
-// findings; ctx-threading functions, unexported helpers, and annotated
-// compatibility wrappers are not.
+// findings; ctx-threading functions and unexported helpers are not.
 package serve
 
 import "context"
@@ -29,9 +28,4 @@ func GoodPropagates(ctx context.Context) error {
 
 func goodUnexported() {
 	go func() {}() // unexported helpers are the exported caller's responsibility
-}
-
-func GoodCompatWrapper() error {
-	//lint:allow-noctx documented context-free wrapper; cancellable callers use RunCampaign
-	return RunCampaign(context.Background(), 1)
 }

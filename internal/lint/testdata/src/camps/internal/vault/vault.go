@@ -1,6 +1,6 @@
 // Golden file for the simdeterminism analyzer: camps/internal/vault is a
 // simulation package, so wall-clock reads and global RNG are findings;
-// owned generators and annotated lines are not.
+// owned generators are not.
 package vault
 
 import (
@@ -31,12 +31,4 @@ func GoodOwnedRand(seed int64) int {
 
 func GoodTimeArithmetic(a, b time.Time) time.Duration {
 	return b.Sub(a) // methods on stored values never read the clock
-}
-
-func AllowedWallClock() time.Time {
-	return time.Now() //lint:allow-wallclock coarse progress logging only, excluded from Results
-}
-
-func MissingReason() {
-	time.Sleep(time.Millisecond) //lint:allow-wallclock // want `time.Sleep in simulation package` `directive needs a reason`
 }

@@ -103,9 +103,3 @@ func GoodSliceRange(w io.Writer, keys []string) {
 		fmt.Fprintln(w, k) // ranging a slice is ordered; only maps are flagged
 	}
 }
-
-func AllowedDirective(w io.Writer, m map[string]int) {
-	for k := range m {
-		fmt.Fprintln(w, k) //lint:allow-maporder debug dump, order is explicitly irrelevant
-	}
-}

@@ -34,7 +34,3 @@ func GoodTickArithmetic(t sim.Time) sim.Time {
 func GoodDurationArithmetic(d time.Duration) time.Duration {
 	return d * 3 / 2 // pure duration arithmetic is fine
 }
-
-func AllowedDirective(t sim.Time) time.Duration {
-	return time.Duration(t) //lint:allow-tickarith intentionally reinterprets ps as ns for a density plot
-}

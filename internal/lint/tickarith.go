@@ -13,10 +13,9 @@ import (
 // needs to cross the boundary converts through an explicit int64 with
 // named picosecond/nanosecond helpers so the unit change is visible.
 var TickArith = &Analyzer{
-	Name:  "tickarith",
-	Doc:   "flag conversions/arithmetic mixing sim.Time ticks with time.Duration",
-	Allow: "tickarith",
-	Run:   runTickArith,
+	Name: "tickarith",
+	Doc:  "flag conversions/arithmetic mixing sim.Time ticks with time.Duration",
+	Run:  runTickArith,
 }
 
 const simPkgPath = "camps/internal/sim"
@@ -40,16 +39,16 @@ func runTickArith(pass *Pass) {
 				dst := tv.Type
 				switch {
 				case isSimTime(src) && isDuration(dst):
-					pass.Reportf(n.Pos(),
+					pass.reportf(n.Pos(),
 						"conversion of sim.Time (simulated picoseconds) to time.Duration (wall-clock nanoseconds): units differ by 1000x; convert through an explicit int64 picosecond count")
 				case isDuration(src) && isSimTime(dst):
-					pass.Reportf(n.Pos(),
+					pass.reportf(n.Pos(),
 						"conversion of time.Duration (wall-clock nanoseconds) to sim.Time (simulated picoseconds): units differ by 1000x; convert through an explicit int64 picosecond count")
 				}
 			case *ast.BinaryExpr:
 				x, y := pass.Info.TypeOf(n.X), pass.Info.TypeOf(n.Y)
 				if (isSimTime(x) && isDuration(y)) || (isDuration(x) && isSimTime(y)) {
-					pass.Reportf(n.Pos(),
+					pass.reportf(n.Pos(),
 						"arithmetic mixing sim.Time ticks and time.Duration: the operands are in different units (ps vs ns)")
 				}
 			}

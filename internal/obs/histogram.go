@@ -29,8 +29,8 @@ type Histogram struct {
 	buckets [nBuckets]uint64
 }
 
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
+// newHistogram returns an empty histogram.
+func newHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a sample to its bucket.
 func bucketIndex(v uint64) int {

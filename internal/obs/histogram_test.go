@@ -83,7 +83,7 @@ func TestBucketEdgeValues(t *testing.T) {
 // the exact quantile and within the 2^-subBits relative error guarantee.
 func TestHistogramRelativeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	h := NewHistogram()
+	h := newHistogram()
 	samples := make([]uint64, 0, 10_000)
 	for i := 0; i < 10_000; i++ {
 		// Log-uniform over ~6 decades, like latency distributions.
@@ -110,7 +110,7 @@ func TestHistogramRelativeError(t *testing.T) {
 // TestHistogramSmallCounts: with few samples the quantiles pick the right
 // order statistic (ceil(q*n)-th smallest).
 func TestHistogramSmallCounts(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	if got := h.quantile(0.5); got != 0 {
 		t.Errorf("empty histogram Quantile(0.5) = %v, want 0", got)
 	}
@@ -132,7 +132,7 @@ func TestHistogramSmallCounts(t *testing.T) {
 // TestHistogramNegativeClamp: negative samples count as zero rather than
 // corrupting the bucket array.
 func TestHistogramNegativeClamp(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	h.ObserveInt(-100)
 	h.ObserveInt(-3)
 	if h.count != 2 {
@@ -149,7 +149,7 @@ func TestHistogramNegativeClamp(t *testing.T) {
 // TestHistogramQuantileClamp: the reported quantile never exceeds the
 // observed maximum even when the bucket's upper edge does.
 func TestHistogramQuantileClamp(t *testing.T) {
-	h := NewHistogram()
+	h := newHistogram()
 	h.ObserveInt(1000) // bucket upper edge is above 1000
 	if got := h.quantile(0.99); got != 1000 {
 		t.Errorf("single-sample quantile = %v, want clamped 1000", got)
@@ -173,7 +173,7 @@ func bucketProbeValues() []uint64 {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram()
+	h := newHistogram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.ObserveInt(int64(i) * 997)

@@ -50,7 +50,7 @@ func NewRegistry() *Registry {
 func (r *Registry) Histogram(name string) *Histogram {
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram()
+		h = newHistogram()
 		r.hists[name] = h
 	}
 	return h

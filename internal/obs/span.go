@@ -61,8 +61,9 @@ func (c Cause) String() string {
 }
 
 // Metric names the attribution layer registers. They are exported
-// constants so the statsreg lint rule can verify every span.*/pf.* name
-// is a compile-time literal (no dynamic fmt.Sprintf names).
+// constants, so every span.*/pf.* name is a compile-time literal (no
+// dynamic fmt.Sprintf names), as lint's TestMetricsComeFromRegistry
+// requires of every registration outside this package.
 const (
 	MetricSpanStarted    = "span.started"
 	MetricSpanRetired    = "span.retired"
@@ -77,7 +78,7 @@ const (
 )
 
 // causeMetricNames holds the per-cause counter names as literals so the
-// registry never sees a computed name (the statsreg rule's contract).
+// registry never sees a computed name.
 var causeMetricNames = [causeCount]string{
 	CauseQueue:        "span.queue_ps",
 	CauseXbar:         "span.xbar_ps",

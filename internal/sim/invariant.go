@@ -109,7 +109,7 @@ func (c *Checker) Err() error {
 // occupancy bits match its non-empty buckets; each bucket is in (when, seq)
 // order with consistent back-links; each ring node sits in its own bucket,
 // within one revolution of now; the nodes found add up to pending(); and
-// the far heap keeps the heap property with correct positions. It is
+// the far heap keeps the heap property. It is
 // read-only and O(ringSize + pending()).
 func (e *Engine) checkQueue() error {
 	nowBucket := e.now >> ringShift
@@ -127,8 +127,6 @@ func (e *Engine) checkQueue() error {
 			case prev != nil && !nodeLess(prev, nd):
 				// Also ends the walk of a corrupted, cyclic list.
 				return fmt.Errorf("ring slot %d: event (%v, %d) after (%v, %d)", s, nd.when, nd.seq, prev.when, prev.seq)
-			case nd.idx != inRing:
-				return fmt.Errorf("ring slot %d: event (%v, %d) has heap index %d", s, nd.when, nd.seq, nd.idx)
 			case int(nd.when>>ringShift)&ringMask != s:
 				return fmt.Errorf("ring slot %d: event at %v belongs in slot %d", s, nd.when, int(nd.when>>ringShift)&ringMask)
 			case nd.when < e.now || nd.when>>ringShift >= nowBucket+ringSize:
@@ -148,8 +146,6 @@ func (e *Engine) checkQueue() error {
 	}
 	for i, nd := range e.heap {
 		switch {
-		case nd.idx != int32(i):
-			return fmt.Errorf("far heap position %d: event records index %d", i, nd.idx)
 		case i > 0 && nodeLess(nd, e.heap[(i-1)/4]):
 			return fmt.Errorf("far heap position %d: event (%v, %d) precedes its parent", i, nd.when, nd.seq)
 		case nd.when < e.now:

@@ -31,16 +31,6 @@ func (r *refQueue) schedule(t Time) {
 	r.ids++
 }
 
-func (r *refQueue) cancel(id int) bool {
-	for i, ev := range r.pending {
-		if ev.id == id {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // popMin removes and returns the earliest event if it is due by deadline.
 func (r *refQueue) popMin(deadline Time) (refEvent, bool) {
 	best := -1
@@ -73,19 +63,18 @@ func childDelay(id int) Time { return Time(id%7) * 700 * Picosecond }
 // diffHarness drives the engine and the reference queue with the same
 // operations and compares them after each one.
 type diffHarness struct {
-	t       *testing.T
-	eng     *Engine
-	ref     refQueue
-	handles []Event
-	child   []bool // by id: scheduled from inside a callback
-	fired   []int
+	t     *testing.T
+	eng   *Engine
+	ref   refQueue
+	child []bool // by id: scheduled from inside a callback
+	fired []int
 
 	// Coverage of the cases the ring must get right.
 	farPushes, crossTies int
 }
 
 func (h *diffHarness) schedule(t Time, daemon, child bool) {
-	id := len(h.handles)
+	id := len(h.child)
 	fn := func() {
 		h.fired = append(h.fired, id)
 		if id%4 == 0 && !child {
@@ -102,13 +91,11 @@ func (h *diffHarness) schedule(t Time, daemon, child bool) {
 			}
 		}
 	}
-	var ev Event
 	if daemon {
-		ev = h.eng.AtDaemon(t, fn)
+		h.eng.AtDaemon(t, fn)
 	} else {
-		ev = h.eng.At(t, fn)
+		h.eng.At(t, fn)
 	}
-	h.handles = append(h.handles, ev)
 	h.child = append(h.child, child)
 	if !child {
 		h.ref.schedule(t)
@@ -161,8 +148,8 @@ func (h *diffHarness) compare(op string) {
 	}
 }
 
-// TestEngineMatchesReferenceQueue drives random At/AtDaemon/Cancel/Step/
-// RunUntil sequences against the reference queue and requires the same
+// TestEngineMatchesReferenceQueue drives random At/AtDaemon/Step/RunUntil
+// sequences against the reference queue and requires the same
 // fire order, Pending() and Now() after every operation. Times cluster on
 // the ring's edges: same-instant ties, several instants in one bucket, the
 // last ring instant and the first far ones, events revolutions ahead, far
@@ -207,25 +194,14 @@ func TestEngineMatchesReferenceQueue(t *testing.T) {
 			return t
 		}
 		for op := 0; op < 400; op++ {
-			switch k := rng.Intn(20); {
+			switch k := rng.Intn(17); {
 			case k < 8:
 				h.schedule(pick(), false, false)
 				h.compare("At")
 			case k < 10:
 				h.schedule(pick(), true, false)
 				h.compare("AtDaemon")
-			case k < 13:
-				if len(h.handles) == 0 {
-					continue
-				}
-				id := rng.Intn(len(h.handles))
-				got := h.eng.cancel(h.handles[id])
-				want := h.ref.cancel(id)
-				if got != want {
-					t.Fatalf("trial %d: Cancel(event %d) = %v, reference %v", trial, id, got, want)
-				}
-				h.compare("Cancel")
-			case k < 17:
+			case k < 14:
 				h.step()
 				h.compare("Step")
 			default:
@@ -297,13 +273,8 @@ func TestCheckQueueCatchesCorruption(t *testing.T) {
 		{"node a revolution ahead", func(e *Engine) {
 			e.ring[slot(9*width)].head.when = 9*width + Time(ringSize)*width
 		}, "outside the revolution"},
-		{"ring node with a heap index", func(e *Engine) { e.ring[slot(9*width)].head.idx = 0 }, "heap index"},
 		{"ring count", func(e *Engine) { e.ringN++ }, "count says"},
-		{"far heap order", func(e *Engine) {
-			e.heap[0], e.heap[1] = e.heap[1], e.heap[0]
-			e.heap[0].idx, e.heap[1].idx = 0, 1
-		}, "precedes its parent"},
-		{"far heap index", func(e *Engine) { e.heap[2].idx = 1 }, "records index"},
+		{"far heap order", func(e *Engine) { e.heap[0], e.heap[1] = e.heap[1], e.heap[0] }, "precedes its parent"},
 		{"far event in the past", func(e *Engine) { e.heap[0].when = -1 }, "before now"},
 		{"non-daemon count", func(e *Engine) { e.nonDaemon-- }, "non-daemon"},
 	}

@@ -6,13 +6,12 @@
 // built on this kernel fully deterministic for a given input.
 //
 // The kernel is allocation-free in steady state: event nodes are pooled on
-// the engine and recycled when they fire or are cancelled. The pending
-// queue is a near-future bucket ring (a calendar queue covering about one
-// microsecond ahead of now, where nearly every event of the HMC model
-// lands) backed by a 4-ary heap for events beyond the ring's horizon.
-// Handles returned by At/After/AtDaemon are generation-checked values, so a
-// handle to an event that has already fired or been cancelled stays inert
-// even after its node has been reused for a newer event.
+// the engine and recycled when they fire. The pending queue is a
+// near-future bucket ring (a calendar queue covering about one microsecond
+// ahead of now, where nearly every event of the HMC model lands) backed by
+// a 4-ary heap for events beyond the ring's horizon. A scheduled event
+// always fires: there is no cancellation, and a component that no longer
+// wants a callback has it return early.
 package sim
 
 import (
@@ -153,17 +152,6 @@ func mulDivBias(a, b int64, bias uint64, c int64) int64 {
 	return int64(q)
 }
 
-// Event is a handle to a scheduled callback. It is a small value: copy it
-// freely. The zero Event is not scheduled. Handles are generation-checked
-// against the engine's pooled event nodes, so a stale handle — one whose
-// event already fired or was cancelled, even if the underlying node now
-// carries a newer event — is no longer pending and cancels as a no-op
-// instead of touching the new occupant.
-type Event struct {
-	n   *eventNode
-	gen uint64
-}
-
 // eventNode is the pooled representation of one scheduled callback.
 // Exactly one of fn/fnAt/fnArg is set. fnAt receives the scheduled time,
 // which lets completion callbacks of the form func(){ done(t) } be
@@ -173,9 +161,7 @@ type Event struct {
 type eventNode struct {
 	when   Time
 	seq    uint64
-	gen    uint64 // bumped on every recycle; pairs with Event.gen
 	arg    uint64 // fnArg's argument
-	idx    int32  // position in the far heap, inRing, or -1 once fired or cancelled
 	daemon bool
 	fn     func()
 	fnAt   func(Time)
@@ -197,10 +183,6 @@ const (
 	ringSize  = 1024
 	ringMask  = ringSize - 1
 	ringWords = ringSize / 64
-
-	// inRing is eventNode.idx for a node queued in the ring. It is
-	// non-negative, so a pending check needs no second test.
-	inRing = math.MaxInt32
 )
 
 // bucket is one ring slot: an intrusive list in (when, seq) order.
@@ -240,22 +222,22 @@ func (e *Engine) pending() int { return e.ringN + len(e.heap) }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a model bug, and silently reordering time would make
 // results meaningless.
-func (e *Engine) At(t Time, fn func()) Event {
+func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return e.schedule(t, fn, nil, nil, 0, false)
+	e.schedule(t, fn, nil, nil, 0, false)
 }
 
 // AtWhen schedules fn to run at absolute time t and invokes it with that
 // time. It is At for completion callbacks of the shape
 // func() { done(t) }: passing done directly avoids allocating a closure
 // just to capture t, which matters on the per-request hot path.
-func (e *Engine) AtWhen(t Time, fn func(Time)) Event {
+func (e *Engine) AtWhen(t Time, fn func(Time)) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return e.schedule(t, nil, fn, nil, 0, false)
+	e.schedule(t, nil, fn, nil, 0, false)
 }
 
 // AtArg schedules fn to run at absolute time t with a fixed uint64
@@ -263,25 +245,25 @@ func (e *Engine) AtWhen(t Time, fn func(Time)) Event {
 // the shape func() { issue(addr) }: binding the method value once and
 // passing the address through AtArg avoids allocating a capturing closure
 // per scheduled call.
-func (e *Engine) AtArg(t Time, fn func(uint64), arg uint64) Event {
+func (e *Engine) AtArg(t Time, fn func(uint64), arg uint64) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return e.schedule(t, nil, nil, fn, arg, false)
+	e.schedule(t, nil, nil, fn, arg, false)
 }
 
 // AtDaemon schedules a daemon event: it fires like any other event while
 // the simulation is alive, but does not by itself keep Run going. Use it
 // for self-rearming background work (DRAM refresh windows, periodic
 // feedback) that would otherwise make Run non-terminating.
-func (e *Engine) AtDaemon(t Time, fn func()) Event {
+func (e *Engine) AtDaemon(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return e.schedule(t, fn, nil, nil, 0, true)
+	e.schedule(t, fn, nil, nil, 0, true)
 }
 
-func (e *Engine) schedule(t Time, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) Event {
+func (e *Engine) schedule(t Time, fn func(), fnAt func(Time), fnArg func(uint64), arg uint64, daemon bool) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -302,7 +284,6 @@ func (e *Engine) schedule(t Time, fn func(), fnAt func(Time), fnArg func(uint64)
 	if !daemon {
 		e.nonDaemon++
 	}
-	return Event{n: nd, gen: nd.gen}
 }
 
 // alloc takes a node from the free list, refilling it a chunk at a time so
@@ -321,10 +302,8 @@ func (e *Engine) alloc() *eventNode {
 	return &chunk[0]
 }
 
-// recycle returns a fired or cancelled node to the pool. Bumping the
-// generation first is what invalidates every outstanding handle to it.
+// recycle returns a fired node to the pool.
 func (e *Engine) recycle(nd *eventNode) {
-	nd.gen++
 	nd.fn = nil
 	nd.fnAt = nil
 	nd.fnArg = nil
@@ -332,27 +311,11 @@ func (e *Engine) recycle(nd *eventNode) {
 }
 
 // After schedules fn to run d picoseconds from now.
-func (e *Engine) After(d Time, fn func()) Event {
+func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	return e.At(e.now+d, fn)
-}
-
-// cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event — including a stale handle whose node now holds
-// a newer event — is a no-op and returns false.
-func (e *Engine) cancel(ev Event) bool {
-	nd := ev.n
-	if nd == nil || nd.gen != ev.gen || nd.idx < 0 {
-		return false
-	}
-	e.unlink(nd)
-	if !nd.daemon {
-		e.nonDaemon--
-	}
-	e.recycle(nd)
-	return true
+	e.At(e.now+d, fn)
 }
 
 // Halt stops Run/RunUntil after the currently executing event returns.
@@ -387,8 +350,7 @@ func (e *Engine) fire(nd *eventNode) {
 	fn, fnAt, fnArg, arg := nd.fn, nd.fnAt, nd.fnArg, nd.arg
 	// Recycle before invoking: the callback may schedule new events, and
 	// letting it reuse this node immediately keeps the pool at its
-	// high-water mark. Outstanding handles are invalidated by the
-	// generation bump, so the reuse is invisible to them.
+	// high-water mark.
 	e.recycle(nd)
 	e.fired++
 	switch {
@@ -490,34 +452,27 @@ func (e *Engine) ringPush(nd *eventNode) {
 	} else {
 		nd.next.prev = nd
 	}
-	nd.idx = inRing
 	e.occ[s>>6] |= 1 << (s & 63)
 	e.ringN++
 }
 
-// unlink removes a pending node from the ring or the heap.
+// unlink removes nd, the earliest pending event as peek found it: the
+// far heap's top, or else the head of its ring bucket.
 func (e *Engine) unlink(nd *eventNode) {
-	if nd.idx != inRing {
-		e.heapRemove(int(nd.idx))
+	if len(e.heap) > 0 && e.heap[0] == nd {
+		e.heapPop()
 		return
 	}
 	s := int(nd.when>>ringShift) & ringMask
 	b := &e.ring[s]
-	if nd.prev == nil {
-		b.head = nd.next
-	} else {
-		nd.prev.next = nd.next
-	}
-	if nd.next == nil {
-		b.tail = nd.prev
-	} else {
-		nd.next.prev = nd.prev
-	}
+	b.head = nd.next
 	if b.head == nil {
+		b.tail = nil
 		e.occ[s>>6] &^= 1 << (s & 63)
+	} else {
+		b.head.prev = nil
 	}
-	nd.prev, nd.next = nil, nil
-	nd.idx = -1
+	nd.next = nil
 	e.ringN--
 }
 
@@ -549,11 +504,9 @@ func (e *Engine) siftUp(i int, nd *eventNode) {
 			break
 		}
 		h[i] = h[p]
-		h[i].idx = int32(i)
 		i = p
 	}
 	h[i] = nd
-	nd.idx = int32(i)
 }
 
 // siftDown places nd at index i or below, shifting smaller children up.
@@ -579,27 +532,19 @@ func (e *Engine) siftDown(i int, nd *eventNode) {
 			break
 		}
 		h[i] = h[best]
-		h[i].idx = int32(i)
 		i = best
 	}
 	h[i] = nd
-	nd.idx = int32(i)
 }
 
-func (e *Engine) heapRemove(i int) {
+// heapPop removes the far heap's top.
+func (e *Engine) heapPop() {
 	h := e.heap
-	nd := h[i]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
 	e.heap = h[:n]
-	if i < n {
-		// Re-seat the displaced last element: it may need to move either
-		// direction relative to position i.
-		e.siftDown(i, last)
-		if int(last.idx) == i {
-			e.siftUp(i, last)
-		}
+	if n > 0 {
+		e.siftDown(0, last)
 	}
-	nd.idx = -1
 }

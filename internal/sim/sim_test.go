@@ -10,12 +10,6 @@ import (
 
 // toCycles converts a duration to whole elapsed cycles (floor), the
 // inverse the tests check Cycles against.
-// scheduled reports whether the event is still pending. A stale handle
-// never reports true, even if its node has been recycled for a new event.
-func (e Event) scheduled() bool {
-	return e.n != nil && e.n.gen == e.gen && e.n.idx >= 0
-}
-
 func toCycles(c Clock, d Time) int64 { return mulDivBias(int64(d), int64(c.den), 0, int64(c.num)) }
 
 // nextEdge is the earliest time >= t that falls on a clock edge.
@@ -186,89 +180,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	eng.Run()
 }
 
-func TestEngineCancel(t *testing.T) {
-	eng := NewEngine()
-	fired := false
-	ev := eng.At(10, func() { fired = true })
-	if !ev.scheduled() {
-		t.Fatal("freshly scheduled event reports not scheduled")
-	}
-	if !eng.cancel(ev) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if ev.scheduled() {
-		t.Fatal("cancelled event still reports scheduled")
-	}
-	if eng.cancel(ev) {
-		t.Fatal("double cancel returned true")
-	}
-	eng.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEngineCancelZero(t *testing.T) {
-	eng := NewEngine()
-	if eng.cancel(Event{}) {
-		t.Fatal("Cancel of zero Event returned true")
-	}
-	if (Event{}).scheduled() {
-		t.Fatal("zero Event reports scheduled")
-	}
-}
-
-// A handle to an event that already fired must stay inert even after the
-// engine recycles its node for a newer event: Scheduled() must not report
-// the new occupant, and Cancel must not cancel it.
-func TestEngineStaleHandleAfterFire(t *testing.T) {
-	eng := NewEngine()
-	ev := eng.At(10, func() {})
-	eng.Run()
-	if ev.scheduled() {
-		t.Fatal("fired event still reports scheduled")
-	}
-	// Reuse the pooled node for a new event. With chunked pooling the node
-	// just recycled is on top of the free list, so this occupies it.
-	fired := false
-	ev2 := eng.At(20, func() { fired = true })
-	if ev.scheduled() {
-		t.Fatal("stale handle reports scheduled after node reuse")
-	}
-	if eng.cancel(ev) {
-		t.Fatal("stale handle cancelled the node's new occupant")
-	}
-	eng.Run()
-	if !fired {
-		t.Fatal("new occupant did not fire")
-	}
-	_ = ev2
-}
-
-// Same staleness guarantee for the cancel-then-reschedule order.
-func TestEngineStaleHandleAfterCancel(t *testing.T) {
-	eng := NewEngine()
-	ev := eng.At(10, func() { t.Fatal("cancelled event fired") })
-	if !eng.cancel(ev) {
-		t.Fatal("cancel failed")
-	}
-	fired := false
-	ev2 := eng.At(10, func() { fired = true })
-	if ev.scheduled() {
-		t.Fatal("cancelled handle reports scheduled after node reuse")
-	}
-	if eng.cancel(ev) {
-		t.Fatal("double cancel through a stale handle succeeded")
-	}
-	if !ev2.scheduled() {
-		t.Fatal("fresh handle on the recycled node reports not scheduled")
-	}
-	eng.Run()
-	if !fired {
-		t.Fatal("rescheduled event did not fire")
-	}
-}
-
 // Pooled nodes must make the schedule/fire cycle allocation-free in steady
 // state; this is the 0 allocs/op acceptance bar for the hot path.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
@@ -288,15 +199,13 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("schedule+Step allocates %.1f per op in steady state, want 0", allocs)
 	}
 
-	// The same holds for a mix of ring, far-heap and cancelled events, once
-	// the pool and the far heap have reached their high-water marks.
+	// The same holds for a mix of ring and far-heap events, once the pool
+	// and the far heap have reached their high-water marks.
 	far := Time(3*ringSize) << ringShift
 	i := fillSteady(eng, fn)
 	mixed := func() {
 		now := eng.Now()
 		eng.At(now+steadyDeltas[i%len(steadyDeltas)], fn)
-		eng.cancel(eng.At(now+steadyDeltas[(i+7)%len(steadyDeltas)], fn))
-		eng.cancel(eng.AtDaemon(now+far+Time(i), fn))
 		if i%16 == 0 {
 			eng.AtDaemon(now+far, fn)
 			eng.Step()
@@ -309,7 +218,7 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	}
 	allocs = testing.AllocsPerRun(1000, mixed)
 	if allocs != 0 {
-		t.Fatalf("ring/far/cancel mix allocates %.1f per op in steady state, want 0", allocs)
+		t.Fatalf("ring/far mix allocates %.1f per op in steady state, want 0", allocs)
 	}
 	if len(eng.heap) == 0 || eng.ringN == 0 {
 		t.Fatalf("mix left %d far and %d ring events pending; want both in use", len(eng.heap), eng.ringN)
@@ -455,52 +364,6 @@ func TestEngineOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: interleaving At and Cancel at random leaves exactly the
-// uncancelled events firing, in order.
-func TestEngineCancelProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		eng := NewEngine()
-		type rec struct {
-			ev        Event
-			when      Time
-			cancelled bool
-		}
-		var recs []*rec
-		var fired []Time
-		n := 1 + rng.Intn(64)
-		for i := 0; i < n; i++ {
-			r := &rec{when: Time(rng.Intn(1000))}
-			r.ev = eng.At(r.when, func() { fired = append(fired, r.when) })
-			recs = append(recs, r)
-		}
-		for _, r := range recs {
-			if rng.Intn(2) == 0 {
-				r.cancelled = true
-				if !eng.cancel(r.ev) {
-					t.Fatal("cancel of pending event failed")
-				}
-			}
-		}
-		var want []Time
-		for _, r := range recs {
-			if !r.cancelled {
-				want = append(want, r.when)
-			}
-		}
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		eng.Run()
-		if len(fired) != len(want) {
-			t.Fatalf("trial %d: fired %d events, want %d", trial, len(fired), len(want))
-		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("trial %d: fired[%d]=%v want %v", trial, i, fired[i], want[i])
-			}
-		}
 	}
 }
 
@@ -692,19 +555,6 @@ func TestRunUntilFiresDaemonEvents(t *testing.T) {
 	eng.RunUntil(15)
 	if fired != 1 {
 		t.Fatalf("RunUntil fired %d daemon events, want 1", fired)
-	}
-}
-
-func TestCancelDaemonEvent(t *testing.T) {
-	eng := NewEngine()
-	ev := eng.AtDaemon(10, func() {})
-	if !eng.cancel(ev) {
-		t.Fatal("cancel of daemon event failed")
-	}
-	eng.At(20, func() {})
-	eng.Run() // must not crash the non-daemon bookkeeping
-	if eng.Now() != 20 {
-		t.Fatalf("time = %v", eng.Now())
 	}
 }
 

@@ -9,7 +9,6 @@ type Ticker struct {
 	eng      *Engine
 	interval Time
 	fn       func()
-	ev       Event
 	stopped  bool
 	tick     func() // rearm closure, built once
 }
@@ -35,13 +34,13 @@ func NewDaemonTicker(eng *Engine, interval Time, fn func()) *Ticker {
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.eng.AtDaemon(t.eng.Now()+t.interval, t.tick)
+	t.eng.AtDaemon(t.eng.Now()+t.interval, t.tick)
 }
 
-// stop cancels future ticks.
+// stop ends the ticks: a tick already queued still fires, but returns
+// without calling fn or rearming.
 func (t *Ticker) stop() {
 	t.stopped = true
-	t.eng.cancel(t.ev)
 }
 
 // NewHaltWatcher arms a daemon ticker that polls cond every interval of

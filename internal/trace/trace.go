@@ -47,59 +47,16 @@ func (r *SliceReader) Next() (Record, error) {
 	return rec, nil
 }
 
-// File format: magic, version, then fixed 13-byte little-endian records
-// (gap uint32, addr uint64, flags uint8).
+// The v1 file format: magic, version, then fixed 13-byte little-endian
+// records (gap uint32, addr uint64, flags uint8). tracegen writes the
+// compact v2 format (compact.go); FileReader is here so that OpenReader
+// reads v1 files too.
 
 var fileMagic = [8]byte{'C', 'A', 'M', 'P', 'S', 'T', 'R', '1'}
 
 const recordBytes = 13
 
-// Writer streams records to an io.Writer in the binary trace format.
-type Writer struct {
-	w     *bufio.Writer
-	count uint64
-	began bool
-}
-
-// NewWriter returns a trace writer on w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
-
-// Write appends one record.
-func (tw *Writer) Write(rec Record) error {
-	if !tw.began {
-		if _, err := tw.w.Write(fileMagic[:]); err != nil {
-			return err
-		}
-		tw.began = true
-	}
-	var buf [recordBytes]byte
-	binary.LittleEndian.PutUint32(buf[0:4], rec.Gap)
-	binary.LittleEndian.PutUint64(buf[4:12], rec.Addr)
-	if rec.Write {
-		buf[12] = 1
-	}
-	if _, err := tw.w.Write(buf[:]); err != nil {
-		return err
-	}
-	tw.count++
-	return nil
-}
-
-// Count returns the number of records written.
-func (tw *Writer) Count() uint64 { return tw.count }
-
-// Flush flushes buffered output. Call before closing the underlying file.
-func (tw *Writer) Flush() error {
-	if !tw.began {
-		if _, err := tw.w.Write(fileMagic[:]); err != nil {
-			return err
-		}
-		tw.began = true
-	}
-	return tw.w.Flush()
-}
-
-// FileReader reads the binary trace format.
+// FileReader reads the v1 trace format.
 type FileReader struct {
 	r      *bufio.Reader
 	header bool
