@@ -324,19 +324,6 @@ func (c CacheSummary) L2HitRate() float64 { return hitRate(c.L2Hits, c.L2Misses)
 // L3HitRate returns the shared L3 hit rate (of L2 misses).
 func (c CacheSummary) L3HitRate() float64 { return hitRate(c.L3Hits, c.L3Misses) }
 
-// cubeMemory adapts the HMC cube to the cores' Memory interface.
-type cubeMemory struct {
-	cube *hmc.Cube
-}
-
-func (m cubeMemory) ReadLine(addr uint64, done func(at sim.Time)) {
-	m.cube.Access(hmc.Address(addr), false, done)
-}
-
-func (m cubeMemory) WriteLine(addr uint64) {
-	m.cube.Access(hmc.Address(addr), true, nil)
-}
-
 // RunContext executes one simulation under ctx and returns its
 // measurements. Cancellation is honored at engine-epoch granularity: a
 // daemon watcher polls ctx every EpochInterval of simulated time (default
@@ -372,22 +359,14 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 	if rc.CheckInvariants {
 		chk = sim.NewChecker(eng, rc.EpochInterval)
 		chk.Register(cube.Invariants()...)
+		if rc.Obs != nil && rc.Obs.Spans != nil {
+			chk.Register(sim.Invariant{Name: "span-attribution", Check: rc.Obs.Spans.CheckInvariant})
+		}
 	}
 	// The shared L3 MSHR file sits between the cores and the cube: it
 	// coalesces concurrent misses to one line and bounds distinct
 	// outstanding fetches.
-	mshrs := cache.NewMSHRFile(eng, cubeMemory{cube: cube}, rc.System.L3MSHRs)
-	var mem cpu.Memory = mshrs
-	if rc.Obs.AttributionEnabled() {
-		// Per-request attribution spans: opened at the MSHR, charged along
-		// the link/crossbar/vault path, retired when data returns. The
-		// ledger classifies every prefetch's fate inside the vaults.
-		mshrs.AttachSpans(rc.Obs.Spans)
-		cube.AttachAttribution(rc.Obs.Spans, rc.Obs.Ledger)
-		if chk != nil {
-			chk.Register(sim.Invariant{Name: "span-attribution", Check: rc.Obs.Spans.CheckInvariant})
-		}
-	}
+	mshrs := cache.NewMSHRFile(eng, cube, rc.System.L3MSHRs)
 
 	l3Base := make([]uint64, cores)
 	for core := 0; core < cores; core++ {
@@ -403,14 +382,18 @@ func RunContext(ctx context.Context, rc RunConfig) (Results, error) {
 	}
 	cpus := make([]*cpu.Core, cores)
 	for core := 0; core < cores; core++ {
-		cpus[core] = cpu.NewCore(eng, rc.System, core, readers[core], hier, mem,
+		cpus[core] = cpu.NewCore(eng, rc.System, core, readers[core], hier, mshrs,
 			rc.MeasureInstr, onFinish)
 	}
 	if rc.Obs != nil {
-		cube.Instrument(rc.Obs.Registry, rc.Obs.Tracer)
+		// With attribution enabled, per-request spans open at the MSHR,
+		// are charged along the link/crossbar/vault path, and retire when
+		// data returns; the ledger classifies every prefetch's fate inside
+		// the vaults.
+		cube.Instrument(rc.Obs)
 		inj.Instrument(rc.Obs.Registry, rc.Obs.Tracer) // nil-safe no-op when fault-free
 		hier.Instrument(rc.Obs.Registry)
-		mshrs.Instrument(rc.Obs.Registry, rc.Obs.Tracer)
+		mshrs.Instrument(rc.Obs)
 		for _, c := range cpus {
 			c.Instrument(rc.Obs.Registry)
 		}

@@ -8,8 +8,10 @@ import (
 
 // Backend is the memory below the MSHR file (the HMC cube).
 type Backend interface {
-	// ReadLine fetches one cache line; done fires when data returns.
-	ReadLine(addr uint64, done func(at sim.Time))
+	// ReadLine fetches one cache line for a primary miss; done fires when
+	// data returns. span is that miss's attribution span (the zero ref
+	// when attribution is off), which the backend charges and retires.
+	ReadLine(addr uint64, span obs.SpanRef, done func(at sim.Time))
 	// WriteLine posts one cache-line writeback.
 	WriteLine(addr uint64)
 }
@@ -44,7 +46,7 @@ type MSHRFile struct {
 	peak      int
 
 	tr    *obs.Tracer  // nil unless Instrument was called
-	spans *obs.SpanSet // nil unless AttachSpans was called
+	spans *obs.SpanSet // nil unless attribution is enabled
 }
 
 type mshrEntry struct {
@@ -54,9 +56,9 @@ type mshrEntry struct {
 }
 
 // waiter is one requester riding an outstanding line fetch. The primary
-// miss's span travels with the backend request (staged through the span
-// set), so its waiter carries the zero ref; secondary misses keep their
-// spans here and retire them as queue time when the fetch returns.
+// miss's span travels with the backend request, so its waiter carries the
+// zero ref; secondary misses keep their spans here and retire them as
+// queue time when the fetch returns.
 type waiter struct {
 	done func(at sim.Time)
 	span obs.SpanRef
@@ -90,25 +92,20 @@ func NewMSHRFile(eng *sim.Engine, backend Backend, entries int) *MSHRFile {
 	return m
 }
 
-// Instrument registers the MSHR file's counters with the observability
-// registry under the mshr.* namespace and publishes stall/coalesce trace
-// events to tr. Either argument may be nil.
-func (m *MSHRFile) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	m.tr = tr
-	if reg == nil {
-		return
-	}
+// Instrument attaches the MSHR file to the run's observability suite: its
+// counters register under the mshr.* namespace, stall/coalesce events go
+// to the tracer, and, when attribution is enabled, every demand read
+// entering the file opens a span that follows it down the memory system.
+func (m *MSHRFile) Instrument(suite *obs.Suite) {
+	m.tr = suite.Tracer
+	m.spans = suite.Spans
+	reg := suite.Registry
 	reg.CounterFunc("mshr.coalesced", m.coalesced.Value)
 	reg.CounterFunc("mshr.stalls", m.stalls.Value)
 	reg.CounterFunc("mshr.issued", m.issued.Value)
 	reg.GaugeFunc("mshr.outstanding", func() float64 { return float64(len(m.live)) })
 	reg.GaugeFunc("mshr.peak", func() float64 { return float64(m.peak) })
 }
-
-// AttachSpans makes every demand read entering the MSHR file open an
-// attribution span that follows the request down the memory hierarchy.
-// spans may be nil (attribution off).
-func (m *MSHRFile) AttachSpans(spans *obs.SpanSet) { m.spans = spans }
 
 // lookup returns the slot of addr's outstanding fetch, or -1.
 func (m *MSHRFile) lookup(addr uint64) int32 {
@@ -120,7 +117,8 @@ func (m *MSHRFile) lookup(addr uint64) int32 {
 	return -1
 }
 
-// ReadLine implements Backend with coalescing and entry bounding.
+// ReadLine fetches one cache line through the file, coalescing it onto an
+// outstanding fetch of the same line or waiting for a free entry.
 func (m *MSHRFile) ReadLine(addr uint64, done func(at sim.Time)) {
 	ref := m.spans.Begin(int64(m.eng.Now()))
 	if slot := m.lookup(addr); slot >= 0 {
@@ -159,23 +157,12 @@ func (m *MSHRFile) allocate(addr uint64, done func(at sim.Time), ref obs.SpanRef
 		m.pool[n-1] = nil
 		m.pool = m.pool[:n-1]
 	}
-	// The primary's span rides the backend request, not the waiter list:
-	// stage it for the synchronous handoff so the cube can claim it
-	// inside ReadLine. Its waiter carries the zero ref.
+	// The primary's span rides the backend request, not the waiter list,
+	// so its waiter carries the zero ref.
 	e.waiters = append(ws, waiter{done: done})
 	m.peak = max(m.peak, len(m.live))
 	m.issued.Inc()
-	m.spans.Stage(ref)
-	m.backend.ReadLine(addr, e.fire)
-	if leftover := m.spans.Unstage(); leftover.Valid() {
-		// Span-unaware backend (tests): fall back to retiring the
-		// primary's span alongside the waiters so nothing leaks.
-		if m.lookup(addr) == slot {
-			m.table[slot].waiters[0].span = leftover
-		} else { // the backend completed synchronously
-			m.spans.Retire(leftover, obs.CauseQueue, int64(m.eng.Now()))
-		}
-	}
+	m.backend.ReadLine(addr, ref, e.fire)
 }
 
 // complete fires when slot's line fetch returns. The slot is vacated

@@ -6,21 +6,30 @@ import (
 	"testing"
 
 	"camps/internal/config"
+	"camps/internal/obs"
 	"camps/internal/sim"
 )
 
-// stubMem completes reads after a fixed delay and records them.
+// stubMem completes reads after a fixed delay and records them with the
+// spans they carried. Like the cube, it retires each read's span into
+// spans (nil when attribution is off) when the data returns.
 type stubMem struct {
-	eng    *sim.Engine
-	lat    sim.Time
-	reads  []uint64
-	writes []uint64
+	eng       *sim.Engine
+	lat       sim.Time
+	reads     []uint64
+	readSpans []obs.SpanRef
+	writes    []uint64
+	spans     *obs.SpanSet
 }
 
-func (s *stubMem) ReadLine(addr uint64, done func(at sim.Time)) {
+func (s *stubMem) ReadLine(addr uint64, span obs.SpanRef, done func(at sim.Time)) {
 	s.reads = append(s.reads, addr)
+	s.readSpans = append(s.readSpans, span)
 	at := s.eng.Now() + s.lat
-	s.eng.At(at, func() { done(at) })
+	s.eng.At(at, func() {
+		s.spans.Retire(span, obs.CauseService, int64(at))
+		done(at)
+	})
 }
 
 func (s *stubMem) WriteLine(addr uint64) { s.writes = append(s.writes, addr) }
@@ -42,6 +51,34 @@ func TestMSHRCoalescesSameLine(t *testing.T) {
 	}
 	if m.Coalesced() != 2 || m.issued.Value() != 1 {
 		t.Fatalf("coalesced=%d issued=%d", m.Coalesced(), m.issued.Value())
+	}
+}
+
+// TestMSHRHandsPrimarySpanToBackend: with attribution enabled, the
+// primary miss's span rides the backend call, and a coalesced secondary
+// miss issues nothing; both spans retire, so the set's accounting closes.
+func TestMSHRHandsPrimarySpanToBackend(t *testing.T) {
+	eng := sim.NewEngine()
+	suite := obs.NewSuite(0)
+	suite.EnableAttribution("test")
+	mem := &stubMem{eng: eng, lat: 100, spans: suite.Spans}
+	m := NewMSHRFile(eng, mem, 4)
+	m.Instrument(suite)
+	m.ReadLine(0x40, func(sim.Time) {})
+	m.ReadLine(0x40, func(sim.Time) {})
+	if len(mem.readSpans) != 1 || !mem.readSpans[0].Valid() {
+		t.Fatalf("backend spans = %+v, want one valid span", mem.readSpans)
+	}
+	eng.Run()
+	if len(mem.reads) != 1 {
+		t.Fatalf("backend saw %d reads, want 1 (the secondary coalesced)", len(mem.reads))
+	}
+	sum := suite.Attribution()
+	if sum.SpansStarted != 2 || sum.SpansRetired != 2 {
+		t.Fatalf("spans started %d, retired %d; want 2 and 2", sum.SpansStarted, sum.SpansRetired)
+	}
+	if err := suite.Spans.CheckInvariant(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -175,7 +212,7 @@ type pendingMem struct {
 	pending map[uint64]func(at sim.Time)
 }
 
-func (p *pendingMem) ReadLine(addr uint64, done func(at sim.Time)) {
+func (p *pendingMem) ReadLine(addr uint64, _ obs.SpanRef, done func(at sim.Time)) {
 	p.issued = append(p.issued, addr)
 	p.pending[addr] = done
 }
@@ -363,7 +400,7 @@ type ringMem struct {
 	head, tail int
 }
 
-func (r *ringMem) ReadLine(_ uint64, done func(at sim.Time)) {
+func (r *ringMem) ReadLine(_ uint64, _ obs.SpanRef, done func(at sim.Time)) {
 	r.done[r.tail&63] = done
 	r.tail++
 }

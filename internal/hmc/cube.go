@@ -41,7 +41,7 @@ type Cube struct {
 	// Observability (nil unless Instrument was called).
 	obsLat *obs.Histogram
 
-	// Free list of in-flight access records; steady-state Access calls
+	// Free list of in-flight access records; steady-state requests
 	// allocate nothing.
 	accFree []*access
 
@@ -50,10 +50,10 @@ type Cube struct {
 	// nil-safe, so a cube without faults carries no extra state.
 	vsites []*fault.VaultSite
 
-	// Attribution (nil unless AttachAttribution was called): the cube
-	// claims each read's staged span from the MSHR layer, charges the
-	// request path (link, crossbar, injected stalls) and retires the span
-	// when the response reaches the processor side.
+	// Attribution (nil unless Instrument attached a suite with attribution
+	// enabled): the cube charges each read's span with the request path
+	// (link, crossbar, injected stalls) and retires it when the response
+	// reaches the processor side.
 	spans *obs.SpanSet
 }
 
@@ -84,23 +84,26 @@ func NewCube(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme) *Cube {
 	return c
 }
 
-// Instrument connects the whole memory system to the observability
-// layer: the cube registers its controller-level counters and read-latency
+// Instrument attaches the whole memory system to the run's observability
+// suite: the cube registers its controller-level counters and read-latency
 // histogram under the hmc.* namespace, every vault (and its prefetch
 // buffer) registers under vault.* / pfbuffer.*, and links publish flit
-// events. Either argument may be nil. Call before the simulation starts.
-func (c *Cube) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	if reg != nil {
-		reg.CounterFunc("hmc.reads", c.reads.Value)
-		reg.CounterFunc("hmc.writes", c.writes.Value)
-		reg.GaugeFunc("hmc.inflight_reads", func() float64 { return float64(c.inflight) })
-		c.obsLat = reg.Histogram("hmc.read_latency_ps")
-	}
+// events. When attribution is enabled, the cube charges link/crossbar
+// segments and retires spans, and every vault charges its
+// queue/conflict/service segments and classifies prefetches into the
+// ledger. Call before the simulation starts.
+func (c *Cube) Instrument(suite *obs.Suite) {
+	reg := suite.Registry
+	reg.CounterFunc("hmc.reads", c.reads.Value)
+	reg.CounterFunc("hmc.writes", c.writes.Value)
+	reg.GaugeFunc("hmc.inflight_reads", func() float64 { return float64(c.inflight) })
+	c.obsLat = reg.Histogram("hmc.read_latency_ps")
+	c.spans = suite.Spans
 	for _, v := range c.vaults {
-		v.Instrument(reg, tr)
+		v.Instrument(suite)
 	}
 	for i, l := range c.links {
-		l.instrument(tr, i)
+		l.instrument(suite.Tracer, i)
 	}
 }
 
@@ -119,18 +122,6 @@ func (c *Cube) ingress(v int, at sim.Time, n int) sim.Time {
 	end := start + sim.Time(int64(n)*1_000_000_000_000/c.portBps)
 	c.portFree[v] = end
 	return end
-}
-
-// AttachAttribution threads the attribution layer through the memory
-// system: the cube charges link/crossbar segments and retires spans,
-// every vault charges its queue/conflict/service segments, and the
-// prefetch buffers classify evictions into the ledger. Either argument
-// may be nil. Call before the simulation starts.
-func (c *Cube) AttachAttribution(spans *obs.SpanSet, ledger *obs.PrefetchLedger) {
-	c.spans = spans
-	for _, v := range c.vaults {
-		v.AttachAttribution(spans, ledger)
-	}
 }
 
 // SetFaults threads a fault injector through the whole memory path: CRC
@@ -179,60 +170,60 @@ func (c *Cube) Invariants() []sim.Invariant {
 // vaults evenly (32 vaults over 4 links).
 func (c *Cube) linkFor(vaultID int) *Link { return c.links[vaultID%len(c.links)] }
 
-// Access issues one cache-line request to the cube at the current time.
-// For reads, done fires when the data arrives back at the processor-side
-// controller. For writes, done fires when the request packet has been
-// accepted by the vault (posted-write semantics). done may be nil.
-func (c *Cube) Access(addr Address, write bool, done func(at sim.Time)) {
+// ReadLine issues one cache-line read at the current time; done fires
+// when the data arrives back at the processor-side controller. span is
+// the read's attribution span (the zero ref when attribution is off): the
+// request path is charged to it here, and readDone retires it.
+func (c *Cube) ReadLine(addr uint64, span obs.SpanRef, done func(at sim.Time)) {
+	c.reads.Inc()
+	c.inflight++
+	a, atVault := c.request(addr, c.headerB, span)
+	a.done = done
+	a.req.Done = a.vdoneFn
+	c.eng.At(atVault, a.submitFn)
+}
+
+// WriteLine posts one cache-line writeback at the current time: the
+// request packet carries the data, and nothing comes back.
+func (c *Cube) WriteLine(addr uint64) {
+	c.writes.Inc()
+	a, atVault := c.request(addr, c.headerB+c.lineBytes, obs.SpanRef{})
+	a.req.Write = true
+	c.eng.At(atVault, a.submitFn)
+}
+
+// request models an n-byte request packet on its way to addr's vault:
+// external controller processing, serialization over the link, the
+// crossbar hop (and optional vault ingress port), and any injected
+// ingress stall. It charges those segments to span and returns the
+// request's access record with the time the vault sees the request.
+func (c *Cube) request(addr uint64, n int, span obs.SpanRef) (*access, sim.Time) {
 	now := c.eng.Now()
-	loc := c.mapping.Decode(addr)
+	loc := c.mapping.Decode(Address(addr))
 	link := c.linkFor(loc.Vault)
-
-	reqBytes := c.headerB
-	if write {
-		reqBytes += c.lineBytes
-		c.writes.Inc()
-	} else {
-		c.reads.Inc()
-	}
-
-	// External controller processing, then serialization over the link,
-	// then the crossbar hop (and optional vault ingress port).
-	atCube, reqRetry := link.sendRequest(now+c.ctrlLat, reqBytes)
-	preStall := c.ingress(loc.Vault, atCube, reqBytes)
+	atCube, retry := link.sendRequest(now+c.ctrlLat, n)
+	preStall := c.ingress(loc.Vault, atCube, n)
 	atVault := preStall
 	if c.vsites != nil {
 		// Injected TSV/arbitration stall: the vault sees the request late.
 		atVault += c.vsites[loc.Vault].StallDelay(atVault)
 	}
-
+	if span.Valid() {
+		// CRC retransmissions first (folded into the link delivery), then
+		// controller+link up to delivery at the cube, crossbar/ingress,
+		// and any injected ingress stall.
+		c.spans.Advance(span, obs.CauseFaultRetry, int64(retry))
+		c.spans.AdvanceTo(span, obs.CauseLink, int64(atCube))
+		c.spans.AdvanceTo(span, obs.CauseXbar, int64(preStall))
+		c.spans.AdvanceTo(span, obs.CauseFaultRetry, int64(atVault))
+		c.spans.SetVault(span, loc.Vault)
+	}
 	a := c.allocAccess()
 	a.v = c.vaults[loc.Vault]
 	a.link = link
 	a.start = now
-	a.done = done
-	a.req = vault.Request{Bank: loc.Bank, Row: loc.Row, Line: loc.Line, Write: write}
-	if !write {
-		c.inflight++
-		a.req.Done = a.vdoneFn
-		// Claim the span the MSHR staged for this read and charge the
-		// request path: CRC retransmissions first (folded into the link
-		// delivery), then controller+link up to delivery at the cube,
-		// crossbar/ingress, and any injected ingress stall.
-		if ref := c.spans.Unstage(); ref.Valid() {
-			c.spans.Advance(ref, obs.CauseFaultRetry, int64(reqRetry))
-			c.spans.AdvanceTo(ref, obs.CauseLink, int64(atCube))
-			c.spans.AdvanceTo(ref, obs.CauseXbar, int64(preStall))
-			c.spans.AdvanceTo(ref, obs.CauseFaultRetry, int64(atVault))
-			c.spans.SetVault(ref, loc.Vault)
-			a.req.Span = ref
-		}
-	}
-	c.eng.At(atVault, a.submitFn)
-
-	if write && done != nil {
-		c.eng.AtWhen(atVault, done)
-	}
+	a.req = vault.Request{Bank: loc.Bank, Row: loc.Row, Line: loc.Line, Span: span}
+	return a, atVault
 }
 
 // access is the pooled per-request state of one in-flight cube access: its

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"camps/internal/config"
+	"camps/internal/obs"
 	"camps/internal/prefetch"
 	"camps/internal/sim"
 )
@@ -127,7 +128,7 @@ func TestCubeReadCompletes(t *testing.T) {
 	eng := sim.NewEngine()
 	cube := NewCube(eng, cfg, prefetch.CAMPS)
 	var done sim.Time = -1
-	cube.Access(0x1234<<6, false, func(at sim.Time) { done = at })
+	read(cube, 0x1234<<6, func(at sim.Time) { done = at })
 	eng.Run()
 	if done < 0 {
 		t.Fatal("read never completed")
@@ -148,15 +149,16 @@ func TestCubeWritePostedCompletion(t *testing.T) {
 	cfg := testCfg()
 	eng := sim.NewEngine()
 	cube := NewCube(eng, cfg, prefetch.CAMPS)
-	var wdone, rdone sim.Time = -1, -1
-	cube.Access(0, true, func(at sim.Time) { wdone = at })
-	cube.Access(0, false, func(at sim.Time) { rdone = at })
+	var rdone sim.Time = -1
+	cube.WriteLine(0)
+	read(cube, 0, func(at sim.Time) { rdone = at })
 	eng.Run()
-	if wdone < 0 || rdone < 0 {
-		t.Fatal("requests did not complete")
+	if rdone < 0 {
+		t.Fatal("read did not complete")
 	}
-	if wdone >= rdone {
-		t.Fatalf("posted write (%v) should complete before read data returns (%v)", wdone, rdone)
+	if cube.writes.Value() != 1 || cube.Vault(0).Stats().DemandWrites.Value() != 1 {
+		t.Fatalf("write not delivered: cube writes %d, vault 0 demand writes %d",
+			cube.writes.Value(), cube.Vault(0).Stats().DemandWrites.Value())
 	}
 	if cube.ReadAMAT().Count() != 1 {
 		t.Fatal("writes must not contribute AMAT samples")
@@ -169,7 +171,7 @@ func TestCubeRoutesToCorrectVault(t *testing.T) {
 	cube := NewCube(eng, cfg, prefetch.CAMPS)
 	m := cube.mapping
 	addr := m.encode(Location{Vault: 7, Bank: 3, Row: 99, Line: 5})
-	cube.Access(addr, false, nil)
+	read(cube, addr, nil)
 	eng.Run()
 	if got := cube.Vault(7).Stats().DemandReads.Value(); got != 1 {
 		t.Fatalf("vault 7 saw %d reads, want 1", got)
@@ -199,7 +201,7 @@ func TestCubeParallelVaultsFasterThanSingleVault(t *testing.T) {
 			} else {
 				loc = Location{Vault: i % 32, Bank: i % 16, Row: int64(i)}
 			}
-			cube.Access(m.encode(loc), false, func(at sim.Time) {
+			read(cube, m.encode(loc), func(at sim.Time) {
 				if at > last {
 					last = at
 				}
@@ -220,7 +222,11 @@ func TestCubeFlushAndAggregates(t *testing.T) {
 	eng := sim.NewEngine()
 	cube := NewCube(eng, cfg, prefetch.Base)
 	for i := 0; i < 64; i++ {
-		cube.Access(Address(i*64), i%8 == 7, nil)
+		if i%8 == 7 {
+			cube.WriteLine(uint64(i * 64))
+		} else {
+			read(cube, Address(i*64), nil)
+		}
 	}
 	eng.Run()
 	cube.Flush()
@@ -254,7 +260,11 @@ func TestCubeDeterminism(t *testing.T) {
 		cube := NewCube(eng, cfg, prefetch.CAMPSMOD)
 		for i := 0; i < 300; i++ {
 			addr := Address((i * 7919) % (1 << 22))
-			cube.Access(m64(addr), i%5 == 0, nil)
+			if i%5 == 0 {
+				cube.WriteLine(uint64(m64(addr)))
+			} else {
+				read(cube, m64(addr), nil)
+			}
 			eng.RunUntil(eng.Now() + sim.Time(i%4)*500)
 		}
 		eng.Run()
@@ -270,6 +280,11 @@ func TestCubeDeterminism(t *testing.T) {
 }
 
 func m64(a Address) Address { return a &^ 63 }
+
+// read issues one cube read that carries no attribution span.
+func read(c *Cube, addr Address, done func(at sim.Time)) {
+	c.ReadLine(uint64(addr), obs.SpanRef{}, done)
+}
 
 func TestMappingVariantsRoundTrip(t *testing.T) {
 	for _, scheme := range []config.AddressInterleave{
@@ -387,7 +402,7 @@ func TestVaultIngressPortSerializes(t *testing.T) {
 		var last sim.Time
 		for i := 0; i < 8; i++ {
 			addr := m.encode(Location{Vault: 3, Bank: i, Row: 1})
-			cube.Access(addr, false, func(at sim.Time) {
+			read(cube, addr, func(at sim.Time) {
 				if at > last {
 					last = at
 				}

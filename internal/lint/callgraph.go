@@ -106,12 +106,9 @@ func (g *CallGraph) callees(c CallSite) []string {
 
 // reachable walks the graph breadth-first from the entry symbols and
 // returns, for every reached symbol, the caller that first reached it
-// (entries map to ""). stop, when non-nil, prunes the walk:
-// a symbol for which stop returns true is still *reached* (its own
-// facts count) but its callees are not followed — that is how analyzers
-// declare approved boundary interfaces. The walk is deterministic:
-// entries are sorted, and call sites expand in summary order.
-func (g *CallGraph) reachable(entries []string, stop func(sym string) bool) map[string]string {
+// (entries map to ""). The walk is deterministic: entries are sorted,
+// and call sites expand in summary order.
+func (g *CallGraph) reachable(entries []string) map[string]string {
 	sorted := append([]string(nil), entries...)
 	sort.Strings(sorted)
 	reached := make(map[string]string)
@@ -126,9 +123,6 @@ func (g *CallGraph) reachable(entries []string, stop func(sym string) bool) map[
 	for len(queue) > 0 {
 		sym := queue[0]
 		queue = queue[1:]
-		if stop != nil && stop(sym) {
-			continue
-		}
 		fn := g.sums.lookup(sym)
 		if fn == nil {
 			continue // outside the program (stdlib)

@@ -55,19 +55,16 @@ func TestCallGraphEngineDispatch(t *testing.T) {
 	}
 }
 
-// TestReachableStopPrunesButReaches pins the boundary semantics of
-// reachable: a stopped symbol is reached (its own facts count) but its
-// callees are not followed.
-func TestReachableStopPrunesButReaches(t *testing.T) {
+// TestReachableFollowsCalls: the walk from an entry reaches every
+// function its calls lead to, and records the chain that reached each.
+func TestReachableFollowsCalls(t *testing.T) {
 	prog := loadTestProgram(t, filepath.Join("testdata", "prog", "callgraph", "src"))
 	sums := summarizeProgram(prog)
 	g := buildCallGraph(prog, sums)
 
-	reached := g.reachable([]string{"camps/internal/vault.(Controller).Submit"}, func(sym string) bool {
-		return symPkg(sym) == "camps/internal/sim"
-	})
+	reached := g.reachable([]string{"camps/internal/vault.(Controller).Submit"})
 	if _, ok := reached["camps/internal/sim.Post"]; !ok {
-		t.Error("stopped symbol sim.Post should still be reached")
+		t.Error("sim.Post should be reached through Submit")
 	}
 	if _, ok := reached["camps/internal/tally.Bump"]; !ok {
 		t.Error("tally.Bump should be reached through Submit")

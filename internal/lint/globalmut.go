@@ -46,7 +46,7 @@ func runGlobalMut(pass *ProgramPass) {
 			}
 		}
 	}
-	reached := pass.Graph.reachable(entries, nil)
+	reached := pass.Graph.reachable(entries)
 
 	syms := make([]string, 0, len(reached))
 	for sym := range reached {

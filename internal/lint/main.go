@@ -53,8 +53,8 @@ func Main(args []string, stdout, stderr io.Writer) int {
 // ("" = current directory) in one pass, runs every analyzer —
 // per-package analyzers over the target packages, whole-program
 // analyzers over the full module closure via the facts layer and call
-// graph — and prints the findings sorted, one per line as
-// file:line:col: [analyzer] message.
+// graph — and prints the findings in target packages sorted, one per
+// line as file:line:col: [analyzer] message.
 func run(dir string, patterns []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -67,11 +67,23 @@ func run(dir string, patterns []string, stdout, stderr io.Writer) int {
 	pkgs := prog.targets()
 	sums := summarizeProgram(prog)
 	graph := buildCallGraph(prog, sums)
+	targetFiles := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			targetFiles[pkg.Fset.File(f.Pos()).Name()] = true
+		}
+	}
 
 	var diags []Diagnostic
 	for _, a := range suite() {
 		if a.RunProgram != nil {
-			diags = append(diags, runProgramAnalyzer(a, prog, sums, graph)...)
+			// The analysis spans the whole closure, but a finding is
+			// reported only in a file of a target package.
+			for _, d := range runProgramAnalyzer(a, prog, sums, graph) {
+				if targetFiles[d.Pos.Filename] {
+					diags = append(diags, d)
+				}
+			}
 			continue
 		}
 		for _, pkg := range pkgs {

@@ -111,6 +111,40 @@ func Dump(m map[string]int) {
 	}
 }
 
+// TestMainReportsOnlyTargetPackages: a whole-program finding is reported
+// in the package whose file it names, and only when the load patterns
+// match that package, not when it is loaded as a dependency.
+func TestMainReportsOnlyTargetPackages(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module camps\n\ngo 1.22\n",
+		"internal/stats/stats.go": `package stats
+
+var n int
+
+// Bump writes package state on a runtime path.
+func Bump() { n++ }
+`,
+		"internal/sim/sim.go": `package sim
+
+import "camps/internal/stats"
+
+// Run reaches the write in package stats.
+func Run() { stats.Bump() }
+`,
+	})
+	code, stdout, stderr := runIn(dir, "./...")
+	if code != exitFindings || !strings.Contains(stdout, "[globalmut]") ||
+		!strings.Contains(stdout, filepath.Join("internal", "stats", "stats.go")) {
+		t.Fatalf("./...: exit = %d, want %d with a globalmut finding in stats.go\nstdout: %s\nstderr: %s",
+			code, exitFindings, stdout, stderr)
+	}
+	code, stdout, stderr = runIn(dir, "./internal/sim")
+	if code != exitClean || stdout != "" {
+		t.Fatalf("./internal/sim: exit = %d, want %d and no findings\nstdout: %s\nstderr: %s",
+			code, exitClean, stdout, stderr)
+	}
+}
+
 // TestMainRealTree is the acceptance gate: the repository itself must be
 // campslint-clean.
 func TestMainRealTree(t *testing.T) {

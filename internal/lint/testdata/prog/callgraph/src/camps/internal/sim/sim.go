@@ -1,5 +1,5 @@
-// Package sim stands in for the event engine: the call-graph tests stop
-// the walk at its boundary, so Post is reached but not followed.
+// Package sim stands in for the event engine: Post is a call-graph leaf
+// that the walk from vault reaches.
 package sim
 
 var queue []uint64

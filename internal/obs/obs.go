@@ -183,11 +183,6 @@ func (s *Suite) EnableAttribution(scheme string) {
 	}
 }
 
-// AttributionEnabled reports whether EnableAttribution has been called.
-func (s *Suite) AttributionEnabled() bool {
-	return s != nil && s.Spans != nil
-}
-
 // Attribution folds the span set and ledger into an exportable summary,
 // or nil when attribution is off.
 func (s *Suite) Attribution() *AttributionSummary {

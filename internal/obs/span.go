@@ -122,12 +122,6 @@ type SpanSet struct {
 	recs []spanRec
 	free []int32
 
-	// staged carries a span across the synchronous MSHR -> cube handoff
-	// without widening the Backend interface: the MSHR stages the primary
-	// miss's span immediately before calling the backend, and the cube
-	// unstages it inside the same call.
-	staged SpanRef
-
 	started  uint64
 	retired  uint64
 	e2eTotal uint64
@@ -302,23 +296,6 @@ func (s *SpanSet) Retire(ref SpanRef, c Cause, atPs int64) {
 	s.free = append(s.free, ref.id-1)
 }
 
-// Stage parks a span for the synchronous handoff to the next layer.
-func (s *SpanSet) Stage(ref SpanRef) {
-	if s != nil {
-		s.staged = ref
-	}
-}
-
-// Unstage claims the parked span (zero ref when nothing is staged).
-func (s *SpanSet) Unstage() SpanRef {
-	if s == nil {
-		return SpanRef{}
-	}
-	ref := s.staged
-	s.staged = SpanRef{}
-	return ref
-}
-
 // CheckInvariant validates the attribution accounting: retired spans
 // never exceed started ones, the free list matches the live count, and
 // the per-cause totals sum exactly to the end-to-end total — i.e. every
@@ -332,11 +309,7 @@ func (s *SpanSet) CheckInvariant() error {
 		return fmt.Errorf("obs: %d spans retired but only %d started", s.retired, s.started)
 	}
 	live := uint64(len(s.recs)) - uint64(len(s.free))
-	staged := uint64(0)
-	if s.staged.id != 0 {
-		staged = 1 // staged spans are live but counted by the handoff
-	}
-	if active := s.started - s.retired; live != active && live != active+staged {
+	if active := s.started - s.retired; live != active {
 		return fmt.Errorf("obs: %d live span records but %d spans in flight", live, active)
 	}
 	var causeSum uint64

@@ -60,10 +60,6 @@ func TestSpanNilAndZeroRefSafe(t *testing.T) {
 	nilSet.AdvanceTo(ref, CauseQueue, 10)
 	nilSet.SetVault(ref, 3)
 	nilSet.Retire(ref, CauseQueue, 10)
-	nilSet.Stage(ref)
-	if nilSet.Unstage().Valid() {
-		t.Error("nil set unstaged a valid ref")
-	}
 	if nilSet.CheckInvariant() != nil || nilSet.summary() != nil {
 		t.Error("nil set produced non-nil results")
 	}
@@ -135,21 +131,6 @@ func TestSpanZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state span cycle allocates %.1f times per op, want 0", allocs)
 	}
-}
-
-// TestSpanStageUnstage: the synchronous handoff slot holds exactly one
-// ref and empties on claim.
-func TestSpanStageUnstage(t *testing.T) {
-	s := newSpanSet(2)
-	ref := s.Begin(10)
-	s.Stage(ref)
-	if got := s.Unstage(); got != ref {
-		t.Errorf("Unstage = %+v, want %+v", got, ref)
-	}
-	if s.Unstage().Valid() {
-		t.Error("second Unstage returned a valid ref")
-	}
-	s.Retire(ref, CauseQueue, 20)
 }
 
 // TestSpanVaultHeatmap: conflict picoseconds fold into the span's vault

@@ -38,11 +38,10 @@ func (e *InvariantError) Unwrap() []error { return []error{ErrInvariant, e.Err} 
 // on the first violation, preserving it as a typed error instead of
 // letting corrupted state propagate into results.
 type Checker struct {
-	eng    *Engine
-	ticker *Ticker
-	inv    []Invariant
-	err    *InvariantError
-	last   Time // previous check time, for the built-in monotone clock
+	eng  *Engine
+	inv  []Invariant
+	err  *InvariantError
+	last Time // previous check time, for the built-in monotone clock
 }
 
 // NewChecker arms a checker on eng with the given interval. Two built-in
@@ -57,7 +56,7 @@ func NewChecker(eng *Engine, interval Time) *Checker {
 		}
 		return nil
 	}}, Invariant{Name: "event-queue", Check: eng.checkQueue})
-	c.ticker = NewDaemonTicker(eng, interval, c.run)
+	NewDaemonTicker(eng, interval, c.run)
 	return c
 }
 
@@ -79,7 +78,6 @@ func (c *Checker) run() {
 	for _, iv := range c.inv {
 		if err := iv.Check(); err != nil {
 			c.err = &InvariantError{Name: iv.Name, At: c.eng.Now(), Err: err}
-			c.ticker.stop()
 			c.eng.Halt()
 			return
 		}

@@ -370,9 +370,8 @@ func TestEngineOrderingProperty(t *testing.T) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	eng := NewEngine()
 	var ticks []Time
-	tk := NewDaemonTicker(eng, 100, func() { ticks = append(ticks, eng.Now()) })
+	NewDaemonTicker(eng, 100, func() { ticks = append(ticks, eng.Now()) })
 	eng.RunUntil(550)
-	tk.stop()
 	want := []Time{100, 200, 300, 400, 500}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
@@ -381,26 +380,6 @@ func TestTickerFiresPeriodically(t *testing.T) {
 		if ticks[i] != want[i] {
 			t.Fatalf("ticks = %v, want %v", ticks, want)
 		}
-	}
-	eng.RunUntil(2000)
-	if len(ticks) != len(want) {
-		t.Fatal("ticker fired after Stop")
-	}
-}
-
-func TestTickerStopInsideCallback(t *testing.T) {
-	eng := NewEngine()
-	count := 0
-	var tk *Ticker
-	tk = NewDaemonTicker(eng, 10, func() {
-		count++
-		if count == 2 {
-			tk.stop()
-		}
-	})
-	eng.RunUntil(1000)
-	if count != 2 {
-		t.Fatalf("ticker fired %d times after in-callback Stop, want 2", count)
 	}
 }
 
@@ -561,10 +540,9 @@ func TestRunUntilFiresDaemonEvents(t *testing.T) {
 func TestDaemonTickerFiresWithoutExtendingRun(t *testing.T) {
 	eng := NewEngine()
 	var ticks []Time
-	tk := NewDaemonTicker(eng, 100, func() { ticks = append(ticks, eng.Now()) })
+	NewDaemonTicker(eng, 100, func() { ticks = append(ticks, eng.Now()) })
 	eng.At(250, func() {}) // non-daemon work keeps the run alive to 250
 	eng.Run()              // must stop at 250, not tick forever
-	tk.stop()
 	want := []Time{100, 200}
 	if len(ticks) != len(want) {
 		t.Fatalf("ticks = %v, want %v", ticks, want)
@@ -620,16 +598,5 @@ func TestHaltWatcherNeverExtendsRun(t *testing.T) {
 	eng.Run()
 	if eng.Halted() || eng.Now() != 250 {
 		t.Fatalf("halted=%v now=%v, want clean drain at 250", eng.Halted(), eng.Now())
-	}
-}
-
-func TestHaltWatcherStop(t *testing.T) {
-	eng := NewEngine()
-	w := NewHaltWatcher(eng, 100, func() bool { return true })
-	w.stop()
-	eng.At(250, func() {})
-	eng.Run()
-	if eng.Halted() {
-		t.Fatal("stopped watcher still halted the engine")
 	}
 }

@@ -147,10 +147,11 @@ type Controller struct {
 	// site methods are nil-safe.
 	faults *fault.VaultSite
 
-	// Attribution (nil unless AttachAttribution was called): spans
-	// receive per-cause latency segments, ledger the final classification
-	// of every prefetch. The last refresh / blackout window per bank lets
-	// queue time that overlapped them be charged to the right cause.
+	// Attribution (nil unless Instrument attached a suite with attribution
+	// enabled): spans receive per-cause latency segments, ledger the final
+	// classification of every prefetch. The last refresh / blackout window
+	// per bank lets queue time that overlapped them be charged to the
+	// right cause.
 	spans       *obs.SpanSet
 	ledger      *obs.PrefetchLedger
 	lastRefNear []window // most recent refresh window per bank
@@ -250,16 +251,23 @@ func (q *queueView) PendingReadsForRow(bank int, row int64) int {
 	return n
 }
 
-// Instrument connects the vault to the observability layer: its counters
-// (and the prefetch buffer's) register with reg under the vault.* and
+// Instrument attaches the vault to the run's observability suite. Its
+// counters (and the prefetch buffer's) register under the vault.* and
 // pfbuffer.* namespaces — additively across vaults, so a full cube's
-// snapshot is the aggregate — and structured events flow to tr. Either
-// argument may be nil. Call before the simulation starts.
-func (c *Controller) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	c.tr = tr
-	if reg == nil {
-		return
+// snapshot is the aggregate — and structured events flow to the tracer.
+// When attribution is enabled, demand spans accrue cause segments here,
+// and every prefetch's fate is classified into the ledger (evicted and
+// poisoned rows in feedEviction, queue-overflow casualties where the
+// fetch is dropped). Call before the simulation starts.
+func (c *Controller) Instrument(suite *obs.Suite) {
+	c.tr = suite.Tracer
+	c.spans = suite.Spans
+	c.ledger = suite.Ledger
+	if c.spans != nil {
+		c.lastRefNear = make([]window, len(c.banks))
+		c.lastBlkNear = make([]window, len(c.banks))
 	}
+	reg := suite.Registry
 	s := &c.stats
 	reg.CounterFunc("vault.demand_reads", s.DemandReads.Value)
 	reg.CounterFunc("vault.demand_writes", s.DemandWrites.Value)
@@ -289,20 +297,6 @@ func (c *Controller) emit(t obs.EventType, at sim.Time, bank int, row, arg int64
 // SetFaults attaches this vault's fault-injection site (nil detaches).
 // Call before the simulation starts.
 func (c *Controller) SetFaults(site *fault.VaultSite) { c.faults = site }
-
-// AttachAttribution connects the vault to the attribution layer: demand
-// spans accrue cause segments here, and every prefetch's fate is
-// classified into the ledger (evicted and poisoned rows in feedEviction,
-// queue-overflow casualties where the fetch is dropped). Either argument
-// may be nil. Call before the simulation starts.
-func (c *Controller) AttachAttribution(spans *obs.SpanSet, ledger *obs.PrefetchLedger) {
-	c.spans = spans
-	c.ledger = ledger
-	if spans != nil && c.lastRefNear == nil {
-		c.lastRefNear = make([]window, len(c.banks))
-		c.lastBlkNear = make([]window, len(c.banks))
-	}
-}
 
 // overlapPs returns the length of the intersection of [a0,a1) and w.
 func overlapPs(a0, a1 sim.Time, w window) sim.Time {
@@ -542,38 +536,34 @@ func (c *Controller) updateDrainMode() {
 // idle bank with no queued work, no refresh due and no fault site is a
 // no-op for startJob, so the common pass walks only workMask's set bits.
 // A fault site (whose blackout check has side effects) or a due refresh
-// falls back to the full scan. A job can queue fetches (dispatchFetches)
-// for a bank the pass has already passed, so the walk repeats, again in
-// ascending order, until no idle bank holds queued work.
+// makes the first walk cover every bank. A job can queue fetches
+// (dispatchFetches) for a bank the pass has already passed, so the walk
+// repeats, again in ascending order, until no idle bank holds queued work.
 func (c *Controller) schedule() {
 	now := c.eng.Now()
 	c.updateDrainMode()
+	var all uint64
 	if c.faults != nil || now >= c.minRefresh {
-		for b := range c.banks {
-			if c.busy[b] <= now {
-				c.startJob(b, now)
-			}
-		}
-	} else {
-		c.walkWork(now)
+		all = 1<<uint(len(c.banks)) - 1
 	}
+	c.walk(now, all)
 	for c.idleWork(now) {
-		c.walkWork(now)
+		c.walk(now, 0)
 	}
 	c.updateDrainMode()
 	c.armRefreshWake(now)
 }
 
-// walkWork offers startJob to the idle banks in workMask, in ascending
-// order. It re-reads the mask after every job: a job can queue fetches
+// walk offers startJob to the idle banks in extra|workMask, in ascending
+// order. It re-reads workMask after every job: a job can queue fetches
 // for later banks, and runWrite can re-enter schedule and drain them.
-func (c *Controller) walkWork(now sim.Time) {
-	for m := c.workMask; m != 0; {
+func (c *Controller) walk(now sim.Time, extra uint64) {
+	for m := extra | c.workMask; m != 0; {
 		b := bits.TrailingZeros64(m)
 		if c.busy[b] <= now {
 			c.startJob(b, now)
 		}
-		m = c.workMask &^ (2<<uint(b) - 1)
+		m = (extra | c.workMask) &^ (2<<uint(b) - 1)
 	}
 }
 

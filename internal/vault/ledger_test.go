@@ -24,7 +24,7 @@ func TestLedgerClassifiesEveryRow(t *testing.T) {
 	c := New(eng, cfg, prefetch.Base, 7)
 	suite := obs.NewSuite(0)
 	suite.EnableAttribution("TEST")
-	c.AttachAttribution(nil, suite.Ledger)
+	c.Instrument(suite)
 	row := func(r int64) pfbuffer.RowID { return pfbuffer.RowID{Bank: 0, Row: r} }
 
 	// Row 1 is used before any demand queued for it: timely.
@@ -65,7 +65,7 @@ func TestLedgerMarkLateAbsentRow(t *testing.T) {
 	eng, c := newVault(t, smallCfg(), prefetch.Base)
 	suite := obs.NewSuite(0)
 	suite.EnableAttribution("TEST")
-	c.AttachAttribution(nil, suite.Ledger)
+	c.Instrument(suite)
 	id := pfbuffer.RowID{Bank: 0, Row: 1}
 	c.buffer.MarkLate(pfbuffer.RowID{Bank: 0, Row: 9})
 	c.insertFetched(id, 0, 0)
