@@ -354,18 +354,7 @@ func (c *Cube) VaultStats() vault.Stats {
 func (c *Cube) BufferStats() pfbuffer.Stats {
 	var agg pfbuffer.Stats
 	for _, v := range c.vaults {
-		s := v.BufferStats()
-		agg.Hits += s.Hits
-		agg.Misses += s.Misses
-		agg.Inserts += s.Inserts
-		agg.Evictions += s.Evictions
-		agg.UsedRows += s.UsedRows
-		agg.LinesUseful += s.LinesUseful
-		agg.DirtyEvicts += s.DirtyEvicts
-		agg.FullRowEvicts += s.FullRowEvicts
-		agg.RowsPoisoned += s.RowsPoisoned
-		agg.LinesPoisoned += s.LinesPoisoned
-		agg.FirstUseDelay.Merge(s.FirstUseDelay)
+		agg.Merge(v.BufferStats())
 	}
 	return agg
 }

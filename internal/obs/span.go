@@ -70,15 +70,14 @@ const (
 	MetricSpanE2EPs      = "span.e2e_ps"
 	MetricSpanE2EHist    = "span.e2e_latency_ps"
 	MetricTracerDropped  = "obs.tracer.dropped"
-	metricSpanCausePfx   = "span." // + Cause.String() + "_ps"; see causeMetricNames
 	MetricPFUsefulTimely = "pf.useful_timely"
 	MetricPFUsefulLate   = "pf.useful_late"
 	MetricPFUnused       = "pf.evicted_unused"
 	MetricPFConflict     = "pf.conflict_victim"
 )
 
-// causeMetricNames holds the per-cause counter names as literals so the
-// registry never sees a computed name.
+// causeMetricNames holds the per-cause counter and histogram names as
+// literals so the registry never sees a computed name.
 var causeMetricNames = [causeCount]string{
 	CauseQueue:        "span.queue_ps",
 	CauseXbar:         "span.xbar_ps",
@@ -166,16 +165,9 @@ func (s *SpanSet) register(reg *Registry, tr *Tracer) {
 	reg.CounterFunc(MetricSpanStarted, func() uint64 { return s.started })
 	reg.CounterFunc(MetricSpanRetired, func() uint64 { return s.retired })
 	reg.CounterFunc(MetricSpanE2EPs, func() uint64 { return s.e2eTotal })
-	reg.CounterFunc("span.queue_ps", func() uint64 { return s.causePs[CauseQueue] })
-	reg.CounterFunc("span.xbar_ps", func() uint64 { return s.causePs[CauseXbar] })
-	reg.CounterFunc("span.link_ps", func() uint64 { return s.causePs[CauseLink] })
-	reg.CounterFunc("span.bank_conflict_ps", func() uint64 { return s.causePs[CauseBankConflict] })
-	reg.CounterFunc("span.refresh_stall_ps", func() uint64 { return s.causePs[CauseRefreshStall] })
-	reg.CounterFunc("span.fault_retry_ps", func() uint64 { return s.causePs[CauseFaultRetry] })
-	reg.CounterFunc("span.service_ps", func() uint64 { return s.causePs[CauseService] })
-	reg.CounterFunc("span.pfbuffer_hit_ps", func() uint64 { return s.causePs[CausePFBufferHit] })
 	s.e2eHist = reg.Histogram(MetricSpanE2EHist)
 	for c := Cause(0); c < causeCount; c++ {
+		reg.CounterFunc(causeMetricNames[c], func() uint64 { return s.causePs[c] })
 		s.causeHist[c] = reg.Histogram(causeMetricNames[c])
 	}
 }

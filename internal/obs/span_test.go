@@ -209,6 +209,9 @@ func TestSpanMetricsRegistered(t *testing.T) {
 		if !strings.HasPrefix(name, "span.") || !strings.HasSuffix(name, "_ps") {
 			t.Errorf("cause metric %q breaks the span.*_ps convention", name)
 		}
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("counter %q missing from snapshot", name)
+		}
 		if _, ok := snap.Histograms[name]; c == CauseQueue && !ok {
 			t.Errorf("histogram %q missing from snapshot", name)
 		}

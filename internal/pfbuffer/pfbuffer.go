@@ -98,6 +98,21 @@ type Stats struct {
 	FirstUseDelay stats.LatencyAccum
 }
 
+// Merge adds o into s, as a cube sums its vaults' buffers.
+func (s *Stats) Merge(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Inserts += o.Inserts
+	s.Evictions += o.Evictions
+	s.UsedRows += o.UsedRows
+	s.LinesUseful += o.LinesUseful
+	s.DirtyEvicts += o.DirtyEvicts
+	s.FullRowEvicts += o.FullRowEvicts
+	s.RowsPoisoned += o.RowsPoisoned
+	s.LinesPoisoned += o.LinesPoisoned
+	s.FirstUseDelay.Merge(o.FirstUseDelay)
+}
+
 // RowAccuracy returns the fraction of prefetched rows that were referenced.
 func (s Stats) RowAccuracy() float64 {
 	if s.Inserts == 0 {

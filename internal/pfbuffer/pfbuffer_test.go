@@ -2,6 +2,7 @@ package pfbuffer
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -188,6 +189,32 @@ func TestAccuracyAccounting(t *testing.T) {
 	}
 	if got := s.LineAccuracy(4); got != 0.25 {
 		t.Fatalf("line accuracy = %g, want 2/8", got)
+	}
+}
+
+// TestStatsMergeCoversEveryField sets every Stats field nonzero and
+// merges the result into a zero Stats: a field Merge leaves out stays zero
+// and breaks the equality, and a field added to Stats fails the setup
+// until this test sets it too.
+func TestStatsMergeCoversEveryField(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(uint64(i + 1))
+		}
+	}
+	s.FirstUseDelay.Observe(250)
+	s.FirstUseDelay.Observe(900)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("Stats.%s is zero: set it above so Merge is checked on it", v.Type().Field(i).Name)
+		}
+	}
+	var agg Stats
+	agg.Merge(s)
+	if agg != s {
+		t.Fatalf("merging into zero gave %+v, want %+v", agg, s)
 	}
 }
 

@@ -1,9 +1,6 @@
 package prefetch
 
-import (
-	"camps/internal/dram"
-	"camps/internal/pfbuffer"
-)
+import "camps/internal/dram"
 
 // asdEngine is an extension beyond the paper's five compared schemes: a
 // row-granularity adaptation of Hur & Lin's Adaptive Stream Detection
@@ -120,7 +117,3 @@ func (e *asdEngine) closeEpisode(b int) {
 	e.hist = [17]uint64{}
 	e.epochCount = 0
 }
-
-func (e *asdEngine) OnBufferHit(Request) {}
-
-func (e *asdEngine) OnEviction(pfbuffer.Eviction) {}

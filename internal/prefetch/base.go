@@ -1,9 +1,6 @@
 package prefetch
 
-import (
-	"camps/internal/dram"
-	"camps/internal/pfbuffer"
-)
+import "camps/internal/dram"
 
 // baseEngine is the paper's BASE scheme: prefetch the whole row on the
 // first access to it and precharge the bank once the copy completes. Every
@@ -19,10 +16,6 @@ func (e *baseEngine) OnDemandServed(req Request, _ dram.RowState, _ int64) []Fet
 		Touched: 1 << uint(req.Line)})
 	return e.out
 }
-
-func (e *baseEngine) OnBufferHit(Request) {}
-
-func (e *baseEngine) OnEviction(pfbuffer.Eviction) {}
 
 // baseHitEngine is the BASE-HIT scheme: fetch a whole row only when the
 // read queue holds two or more (further) requests for it, i.e. when there
@@ -49,7 +42,3 @@ func (e *baseHitEngine) OnDemandServed(req Request, _ dram.RowState, _ int64) []
 	}
 	return nil
 }
-
-func (e *baseHitEngine) OnBufferHit(Request) {}
-
-func (e *baseHitEngine) OnEviction(pfbuffer.Eviction) {}

@@ -3,7 +3,6 @@ package prefetch
 import (
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 )
 
 // boOffsets is the candidate offset list (in rows), the classic
@@ -93,7 +92,3 @@ func (e *boEngine) endPhase() {
 	e.scores = [len(boOffsets)]int{}
 	e.test, e.round = 0, 0
 }
-
-func (e *boEngine) OnBufferHit(Request) {}
-
-func (e *boEngine) OnEviction(pfbuffer.Eviction) {}

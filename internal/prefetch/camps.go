@@ -6,7 +6,6 @@ import (
 
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 )
 
 // campsEngine implements the conflict-aware prefetching of §3.1.
@@ -91,10 +90,6 @@ func (e *campsEngine) fetch(req Request, touched uint64) []Fetch {
 	e.out = append(e.out[:0], Fetch{Bank: req.Bank, Row: req.Row, CloseAfter: true, Touched: touched})
 	return e.out
 }
-
-func (e *campsEngine) OnBufferHit(Request) {}
-
-func (e *campsEngine) OnEviction(pfbuffer.Eviction) {}
 
 // CheckInvariant validates the engine's tables: CT occupancy within
 // capacity and its LRU list and index consistent with each other, the RUT

@@ -339,11 +339,6 @@ func TestMMDDegreeAdaptation(t *testing.T) {
 	if e.degree != 1 {
 		t.Fatalf("degree after useless epoch = %d, want 1", e.degree)
 	}
-	// OnEviction is inert — classification happens in the vault controller.
-	e.OnEviction(pfbuffer.Eviction{Used: false})
-	if e.degree != 1 {
-		t.Fatalf("OnEviction changed degree to %d", e.degree)
-	}
 }
 
 func TestMMDRespectsRowBound(t *testing.T) {
@@ -391,8 +386,6 @@ func TestNoneNeverFetches(t *testing.T) {
 			t.Fatalf("NONE fetched on %v: %+v", state, f)
 		}
 	}
-	e.OnBufferHit(Request{})
-	e.OnEviction(pfbuffer.Eviction{})
 }
 
 func TestASDConfirmsAscendingStream(t *testing.T) {

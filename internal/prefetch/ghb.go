@@ -3,7 +3,6 @@ package prefetch
 import (
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 )
 
 // ghbEngine is a width prefetcher over the vault's row-activation stream,
@@ -124,7 +123,3 @@ func (e *ghbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	}
 	return e.out
 }
-
-func (e *ghbEngine) OnBufferHit(Request) {}
-
-func (e *ghbEngine) OnEviction(pfbuffer.Eviction) {}

@@ -5,7 +5,6 @@ import (
 
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 )
 
 // hybridEngine set-duels its candidate engines (config.Hybrid.Candidates;
@@ -30,12 +29,8 @@ type hybridEngine struct {
 	// by rowKey, interleaved so one slot's entries for all candidates
 	// share a cache line: candidate i's entry for slot s is at
 	// s*len(cands)+i. Entries are predicted rowKeys, -1 empty.
-	shadow []int64
-
-	// owner maps fetched rows (direct-mapped by rowKey) to the candidate
-	// whose directive fetched them, so eviction feedback reaches only the
-	// engine that asked for the row.
-	owner []ownerEntry
+	shadow   []int64
+	slotMask uint64 // config.Hybrid.ShadowEntries-1, a power of two less one
 }
 
 type hybridCand struct {
@@ -45,11 +40,6 @@ type hybridCand struct {
 	preds uint64        // shadow predictions recorded this epoch
 	hits  uint64        // shadow predictions confirmed this epoch
 	score int64
-}
-
-type ownerEntry struct {
-	key  int64
-	cand int
 }
 
 // newHybrid resolves the configured candidate names against the scheme
@@ -66,12 +56,9 @@ func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 		}
 	}
 	e := &hybridEngine{
-		epoch:  cfg.Hybrid.EpochRequests,
-		winner: -1,
-		owner:  make([]ownerEntry, cfg.Hybrid.ShadowEntries),
-	}
-	for i := range e.owner {
-		e.owner[i] = ownerEntry{key: -1, cand: -1}
+		epoch:    cfg.Hybrid.EpochRequests,
+		winner:   -1,
+		slotMask: uint64(cfg.Hybrid.ShadowEntries - 1),
 	}
 	for _, name := range names {
 		s, ok := lookup(name)
@@ -100,7 +87,7 @@ func newHybrid(cfg config.Config, ctx Context) *hybridEngine {
 }
 
 func (e *hybridEngine) slot(k int64) int {
-	return int(mix64(uint64(k)) & uint64(len(e.owner)-1))
+	return int(mix64(uint64(k)) & e.slotMask)
 }
 
 // credit scores every candidate that shadow-predicted the row, consuming
@@ -134,31 +121,14 @@ func (e *hybridEngine) OnDemandServed(req Request, state dram.RowState, displace
 			out = fs
 		}
 	}
-	for _, f := range out {
-		fk := rowKey(f.Bank, f.Row)
-		e.owner[e.slot(fk)] = ownerEntry{key: fk, cand: e.winner}
-	}
 	return out
 }
 
+// OnBufferHit implements BufferHitObserver. A buffer hit is the winner's
+// prediction paying off in the real system and the same row confirming
+// the shadows' predictions.
 func (e *hybridEngine) OnBufferHit(req Request) {
-	// A buffer hit is the winner's prediction paying off in the real
-	// system and the same row confirming the shadows' predictions.
 	e.credit(rowKey(req.Bank, req.Row))
-	for i := range e.cands {
-		e.cands[i].eng.OnBufferHit(req)
-	}
-}
-
-func (e *hybridEngine) OnEviction(ev pfbuffer.Eviction) {
-	key := rowKey(ev.ID.Bank, ev.ID.Row)
-	idx := e.slot(key)
-	if o := e.owner[idx]; o.key == key && o.cand >= 0 && o.cand < len(e.cands) {
-		e.cands[o.cand].eng.OnEviction(ev)
-		e.owner[idx] = ownerEntry{key: -1, cand: -1}
-	}
-	// Unowned evictions (overwritten owner slot, pre-takeover residue) are
-	// dropped: feedback must not reach an engine that never fetched the row.
 }
 
 // CheckInvariant runs the invariant check of every candidate that has one
@@ -221,7 +191,8 @@ func (e *hybridEngine) OnEpoch(st EpochStats) {
 	// Elect with hysteresis: a challenger must beat the incumbent by 25%
 	// (its positive score is discounted by a fifth), so a single noisy
 	// epoch cannot dethrone a working winner — every takeover churns the
-	// buffer and orphans the old winner's eviction feedback.
+	// buffer and charges the old winner's rows' eviction outcomes to the
+	// new one.
 	best, bestScore := -1, int64(0)
 	for i := range e.cands {
 		s := e.cands[i].score

@@ -3,7 +3,6 @@ package prefetch
 import (
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 )
 
 // mmdEngine stands in for the memory-side prefetcher of Yedlapalli et al.
@@ -62,10 +61,6 @@ func (e *mmdEngine) OnDemandServed(req Request, state dram.RowState, _ int64) []
 	}
 	return e.out
 }
-
-func (e *mmdEngine) OnBufferHit(Request) {}
-
-func (e *mmdEngine) OnEviction(pfbuffer.Eviction) {}
 
 // EpochRequests implements EpochObserver: the feedback epoch length.
 func (e *mmdEngine) EpochRequests() int { return e.cfg.EpochRequests }

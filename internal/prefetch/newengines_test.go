@@ -199,6 +199,32 @@ func TestHybridElectsCreditedCandidate(t *testing.T) {
 	}
 }
 
+// TestHybridCreditsBufferHits checks that the buffer-hit hook credits the
+// shadow tables: BASE shadow-predicts each demanded row, and that row's
+// next demand hits the buffer instead of a bank. Confirmed that way only,
+// BASE wins the election; without the hits it scores below zero.
+func TestHybridCreditsBufferHits(t *testing.T) {
+	cfg := config.Default()
+	cfg.Hybrid.Candidates = []string{"NONE", "BASE"}
+	for _, hits := range []bool{false, true} {
+		e := newHybrid(cfg, testCtx(nil))
+		for r := int64(0); r < 10; r++ {
+			e.OnDemandServed(Request{Bank: 0, Row: r}, dram.RowMiss, dram.NoRow)
+			if hits {
+				e.OnBufferHit(Request{Bank: 0, Row: r, Line: 1})
+			}
+		}
+		e.OnEpoch(EpochStats{Demands: 10})
+		want := ""
+		if hits {
+			want = "BASE"
+		}
+		if got := winner(e); got != want {
+			t.Fatalf("buffer hits %v: winner = %q, want %q", hits, got, want)
+		}
+	}
+}
+
 func TestHybridDisablesWhenNoCandidateScores(t *testing.T) {
 	cfg := config.Default()
 	cfg.Hybrid.Candidates = []string{"NONE"}

@@ -1,9 +1,6 @@
 package prefetch
 
-import (
-	"camps/internal/dram"
-	"camps/internal/pfbuffer"
-)
+import "camps/internal/dram"
 
 // noneEngine never prefetches: the unmodified HMC with an idle prefetch
 // buffer. Not one of the paper's five compared schemes, but the natural
@@ -14,7 +11,3 @@ type noneEngine struct{}
 func newNone() noneEngine { return noneEngine{} }
 
 func (noneEngine) OnDemandServed(Request, dram.RowState, int64) []Fetch { return nil }
-
-func (noneEngine) OnBufferHit(Request) {}
-
-func (noneEngine) OnEviction(pfbuffer.Eviction) {}

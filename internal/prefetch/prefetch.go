@@ -2,7 +2,9 @@
 // the CAMPS paper, plus extension engines, listed in one closed table
 // indexed by Scheme (see schemes.go). Every engine lives in a vault
 // controller, observes the demand stream to that vault's banks, and
-// directs whole-row fetches into the vault's prefetch buffer.
+// directs whole-row fetches into the vault's prefetch buffer. Two optional
+// hooks reach further: EpochObserver (the controller's per-epoch efficacy
+// feedback) and BufferHitObserver (demands the buffer served).
 //
 // The engines:
 //
@@ -29,7 +31,6 @@ package prefetch
 import (
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 )
 
 // Request describes one demand access as seen by a vault controller.
@@ -72,8 +73,10 @@ type Context struct {
 
 // Engine is a memory-side prefetch engine. Engines are single-vault and are
 // driven synchronously by the vault controller's event loop, so they need
-// no internal locking. Engines may additionally implement EpochObserver to
-// receive controller-maintained efficacy feedback at a fixed request cadence.
+// no internal locking. The demand stream to the banks is all an engine is
+// told; two optional hooks add more. EpochObserver receives
+// controller-maintained efficacy feedback at a fixed request cadence, and
+// BufferHitObserver hears of the demands the prefetch buffer served.
 type Engine interface {
 	// OnDemandServed fires when a demand request has been serviced from a
 	// DRAM bank (not the prefetch buffer). state is the row-buffer outcome
@@ -86,12 +89,6 @@ type Engine interface {
 	// OnDemandServed call. Callers consume or copy it before then. No
 	// directives is nil.
 	OnDemandServed(req Request, state dram.RowState, displacedRow int64) []Fetch
-	// OnBufferHit fires when a demand request was served by the prefetch
-	// buffer instead of a bank.
-	OnBufferHit(req Request)
-	// OnEviction fires when a prefetched row leaves the buffer; engines use
-	// it for usefulness feedback.
-	OnEviction(ev pfbuffer.Eviction)
 }
 
 // EpochStats is the per-epoch efficacy feedback the vault controller hands
@@ -117,6 +114,14 @@ type EpochObserver interface {
 	EpochRequests() int
 	// OnEpoch receives the finished epoch's accumulated stats.
 	OnEpoch(st EpochStats)
+}
+
+// BufferHitObserver is the optional buffer-hit hook: engines that
+// implement it receive OnBufferHit for every demand request the prefetch
+// buffer served instead of a bank. The hybrid meta-engine credits its
+// candidates' shadow predictions through it.
+type BufferHitObserver interface {
+	OnBufferHit(req Request)
 }
 
 // New constructs the scheme's engine using the given configuration and

@@ -3,7 +3,6 @@ package prefetch
 import (
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 )
 
 // sisbEngine is a temporal next-address predictor in the spirit of the
@@ -100,7 +99,3 @@ func (e *sisbEngine) OnDemandServed(req Request, state dram.RowState, _ int64) [
 	}
 	return e.out
 }
-
-func (e *sisbEngine) OnBufferHit(Request) {}
-
-func (e *sisbEngine) OnEviction(pfbuffer.Eviction) {}

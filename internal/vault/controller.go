@@ -54,6 +54,7 @@ type Controller struct {
 	busy   []sim.Time // per-bank: time the current job releases the bank
 	buffer *pfbuffer.Buffer
 	pf     prefetch.Engine
+	hitObs prefetch.BufferHitObserver // pf's buffer-hit hook; nil when it has none
 
 	// Epoch feedback for engines implementing prefetch.EpochObserver (nil
 	// otherwise; every field below then stays untouched). The controller
@@ -234,6 +235,7 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 		c.epochObs = eo
 		c.epochPeriod = eo.EpochRequests()
 	}
+	c.hitObs, _ = c.pf.(prefetch.BufferHitObserver)
 	return c
 }
 
@@ -348,10 +350,9 @@ func (c *Controller) tickEpoch() {
 
 // feedEviction classifies a prefetched row's final outcome — used and
 // never late is timely, used is late, untouched is unused — into the
-// efficacy ledger and the epoch accumulator, and forwards the eviction to
-// the engine. Every row that leaves the buffer (replacement or Flush) and
-// every row poisoned on arrival flows through here, and nowhere else
-// classifies one.
+// efficacy ledger and the epoch accumulator. Every row that leaves the
+// buffer (replacement or Flush) and every row poisoned on arrival flows
+// through here, and nowhere else classifies one.
 func (c *Controller) feedEviction(ev pfbuffer.Eviction) {
 	o, n := obs.EvictedUnused, &c.epochAcc.EvictedUnused
 	switch {
@@ -364,7 +365,6 @@ func (c *Controller) feedEviction(ev pfbuffer.Eviction) {
 	if c.epochObs != nil {
 		*n++
 	}
-	c.pf.OnEviction(ev)
 }
 
 // Stats returns the controller's statistics. CollectOps must be called
@@ -411,11 +411,7 @@ func (c *Controller) Submit(req Request) {
 
 	// The controller checks the prefetch buffer before anything else
 	// (§3.1: "the vault controller will first check the prefetch buffer").
-	id := pfbuffer.RowID{Bank: req.Bank, Row: req.Row}
-	if c.buffer.Lookup(id, req.Line, req.Write, now) {
-		c.stats.BufferHits.Inc()
-		c.emit(obs.EvPrefetchHit, now, req.Bank, req.Row, int64(req.Line))
-		c.pf.OnBufferHit(prefetch.Request{Bank: req.Bank, Row: req.Row, Line: req.Line, Write: req.Write})
+	if c.bufferHit(req, now) {
 		c.spans.AdvanceTo(req.Span, obs.CausePFBufferHit, int64(now+c.pfHitLat))
 		c.complete(req, now, now+c.pfHitLat)
 		return
@@ -442,6 +438,21 @@ func (c *Controller) Submit(req Request) {
 	}
 	c.keepAlive(req.Bank, now)
 	c.schedule()
+}
+
+// bufferHit serves req from the prefetch buffer if its row is resident
+// there, counting the hit and telling the engine's buffer-hit hook. The
+// caller completes the request.
+func (c *Controller) bufferHit(req Request, now sim.Time) bool {
+	if !c.buffer.Lookup(pfbuffer.RowID{Bank: req.Bank, Row: req.Row}, req.Line, req.Write, now) {
+		return false
+	}
+	c.stats.BufferHits.Inc()
+	c.emit(obs.EvPrefetchHit, now, req.Bank, req.Row, int64(req.Line))
+	if c.hitObs != nil {
+		c.hitObs.OnBufferHit(prefetch.Request{Bank: req.Bank, Row: req.Row, Line: req.Line, Write: req.Write})
+	}
+	return true
 }
 
 // complete finishes a demand request, recording service latency.
@@ -721,11 +732,7 @@ func (c *Controller) takeRead(b int, now sim.Time) (pending, bool) {
 		c.noteWork(b)
 		// Service-time buffer re-check: a fetch may have landed the row in
 		// the buffer after this request was queued.
-		id := pfbuffer.RowID{Bank: p.req.Bank, Row: p.req.Row}
-		if c.buffer.Lookup(id, p.req.Line, p.req.Write, now) {
-			c.stats.BufferHits.Inc()
-			c.emit(obs.EvPrefetchHit, now, p.req.Bank, p.req.Row, int64(p.req.Line))
-			c.pf.OnBufferHit(prefetch.Request{Bank: p.req.Bank, Row: p.req.Row, Line: p.req.Line, Write: p.req.Write})
+		if c.bufferHit(p.req, now) {
 			c.chargeWait(p.req.Span, b, p.arrived, now)
 			c.spans.AdvanceTo(p.req.Span, obs.CausePFBufferHit, int64(now+c.pfHitLat))
 			c.complete(p.req, p.arrived, now+c.pfHitLat)
@@ -894,11 +901,7 @@ func (c *Controller) runWrite(b int, now sim.Time, p pending) {
 	// Service-time buffer re-check: a fetch may have landed the row in the
 	// buffer after this write was queued; writing the bank then would
 	// leave the buffered copy stale.
-	id := pfbuffer.RowID{Bank: p.req.Bank, Row: p.req.Row}
-	if c.buffer.Lookup(id, p.req.Line, true, now) {
-		c.stats.BufferHits.Inc()
-		c.emit(obs.EvPrefetchHit, now, p.req.Bank, p.req.Row, int64(p.req.Line))
-		c.pf.OnBufferHit(prefetch.Request{Bank: p.req.Bank, Row: p.req.Row, Line: p.req.Line, Write: true})
+	if c.bufferHit(p.req, now) {
 		c.schedule()
 		return
 	}
@@ -1010,8 +1013,8 @@ func (c *Controller) landFill(i uint64) {
 // insertFetched lands a fetched row in the prefetch buffer. A poisoned
 // row (fault injection) arrives damaged and is discarded instead: the
 // bank work was spent, the buffer is not filled — the next demand access
-// misses and re-fetches — and the prefetch engine's usefulness feedback
-// is charged with a zero-utilization eviction.
+// misses and re-fetches — and the ledger and the epoch feedback are
+// charged with an unused eviction.
 func (c *Controller) insertFetched(id pfbuffer.RowID, touched uint64, at sim.Time) {
 	if c.faults.PoisonInsert(id.Bank, id.Row, at) {
 		// The fetch was spent but no demand can ever use it: pollution in
@@ -1088,8 +1091,8 @@ func (c *Controller) runRefresh(b int, now sim.Time) {
 	c.armWake(b, false)
 }
 
-// onEviction routes a buffer eviction to the engine and queues the row's
-// writeback to its bank. The paper's buffer replaces rows *back to the
+// onEviction classifies a buffer eviction (feedEviction) and queues the
+// row's writeback to its bank. The paper's buffer replaces rows *back to the
 // memory bank* unconditionally (it has no per-row cleanliness tracking);
 // with WritebackDirtyOnly set, only written-to rows go back.
 func (c *Controller) onEviction(ev pfbuffer.Eviction) {

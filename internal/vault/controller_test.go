@@ -2,11 +2,11 @@ package vault
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"camps/internal/config"
 	"camps/internal/dram"
-	"camps/internal/pfbuffer"
 	"camps/internal/prefetch"
 	"camps/internal/sim"
 )
@@ -219,6 +219,64 @@ func TestServiceTimeBufferRecheck(t *testing.T) {
 	if got := s.bankAccesses(); got != 1 {
 		t.Fatalf("bank accesses = %d, want 1", got)
 	}
+}
+
+// hitRecorder wraps an engine with the buffer-hit hook and records every
+// request the hook hears of.
+type hitRecorder struct {
+	prefetch.Engine
+	hits []prefetch.Request
+}
+
+func (h *hitRecorder) OnBufferHit(req prefetch.Request) { h.hits = append(h.hits, req) }
+
+// TestBufferHitHookSeesEveryBufferHit checks that the engine's buffer-hit
+// hook hears of every buffer hit the vault counts, at each of the three
+// places one happens: the service-time re-check of a queued read, the same
+// re-check of a drained write, and a request's arrival.
+func TestBufferHitHookSeesEveryBufferHit(t *testing.T) {
+	if _, c := newVault(t, smallCfg(), prefetch.Hybrid); c.hitObs == nil {
+		t.Fatal("a hybrid vault did not resolve the engine's buffer-hit hook")
+	}
+	if _, c := newVault(t, smallCfg(), prefetch.Base); c.hitObs != nil {
+		t.Fatal("a BASE vault resolved a buffer-hit hook BASE does not have")
+	}
+	eng, c := newVault(t, smallCfg(), prefetch.Base)
+	h := &hitRecorder{Engine: c.pf}
+	c.pf, c.hitObs = h, h
+	check := func(stage string, want ...prefetch.Request) {
+		t.Helper()
+		if got := c.Stats().BufferHits.Value(); got != uint64(len(h.hits)) {
+			t.Fatalf("%s: %d buffer hits counted, hook heard of %d", stage, got, len(h.hits))
+		}
+		if !slices.Equal(h.hits, want) {
+			t.Fatalf("%s: hook heard of %+v, want %+v", stage, h.hits, want)
+		}
+	}
+	// BASE fetches row 9 after the first read; a read and a write to the
+	// row arrive while the fetch holds the bank, miss the buffer, and are
+	// served from it once the row lands.
+	submitRead(c, 0, 9, 0)
+	eng.RunUntil(50 * sim.Nanosecond)
+	submitRead(c, 0, 9, 5)
+	c.Submit(Request{Bank: 0, Row: 9, Line: 6, Write: true})
+	check("arrival misses")
+	eng.Run()
+	read := prefetch.Request{Bank: 0, Row: 9, Line: 5}
+	write := prefetch.Request{Bank: 0, Row: 9, Line: 6, Write: true}
+	check("service-time re-checks", read, write)
+	if s := c.Stats(); s.bankAccesses() != 1 || s.WriteBursts.Value() != 0 {
+		t.Fatalf("the re-checked requests reached the bank: %d accesses, %d write bursts", s.bankAccesses(), s.WriteBursts.Value())
+	}
+	// The row is resident now: both kinds of request hit on arrival.
+	submitRead(c, 0, 9, 7)
+	c.Submit(Request{Bank: 0, Row: 9, Line: 8, Write: true})
+	all := []prefetch.Request{read, write,
+		{Bank: 0, Row: 9, Line: 7},
+		{Bank: 0, Row: 9, Line: 8, Write: true}}
+	check("arrival hits", all...)
+	eng.Run()
+	check("end", all...)
 }
 
 func TestCAMPSConflictProneRowGetsFetched(t *testing.T) {
@@ -533,8 +591,6 @@ func (e *fetchOnce) OnDemandServed(prefetch.Request, dram.RowState, int64) []pre
 	e.sent = true
 	return []prefetch.Fetch{e.f}
 }
-func (e *fetchOnce) OnBufferHit(prefetch.Request) {}
-func (e *fetchOnce) OnEviction(pfbuffer.Eviction) {}
 
 // TestPassedOverFetchStartsAtOnce checks that a fetch a job queues for an
 // idle bank the schedule walk has already passed starts in the same pass,
