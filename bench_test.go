@@ -429,7 +429,7 @@ func BenchmarkSchemeCost(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				run := c.rc
-				run.Warm = ws.Clone()
+				run.Warm = ws.Clone(nil)
 				b.StartTimer()
 				res, err := camps.RunContext(context.Background(), run)
 				if err != nil {

@@ -126,7 +126,8 @@ type RunConfig struct {
 	// Warm, when non-nil, replaces the run's functional warmup: the run
 	// starts from this state, built by Warm for an equal WarmKey, and takes
 	// it over, so each run needs its own (see WarmState.Clone). It cannot
-	// be combined with Readers.
+	// be combined with Readers. Given to Warm instead, it is the state the
+	// warmup is built in, whose memory Warm reuses.
 	Warm *WarmState
 	// MeasureInstr is the per-core instruction budget of the measured
 	// region (default 400000), the analogue of the paper's 800M detailed

@@ -32,7 +32,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"camps/internal/config"
 	"camps/internal/obs"
@@ -73,8 +72,9 @@ const (
 // The tag fills the rest of the 32-bit word exactly.
 var _ [32]struct{} = [tagShift + config.CacheTagBits]struct{}{}
 
-// newLevel builds a cache level from its configuration.
-func newLevel(cfg config.CacheLevel) *Level {
+// levelOf returns a level of cfg's geometry and latency, without its line
+// and clock arrays.
+func levelOf(cfg config.CacheLevel) Level {
 	sets := int(cfg.SizeBytes) / cfg.Ways / cfg.LineBytes
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d must be a positive power of two", sets))
@@ -85,23 +85,50 @@ func newLevel(cfg config.CacheLevel) *Level {
 	if cfg.LineBytes < config.MinCacheLineBytes {
 		panic(fmt.Sprintf("%v: %d-byte lines, at least %d", config.ErrCacheLine, cfg.LineBytes, config.MinCacheLineBytes))
 	}
-	return &Level{
+	return Level{
 		ways:      cfg.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cfg.LineBytes))),
 		setShift:  uint(bits.TrailingZeros64(uint64(sets))),
 		setMask:   uint64(sets - 1),
-		lines:     make([]uint32, sets*cfg.Ways),
-		clock:     make([]uint8, sets),
 		hitLat:    cfg.HitLatency,
 	}
 }
 
-// clone returns a deep copy of l: its lines, set clocks and counters.
-func (l *Level) clone() *Level {
-	cp := *l
-	cp.lines = slices.Clone(l.lines)
-	cp.clock = slices.Clone(l.clock)
-	return &cp
+// sameGeometry reports whether l and m have the same ways, sets and line
+// size, the geometry that fixes a level's memory layout.
+func (l *Level) sameGeometry(m *Level) bool {
+	return l.ways == m.ways && l.setShift == m.setShift && l.lineShift == m.lineShift
+}
+
+// emptyIn returns l, a level from levelOf, empty: in into's line and clock
+// arrays, cleared, when into is non-nil, which must have l's geometry,
+// else in new ones.
+func (l Level) emptyIn(into *Level) *Level {
+	if into == nil {
+		l.lines = make([]uint32, l.ways<<l.setShift)
+		l.clock = make([]uint8, 1<<l.setShift)
+		return &l
+	}
+	l.lines, l.clock = into.lines, into.clock
+	clear(l.lines)
+	clear(l.clock)
+	*into = l
+	return into
+}
+
+// clone returns a deep copy of l, its lines, set clocks and counters, in
+// into's memory when into is non-nil, which must have l's geometry, else
+// newly allocated.
+func (l *Level) clone(into *Level) *Level {
+	if into == nil {
+		into = &Level{lines: make([]uint32, len(l.lines)), clock: make([]uint8, len(l.clock))}
+	}
+	lines, clock := into.lines, into.clock
+	*into = *l
+	into.lines, into.clock = lines, clock
+	copy(lines, l.lines)
+	copy(clock, l.clock)
+	return into
 }
 
 // HitLatency returns the level's lookup latency in CPU cycles.
@@ -325,31 +352,64 @@ type Hierarchy struct {
 
 // NewHierarchy builds the stack for cfg.Processor.Cores cores.
 func NewHierarchy(cfg config.Config) *Hierarchy {
-	h := &Hierarchy{l3: newLevel(cfg.L3), limit: AddressLimit(cfg)}
-	h.l1 = make([]*Level, cfg.Processor.Cores)
-	h.l2 = make([]*Level, cfg.Processor.Cores)
-	h.l3MissPerCore = make([]stats.Counter, cfg.Processor.Cores)
-	for i := range h.l1 {
-		h.l1[i] = newLevel(cfg.L1)
-		h.l2[i] = newLevel(cfg.L2)
+	return (*Hierarchy)(nil).Reset(cfg)
+}
+
+// spare returns h when it has cores cores, each with an L1 and an L2 of
+// the geometry of l1 and l2, and an L3 of l3's, so its memory can be
+// reused for a hierarchy of that shape. Otherwise, or when h is nil, it
+// returns a new hierarchy of cores cores with no levels yet.
+func (h *Hierarchy) spare(cores int, l1, l2, l3 *Level) *Hierarchy {
+	fits := h != nil && len(h.l1) == cores && h.l3.sameGeometry(l3)
+	for i := 0; fits && i < cores; i++ {
+		fits = h.l1[i].sameGeometry(l1) && h.l2[i].sameGeometry(l2)
 	}
+	if fits {
+		return h
+	}
+	return &Hierarchy{
+		l1:            make([]*Level, cores),
+		l2:            make([]*Level, cores),
+		l3MissPerCore: make([]stats.Counter, cores),
+	}
+}
+
+// Reset returns an empty hierarchy for cfg, as NewHierarchy builds it: in
+// h's memory when h has cfg's core count and L1, L2 and L3 geometry, else
+// newly allocated. h may be nil; its contents are lost either way.
+func (h *Hierarchy) Reset(cfg config.Config) *Hierarchy {
+	l1, l2, l3 := levelOf(cfg.L1), levelOf(cfg.L2), levelOf(cfg.L3)
+	h = h.spare(cfg.Processor.Cores, &l1, &l2, &l3)
+	h.l3 = l3.emptyIn(h.l3)
+	for i := range h.l1 {
+		h.l1[i] = l1.emptyIn(h.l1[i])
+		h.l2[i] = l2.emptyIn(h.l2[i])
+	}
+	clear(h.l3MissPerCore)
+	h.limit = AddressLimit(cfg)
 	return h
 }
 
 // Clone returns a deep copy of h: every level's contents, LRU order and
-// counters, so the copy continues exactly as h would. Nothing is shared, and
-// no observability registration carries over.
-func (h *Hierarchy) Clone() *Hierarchy {
-	cp := *h
-	cp.l3 = h.l3.clone()
-	cp.l1 = make([]*Level, len(h.l1))
-	cp.l2 = make([]*Level, len(h.l2))
-	for i := range h.l1 {
-		cp.l1[i] = h.l1[i].clone()
-		cp.l2[i] = h.l2[i].clone()
+// counters, so the copy continues exactly as h would. It is made in into's
+// memory when into has h's core count and level geometry, else newly
+// allocated; into may be nil, and its contents are lost either way.
+// Nothing is shared with h, and no observability registration carries
+// over.
+func (h *Hierarchy) Clone(into *Hierarchy) *Hierarchy {
+	var l1, l2 *Level // every core's private levels share one geometry
+	if len(h.l1) > 0 {
+		l1, l2 = h.l1[0], h.l2[0]
 	}
-	cp.l3MissPerCore = append([]stats.Counter(nil), h.l3MissPerCore...)
-	return &cp
+	cp := into.spare(len(h.l1), l1, l2, h.l3)
+	cp.l3 = h.l3.clone(cp.l3)
+	for i := range h.l1 {
+		cp.l1[i] = h.l1[i].clone(cp.l1[i])
+		cp.l2[i] = h.l2[i].clone(cp.l2[i])
+	}
+	copy(cp.l3MissPerCore, h.l3MissPerCore)
+	cp.limit = h.limit
+	return cp
 }
 
 // Instrument registers the hierarchy's counters with the observability

@@ -20,6 +20,11 @@ func putCounted(l *Level, addr uint64, dirty bool) (Victim, bool) {
 	return v, l.evicts.Value() > before
 }
 
+// newLevel builds an empty cache level from its configuration.
+func newLevel(cfg config.CacheLevel) *Level {
+	return levelOf(cfg).emptyIn(nil)
+}
+
 func tinyLevel(ways int) *Level {
 	return newLevel(config.CacheLevel{
 		SizeBytes:  int64(ways * 4 * 64), // 4 sets
@@ -811,12 +816,7 @@ func counters(h *Hierarchy) []uint64 {
 // original does and carry the same counters, and driving the clone alone
 // must leave the original untouched.
 func TestHierarchyCloneIsIndependent(t *testing.T) {
-	// Small associative levels, so LRU order and set clocks decide victims.
-	cfg := config.Default()
-	cfg.L1 = config.CacheLevel{SizeBytes: 256, Ways: 2, LineBytes: 64, HitLatency: 2}
-	cfg.L2 = config.CacheLevel{SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatency: 6}
-	cfg.L3 = config.CacheLevel{SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: 20}
-	h := NewHierarchy(cfg)
+	h := NewHierarchy(cloneTestConfig())
 	rng := rand.New(rand.NewSource(9))
 	step := func(h *Hierarchy, core int, addr uint64, write, pref bool) Result {
 		if pref {
@@ -839,7 +839,7 @@ func TestHierarchyCloneIsIndependent(t *testing.T) {
 		r := next()
 		step(h, r.core, r.addr, r.write, r.pref)
 	}
-	cp := h.Clone()
+	cp := h.Clone(nil)
 	if !slices.Equal(counters(h), counters(cp)) {
 		t.Fatal("clone's counters differ from the original's")
 	}
@@ -859,5 +859,111 @@ func TestHierarchyCloneIsIndependent(t *testing.T) {
 	}
 	if !slices.Equal(before, counters(h)) {
 		t.Fatal("driving the clone changed the original")
+	}
+}
+
+// cloneTestConfig has small associative levels, so LRU order and set
+// clocks decide victims.
+func cloneTestConfig() config.Config {
+	cfg := config.Default()
+	cfg.L1 = config.CacheLevel{SizeBytes: 256, Ways: 2, LineBytes: 64, HitLatency: 2}
+	cfg.L2 = config.CacheLevel{SizeBytes: 512, Ways: 2, LineBytes: 64, HitLatency: 6}
+	cfg.L3 = config.CacheLevel{SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: 20}
+	return cfg
+}
+
+// drive sends n random references of cores 0 and 1 through h: reads,
+// writes and prefetch installs over 64 lines.
+func drive(h *Hierarchy, rng *rand.Rand, n int) {
+	for range n {
+		core, addr := rng.Intn(2), uint64(rng.Intn(64))*64
+		if rng.Intn(8) == 0 {
+			h.InstallPrefetched(core, addr)
+		} else {
+			h.Access(core, addr, rng.Intn(3) == 0)
+		}
+	}
+}
+
+// requireSameState fails t unless got has want's shape and address limit
+// and, level by level, the same line words, set clocks and counters.
+func requireSameState(t *testing.T, want, got *Hierarchy) {
+	t.Helper()
+	levels := func(h *Hierarchy) []*Level { return append(append([]*Level{h.l3}, h.l1...), h.l2...) }
+	if len(got.l1) != len(want.l1) || got.limit != want.limit {
+		t.Fatalf("%d cores, limit %#x; want %d, %#x", len(got.l1), got.limit, len(want.l1), want.limit)
+	}
+	for i, w := range levels(want) {
+		g := levels(got)[i]
+		if !g.sameGeometry(w) || !slices.Equal(w.lines, g.lines) || !slices.Equal(w.clock, g.clock) || w.hitLat != g.hitLat {
+			t.Fatalf("level %d: geometry, line words, set clocks or latency differ", i)
+		}
+	}
+	if !slices.Equal(counters(want), counters(got)) {
+		t.Fatalf("counters %v, want %v", counters(got), counters(want))
+	}
+}
+
+// TestHierarchyCloneIntoUsedTarget copies a warmed hierarchy into one that
+// has served traffic of its own: the copy must reuse the target's memory
+// and equal a fresh Clone word for word, clock for clock and counter for
+// counter, and then stay independent of its source. A target of another
+// core count or level geometry is not reused, and Reset empties a used
+// hierarchy in place into what NewHierarchy builds.
+func TestHierarchyCloneIntoUsedTarget(t *testing.T) {
+	cfg := cloneTestConfig()
+	rng := rand.New(rand.NewSource(5))
+	src, used := NewHierarchy(cfg), NewHierarchy(cfg)
+	drive(src, rng, 5000)
+	drive(used, rng, 20000)
+	fresh := src.Clone(nil)
+	l3Lines := &used.l3.lines[0]
+	cp := src.Clone(used)
+	if cp != used || &cp.l3.lines[0] != l3Lines {
+		t.Fatal("copy into a hierarchy of the source's shape did not reuse its memory")
+	}
+	requireSameState(t, fresh, cp)
+
+	drive(cp, rng, 2000)
+	requireSameState(t, fresh, src)
+	drive(src, rand.New(rand.NewSource(7)), 2000)
+	drive(fresh, rand.New(rand.NewSource(7)), 2000)
+	requireSameState(t, fresh, src)
+	if slices.Equal(counters(cp), counters(src)) {
+		t.Fatal("copy and source moved together under different streams")
+	}
+
+	others := map[string]func(*config.Config){
+		"cores": func(c *config.Config) { c.Processor.Cores = 4 },
+		"L1 ways": func(c *config.Config) {
+			c.L1 = config.CacheLevel{SizeBytes: 256, Ways: 4, LineBytes: 64, HitLatency: 2}
+		},
+		"L2 sets": func(c *config.Config) { c.L2.SizeBytes = 1024 },
+		// Same ways and sets, so line and clock arrays of the same lengths.
+		"L3 line size": func(c *config.Config) {
+			c.L3 = config.CacheLevel{SizeBytes: 2048, Ways: 4, LineBytes: 128, HitLatency: 20}
+		},
+	}
+	for name, apply := range others {
+		ocfg := cloneTestConfig()
+		apply(&ocfg)
+		other := NewHierarchy(ocfg)
+		drive(other, rng, 1000)
+		if cp := src.Clone(other); cp == other {
+			t.Errorf("%s: a target of another shape was reused", name)
+		} else {
+			requireSameState(t, src, cp)
+		}
+		if h := other.Reset(cfg); h == other {
+			t.Errorf("%s: Reset reused a hierarchy of another shape", name)
+		} else {
+			requireSameState(t, NewHierarchy(cfg), h)
+		}
+	}
+
+	if h := used.Reset(cfg); h != used {
+		t.Error("Reset did not reuse a hierarchy of cfg's shape")
+	} else {
+		requireSameState(t, NewHierarchy(cfg), h)
 	}
 }

@@ -45,9 +45,10 @@ type Bank struct {
 	ops Ops
 }
 
-// NewBank returns a precharged bank.
-func NewBank(t Timing) *Bank {
-	return &Bank{t: t, openRow: NoRow}
+// NewBank returns a precharged bank. A vault holds its banks by value in
+// one slice and works on them in place.
+func NewBank(t Timing) Bank {
+	return Bank{t: t, openRow: NoRow}
 }
 
 // OpenRow returns the currently open row, or NoRow.

@@ -180,7 +180,8 @@ func TestBankIllegalCommandsPanic(t *testing.T) {
 					t.Fatalf("%s did not panic", tc.name)
 				}
 			}()
-			tc.fn(NewBank(tm))
+			b := NewBank(tm)
+			tc.fn(&b)
 		})
 	}
 }

@@ -455,6 +455,11 @@ func permanent(err error) bool {
 // Run it starts the simulation from the campaign's shared warm state for
 // the cell's camps.WarmKey; called with options of its own, it warms up
 // from scratch. Results are byte-identical either way.
+//
+// Under Run, once camps.RunContext has returned, the state the run took
+// over goes back to the campaign, so a later cell's copy reuses the
+// hierarchy's memory. A cell with a CellObs suite keeps it: the counters
+// registered with the suite's registry read it after the run.
 func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error) {
 	rc := o.runConfig(c)
 	if o.CellObs != nil {
@@ -467,7 +472,11 @@ func ExecuteCell(ctx context.Context, c Cell, o *Options) (camps.Results, error)
 		}
 		rc.Warm = ws
 	}
-	return camps.RunContext(ctx, rc)
+	res, err := camps.RunContext(ctx, rc)
+	if rc.Warm != nil && rc.Obs == nil {
+		o.warm.recycle(rc.Warm)
+	}
+	return res, err
 }
 
 // runConfig is the run configuration of cell c, observability aside.

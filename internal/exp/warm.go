@@ -18,6 +18,10 @@ import (
 // state itself, once the other cells' clones are complete, and releases it.
 // So a key holds at most one live state, and only while it has cells in
 // flight.
+//
+// A cell's run hands its state back when it returns, and the memo keeps
+// one such state as a spare: the next clone or build is made in its
+// memory instead of allocating a hierarchy.
 type warmMemo struct {
 	mu sync.Mutex
 	// queue holds the cells yet to be handed out, by index into Run's
@@ -28,6 +32,9 @@ type warmMemo struct {
 	// its warm key.
 	cells map[string]camps.WarmKey
 	keys  map[camps.WarmKey]*warmEntry
+	// spare is a state a finished run handed back, nil when none: the
+	// memory the next clone or build reuses.
+	spare *camps.WarmState
 	// waited, when set, is called each time a cell attempt starts waiting
 	// on another cell's build.
 	waited func()
@@ -157,14 +164,16 @@ func (m *warmMemo) acquire(ctx context.Context, c Cell, rc camps.RunConfig) (*ca
 				return ws, nil
 			}
 			e.clones.Add(1)
+			spare := m.takeSpare()
 			m.mu.Unlock()
 			defer e.clones.Done()
-			return ws.Clone(), nil
+			return ws.Clone(spare), nil
 		}
 		b := e.build
 		if b == nil {
 			b = &warmBuild{ctx: ctx, done: make(chan struct{})}
 			e.build, e.builder = b, ck
+			rc.Warm = m.takeSpare()
 			m.mu.Unlock()
 			ws, err := camps.Warm(ctx, rc)
 			m.mu.Lock()
@@ -201,6 +210,26 @@ func (m *warmMemo) acquire(ctx context.Context, c Cell, rc camps.RunConfig) (*ca
 	}
 }
 
+// takeSpare removes and returns the spare state, or nil. m.mu must be
+// held.
+func (m *warmMemo) takeSpare() *camps.WarmState {
+	ws := m.spare
+	m.spare = nil
+	return ws
+}
+
+// recycle takes back ws, the state a cell's run took over, once that run
+// has returned. The memo keeps it as its spare unless it holds one
+// already or no cell is left to claim a copy: each spare is a whole idle
+// hierarchy, so holding more raises the campaign's peak memory.
+func (m *warmMemo) recycle(ws *camps.WarmState) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.spare == nil && len(m.cells) > 0 {
+		m.spare = ws
+	}
+}
+
 // release retires the cell keyed ck, once it has finished, if it never
 // claimed a copy: it failed, was cancelled, or its RunCell did not execute
 // it. If it was its key's builder, the key is no longer warming. The key's
@@ -223,7 +252,8 @@ func (m *warmMemo) release(ck string) {
 }
 
 // drop forgets every state and count, for the cells a cancelled campaign
-// never ran, and returns how many cells were never handed out.
+// never ran, and the spare, and returns how many cells were never handed
+// out.
 func (m *warmMemo) drop() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -231,5 +261,6 @@ func (m *warmMemo) drop() int {
 	m.queue = nil
 	clear(m.cells)
 	clear(m.keys)
+	m.spare = nil
 	return n
 }

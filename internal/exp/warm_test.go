@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"camps"
+	"camps/internal/obs"
 	"camps/internal/workload"
 )
 
@@ -289,6 +290,11 @@ func TestWarmStatesDroppedWhenRunReturns(t *testing.T) {
 				if n, built := unclaimed(o, c); n != 1 || !built {
 					t.Errorf("last cell sees %d unclaimed (built %v), want 1 (true)", n, built)
 				}
+				o.warm.mu.Lock()
+				if o.warm.spare == nil {
+					t.Error("no finished cell handed its state back as a spare")
+				}
+				o.warm.mu.Unlock()
 				return camps.Results{Mix: c.Mix.ID}, nil
 			}
 			return ExecuteCell(ctx, c, o)
@@ -296,8 +302,8 @@ func TestWarmStatesDroppedWhenRunReturns(t *testing.T) {
 		if _, _, err := Run(context.Background(), cells, opts); err != nil {
 			t.Fatal(err)
 		}
-		if len(memo.keys) != 0 || len(memo.cells) != 0 {
-			t.Errorf("memo still holds %d keys, %d cells", len(memo.keys), len(memo.cells))
+		if len(memo.keys) != 0 || len(memo.cells) != 0 || memo.spare != nil {
+			t.Errorf("memo still holds %d keys, %d cells, spare %v", len(memo.keys), len(memo.cells), memo.spare != nil)
 		}
 	})
 	t.Run("cancelled", func(t *testing.T) {
@@ -314,10 +320,41 @@ func TestWarmStatesDroppedWhenRunReturns(t *testing.T) {
 		if _, _, err := Run(ctx, cells, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if len(memo.keys) != 0 || len(memo.cells) != 0 {
-			t.Errorf("memo still holds %d keys, %d cells", len(memo.keys), len(memo.cells))
+		if len(memo.keys) != 0 || len(memo.cells) != 0 || memo.spare != nil {
+			t.Errorf("memo still holds %d keys, %d cells, spare %v", len(memo.keys), len(memo.cells), memo.spare != nil)
 		}
 	})
+}
+
+// A cell run with a CellObs suite keeps its hierarchy: the counters it
+// registered read that hierarchy after Run returns, so no later cell's
+// copy may be made in its memory. Every cell's registry must still report
+// the L3 counters of its own Results.
+func TestObservedCellsKeepTheirHierarchy(t *testing.T) {
+	cells := append(warmCells(t, "HM1", 3), warmCells(t, "LM1", 3)...)
+	var mu sync.Mutex
+	suites := make(map[string]*obs.Suite)
+	opts := smallOpts()
+	opts.Parallelism = 2
+	opts.CellObs = func(c Cell) *obs.Suite {
+		s := obs.NewSuite(16)
+		mu.Lock()
+		suites[c.Key()] = s
+		mu.Unlock()
+		return s
+	}
+	out, _, err := Run(context.Background(), cells, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		caches := out[i].Results.Caches
+		snap := suites[c.Key()].Registry.Snapshot("after", 0)
+		if hits, misses := snap.Counters["cache.l3_hits"], snap.Counters["cache.l3_misses"]; hits != caches.L3Hits || misses != caches.L3Misses {
+			t.Errorf("%s: registry reads %d L3 hits, %d misses after Run; the run reported %d, %d",
+				c.Key(), hits, misses, caches.L3Hits, caches.L3Misses)
+		}
+	}
 }
 
 // A cell whose Apply panics cannot be keyed; it runs unshared and fails as

@@ -459,25 +459,46 @@ func BenchmarkEngineSteadyQueue(b *testing.B) {
 	}
 }
 
+// walksBack reports whether a push at t walks back at least one step in
+// its ring bucket: whether the bucket's last event is later than t (never
+// for a push to the far heap).
+func walksBack(e *Engine, t Time) bool {
+	if t>>ringShift >= e.now>>ringShift+ringSize {
+		return false
+	}
+	tail := e.ring[int(t>>ringShift)&ringMask].tail
+	return tail != nil && tail.when > t
+}
+
 // The benchmark's traffic keeps the shape it claims: a third of the fires
-// land on the instant of the one before, as the simulator's do (32% on HM1).
+// land on the instant of the one before, as the simulator's do (32% on
+// HM1), and about half the pushes walk back over at least one later event
+// of their bucket, as the simulator's do (46% on HM1/hybrid, 38% on
+// LM2/CAMPS-MOD), so the benchmark times the walk the simulator pays for.
 func TestSteadyQueueTrafficShape(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
 	i := fillSteady(eng, fn)
 	const steps = 50000
-	same := 0
+	same, walked := 0, 0
 	for n := 0; n < steps; n++ {
 		before := eng.Now()
 		eng.Step()
 		if eng.Now() == before {
 			same++
 		}
-		eng.At(eng.Now()+steadyDeltas[i%len(steadyDeltas)], fn)
+		at := eng.Now() + steadyDeltas[i%len(steadyDeltas)]
+		if walksBack(eng, at) {
+			walked++
+		}
+		eng.At(at, fn)
 		i++
 	}
 	if frac := float64(same) / steps; frac < 0.25 || frac > 0.40 {
 		t.Fatalf("%.2f of fires share the previous instant, want about a third", frac)
+	}
+	if frac := float64(walked) / steps; frac < 0.35 || frac > 0.65 {
+		t.Fatalf("%.2f of pushes walk back at least one step, want about half", frac)
 	}
 	for _, d := range steadyDeltas {
 		if d < Nanosecond/2 || d > 512*Nanosecond {

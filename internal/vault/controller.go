@@ -50,7 +50,7 @@ type pending struct {
 type Controller struct {
 	eng    *sim.Engine
 	id     int
-	banks  []*dram.Bank
+	banks  []dram.Bank
 	busy   []sim.Time // per-bank: time the current job releases the bank
 	buffer *pfbuffer.Buffer
 	pf     prefetch.Engine
@@ -181,7 +181,7 @@ func New(eng *sim.Engine, cfg config.Config, scheme prefetch.Scheme, id int) *Co
 	c := &Controller{
 		eng:         eng,
 		id:          id,
-		banks:       make([]*dram.Bank, nbanks),
+		banks:       make([]dram.Bank, nbanks),
 		busy:        make([]sim.Time, nbanks),
 		buffer:      pfbuffer.New(cfg.PFBuffer.Entries(), cfg.LinesPerRow(), prefetch.Describe(scheme).Policy),
 		pfHitLat:    cfg.CPUClock().Cycles(cfg.PFBuffer.HitLatency),
@@ -377,8 +377,8 @@ func (c *Controller) BufferStats() pfbuffer.Stats { return c.buffer.Stats() }
 // CollectOps aggregates per-bank DRAM operation counters into Stats.
 func (c *Controller) CollectOps() {
 	c.stats.BankOps = dram.Ops{}
-	for _, b := range c.banks {
-		c.stats.BankOps.Add(b.Ops())
+	for i := range c.banks {
+		c.stats.BankOps.Add(c.banks[i].Ops())
 	}
 }
 
@@ -824,7 +824,7 @@ func (c *Controller) recordAct(at sim.Time) {
 // activate issues an ACT on bank b at the earliest legal time >= start,
 // honoring both the bank's own constraints and the vault-level tRRD/tFAW.
 func (c *Controller) activate(b int, start sim.Time, row int64) {
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	at := maxTime(start, bank.EarliestActivate())
 	at = maxTime(at, c.actAllowedAt())
 	bank.Activate(at, row)
@@ -838,7 +838,7 @@ func (c *Controller) activate(b int, start sim.Time, row int64) {
 // closed the displaced row completed (0 otherwise; attribution charges
 // the request's time up to it as bank_conflict).
 func (c *Controller) openFor(b int, start sim.Time, row int64) (dram.RowState, int64, sim.Time, sim.Time) {
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	state := bank.Classify(row)
 	displaced := dram.NoRow
 	preDone := sim.Time(0)
@@ -858,7 +858,7 @@ func (c *Controller) openFor(b int, start sim.Time, row int64) (dram.RowState, i
 
 // runRead executes one demand read on bank b.
 func (c *Controller) runRead(b int, now sim.Time, p pending) {
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	state, displaced, colAt, preDone := c.openFor(b, now, p.req.Row)
 	dataDone := bank.Read(colAt)
 	c.busy[b] = dataDone
@@ -886,7 +886,7 @@ func (c *Controller) autoPrecharge(b int, row int64) {
 	if !c.closedPage {
 		return
 	}
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	if bank.OpenRow() != row {
 		return // already closed (e.g. a CloseAfter fetch precharged)
 	}
@@ -905,7 +905,7 @@ func (c *Controller) runWrite(b int, now sim.Time, p pending) {
 		c.schedule()
 		return
 	}
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	state, displaced, colAt, _ := c.openFor(b, now, p.req.Row)
 	end := bank.Write(colAt)
 	c.busy[b] = end
@@ -946,7 +946,7 @@ func (c *Controller) runInlineFetch(b int, f prefetch.Fetch) {
 		c.stats.FetchesRedundant.Inc()
 		return
 	}
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	start := c.reserveTSV(bank.EarliestColumn())
 	end := c.tsvComplete(start, bank.FetchRow(start, c.lines))
 	release := end
@@ -970,7 +970,7 @@ func (c *Controller) runFetch(b int, now sim.Time, f prefetch.Fetch) bool {
 		c.stats.FetchesRedundant.Inc()
 		return false
 	}
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	_, _, colAt, _ := c.openFor(b, now, f.Row)
 	start := c.reserveTSV(colAt)
 	end := c.tsvComplete(start, bank.FetchRow(start, c.lines))
@@ -1057,7 +1057,7 @@ func (c *Controller) tsvComplete(start, bankEnd sim.Time) sim.Time {
 
 // runStore writes a dirty evicted row back into its bank.
 func (c *Controller) runStore(b int, now sim.Time, id pfbuffer.RowID) {
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	_, _, colAt, _ := c.openFor(b, now, id.Row)
 	start := c.reserveTSV(colAt)
 	end := c.tsvComplete(start, bank.StoreRow(start, c.lines))
@@ -1071,7 +1071,7 @@ func (c *Controller) runStore(b int, now sim.Time, id pfbuffer.RowID) {
 
 // runRefresh performs one per-bank refresh (precharging first if needed).
 func (c *Controller) runRefresh(b int, now sim.Time) {
-	bank := c.banks[b]
+	bank := &c.banks[b]
 	start := now
 	if bank.IsOpen() {
 		preAt := maxTime(now, bank.EarliestPrecharge())
@@ -1132,8 +1132,8 @@ func (c *Controller) CheckInvariant() error {
 	if err := c.buffer.CheckInvariant(); err != nil {
 		return fmt.Errorf("vault %d: %w", c.id, err)
 	}
-	for b, bank := range c.banks {
-		if err := bank.CheckInvariant(); err != nil {
+	for b := range c.banks {
+		if err := c.banks[b].CheckInvariant(); err != nil {
 			return fmt.Errorf("vault %d bank %d: %w", c.id, b, err)
 		}
 	}

@@ -49,16 +49,24 @@ func (rc RunConfig) WarmKey() WarmKey {
 // Warm, then start every run that shares its WarmKey from a Clone through
 // RunConfig.Warm. A run takes over the state it is given, so one state
 // serves one run.
+//
+// A run hands the hierarchy it ran on back to the state it took over: the
+// state cannot start another run (ErrInvalidConfig), but once RunContext
+// has returned, its memory can be reused, as Clone's into or Warm's
+// rc.Warm. A run with Obs set keeps its hierarchy, because the counters it
+// registered with Obs.Registry read that hierarchy after the run.
 type WarmState struct {
 	key  WarmKey
 	hier *cache.Hierarchy
-	gens []*trace.Generator
+	gens []*trace.Generator // empty once a run has taken the state over
 }
 
 // Warm runs rc's functional warmup and returns its end state. It validates
 // rc as RunContext does; rc must select a Mix, since caller-supplied
-// Readers cannot be replayed (ErrInvalidConfig). Cancelling ctx abandons
-// the warmup with an error wrapping ctx.Err().
+// Readers cannot be replayed (ErrInvalidConfig). When rc.Warm is set, the
+// warmup is built in its memory and the result is rc.Warm itself: the
+// caller gives that state up, as it does Clone's into. Cancelling ctx
+// abandons the warmup with an error wrapping ctx.Err().
 func Warm(ctx context.Context, rc RunConfig) (*WarmState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("camps: warmup cancelled before start: %w", err)
@@ -73,16 +81,23 @@ func Warm(ctx context.Context, rc RunConfig) (*WarmState, error) {
 			refs: []error{ErrInvalidConfig},
 		}
 	}
-	hier, gens, _, err := warm(ctx, rc)
+	w := rc.Warm
+	if w == nil {
+		w = &WarmState{}
+	}
+	w.gens = nil // given up: no run starts from it, even if the warmup fails
+	hier, gens, _, err := warm(ctx, rc, w.hier)
 	if err != nil {
 		return nil, err
 	}
-	return &WarmState{key: rc.WarmKey(), hier: hier, gens: gens}, nil
+	*w = WarmState{key: rc.WarmKey(), hier: hier, gens: gens}
+	return w, nil
 }
 
 // warm runs the functional warmup of rc, which is defaulted and validated,
-// returning the hierarchy and the generators, also as readers.
-func warm(ctx context.Context, rc RunConfig) (*cache.Hierarchy, []*trace.Generator, []trace.Reader, error) {
+// in spare's memory where it fits (spare may be nil), returning the
+// hierarchy and the generators, also as readers.
+func warm(ctx context.Context, rc RunConfig, spare *cache.Hierarchy) (*cache.Hierarchy, []*trace.Generator, []trace.Reader, error) {
 	if cores := rc.System.Processor.Cores; len(rc.Mix.Benchmarks) != cores {
 		return nil, nil, nil, &apiError{
 			msg: fmt.Sprintf("camps: mix %q has %d benchmarks, system has %d cores",
@@ -94,7 +109,7 @@ func warm(ctx context.Context, rc RunConfig) (*cache.Hierarchy, []*trace.Generat
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	hier := cache.NewHierarchy(rc.System)
+	hier := spare.Reset(rc.System)
 	readers := make([]trace.Reader, len(gens))
 	for core, g := range gens {
 		if err := ctx.Err(); err != nil {
@@ -110,14 +125,21 @@ func warm(ctx context.Context, rc RunConfig) (*cache.Hierarchy, []*trace.Generat
 }
 
 // Clone returns an independent copy of w, for one more run to take over.
-// Clones of one state may be taken concurrently, but not while a run is
-// taking the state itself over.
-func (w *WarmState) Clone() *WarmState {
-	cp := &WarmState{key: w.key, hier: w.hier.Clone(), gens: make([]*trace.Generator, len(w.gens))}
-	for i, g := range w.gens {
-		cp.gens[i] = g.Clone()
+// It is made in into's memory, and is into itself, when into is non-nil:
+// the caller gives into up, whether a fresh state or one a run has handed
+// back. Its hierarchy is reused where it has w's core count and cache
+// geometry. Clones of one state may be taken concurrently, but not while
+// a run is taking the state itself over.
+func (w *WarmState) Clone(into *WarmState) *WarmState {
+	if into == nil {
+		into = &WarmState{}
 	}
-	return cp
+	gens := make([]*trace.Generator, len(w.gens))
+	for i, g := range w.gens {
+		gens[i] = g.Clone()
+	}
+	*into = WarmState{key: w.key, hier: w.hier.Clone(into.hier), gens: gens}
+	return into
 }
 
 // warmState returns the hierarchy and per-core readers rc's measured region
@@ -138,7 +160,7 @@ func (rc *RunConfig) warmState(ctx context.Context) (*cache.Hierarchy, []trace.R
 				w.key.mix, w.key.cores, w.key.seed, rc.Mix.ID, cores, rc.Seed),
 			refs: []error{ErrInvalidConfig},
 		}
-	case w != nil && w.hier == nil:
+	case w != nil && len(w.gens) == 0:
 		return nil, nil, &apiError{
 			msg:  "camps: warm state already taken over by another run",
 			refs: []error{ErrInvalidConfig},
@@ -160,7 +182,7 @@ func (rc *RunConfig) warmState(ctx context.Context) (*cache.Hierarchy, []trace.R
 		}
 		return hier, readers, nil
 	case w == nil:
-		hier, _, readers, err := warm(ctx, *rc)
+		hier, _, readers, err := warm(ctx, *rc, nil)
 		return hier, readers, err
 	}
 	readers := make([]trace.Reader, len(w.gens))
@@ -168,7 +190,10 @@ func (rc *RunConfig) warmState(ctx context.Context) (*cache.Hierarchy, []trace.R
 		readers[i] = g
 	}
 	hier := w.hier
-	w.hier, w.gens = nil, nil
+	w.gens = nil
+	if rc.Obs != nil {
+		w.hier = nil
+	}
 	return hier, readers, nil
 }
 

@@ -132,8 +132,9 @@ func TestWarmKeyIgnoresL3MSHRs(t *testing.T) {
 }
 
 // TestWarmStateRunsMatchFreshRun checks the public warm-state API: clones
-// of one Warm state give fresh-run exports, a state serves one run, and
-// misuse ends in ErrInvalidConfig.
+// of one Warm state give fresh-run exports, also when made in the memory a
+// finished run of another mix handed back, as does a Warm build in such
+// memory; a state serves one run, and misuse ends in ErrInvalidConfig.
 func TestWarmStateRunsMatchFreshRun(t *testing.T) {
 	rc := quick("MX1", camps.CAMPSMOD)
 	rc.MeasureInstr = 10_000
@@ -147,7 +148,35 @@ func TestWarmStateRunsMatchFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, state := range []*camps.WarmState{ws.Clone(), ws.Clone(), ws} {
+	// spent returns a state a finished HM1 run has handed back.
+	spent := func() *camps.WarmState {
+		other := quick("HM1", camps.BASE)
+		other.MeasureInstr = 10_000
+		w, err := camps.Warm(context.Background(), other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.Warm = w
+		if _, err := camps.RunContext(context.Background(), other); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	into := spent()
+	copied := ws.Clone(into)
+	if copied != into {
+		t.Error("Clone(into) did not return into")
+	}
+	rebuild := rc
+	rebuild.Warm = spent()
+	rebuilt, err := camps.Warm(context.Background(), rebuild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt != rebuild.Warm {
+		t.Error("Warm with RunConfig.Warm set did not build in it")
+	}
+	for _, state := range []*camps.WarmState{ws.Clone(nil), ws.Clone(nil), copied, rebuilt, ws} {
 		warmed := rc
 		warmed.Warm = state
 		got, err := camps.RunContext(context.Background(), warmed)
@@ -171,19 +200,19 @@ func TestWarmStateRunsMatchFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := quick("HM1", camps.CAMPSMOD)
-	other.Warm = fresh.Clone()
+	other.Warm = fresh.Clone(nil)
 	if _, err := camps.RunContext(context.Background(), other); !errors.Is(err, camps.ErrInvalidConfig) {
 		t.Errorf("mix mismatch: err = %v, want ErrInvalidConfig", err)
 	}
 	fewer := rc
 	fewer.System = camps.DefaultSystem()
 	fewer.System.Processor.Cores = 4
-	fewer.Warm = fresh.Clone()
+	fewer.Warm = fresh.Clone(nil)
 	if _, err := camps.RunContext(context.Background(), fewer); !errors.Is(err, camps.ErrInvalidConfig) {
 		t.Errorf("core mismatch: err = %v, want ErrInvalidConfig", err)
 	}
 	withReaders := rc
-	withReaders.Warm = fresh.Clone()
+	withReaders.Warm = fresh.Clone(nil)
 	gens, err := rc.Mix.Generators(rc.Seed)
 	if err != nil {
 		t.Fatal(err)
